@@ -17,8 +17,8 @@ from .geom import (CCW, CLOSED_MINUS_VERTICES, COLLINEAR, COORD_LIMIT, CW,
                    triangle_contains)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
-from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
-                     gen_polygon_pair, gen_perturbed_pair, hunt,
+from .oracle import (HuntReport, SizeGuard, enumerate_triangulations,
+                     gen_point_pair, gen_polygon_pair, gen_perturbed_pair, hunt,
                      iter_triangulations, oracle_joint_exists,
                      polygon_oracle_exists)
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair,
@@ -33,7 +33,7 @@ __all__ = [
     "DegenerateInput", "GrazingDiagonal", "HullCorrespondence", "HuntReport",
     "JointTriangulation", "LEX", "LabeledSet", "LegalSetResult", "Point",
     "PointSetPair", "Polygon", "PolygonPair", "SEEDED_RANDOM",
-    "STRICT_INTERIOR", "TriangleSet", "check_hull_correspondence",
+    "STRICT_INTERIOR", "SizeGuard", "TriangleSet", "check_hull_correspondence",
     "check_legal_nonempty", "convex_hull", "count_joint_triangulations",
     "dp_joint_polygon", "enumerate_empty", "enumerate_triangulations",
     "gen_perturbed_pair", "gen_point_pair", "gen_polygon_pair",

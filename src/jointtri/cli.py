@@ -20,8 +20,9 @@ from .files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
 from .geom import DegenerateInput
 from .greedy import LEX, SEEDED_RANDOM, greedy_construct
 from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
-                     Counterexample, gen_point_pair, gen_polygon_pair, hunt,
-                     oracle_joint_exists, polygon_oracle_exists)
+                     Counterexample, SizeGuard, gen_point_pair,
+                     gen_polygon_pair, hunt, oracle_joint_exists,
+                     polygon_oracle_exists)
 from .polygon import GrazingDiagonal, dp_joint_polygon
 from .triangles import paired_empty
 
@@ -140,9 +141,9 @@ def _cmd_oracle(args) -> int:
             witness = oracle_joint_exists(pair)
         else:
             witness = polygon_oracle_exists(pair)
+    except SizeGuard as exc:
+        raise _CliError(str(exc), EXIT_GUARD)
     except ValueError as exc:
-        if "limited to" in str(exc):
-            raise _CliError(str(exc), EXIT_GUARD)
         raise _CliError(str(exc), EXIT_INPUT)
     if witness is None:
         print("NO")

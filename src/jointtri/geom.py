@@ -86,18 +86,6 @@ def strictly_between(a: Point, b: Point, p: Point) -> bool:
     return p != a and p != b and point_on_segment(a, b, p)
 
 
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd share exactly one interior point.
-
-    Endpoint contact, collinear overlap and grazing all return False.
-    """
-    d1 = orient(a, b, c)
-    d2 = orient(a, b, d)
-    d3 = orient(c, d, a)
-    d4 = orient(c, d, b)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
 def segments_intersect_closed(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff the closed segments ab and cd share at least one point."""
     d1 = orient(a, b, c)

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .conditions import PointSetPair
-from .geom import (CLOSED_MINUS_VERTICES, DegenerateInput, LabeledSet, area2,
-                   convex_hull, hull_edge_set, interiors_overlap, orient,
-                   orient_sign_tensor, signed_area2, triangle_contains)
-from .triangles import Tri, TriangleSet, tri, tri_edges
+from .geom import (DegenerateInput, Point, convex_hull, hull_edge_set, orient,
+                   orient_sign_tensor, signed_area2)
+from .triangles import Edge, Tri, TriangleSet, apex, edge, tri, tri_edges
 
 LEX = "lex"
 SEEDED_RANDOM = "random"
@@ -39,79 +38,136 @@ class JointTriangulation:
         return len(self.triangles)
 
 
-def _realize(s: LabeledSet, t: Tri):
-    i, j, k = t
-    return (s[i], s[j], s[k])
+Side = tuple[str, Sequence[Point], Sequence[int]]
 
 
-def _check_empty(s: LabeledSet, t: Tri, side: str) -> Optional[str]:
-    pts = _realize(s, t)
-    if orient(*pts) == 0:
-        return f"triangle {t} degenerate in {side}"
-    for w in range(len(s)):
-        if w in t:
-            continue
-        if triangle_contains(pts, s[w], CLOSED_MINUS_VERTICES):
-            return f"corresponding triangle {t} not empty in {side}: contains point {w}"
+def _scan(points: Sequence[Point], arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled signed area of each triangle of ``arr`` (label rows) and the
+    first point in its closed triangle other than its vertices (-1: none).
+
+    int64 throughout, exact under COORD_LIMIT; one [T, n] pass per edge.
+    """
+    xy = np.array(points, dtype=np.int64)
+    x, y = xy[:, 0], xy[:, 1]
+    tx, ty = x[arr], y[arr]
+    ex = tx[:, [1, 2, 0]] - tx
+    ey = ty[:, [1, 2, 0]] - ty
+    det = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
+    s = np.sign(det)[:, None]
+    inside = np.ones((len(arr), len(x)), dtype=bool)
+    for e in range(3):
+        inside &= s * (ex[:, e, None] * (y - ty[:, e, None])
+                       - ey[:, e, None] * (x - tx[:, e, None])) >= 0
+    inside[np.arange(len(arr))[:, None], arr] = False
+    return det, np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
+def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
+                  allowed: Optional[Collection[Edge]] = None) -> Optional[str]:
+    """Exact check that one triple set triangulates every side.
+
+    Each side is ``(name, points, cycle)``: the realization's name, its
+    points by label, and its boundary as a label cycle (a convex hull or a
+    simple polygon).  Returns None when every check passes, else a
+    description of the first failure.  Checks, in order:
+
+    1. no duplicate triple, and at least one triple;
+    2. each triple nondegenerate and empty (no other point in the closed
+       triangle) on every side;
+    3. doubled areas summing to each cycle's doubled area (redundant);
+    4. the same boundary edges on every side;
+    5. every used edge in ``allowed``, when given;
+    6. on every side, at most one triangle on each side of each used edge;
+    7. each boundary edge used once, its triangle on the interior side of
+       the cycle's winding;
+    8. every other edge used twice.
+
+    The checks are local and linear in size, yet they rule out overlap.  In
+    one realization let deg(x) count the triangles containing a point x on
+    no edge.  By 2, two distinct edges share at most one point (a collinear
+    overlap would put a vertex on an edge), so deg changes only across an
+    edge, by the triangles on that edge on the side entered minus those on
+    the side left.  By 6 and 8 an interior edge has one triangle on each
+    side, so deg does not change across it; by 7 deg changes across a
+    boundary edge exactly as the indicator of the cycle's interior does.
+    So deg minus the indicator is constant, and zero far away: the
+    triangles cover the cycle's interior exactly once and nothing outside
+    it, and by 2 every point is a vertex.  This forces the triangle count
+    (n - 2 for a polygon, 2n - h - 2 for n points with h on the hull).
+    """
+    tris = sorted(tri(*t) for t in triangles)
+    for u, t in zip(tris, tris[1:]):
+        if u == t:
+            return f"duplicate triangle {t}"
+    if not tris:
+        return "empty triangle set"
+
+    arr = np.array(tris, dtype=np.intp)
+    scans = [_scan(points, arr) for _, points, _ in sides]
+    if any((det == 0).any() or (hit >= 0).any() for det, hit in scans):
+        for r, t in enumerate(tris):
+            for (name, _, _), (det, hit) in zip(sides, scans):
+                if det[r] == 0:
+                    return f"triangle {t} degenerate in {name}"
+                if hit[r] >= 0:
+                    return (f"corresponding triangle {t} not empty in {name}: "
+                            f"contains point {int(hit[r])}")
+
+    windings = []
+    for (name, points, cycle), (det, _) in zip(sides, scans):
+        covered = sum(np.abs(det).tolist())
+        signed = signed_area2([points[i] for i in cycle])
+        if covered != abs(signed):
+            return f"area mismatch in {name}: covered {covered} of {abs(signed)}"
+        windings.append(1 if signed > 0 else -1)
+
+    boundary = hull_edge_set(sides[0][2])
+    if any(hull_edge_set(cycle) != boundary for _, _, cycle in sides[1:]):
+        return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
+
+    uses: dict[Edge, list[int]] = {}
+    for r, t in enumerate(tris):
+        for e in tri_edges(t):
+            uses.setdefault(e, []).append(r)
+    if allowed is not None:
+        for e in sorted(uses):
+            if e not in allowed:
+                return f"edge {e} not shared by both visibility graphs"
+
+    # The apex of (i, j, k) lies on the side of sign s = orient(i, j, k)
+    # of the directed edges i->j and j->k, and on side -s of i->k.
+    signs = [np.sign(det).tolist() for det, _ in scans]
+    seen: dict[tuple[str, Edge, int], int] = {}
+    for r, t in enumerate(tris):
+        for (name, _, _), sign in zip(sides, signs):
+            for e, flip in zip(tri_edges(t), (1, 1, -1)):
+                u = seen.setdefault((name, e, flip * sign[r]), r)
+                if u != r:
+                    return f"triangles {tris[u]} and {t} overlap in {name}"
+
+    for e in sorted(boundary):
+        if len(uses.get(e, ())) != 1:
+            return f"boundary edge {e} used {len(uses.get(e, ()))} times (want 1)"
+    for (name, points, cycle), winding in zip(sides, windings):
+        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+            t = tris[uses[edge(a, b)][0]]
+            if orient(points[a], points[b], points[apex(t, (a, b))]) != winding:
+                return f"triangle {t} outside boundary edge {edge(a, b)} in {name}"
+    for e in sorted(uses):
+        if e not in boundary and len(uses[e]) != 2:
+            return f"interior edge {e} used {len(uses[e])} times (want 2)"
     return None
 
 
 def verify_joint(pair: PointSetPair, triangles: Iterable[Tri]) -> Optional[str]:
-    """Exact check that a triple set is a joint triangulation of the pair.
-
-    Returns None when every check passes, else a description of the
-    first failure.  Checks, in order: each triple nondegenerate and
-    empty on both sides; pairwise disjoint interiors on both sides;
-    doubled areas summing to each hull's doubled area; shared hull
-    edges used exactly once and interior edges exactly twice.
-    """
-    raw = list(triangles)
-    tris = sorted(tri(*t) for t in raw)
-    if len(set(tris)) != len(tris):
-        dup = next(t for n, t in enumerate(tris) if t in tris[:n])
-        return f"duplicate triangle {dup}"
-    if not tris:
-        return "empty triangle set"
-
-    for t in tris:
-        for side, s in (("A", pair.a), ("B", pair.b)):
-            msg = _check_empty(s, t, side)
-            if msg:
-                return msg
-
-    for n, t in enumerate(tris):
-        for u in tris[:n]:
-            if interiors_overlap(_realize(pair.a, t), _realize(pair.a, u)):
-                return f"triangles {u} and {t} overlap in A"
-            if interiors_overlap(_realize(pair.b, t), _realize(pair.b, u)):
-                return f"triangles {u} and {t} overlap in B"
-
+    """Exact check that a triple set is a joint triangulation of the pair:
+    ``verify_tiling`` with each side's convex hull as its boundary cycle."""
     try:
-        hull_a = convex_hull(pair.a)
-        hull_b = convex_hull(pair.b)
+        hull_a, hull_b = convex_hull(pair.a), convex_hull(pair.b)
     except DegenerateInput as exc:
         return str(exc)
-    for side, s, hull in (("A", pair.a, hull_a), ("B", pair.b, hull_b)):
-        covered = sum(area2(*_realize(s, t)) for t in tris)
-        total = abs(signed_area2([s[i] for i in hull]))
-        if covered != total:
-            return f"area mismatch in {side}: covered {covered} of {total}"
-
-    edges_a = hull_edge_set(hull_a)
-    edges_b = hull_edge_set(hull_b)
-    if edges_a != edges_b:
-        return "hull edge sets of A and B differ"
-    counts: dict[tuple[int, int], int] = {}
-    for t in tris:
-        for e in tri_edges(t):
-            counts[e] = counts.get(e, 0) + 1
-    for e in sorted(edges_a):
-        if counts.get(e, 0) != 1:
-            return f"hull edge {e} used {counts.get(e, 0)} times (want 1)"
-    for e in sorted(counts):
-        if e not in edges_a and counts[e] != 2:
-            return f"interior edge {e} used {counts[e]} times (want 2)"
-    return None
+    return verify_tiling((("A", pair.a.points, hull_a),
+                          ("B", pair.b.points, hull_b)), triangles)
 
 
 def _sat_overlap_mask(d: np.ndarray, arr: np.ndarray, s_arr: np.ndarray,

@@ -19,11 +19,16 @@ from .conditions import (PointSetPair, check_hull_correspondence,
 from .geom import (DegenerateInput, LabeledSet, Point, convex_hull,
                    interiors_overlap, orient, strictly_between)
 from .greedy import LEX, greedy_construct, verify_joint
-from .polygon import GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon
+from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
+                      verify_polygon_joint)
 from .triangles import Tri, enumerate_empty, paired_empty, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
+
+
+class SizeGuard(ValueError):
+    """An instance is too large for an exhaustive search to finish."""
 
 
 def iter_triangulations(s: LabeledSet) -> Iterator[frozenset[Tri]]:
@@ -32,11 +37,12 @@ def iter_triangulations(s: LabeledSet) -> Iterator[frozenset[Tri]]:
     Each triangulation is produced as its component-triangle set.  The
     search keeps the directed boundary of the untriangulated region and
     always expands its smallest edge, so each triangulation is reached
-    along exactly one branch and no deduplication is needed.
+    along exactly one branch and no deduplication is needed.  Raises
+    SizeGuard above MAX_ORACLE_POINTS.
     """
     n = len(s)
     if n > MAX_ORACLE_POINTS:
-        raise ValueError(
+        raise SizeGuard(
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_POINTS}, got {n}")
     try:
         hull = convex_hull(s)
@@ -155,13 +161,12 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
     Candidate triangle sets are assembled from chords that are valid
     diagonals of both polygons under the scalar reference test; each
     complete candidate is then fully verified, so the recursion may
-    over-generate but never misses a joint triangulation.
+    over-generate but never misses a joint triangulation.  Raises
+    SizeGuard above MAX_ORACLE_POLYGON.
     """
-    from .polygon import verify_polygon_joint
-
     n = len(pair)
     if n > MAX_ORACLE_POLYGON:
-        raise ValueError(
+        raise SizeGuard(
             f"polygon oracle is limited to n <= {MAX_ORACLE_POLYGON}, got {n}")
 
     ok_chord: dict[tuple[int, int], bool] = {}
@@ -241,16 +246,6 @@ def gen_perturbed_pair(n: int, coord_range: int, jitter: int,
                 pts.append(q)
                 break
     return PointSetPair(base, LabeledSet(tuple(pts)))
-
-
-def _has_collinear_triple(pts: list[Point]) -> bool:
-    n = len(pts)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    return True
-    return False
 
 
 def _untangle(pts: list[Point], rng: random.Random,

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geom import (COORD_LIMIT, Point, cross, interiors_overlap, orient,
-                   point_on_segment, segments_intersect_closed, signed_area2)
-from .greedy import JointTriangulation
-from .triangles import Edge, Tri, TriangleSet, edge, tri, tri_edges
+from .geom import (COORD_LIMIT, Point, orient, point_on_segment,
+                   segments_intersect_closed, signed_area2)
+from .greedy import JointTriangulation, verify_tiling
+from .triangles import Edge, Tri, TriangleSet, edge, tri
 
 
 class GrazingDiagonal(ValueError):
@@ -92,10 +92,6 @@ class Polygon:
         """+1 if the vertex cycle winds counterclockwise, -1 if clockwise."""
         return 1 if signed_area2(self.vertices) > 0 else -1
 
-    @property
-    def doubled_area(self) -> int:
-        return abs(signed_area2(self.vertices))
-
     def boundary_edges(self) -> frozenset[Edge]:
         n = len(self.vertices)
         return frozenset(edge(i, (i + 1) % n) for i in range(n))
@@ -115,27 +111,6 @@ class PolygonPair:
 
     def __len__(self) -> int:
         return len(self.a)
-
-
-def _pip_doubled(poly: Sequence[Point], px2: int, py2: int) -> bool:
-    """Exact point-in-polygon crossing test, with the query point given at
-    doubled coordinates and assumed off the (doubled) boundary."""
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        ux, uy = poly[i]
-        vx, vy = poly[(i + 1) % n]
-        ux, uy, vx, vy = 2 * ux, 2 * uy, 2 * vx, 2 * vy
-        if (uy > py2) == (vy > py2):
-            continue
-        side = (vx - ux) * (py2 - uy) - (vy - uy) * (px2 - ux)
-        if vy > uy:
-            if side > 0:
-                inside = not inside
-        else:
-            if side < 0:
-                inside = not inside
-    return inside
 
 
 def visibility_graph(poly: Polygon) -> set[Edge]:
@@ -225,8 +200,8 @@ def _interior_triangle(pair: PolygonPair, i: int, k: int, q: int) -> bool:
             and orient(pair.b[i], pair.b[k], pair.b[q]) == pair.b.ccw_sign)
 
 
-def _fill_table(pair: PolygonPair, shared: set[Edge],
-                orientation_guard: bool) -> tuple[list[list[bool]], list[list[int]]]:
+def _fill_table(pair: PolygonPair,
+                shared: set[Edge]) -> tuple[list[list[bool]], list[list[int]]]:
     """Fill the boolean interval table and the split-vertex choices."""
     n = len(pair)
     m = [[False] * n for _ in range(n)]
@@ -243,7 +218,7 @@ def _fill_table(pair: PolygonPair, shared: set[Edge],
                     continue
                 if (i, k) not in shared or (k, q) not in shared:
                     continue
-                if orientation_guard and not _interior_triangle(pair, i, k, q):
+                if not _interior_triangle(pair, i, k, q):
                     continue
                 m[i][q] = True
                 choice[i][q] = k
@@ -251,20 +226,19 @@ def _fill_table(pair: PolygonPair, shared: set[Edge],
     return m, choice
 
 
-def dp_joint_polygon(pair: PolygonPair,
-                     orientation_guard: bool = True) -> Optional[JointTriangulation]:
+def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     """Interval dynamic program for a joint triangulation of the pair.
 
     Cell (i, q) is true iff {i, q} is a shared visibility edge and some
     split vertex k strictly between them has both sub-cells true, the
-    chords {i, k} and {k, q} shared, and (with the default guard) the
-    triangle (i, k, q) on the interior side in both realizations.  On
-    success the backtracked triangle set is re-checked by the polygon
-    verifier; None means no joint triangulation exists.
+    chords {i, k} and {k, q} shared, and the triangle (i, k, q) on the
+    interior side in both realizations.  On success the backtracked
+    triangle set is re-checked by the polygon verifier; None means no
+    joint triangulation exists.
     """
     n = len(pair)
     shared = ivg(pair)
-    m, choice = _fill_table(pair, shared, orientation_guard)
+    m, choice = _fill_table(pair, shared)
     if not m[0][n - 1]:
         return None
 
@@ -309,55 +283,13 @@ def count_joint_triangulations(pair: PolygonPair) -> int:
 
 def verify_polygon_joint(pair: PolygonPair, triangles,
                          shared: Optional[set[Edge]] = None) -> Optional[str]:
-    """Exact check that a triple set jointly triangulates both polygons.
-
-    Requires n-2 triangles, nondegenerate and pairwise interior-disjoint
-    in both realizations, doubled areas summing to each polygon's,
-    every used edge shared by both visibility graphs, each boundary
-    edge used once and each diagonal twice.  Pass ``shared`` to reuse an
-    already-computed visibility intersection.
+    """Exact check that a triple set jointly triangulates both polygons:
+    ``verify_tiling`` with each polygon's vertex cycle as its boundary and
+    the shared visibility edges as the allowed edges.  Pass ``shared`` to
+    reuse an already-computed ``ivg(pair)``.
     """
-    n = len(pair)
-    raw = list(triangles)
-    tris = sorted(tri(*t) for t in raw)
-    if len(set(tris)) != len(tris):
-        return "duplicate triangle"
-    if len(tris) != n - 2:
-        return f"expected {n - 2} triangles, got {len(tris)}"
-
-    def realize(poly: Polygon, t: Tri):
-        return (poly[t[0]], poly[t[1]], poly[t[2]])
-
-    for t in tris:
-        if orient(*realize(pair.a, t)) == 0:
-            return f"triangle {t} degenerate in A"
-        if orient(*realize(pair.b, t)) == 0:
-            return f"triangle {t} degenerate in B"
-    for idx, t in enumerate(tris):
-        for u in tris[:idx]:
-            if interiors_overlap(realize(pair.a, t), realize(pair.a, u)):
-                return f"triangles {u} and {t} overlap in A"
-            if interiors_overlap(realize(pair.b, t), realize(pair.b, u)):
-                return f"triangles {u} and {t} overlap in B"
-    for side, poly in (("A", pair.a), ("B", pair.b)):
-        covered = sum(abs(cross(*realize(poly, t))) for t in tris)
-        if covered != poly.doubled_area:
-            return f"area mismatch in {side}: covered {covered} of {poly.doubled_area}"
-
     if shared is None:
         shared = ivg(pair)
-    boundary = pair.a.boundary_edges()
-    counts: dict[Edge, int] = {}
-    for t in tris:
-        for e in tri_edges(t):
-            counts[e] = counts.get(e, 0) + 1
-    for e in sorted(counts):
-        if e not in shared:
-            return f"edge {e} not shared by both visibility graphs"
-    for e in sorted(boundary):
-        if counts.get(e, 0) != 1:
-            return f"boundary edge {e} used {counts.get(e, 0)} times (want 1)"
-    for e in sorted(counts):
-        if e not in boundary and counts[e] != 2:
-            return f"diagonal {e} used {counts[e]} times (want 2)"
-    return None
+    cycle = range(len(pair))
+    return verify_tiling((("A", pair.a.vertices, cycle),
+                          ("B", pair.b.vertices, cycle)), triangles, shared)

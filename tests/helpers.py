@@ -140,3 +140,101 @@ def convex_polygon_coords(n: int, spread: int = 1):
     """A strictly convex integer polygon (parabola arc closed by its chord);
     no three vertices are collinear."""
     return [(k, spread * k * k) for k in range(n)]
+
+
+def mutate(rng: random.Random, tris, n: int):
+    """One random drop, vertex swap or duplication of a triangle list."""
+    tris = [tuple(t) for t in tris]
+    kind = rng.choice(("drop", "swap", "dup"))
+    if kind == "drop" and len(tris) > 1:
+        del tris[rng.randrange(len(tris))]
+    elif kind == "swap":
+        i = rng.randrange(len(tris))
+        t = list(tris[i])
+        pos = rng.randrange(3)
+        t[pos] = rng.choice([v for v in range(n) if v not in t])
+        tris[i] = tuple(sorted(t))
+    else:
+        tris.append(tris[rng.randrange(len(tris))])
+    return tris
+
+
+def _area2(a, b, c) -> int:
+    return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _on_open_segment(a, b, p) -> bool:
+    return p != a and p != b and point_in_closed_triangle(a, b, a, p)
+
+
+def brute_hull_edges(points) -> list[tuple[int, int]]:
+    """Directed hull edges i -> j with the set on the closed left side and
+    no point strictly between i and j (collinear boundary points are hull
+    vertices).  Empty for a collinear set."""
+    n = len(points)
+    if all(xorient(points[0], points[1], p) == 0 for p in points):
+        return []
+    return [(i, j) for i in range(n) for j in range(n) if i != j
+            and all(xorient(points[i], points[j], p) >= 0 for p in points)
+            and not any(_on_open_segment(points[i], points[j], p) for p in points)]
+
+
+def _pairwise_tiles(sides, tris, empty: bool) -> bool:
+    """Each side is (points, directed boundary edges of the region)."""
+    if not tris or len(set(tris)) != len(tris):
+        return False
+    for points, boundary in sides:
+        if not boundary:
+            return False
+        real = [tuple(points[v] for v in t) for t in tris]
+        if any(xorient(*r) == 0 for r in real):
+            return False
+        if empty and any(point_in_closed_triangle(*r, points[w])
+                         for t, r in zip(tris, real)
+                         for w in range(len(points)) if w not in t):
+            return False
+        if any(overlap_by_decomposition(r, s)
+               for x, r in enumerate(real) for s in real[:x]):
+            return False
+        region = abs(sum(points[i][0] * points[j][1] - points[j][0] * points[i][1]
+                         for i, j in boundary))
+        if sum(_area2(*r) for r in real) != region:
+            return False
+    undirected = [{tuple(sorted(e)) for e in b} for _, b in sides]
+    if any(u != undirected[0] for u in undirected):
+        return False
+    counts: dict = {}
+    for i, j, k in tris:
+        for e in ((i, j), (j, k), (i, k)):
+            counts[e] = counts.get(e, 0) + 1
+    return (all(counts.get(e) == 1 for e in undirected[0])
+            and all(c == 2 for e, c in counts.items() if e not in undirected[0]))
+
+
+def pairwise_verify_points(a, b, triangles) -> bool:
+    """Reference joint-triangulation check for two labeled point sets,
+    comparing every pair of triangles: nondegenerate and empty on both
+    sides, pairwise interior-disjoint, areas summing to each hull's, equal
+    hull edges, hull edges used once and all others twice."""
+    tris = [tuple(sorted(t)) for t in triangles]
+    return _pairwise_tiles([(a, brute_hull_edges(a)), (b, brute_hull_edges(b))],
+                           tris, empty=True)
+
+
+def pairwise_verify_polygons(a, b, triangles) -> bool:
+    """Reference joint-triangulation check for two vertex cycles, comparing
+    every pair of triangles: n - 2 triangles, nondegenerate and pairwise
+    interior-disjoint on both sides, areas summing to each polygon's, every
+    edge a boundary edge or a diagonal of both, boundary edges used once
+    and diagonals twice."""
+    n = len(a)
+    tris = [tuple(sorted(t)) for t in triangles]
+    if len(tris) != n - 2:
+        return False
+    for i, j, k in tris:
+        for u, v in ((i, j), (j, k), (i, k)):
+            if (v - u) % n not in (1, n - 1) and not (
+                    brute_diagonal_visible(a, u, v) and brute_diagonal_visible(b, u, v)):
+                return False
+    boundary = [(i, (i + 1) % n) for i in range(n)]
+    return _pairwise_tiles([(a, boundary), (b, boundary)], tris, empty=False)

@@ -24,7 +24,7 @@ from jointtri.oracle import (Counterexample, POINTS, enumerate_triangulations,
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import enumerate_empty, paired_empty
 
-from helpers import brute_empty_triangles, convex_polygon_coords
+from helpers import brute_empty_triangles, convex_polygon_coords, mutate
 
 N_RANGE = (4, 8)
 
@@ -109,22 +109,6 @@ def test_criterion_2_greedy_on_condition_passing_instances(tmp_path):
              f"({trials} trials)")
 
 
-def _mutate(rng, tris, n):
-    tris = [tuple(t) for t in tris]
-    kind = rng.choice(("drop", "swap", "dup"))
-    if kind == "drop" and len(tris) > 1:
-        del tris[rng.randrange(len(tris))]
-    elif kind == "swap":
-        i = rng.randrange(len(tris))
-        t = list(tris[i])
-        pos = rng.randrange(3)
-        t[pos] = rng.choice([v for v in range(n) if v not in t])
-        tris[i] = tuple(sorted(t))
-    else:
-        tris.append(tris[rng.randrange(len(tris))])
-    return tris
-
-
 def test_criterion_3_verifier_soundness():
     rng = random.Random(300_000)
     rejected = 0
@@ -138,7 +122,7 @@ def test_criterion_3_verifier_soundness():
         jt = greedy_construct(pair, res.legal, LEX)
         if not jt.verified:
             continue
-        mutated = _mutate(rng, jt.triangles.sorted_triangles(), len(pair))
+        mutated = mutate(rng, jt.triangles.sorted_triangles(), len(pair))
         violation = verify_joint(pair, mutated)
         assert violation, f"mutation accepted: {mutated} on {pair.a.points}"
         rejected += 1

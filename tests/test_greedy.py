@@ -9,6 +9,8 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
 from jointtri.triangles import TriangleSet, paired_empty
 
+from helpers import mutate
+
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
 
@@ -147,23 +149,6 @@ def test_verify_degenerate_triple():
     assert violation == "triangle (0, 1, 2) degenerate in A"
 
 
-def _mutate(rng, tris, n):
-    tris = [tuple(t) for t in tris]
-    kind = rng.choice(("drop", "swap", "dup"))
-    if kind == "drop" and len(tris) > 1:
-        del tris[rng.randrange(len(tris))]
-    elif kind == "swap":
-        i = rng.randrange(len(tris))
-        t = list(tris[i])
-        pos = rng.randrange(3)
-        choices = [v for v in range(n) if v not in t]
-        t[pos] = rng.choice(choices)
-        tris[i] = tuple(sorted(t))
-    else:
-        tris.append(tris[rng.randrange(len(tris))])
-    return tris
-
-
 def test_verify_rejects_mutations():
     rng = random.Random(31)
     rejected = 0
@@ -174,7 +159,7 @@ def test_verify_rejects_mutations():
             jt = _full_run(pair)
         except (AssertionError, DegenerateInput):
             continue
-        mutated = _mutate(rng, jt.triangles.sorted_triangles(), len(s))
+        mutated = mutate(rng, jt.triangles.sorted_triangles(), len(s))
         violation = verify_joint(pair, mutated)
         assert violation is not None and violation != ""
         rejected += 1

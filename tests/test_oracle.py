@@ -7,10 +7,11 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set)
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import verify_joint
-from jointtri.oracle import (POINTS, POLYGONS, enumerate_triangulations,
+from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
+                             POLYGONS, SizeGuard, enumerate_triangulations,
                              gen_perturbed_pair, gen_point_pair,
-                             gen_polygon_pair, hunt, oracle_joint_exists,
-                             polygon_oracle_exists)
+                             gen_polygon_pair, hunt, iter_triangulations,
+                             oracle_joint_exists, polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
 from jointtri.triangles import paired_empty
 
@@ -222,6 +223,16 @@ def test_polygon_oracle_size_guard():
     pair = gen_polygon_pair(11, 60, 7)
     with pytest.raises(ValueError):
         polygon_oracle_exists(pair)
+
+
+def test_size_guards_raise_size_guard_one_past_the_limit():
+    at_limit = LabeledSet.from_coords(convex_position_points(MAX_ORACLE_POINTS))
+    assert next(iter_triangulations(at_limit))
+    big = LabeledSet.from_coords(convex_position_points(MAX_ORACLE_POINTS + 1))
+    with pytest.raises(SizeGuard):
+        next(iter_triangulations(big))
+    with pytest.raises(SizeGuard):
+        polygon_oracle_exists(gen_polygon_pair(MAX_ORACLE_POLYGON + 1, 60, 7))
 
 
 def test_hunt_zero_trials():
