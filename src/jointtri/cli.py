@@ -12,8 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .conditions import (check_hull_correspondence, check_legal_nonempty,
-                         legal_set)
+from .conditions import Conditions, necessary_conditions
 from .files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                     format_instance, format_triangles, parse_instance,
                     parse_triangles, write_bundle)
@@ -24,7 +23,6 @@ from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
                      gen_polygon_pair, hunt, oracle_joint_exists,
                      polygon_oracle_exists)
 from .polygon import GrazingDiagonal, dp_joint_polygon
-from .triangles import paired_empty
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -48,8 +46,6 @@ def _load(path: str, want_kind: Optional[str] = None):
         kind, pair = parse_instance(text)
     except InstanceFormatError as exc:
         raise _CliError(f"{path}: {exc}", EXIT_INPUT)
-    except GrazingDiagonal as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_INPUT)
     if want_kind is not None and kind != want_kind:
         raise _CliError(f"{path}: expected a {want_kind} instance, got {kind}",
                         EXIT_INPUT)
@@ -60,44 +56,37 @@ def _fmt_edge(e: tuple[int, int]) -> str:
     return f"{e[0] + 1} {e[1] + 1}"
 
 
-def _cmd_check(args) -> int:
-    _, pair = _load(args.file, KIND_POINTS)
+def _conditions(pair) -> Conditions:
     try:
-        hc = check_hull_correspondence(pair)
+        return necessary_conditions(pair)
     except DegenerateInput as exc:
         raise _CliError(str(exc), EXIT_INPUT)
-    if not hc.ok:
-        print(f"NC1 FAIL witness {_fmt_edge(hc.witness)}")
+
+
+def _cmd_check(args) -> int:
+    _, pair = _load(args.file, KIND_POINTS)
+    nc = _conditions(pair)
+    if not nc.hull.ok:
+        print(f"NC1 FAIL witness {_fmt_edge(nc.hull.witness)}")
         return EXIT_FAIL
-    candidates = paired_empty(pair)
-    result = legal_set(pair, candidates, hc.hull_edges)
-    ok2 = check_legal_nonempty(result)
-    verdict2 = "PASS" if ok2 else "FAIL"
-    print(f"NC1 PASS / |S_A∩|={len(candidates)} / |S|={len(result.legal)} "
+    verdict2 = "PASS" if nc.ok else "FAIL"
+    print(f"NC1 PASS / |S_A∩|={len(nc.candidates)} / |S|={len(nc.legal.legal)} "
           f"/ NC2 {verdict2}")
     if args.explain:
-        for t, e in result.removed:
+        for t, e in nc.legal.removed:
             print(f"removed {t[0] + 1} {t[1] + 1} {t[2] + 1} "
                   f"witness-edge {_fmt_edge(e)}")
-    return EXIT_OK if ok2 else EXIT_FAIL
+    return EXIT_OK if nc.ok else EXIT_FAIL
 
 
 def _cmd_triangulate(args) -> int:
     _, pair = _load(args.file, KIND_POINTS)
-    try:
-        hc = check_hull_correspondence(pair)
-    except DegenerateInput as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
-    if not hc.ok:
-        print("FAIL NC1")
-        return EXIT_FAIL
-    candidates = paired_empty(pair)
-    result = legal_set(pair, candidates, hc.hull_edges)
-    if not check_legal_nonempty(result):
-        print("FAIL NC2")
+    nc = _conditions(pair)
+    if not nc.ok:
+        print("FAIL NC2" if nc.hull.ok else "FAIL NC1")
         return EXIT_FAIL
     policy = LEX if args.policy == "lex" else SEEDED_RANDOM
-    jt = greedy_construct(pair, result.legal, policy, args.seed)
+    jt = greedy_construct(pair, nc.legal.legal, policy, args.seed)
     if not jt.verified:
         finding = Counterexample(POINTS, args.seed or 0, len(pair),
                                  f"greedy result failed verification: {jt.violation}")

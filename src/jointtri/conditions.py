@@ -14,8 +14,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .geom import LabeledSet, convex_hull, hull_edge_set, orient
-from .triangles import Edge, Tri, TriangleSet, apex, edge, tri_edges
+from .geom import LabeledSet, convex_hull, hull_edge_set
+from .triangles import (FLIPS, Edge, Tri, TriangleSet, edge, paired_empty,
+                        tri, tri_edges)
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,10 @@ def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
     return HullCorrespondence(False, edges_a, witness)
 
 
-def _edge_signs(pair: PointSetPair, t: Tri, e: Edge) -> tuple[int, int]:
-    """Orientation signs of t's apex against directed edge e, per side."""
-    i, j = e
-    k = apex(t, e)
-    return (orient(pair.a[i], pair.a[j], pair.a[k]),
-            orient(pair.b[i], pair.b[j], pair.b[k]))
+def _apex_sides(pair: PointSetPair, t: Tri, e: Edge) -> tuple[int, int]:
+    """Side of t's apex from the directed edge e (sorted), per realization."""
+    flip = FLIPS[tri_edges(t).index(e)]
+    return flip * int(pair.a.signs[t]), flip * int(pair.b.signs[t])
 
 
 def successors(candidates: TriangleSet, pair: PointSetPair,
@@ -85,13 +84,13 @@ def successors(candidates: TriangleSet, pair: PointSetPair,
     """Candidates sharing edge e whose apex is strictly across e from t's
     apex in both realizations.  May be empty or contain several triangles.
     """
-    e = edge(*e)
-    sa, sb = _edge_signs(pair, t, e)
+    t, e = tri(*t), edge(*e)
+    sa, sb = _apex_sides(pair, t, e)
     out = []
-    for u in candidates.with_edge(e):
-        if u == t:
+    for u in candidates:
+        if u == t or e not in tri_edges(u):
             continue
-        ua, ub = _edge_signs(pair, u, e)
+        ua, ub = _apex_sides(pair, u, e)
         if ua == -sa and ub == -sb and sa != 0 and sb != 0:
             out.append(u)
     return sorted(out)
@@ -113,13 +112,13 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     live = candidates.copy()
     # Bucket triangles on each edge by their (side A, side B) apex signs;
     # a triangle is supported on an edge iff the opposite bucket is nonempty.
-    signs: dict[tuple[Tri, Edge], tuple[int, int]] = {}
+    da, db = pair.a.signs, pair.b.signs
+    sides: dict[Tri, tuple[int, int]] = {}
     buckets: dict[Edge, dict[tuple[int, int], set[Tri]]] = {}
     for t in live:
-        for e in tri_edges(t):
-            sig = _edge_signs(pair, t, e)
-            signs[(t, e)] = sig
-            buckets.setdefault(e, {}).setdefault(sig, set()).add(t)
+        sa, sb = sides[t] = int(da[t]), int(db[t])
+        for e, flip in zip(tri_edges(t), FLIPS):
+            buckets.setdefault(e, {}).setdefault((flip * sa, flip * sb), set()).add(t)
 
     pending: list[Edge] = sorted(e for e in buckets if e not in hull_edges)
     pending_set = set(pending)
@@ -142,11 +141,13 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         for t in doomed:
             live.discard(t)
             removed.append((t, e))
-            for f in tri_edges(t):
-                bucket = buckets[f][signs[(t, f)]]
+            sa, sb = sides[t]
+            for f, flip in zip(tri_edges(t), FLIPS):
+                sig = (flip * sa, flip * sb)
+                bucket = buckets[f][sig]
                 bucket.discard(t)
                 if not bucket:
-                    del buckets[f][signs[(t, f)]]
+                    del buckets[f][sig]
                 if f not in hull_edges and f not in pending_set and buckets[f]:
                     pending.append(f)
                     pending_set.add(f)
@@ -156,3 +157,29 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
 def check_legal_nonempty(result: LegalSetResult) -> bool:
     """Condition 2: at least one legal triangle survives the pruning."""
     return len(result.legal) > 0
+
+
+@dataclass(frozen=True)
+class Conditions:
+    """The necessary-condition chain of one pair: condition 1, then, only
+    when it holds, the paired empty triangles and their legal set."""
+
+    hull: HullCorrespondence
+    candidates: Optional[TriangleSet] = None
+    legal: Optional[LegalSetResult] = None
+
+    @property
+    def ok(self) -> bool:
+        """Both necessary conditions hold."""
+        return self.legal is not None and check_legal_nonempty(self.legal)
+
+
+def necessary_conditions(pair: PointSetPair) -> Conditions:
+    """Run the chain: hull correspondence, paired empty triangles, legal
+    set.  Raises DegenerateInput if either side is fully collinear."""
+    hull = check_hull_correspondence(pair)
+    if not hull.ok:
+        return Conditions(hull)
+    candidates = paired_empty(pair)
+    return Conditions(hull, candidates,
+                      legal_set(pair, candidates, hull.hull_edges))

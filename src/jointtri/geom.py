@@ -11,6 +11,7 @@ time (see ``COORD_LIMIT``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,9 +26,6 @@ COORD_LIMIT = 2**24
 CCW = 1
 COLLINEAR = 0
 CW = -1
-
-STRICT_INTERIOR = "strict"
-CLOSED_MINUS_VERTICES = "closed"
 
 
 class Point(NamedTuple):
@@ -105,34 +103,6 @@ def segments_intersect_closed(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def triangle_contains(t: Triangle, p: Point, mode: str = CLOSED_MINUS_VERTICES) -> bool:
-    """Test whether p lies in triangle t.
-
-    ``STRICT_INTERIOR``: p strictly inside a nondegenerate t (False for
-    a degenerate t).  ``CLOSED_MINUS_VERTICES``: p anywhere in the
-    closed triangle -- interior or on an edge; for a degenerate
-    (collinear) t, p on the segment spanned by the three points.  The
-    caller guarantees p is not a vertex of t.
-    """
-    a, b, c = t
-    s = orient(a, b, c)
-    if s == COLLINEAR:
-        if mode == STRICT_INTERIOR:
-            return False
-        # Spanned segment of three collinear points = hull of the extremes.
-        lo = min(a, b, c)
-        hi = max(a, b, c)
-        return point_on_segment(lo, hi, p)
-    d1 = orient(a, b, p)
-    d2 = orient(b, c, p)
-    d3 = orient(c, a, p)
-    if mode == STRICT_INTERIOR:
-        return d1 == s and d2 == s and d3 == s
-    if mode == CLOSED_MINUS_VERTICES:
-        return s * d1 >= 0 and s * d2 >= 0 and s * d3 >= 0
-    raise ValueError(f"unknown containment mode: {mode!r}")
-
-
 def interiors_overlap(t1: Triangle, t2: Triangle) -> bool:
     """True iff the open interiors of two nondegenerate triangles meet.
 
@@ -187,6 +157,14 @@ class LabeledSet:
 
     def __getitem__(self, label: int) -> Point:
         return self.points[label]
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """The set's orientation-sign tensor (``orient_sign_tensor``), built
+        once and shared by every stage that reads it; read-only."""
+        d = orient_sign_tensor(self.points)
+        d.flags.writeable = False
+        return d
 
 
 def convex_hull(s: LabeledSet | Sequence[Point]) -> list[int]:

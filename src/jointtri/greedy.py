@@ -18,8 +18,9 @@ import numpy as np
 
 from .conditions import PointSetPair
 from .geom import (DegenerateInput, Point, convex_hull, hull_edge_set, orient,
-                   orient_sign_tensor, signed_area2)
-from .triangles import Edge, Tri, TriangleSet, apex, edge, tri, tri_edges
+                   signed_area2)
+from .triangles import (FLIPS, Edge, Tri, TriangleSet, apex, edge, tri,
+                        tri_edges)
 
 LEX = "lex"
 SEEDED_RANDOM = "random"
@@ -134,13 +135,11 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
             if e not in allowed:
                 return f"edge {e} not shared by both visibility graphs"
 
-    # The apex of (i, j, k) lies on the side of sign s = orient(i, j, k)
-    # of the directed edges i->j and j->k, and on side -s of i->k.
     signs = [np.sign(det).tolist() for det, _ in scans]
     seen: dict[tuple[str, Edge, int], int] = {}
     for r, t in enumerate(tris):
         for (name, _, _), sign in zip(sides, signs):
-            for e, flip in zip(tri_edges(t), (1, 1, -1)):
+            for e, flip in zip(tri_edges(t), FLIPS):
                 u = seen.setdefault((name, e, flip * sign[r]), r)
                 if u != r:
                     return f"triangles {tris[u]} and {t} overlap in {name}"
@@ -209,8 +208,7 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     if policy not in (LEX, SEEDED_RANDOM):
         raise ValueError(f"unknown policy: {policy!r}")
     arr = np.array(legal.sorted_triangles(), dtype=np.intp)
-    da = orient_sign_tensor(pair.a.points)
-    db = orient_sign_tensor(pair.b.points)
+    da, db = pair.a.signs, pair.b.signs
     sa = da[arr[:, 0], arr[:, 1], arr[:, 2]]
     sb = db[arr[:, 0], arr[:, 1], arr[:, 2]]
     alive = np.ones(len(arr), dtype=bool)

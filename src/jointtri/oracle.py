@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .conditions import (PointSetPair, check_hull_correspondence,
-                         check_legal_nonempty, legal_set)
+from .conditions import PointSetPair, necessary_conditions
 from .geom import (DegenerateInput, LabeledSet, Point, convex_hull,
                    interiors_overlap, orient, strictly_between)
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
-from .triangles import Tri, enumerate_empty, paired_empty, tri
+from .triangles import Tri, enumerate_empty, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
@@ -419,26 +418,22 @@ def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
                  report: HuntReport, cross_check: bool,
                  bundle_dir: Optional[str]) -> None:
     try:
-        hc = check_hull_correspondence(pair)
+        nc = necessary_conditions(pair)
     except DegenerateInput:
-        hc = None
+        nc = None
     fast_yes = False
-    result = None
-    if hc is not None and hc.ok:
-        candidates = paired_empty(pair)
-        legal = legal_set(pair, candidates, hc.hull_edges)
-        if check_legal_nonempty(legal):
-            report.nc_pass_count += 1
-            result = greedy_construct(pair, legal.legal, LEX)
-            if result.verified:
-                report.greedy_success += 1
-                fast_yes = True
-            else:
-                _record(report,
-                        Counterexample(POINTS, inst_seed, n,
-                                       f"greedy result failed verification: {result.violation}"),
-                        pair, "points", bundle_dir,
-                        [f"choice {t}" for t in (result.choices or [])])
+    if nc is not None and nc.ok:
+        report.nc_pass_count += 1
+        result = greedy_construct(pair, nc.legal.legal, LEX)
+        if result.verified:
+            report.greedy_success += 1
+            fast_yes = True
+        else:
+            _record(report,
+                    Counterexample(POINTS, inst_seed, n,
+                                   f"greedy result failed verification: {result.violation}"),
+                    pair, "points", bundle_dir,
+                    [f"choice {t}" for t in (result.choices or [])])
     if cross_check and n <= 8:
         report.oracle_checked += 1
         witness = oracle_joint_exists(pair)

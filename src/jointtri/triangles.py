@@ -1,4 +1,4 @@
-"""Empty-triangle enumeration and the edge-indexed triangle set container.
+"""Empty-triangle enumeration and the triangle set container.
 
 A triangle is an unordered label triple stored as a sorted tuple, so one
 triple simultaneously names a triangle in each of two paired point sets.
@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .geom import LabeledSet, orient_sign_tensor
+from .geom import LabeledSet
 
 if TYPE_CHECKING:
     from .conditions import PointSetPair
@@ -38,6 +38,12 @@ def tri_edges(t: Tri) -> tuple[Edge, Edge, Edge]:
     return ((i, j), (j, k), (i, k))
 
 
+# The apex of (i, j, k) lies on side s = orient(i, j, k) of the directed
+# edges i->j and j->k, and on side -s of i->k: one flip per edge, in the
+# order of tri_edges.
+FLIPS = (1, 1, -1)
+
+
 def apex(t: Tri, e: Edge) -> int:
     """The vertex of t opposite to edge e."""
     for v in t:
@@ -47,42 +53,18 @@ def apex(t: Tri, e: Edge) -> int:
 
 
 class TriangleSet:
-    """A set of canonical label triples with an inverted edge index.
-
-    The edge index maps every unordered label pair to the set of member
-    triangles containing it, and is kept exactly in sync through add
-    and discard.
-    """
+    """A set of canonical label triples."""
 
     def __init__(self, triangles: Iterable[Tri] = ()):
         self._tris: set[Tri] = set()
-        self._by_edge: dict[Edge, set[Tri]] = {}
         for t in triangles:
             self.add(t)
 
     def add(self, t: Tri) -> None:
-        t = tri(*t)
-        if t in self._tris:
-            return
-        self._tris.add(t)
-        for e in tri_edges(t):
-            self._by_edge.setdefault(e, set()).add(t)
+        self._tris.add(tri(*t))
 
     def discard(self, t: Tri) -> None:
-        if t not in self._tris:
-            return
         self._tris.discard(t)
-        for e in tri_edges(t):
-            bucket = self._by_edge[e]
-            bucket.discard(t)
-            if not bucket:
-                del self._by_edge[e]
-
-    def with_edge(self, e: Edge) -> frozenset[Tri]:
-        return frozenset(self._by_edge.get(edge(*e), ()))
-
-    def edges(self) -> Iterator[Edge]:
-        return iter(self._by_edge)
 
     def sorted_triangles(self) -> list[Tri]:
         return sorted(self._tris)
@@ -116,11 +98,10 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     A triple is empty when no other point of the set lies in its closed
     triangle minus the three vertices (a point on an edge disqualifies).
     Degenerate (collinear) triples are excluded.  Vectorized over the
-    orientation-sign tensor; the scalar containment predicate gives the
-    same answer triple by triple.
+    set's cached orientation-sign tensor (``LabeledSet.signs``).
     """
     n = len(s)
-    d = orient_sign_tensor(s.points)
+    d = s.signs
     found: list[Tri] = []
     idx = np.arange(n)
     for i in range(n - 2):

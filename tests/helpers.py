@@ -28,6 +28,23 @@ def point_in_closed_triangle(a, b, c, p) -> bool:
             and s * xorient(c, a, p) >= 0)
 
 
+def brute_successors(a, b, candidates, t, e) -> list[tuple[int, int, int]]:
+    """Candidates other than t that contain edge e and whose apex is
+    strictly across e from t's apex in both realizations, by orienting
+    each apex against e directly."""
+    i, j = e
+    (k,) = set(t) - {i, j}
+    out = []
+    for u in candidates:
+        if set(u) == set(t) or not {i, j} <= set(u):
+            continue
+        (w,) = set(u) - {i, j}
+        if all(xorient(p[i], p[j], p[k]) * xorient(p[i], p[j], p[w]) < 0
+               for p in (a, b)):
+            out.append(tuple(sorted(u)))
+    return sorted(out)
+
+
 def brute_empty_triangles(points) -> set[tuple[int, int, int]]:
     """All empty triples by the direct all-triples, all-points scan."""
     n = len(points)

@@ -13,7 +13,7 @@ import sys
 import time
 
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 check_legal_nonempty, legal_set)
+                                 legal_set, necessary_conditions)
 from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.files import write_bundle
@@ -47,13 +47,10 @@ def _mixed_pairs(count: int, base_seed: int):
 
 def _nc_status(pair):
     try:
-        hc = check_hull_correspondence(pair)
+        nc = necessary_conditions(pair)
     except DegenerateInput:
         return False, None, None
-    if not hc.ok:
-        return False, hc, None
-    res = legal_set(pair, paired_empty(pair), hc.hull_edges)
-    return check_legal_nonempty(res), hc, res
+    return nc.ok, nc.hull, nc.legal
 
 
 def test_criterion_1_necessity_sweep():
@@ -263,12 +260,9 @@ def _hull_locked_pair(n, coord_range, jitter, seed):
 def test_criterion_8_performance_sanity():
     t0 = time.time()
     pair = _hull_locked_pair(60, 1000, 3, 0)
-    hc = check_hull_correspondence(pair)
-    assert hc.ok
-    cands = paired_empty(pair)  # enumerates both sides
-    res = legal_set(pair, cands, hc.hull_edges)
-    assert check_legal_nonempty(res)
-    jt = greedy_construct(pair, res.legal, LEX)
+    nc = necessary_conditions(pair)  # enumerates both sides
+    assert nc.ok
+    jt = greedy_construct(pair, nc.legal.legal, LEX)
     assert jt.verified
     point_elapsed = time.time() - t0
     assert point_elapsed < 10.0, f"point pipeline took {point_elapsed:.1f}s"

@@ -117,17 +117,41 @@ POINTS 8
 """
 
 
+# The full removal log of COLLAPSING_TEXT, in cascade order.
+COLLAPSING_EXPLAIN = """\
+NC1 PASS / |S_A∩|=21 / |S|=0 / NC2 FAIL
+removed 1 2 4 witness-edge 1 2
+removed 2 6 7 witness-edge 6 7
+removed 1 4 8 witness-edge 4 8
+removed 2 4 8 witness-edge 4 8
+removed 1 4 7 witness-edge 4 7
+removed 4 5 7 witness-edge 4 7
+removed 1 4 6 witness-edge 4 6
+removed 2 4 6 witness-edge 4 6
+removed 1 4 5 witness-edge 4 5
+removed 2 4 5 witness-edge 4 5
+removed 2 3 4 witness-edge 3 4
+removed 2 3 7 witness-edge 2 7
+removed 2 7 8 witness-edge 2 7
+removed 3 7 8 witness-edge 3 7
+removed 1 2 8 witness-edge 1 8
+removed 1 5 7 witness-edge 1 7
+removed 2 3 8 witness-edge 2 8
+removed 2 6 8 witness-edge 2 8
+removed 1 2 6 witness-edge 1 2
+removed 3 6 8 witness-edge 6 8
+removed 2 3 6 witness-edge 2 6
+"""
+
+
 def test_check_explain_lists_removals(tmp_path):
-    # candidates exist but the whole set prunes away: 21 removal lines
+    # candidates exist but the whole set prunes away: 21 removal lines,
+    # pinned byte for byte so the cascade order cannot drift
     p = tmp_path / "inst.txt"
     p.write_text(COLLAPSING_TEXT)
     code, out = run_cli("check", str(p), "--explain")
     assert code == 2
-    lines = out.splitlines()
-    assert lines[0] == "NC1 PASS / |S_A∩|=21 / |S|=0 / NC2 FAIL"
-    removal_lines = [ln for ln in lines[1:] if ln.startswith("removed ")]
-    assert len(removal_lines) == 21
-    assert all("witness-edge" in ln for ln in removal_lines)
+    assert out == COLLAPSING_EXPLAIN
 
 
 def test_check_malformed_exit_1(tmp_path):

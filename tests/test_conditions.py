@@ -1,11 +1,19 @@
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
+from jointtri import geom
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 check_legal_nonempty, legal_set, successors)
+                                 check_legal_nonempty, legal_set,
+                                 necessary_conditions, successors)
 from jointtri.geom import DegenerateInput, LabeledSet
+from jointtri.greedy import LEX, greedy_construct
+from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
+
+from helpers import brute_successors
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -164,3 +172,48 @@ def test_removal_log_is_a_valid_cascade():
             assert successors(live, pair, t, witness) == []
             live.discard(t)
         assert live == res.legal
+
+
+def test_successors_match_brute_reference():
+    # Candidates are random triples, collinear ones included, so zero apex
+    # signs (never a successor) are exercised alongside the flip rule.
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        pair = PointSetPair(*(LabeledSet.from_coords(rng.sample(
+            [(x, y) for x in range(6) for y in range(6)], n)) for _ in range(2)))
+        triples = list(combinations(range(n), 3))
+        cands = TriangleSet(rng.sample(triples, rng.randint(1, len(triples))))
+        for t in cands:
+            for e in tri_edges(t):
+                got = successors(cands, pair, t, e)
+                assert got == brute_successors(pair.a.points, pair.b.points,
+                                               cands, t, e), (t, e)
+                checked += bool(got)
+    assert checked > 100
+
+
+def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):
+    calls = []
+    build = geom.orient_sign_tensor
+
+    def counting(pts):
+        calls.append(len(pts))
+        return build(pts)
+
+    monkeypatch.setattr(geom, "orient_sign_tensor", counting)
+    seed = 0
+    while True:
+        seed += 1
+        pair = gen_perturbed_pair(7, 25, 4, 9000 + seed)
+        calls.clear()
+        nc = necessary_conditions(pair)
+        if nc.ok:
+            break
+    jt = greedy_construct(pair, nc.legal.legal, LEX)
+    assert jt.verified
+    assert oracle_joint_exists(pair) is not None
+    assert calls == [7, 7]
+    assert np.array_equal(pair.a.signs, build(pair.a.points))
+    assert np.array_equal(pair.b.signs, build(pair.b.points))

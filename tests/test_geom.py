@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri.geom import (CCW, CLOSED_MINUS_VERTICES, COLLINEAR, CW,
-                           STRICT_INTERIOR, DegenerateInput, LabeledSet,
+from jointtri.geom import (CCW, COLLINEAR, CW, DegenerateInput, LabeledSet,
                            Point, convex_hull, hull_edge_set,
-                           interiors_overlap, orient, triangle_contains)
+                           interiors_overlap, orient)
 
 from helpers import overlap_by_decomposition, overlap_by_sampling
 
@@ -27,27 +26,6 @@ def test_orient_antisymmetric_under_swaps(p, q, r):
     assert orient(q, p, r) == -base
     assert orient(p, r, q) == -base
     assert orient(r, q, p) == -base
-
-
-def test_triangle_contains_modes():
-    t = (Point(0, 0), Point(4, 0), Point(0, 4))
-    assert triangle_contains(t, Point(1, 1), STRICT_INTERIOR)
-    assert not triangle_contains(t, Point(2, 0), STRICT_INTERIOR)
-    assert triangle_contains(t, Point(2, 0), CLOSED_MINUS_VERTICES)
-    assert not triangle_contains(t, Point(5, 5), CLOSED_MINUS_VERTICES)
-
-
-def test_triangle_contains_degenerate_middle():
-    t = (Point(0, 0), Point(2, 2), Point(4, 4))
-    assert triangle_contains(t, Point(1, 1), CLOSED_MINUS_VERTICES)
-    assert not triangle_contains(t, Point(1, 1), STRICT_INTERIOR)
-    assert not triangle_contains(t, Point(5, 5), CLOSED_MINUS_VERTICES)
-
-
-def test_triangle_contains_rejects_unknown_mode():
-    t = (Point(0, 0), Point(4, 0), Point(0, 4))
-    with pytest.raises(ValueError):
-        triangle_contains(t, Point(1, 1), "fuzzy")
 
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]

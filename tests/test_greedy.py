@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 check_legal_nonempty, legal_set)
+from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet, convex_hull
 from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
-from jointtri.triangles import TriangleSet, paired_empty
+from jointtri.triangles import TriangleSet
 
 from helpers import mutate
 
@@ -21,11 +20,9 @@ def _pair(a_coords, b_coords=None):
 
 
 def _full_run(pair, policy=LEX, seed=None):
-    hc = check_hull_correspondence(pair)
-    assert hc.ok
-    res = legal_set(pair, paired_empty(pair), hc.hull_edges)
-    assert check_legal_nonempty(res)
-    return greedy_construct(pair, res.legal, policy, seed)
+    nc = necessary_conditions(pair)
+    assert nc.ok
+    return greedy_construct(pair, nc.legal.legal, policy, seed)
 
 
 def test_greedy_square_lex_is_hand_checkable():
@@ -76,12 +73,11 @@ def test_greedy_self_pairs_always_verify():
         s = _random_set(rng, rng.randint(4, 8))
         pair = PointSetPair(s, s)
         try:
-            hc = check_hull_correspondence(pair)
+            nc = necessary_conditions(pair)
         except DegenerateInput:
             continue
-        res = legal_set(pair, paired_empty(pair), hc.hull_edges)
-        assert check_legal_nonempty(res)  # a self pair always triangulates
-        jt = greedy_construct(pair, res.legal, LEX)
+        assert nc.ok  # a self pair always triangulates
+        jt = greedy_construct(pair, nc.legal.legal, LEX)
         assert jt.verified, (s.points, jt.violation)
         done += 1
 
@@ -197,14 +193,12 @@ def test_every_verified_triple_is_paired_and_legal():
         s = _random_set(rng, rng.randint(5, 8))
         pair = PointSetPair(s, s)
         try:
-            hc = check_hull_correspondence(pair)
+            nc = necessary_conditions(pair)
         except DegenerateInput:
             continue
-        cands = paired_empty(pair)
-        res = legal_set(pair, cands, hc.hull_edges)
-        jt = greedy_construct(pair, res.legal, LEX)
+        jt = greedy_construct(pair, nc.legal.legal, LEX)
         assert jt.verified
         for t in jt.triangles:
-            assert t in cands
-            assert t in res.legal
+            assert t in nc.candidates
+            assert t in nc.legal.legal
         done += 1

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 check_legal_nonempty, legal_set)
+from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import verify_joint
 from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
@@ -13,7 +12,6 @@ from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
                              gen_polygon_pair, hunt, iter_triangulations,
                              oracle_joint_exists, polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
-from jointtri.triangles import paired_empty
 
 from helpers import convex_position_points
 
@@ -158,12 +156,10 @@ def test_necessity_on_oracle_hits():
         if witness is None:
             continue
         hits += 1
-        hc = check_hull_correspondence(pair)
-        assert hc.ok
-        res = legal_set(pair, paired_empty(pair), hc.hull_edges)
-        assert check_legal_nonempty(res)
+        nc = necessary_conditions(pair)
+        assert nc.ok
         for t in witness:
-            assert t in res.legal
+            assert t in nc.legal.legal
     assert hits == 10
 
 

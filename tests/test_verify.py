@@ -2,8 +2,7 @@
 
 import random
 
-from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 check_legal_nonempty, legal_set)
+from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.oracle import gen_perturbed_pair, gen_point_pair, gen_polygon_pair
@@ -30,19 +29,18 @@ def _point_cases(rng):
             pair = PointSetPair(a, a)
         try:
             h = len(convex_hull(pair.a))
-            hc = check_hull_correspondence(pair)
+            nc = necessary_conditions(pair)
         except DegenerateInput:
             continue
-        paired = paired_empty(pair)
-        if hc.ok:
-            res = legal_set(pair, paired, hc.hull_edges)
-            if check_legal_nonempty(res):
-                jt = greedy_construct(pair, res.legal, LEX)
-                tris = jt.triangles.sorted_triangles()
-                yield pair, tris
-                for _ in range(3):
-                    yield pair, mutate(rng, tris, n)
+        if nc.ok:
+            jt = greedy_construct(pair, nc.legal.legal, LEX)
+            tris = jt.triangles.sorted_triangles()
+            yield pair, tris
+            for _ in range(3):
+                yield pair, mutate(rng, tris, n)
         size = 2 * n - h - 2
+        # The chain stops at a failed NC1; those pairs still give subsets.
+        paired = nc.candidates if nc.hull.ok else paired_empty(pair)
         cands = paired.sorted_triangles()
         if len(cands) >= size:
             for _ in range(4):
