@@ -12,13 +12,13 @@ from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          PointSetPair, check_hull_correspondence,
                          check_legal_nonempty, legal_set,
                          necessary_conditions, successors)
-from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, DegenerateInput,
-                   LabeledSet, Point, convex_hull, hull_edge_set,
-                   interiors_overlap, orient)
+from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
+                   DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
+                   hull_edge_set, interiors_overlap, orient)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
-from .oracle import (HuntReport, SizeGuard, enumerate_triangulations,
-                     gen_point_pair, gen_polygon_pair, gen_perturbed_pair, hunt,
+from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
+                     gen_polygon_pair, gen_perturbed_pair, hunt,
                      iter_triangulations, oracle_joint_exists,
                      polygon_oracle_exists)
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair,
@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CCW", "COLLINEAR", "COORD_LIMIT", "CW", "Conditions", "DegenerateInput",
     "GrazingDiagonal", "HullCorrespondence", "HuntReport",
-    "JointTriangulation", "LEX", "LabeledSet", "LegalSetResult", "Point",
+    "JointTriangulation", "LEX", "LabeledSet", "LegalSetResult",
+    "MAX_TENSOR_POINTS", "Point",
     "PointSetPair", "Polygon", "PolygonPair", "SEEDED_RANDOM", "SizeGuard",
     "TriangleSet", "check_hull_correspondence", "check_legal_nonempty",
     "convex_hull", "count_joint_triangulations", "dp_joint_polygon",

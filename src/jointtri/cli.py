@@ -16,12 +16,11 @@ from .conditions import Conditions, necessary_conditions
 from .files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                     format_instance, format_triangles, parse_instance,
                     parse_triangles, write_bundle)
-from .geom import DegenerateInput
+from .geom import DegenerateInput, SizeGuard
 from .greedy import LEX, SEEDED_RANDOM, greedy_construct
 from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
-                     Counterexample, SizeGuard, gen_point_pair,
-                     gen_polygon_pair, hunt, oracle_joint_exists,
-                     polygon_oracle_exists)
+                     Counterexample, gen_point_pair, gen_polygon_pair, hunt,
+                     oracle_joint_exists, polygon_oracle_exists)
 from .polygon import GrazingDiagonal, dp_joint_polygon
 
 EXIT_OK = 0
@@ -61,6 +60,8 @@ def _conditions(pair) -> Conditions:
         return necessary_conditions(pair)
     except DegenerateInput as exc:
         raise _CliError(str(exc), EXIT_INPUT)
+    except SizeGuard as exc:
+        raise _CliError(str(exc), EXIT_GUARD)
 
 
 def _cmd_check(args) -> int:

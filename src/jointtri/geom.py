@@ -40,6 +40,18 @@ class DegenerateInput(ValueError):
     """Raised for inputs that admit no triangulation (e.g. all collinear)."""
 
 
+class SizeGuard(ValueError):
+    """Raised when a request exceeds a documented size limit (CLI exit 3)."""
+
+
+# Largest point set whose orientation-sign tensor is built: n**3 int8 bytes
+# per side (512 MB at n = 800), so a pair's two tensors stay near 1 GB.
+MAX_TENSOR_POINTS = 800
+# Entries of one int64 block of the tensor build (1 MB); bounds its
+# temporaries at any n.
+_TENSOR_BLOCK = 1 << 17
+
+
 def cross(o: Point, a: Point, b: Point) -> int:
     """Doubled signed area of triangle (o, a, b); positive iff CCW."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -161,7 +173,11 @@ class LabeledSet:
     @cached_property
     def signs(self) -> np.ndarray:
         """The set's orientation-sign tensor (``orient_sign_tensor``), built
-        once and shared by every stage that reads it; read-only."""
+        once and shared by every stage that reads it; read-only.  Raises
+        SizeGuard, before allocating, above MAX_TENSOR_POINTS points."""
+        if len(self) > MAX_TENSOR_POINTS:
+            raise SizeGuard(f"orientation tensors are limited to n <= "
+                            f"{MAX_TENSOR_POINTS}, got {len(self)}")
         d = orient_sign_tensor(self.points)
         d.flags.writeable = False
         return d
@@ -221,11 +237,18 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
     """n x n x n tensor of orientation signs D[i,j,k] = sign(cross(p_i, p_j, p_k)).
 
     Exact for coordinates within COORD_LIMIT (the determinant fits in
-    int64 with a wide margin).
+    int64 with a wide margin).  Built in blocks of i into one int8 array,
+    so the int64 temporaries stay near ``_TENSOR_BLOCK`` entries.
     """
     xs = np.array([p[0] for p in pts], dtype=np.int64)
     ys = np.array([p[1] for p in pts], dtype=np.int64)
     dx = xs[None, :] - xs[:, None]
     dy = ys[None, :] - ys[:, None]
-    det = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
-    return np.sign(det).astype(np.int8)
+    n = len(xs)
+    out = np.empty((n, n, n), dtype=np.int8)
+    step = max(1, _TENSOR_BLOCK // (n * n))
+    for i in range(0, n, step):
+        bx, by = dx[i:i + step], dy[i:i + step]
+        out[i:i + step] = np.sign(bx[:, :, None] * by[:, None, :]
+                                  - by[:, :, None] * bx[:, None, :])
+    return out

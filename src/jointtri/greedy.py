@@ -199,7 +199,8 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     Each round commits one surviving triangle (the canonically smallest
     under LEX, or a seeded-uniform pick under SEEDED_RANDOM) and deletes
     every survivor overlapping its interior in either realization; the
-    committed triangle overlaps itself and is deleted too.  The result
+    committed triangle overlaps itself and is deleted too.  The survivor
+    arrays are compacted after each round, in sorted order.  The result
     is never trusted: ``verified`` reflects the independent verifier,
     and a False verdict is returned, not raised.
     """
@@ -211,17 +212,16 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     da, db = pair.a.signs, pair.b.signs
     sa = da[arr[:, 0], arr[:, 1], arr[:, 2]]
     sb = db[arr[:, 0], arr[:, 1], arr[:, 2]]
-    alive = np.ones(len(arr), dtype=bool)
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
     chosen: list[Tri] = []
-    while alive.any():
-        live_idx = np.nonzero(alive)[0]
-        pick = live_idx[rng.randrange(len(live_idx))] if rng else live_idx[0]
-        t: Tri = tuple(int(v) for v in arr[pick])  # type: ignore[assignment]
+    while len(arr):
+        pick = rng.randrange(len(arr)) if rng else 0
+        t: Tri = tuple(arr[pick].tolist())  # type: ignore[assignment]
         chosen.append(t)
         gone = _sat_overlap_mask(da, arr, sa, t, int(sa[pick]))
         gone |= _sat_overlap_mask(db, arr, sb, t, int(sb[pick]))
-        alive &= ~gone
+        keep = ~gone
+        arr, sa, sb = arr[keep], sa[keep], sb[keep]
     violation = verify_joint(pair, chosen)
     return JointTriangulation(TriangleSet(chosen), violation is None,
                               violation, chosen)

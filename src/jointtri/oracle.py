@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .conditions import PointSetPair, necessary_conditions
-from .geom import (DegenerateInput, LabeledSet, Point, convex_hull,
+from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
                    interiors_overlap, orient, strictly_between)
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
@@ -24,10 +24,6 @@ from .triangles import Tri, enumerate_empty, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
-
-
-class SizeGuard(ValueError):
-    """An instance is too large for an exhaustive search to finish."""
 
 
 def iter_triangulations(s: LabeledSet) -> Iterator[frozenset[Tri]]:

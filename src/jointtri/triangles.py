@@ -60,6 +60,15 @@ class TriangleSet:
         for t in triangles:
             self.add(t)
 
+    @classmethod
+    def _of_canonical(cls, triangles: Iterable[Tri]) -> "TriangleSet":
+        """A set of triples already in canonical form, added in the given
+        order, so it iterates exactly as one built by ``add``.  (``iter``
+        keeps a set argument from being copied table to table.)"""
+        out = cls.__new__(cls)
+        out._tris = set(iter(triangles))
+        return out
+
     def add(self, t: Tri) -> None:
         self._tris.add(tri(*t))
 
@@ -70,7 +79,7 @@ class TriangleSet:
         return sorted(self._tris)
 
     def copy(self) -> "TriangleSet":
-        return TriangleSet(self._tris)
+        return TriangleSet._of_canonical(self._tris)
 
     def __contains__(self, t: object) -> bool:
         return t in self._tris
@@ -92,44 +101,61 @@ class TriangleSet:
         return f"TriangleSet({self.sorted_triangles()!r})"
 
 
+# Cells of one [rows, n] block of _empty_rows' temporaries (1 MB of int8),
+# so enumeration stays within a few MB at any n.
+_ROW_CHUNK_CELLS = 1 << 20
+
+
+def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """For each label-triple row of ``arr``, whether the triangle is
+    nondegenerate and has no point but its vertices in its closed triangle,
+    under orientation-sign tensor ``d``.
+
+    A point is in closed tri(i, j, k) iff no edge sign opposes the
+    triangle's orientation (zero: on the edge line); the three vertices
+    always are, so the triangle is empty iff exactly three points are.
+    """
+    n = d.shape[0]
+    out = np.empty(len(arr), dtype=bool)
+    step = max(1, _ROW_CHUNK_CELLS // n)
+    for lo in range(0, len(arr), step):
+        i, j, k = arr[lo:lo + step].T
+        s = d[i, j, k]
+        away = -s[:, None]
+        outside = d[i, j] == away
+        outside |= d[j, k] == away
+        outside |= d[k, i] == away
+        out[lo:lo + step] = (s != 0) & (np.count_nonzero(outside, axis=1) == n - 3)
+    return out
+
+
 def enumerate_empty(s: LabeledSet) -> TriangleSet:
-    """All empty triangles of a point set.
+    """All empty triangles of a point set, added in lexicographic order.
 
     A triple is empty when no other point of the set lies in its closed
     triangle minus the three vertices (a point on an edge disqualifies).
     Degenerate (collinear) triples are excluded.  Vectorized over the
-    set's cached orientation-sign tensor (``LabeledSet.signs``).
+    set's cached orientation-sign tensor (``LabeledSet.signs``), one block
+    of rows (i, j, k), j < k, per i.
     """
     n = len(s)
     d = s.signs
     found: list[Tri] = []
-    idx = np.arange(n)
     for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            sij = d[i, j]
-            ks = idx[j + 1:][sij[j + 1:] != 0]
-            if ks.size == 0:
-                continue
-            sk = sij[ks].astype(np.int8)[:, None]
-            # p is in closed tri(i,j,k) iff all three edge signs agree
-            # with the triangle's orientation (zero allowed: on an edge).
-            inside = (sk * sij[None, :] >= 0)
-            inside &= (sk * d[j, ks, :] >= 0)
-            inside &= (sk * d[ks, i, :] >= 0)
-            inside[:, i] = False
-            inside[:, j] = False
-            inside[np.arange(ks.size), ks] = False
-            for k in ks[~inside.any(axis=1)]:
-                found.append((i, j, int(k)))
-    return TriangleSet(found)
+        j, k = np.triu_indices(n - i - 1, 1)
+        arr = np.column_stack((np.full(len(j), i), j + i + 1, k + i + 1))
+        found.extend(map(tuple, arr[_empty_rows(d, arr)].tolist()))
+    return TriangleSet._of_canonical(found)
 
 
 def paired_empty(pair: "PointSetPair") -> TriangleSet:
     """Triples that are empty triangles in both sides of a pair.
 
     Only these can ever appear in a joint triangulation, so this is the
-    candidate pool for everything downstream.
+    candidate pool for everything downstream.  A's empty triangles are
+    tested against B's tensor, kept in A's iteration order.
     """
-    in_a = enumerate_empty(pair.a)
-    in_b = enumerate_empty(pair.b)
-    return TriangleSet(t for t in in_a if t in in_b)
+    in_a = list(enumerate_empty(pair.a))
+    keep = _empty_rows(pair.b.signs, np.array(in_a, dtype=np.intp).reshape(-1, 3))
+    return TriangleSet._of_canonical(
+        t for t, ok in zip(in_a, keep.tolist()) if ok)

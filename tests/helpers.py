@@ -94,6 +94,26 @@ def overlap_by_decomposition(t1, t2) -> bool:
     return False
 
 
+def brute_greedy(a, b, legal, seed=None) -> list[tuple[int, int, int]]:
+    """Reference greedy choice sequence over two coordinate lists.
+
+    Survivors start as the sorted triples of ``legal``.  Each round
+    commits the first survivor (``seed`` None) or ``Random(seed).randrange``
+    of them, then keeps only the survivors other than it whose interiors
+    meet it on neither side, by ``overlap_by_decomposition``.
+    """
+    rng = random.Random(seed) if seed is not None else None
+    alive = sorted(tuple(sorted(t)) for t in legal)
+    chosen = []
+    while alive:
+        t = alive[rng.randrange(len(alive))] if rng else alive[0]
+        chosen.append(t)
+        alive = [u for u in alive if u != t and not any(
+            overlap_by_decomposition(tuple(p[v] for v in t), tuple(p[v] for v in u))
+            for p in (a, b))]
+    return chosen
+
+
 def overlap_by_sampling(t1, t2, rng: random.Random, tries: int = 400):
     """Randomized overlap witness: returns True when a sampled point is
     strictly inside both triangles, None when sampling is inconclusive."""
@@ -194,6 +214,33 @@ def brute_hull_edges(points) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j
             and all(xorient(points[i], points[j], p) >= 0 for p in points)
             and not any(_on_open_segment(points[i], points[j], p) for p in points)]
+
+
+def grid_locked_coords(rng: random.Random, n: int, side: int):
+    """Coordinates of a hull-locked pair on the side x side grid, or None
+    when the drawn points are collinear.
+
+    A is n distinct grid points.  B keeps A's hull points (collinear
+    boundary points included) and moves about a third of the others, each
+    to a random free neighbouring grid point strictly inside the hull, so
+    both sides have the same hull edges.  The grid makes collinear triples
+    and points on edges common.
+    """
+    a = rng.sample([(x, y) for x in range(side) for y in range(side)], n)
+    edges = brute_hull_edges(a)
+    if not edges:
+        return None
+    on_hull = {i for e in edges for i in e}
+    b = list(a)
+    for i in range(n):
+        if i in on_hull or rng.randrange(3):
+            continue
+        moves = [(a[i][0] + dx, a[i][1] + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+        moves = [q for q in moves if q not in b
+                 and all(xorient(a[u], a[v], q) > 0 for u, v in edges)]
+        if moves:
+            b[i] = rng.choice(moves)
+    return a, b
 
 
 def _pairwise_tiles(sides, tris, empty: bool) -> bool:

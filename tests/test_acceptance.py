@@ -260,7 +260,7 @@ def _hull_locked_pair(n, coord_range, jitter, seed):
 def test_criterion_8_performance_sanity():
     t0 = time.time()
     pair = _hull_locked_pair(60, 1000, 3, 0)
-    nc = necessary_conditions(pair)  # enumerates both sides
+    nc = necessary_conditions(pair)  # enumerates A, tests its triples in B
     assert nc.ok
     jt = greedy_construct(pair, nc.legal.legal, LEX)
     assert jt.verified

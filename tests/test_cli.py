@@ -1,14 +1,18 @@
+import hashlib
 import io
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 
 import pytest
 
+from jointtri import geom
 from jointtri.cli import main
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             format_instance, format_triangles, parse_instance,
                             parse_triangles)
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
+
+from test_acceptance import _hull_locked_pair
 
 QUAD_TEXT = """\
 # convex quad, identical sides
@@ -225,6 +229,36 @@ def test_oracle_size_guard_exit_3(tmp_path):
     p.write_text(format_instance(KIND_POINTS, pair))
     code, _ = run_cli("oracle", str(p))
     assert code == 3
+
+
+def test_tensor_size_guard_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 9)
+    p = tmp_path / "big.txt"
+    p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(10, 60, 2, 1)))
+    for argv in (["check", str(p)], ["check", str(p), "--explain"],
+                 ["triangulate", str(p)]):
+        code, out = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+
+
+# Exit code and sha256 of `check --explain` stdout for seeded hull-locked
+# pairs (n, coordinate range, jitter, seed).  The removal order follows the
+# iteration order of the paired empty triangles: building that set in
+# sorted order changes two to 58 lines of each of these logs.
+EXPLAIN_SHA256 = {
+    (30, 60, 2, 3): (0, "9a81caf1be52cc482fe6979c8f4a42677696fb4c6049d5eb0200004f7e4f5064"),
+    (40, 200, 3, 4): (0, "cec9de258e0ad14bdeb4d42e8e5b3e0e636d02d718d4c50206988749eec3a07b"),
+    (35, 60, 2, 1): (2, "7020a78f826a75c4f54478a69c34b97cfce87754ffa73ec713519c6a3f2b1887"),
+}
+
+
+def test_check_explain_bytes_pinned(tmp_path):
+    for args, (code, digest) in EXPLAIN_SHA256.items():
+        p = tmp_path / "locked.txt"
+        p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(*args)))
+        got, out = run_cli("check", str(p), "--explain")
+        assert got == code and out.count("\nremoved ") >= 70, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 def test_gen_and_hunt_deterministic_output():

@@ -1,14 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointtri.geom import (CCW, COLLINEAR, CW, DegenerateInput, LabeledSet,
-                           Point, convex_hull, hull_edge_set,
-                           interiors_overlap, orient)
+from jointtri import geom
+from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
+                           DegenerateInput, LabeledSet, Point, SizeGuard,
+                           convex_hull, hull_edge_set, interiors_overlap,
+                           orient, orient_sign_tensor)
 
-from helpers import overlap_by_decomposition, overlap_by_sampling
+from helpers import overlap_by_decomposition, overlap_by_sampling, xorient
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point, coords, coords)
@@ -86,6 +89,50 @@ def test_labeled_set_validation():
         LabeledSet.from_coords([(0, 0), (0, 0), (1, 1)])
     with pytest.raises(ValueError):
         LabeledSet.from_coords([(0, 0), (1, 0), (2 ** 30, 1)])
+
+
+def _unchunked_signs(pts):
+    xs = np.array([p[0] for p in pts], dtype=np.int64)
+    ys = np.array([p[1] for p in pts], dtype=np.int64)
+    dx = xs[None, :] - xs[:, None]
+    dy = ys[None, :] - ys[:, None]
+    det = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
+    return np.sign(det).astype(np.int8)
+
+
+def test_chunked_sign_tensor_equals_unchunked_formula(monkeypatch):
+    rng = random.Random(8)
+    small = [Point(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(9)]
+    d = orient_sign_tensor(small)
+    assert d.dtype == np.int8
+    assert d.tolist() == [[[xorient(p, q, r) for r in small] for q in small]
+                          for p in small]
+    for n, block in ((60, None), (100, None), (37, 1), (23, 3 * 23 * 23)):
+        if block is not None:
+            monkeypatch.setattr(geom, "_TENSOR_BLOCK", block)
+        lim = COORD_LIMIT if n % 2 else 20
+        pts = [Point(rng.randint(-lim, lim), rng.randint(-lim, lim))
+               for _ in range(n)]
+        got = orient_sign_tensor(pts)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _unchunked_signs(pts)), (n, block)
+
+
+def test_size_guard_one_past_the_tensor_limit(monkeypatch):
+    def refuse(pts):
+        raise AssertionError("tensor built past the size guard")
+
+    coords = [(i, i * i % 1009) for i in range(MAX_TENSOR_POINTS + 1)]
+    big = LabeledSet.from_coords(coords)
+    monkeypatch.setattr(geom, "orient_sign_tensor", refuse)
+    with pytest.raises(SizeGuard, match=f"n <= {MAX_TENSOR_POINTS}"):
+        big.signs
+    monkeypatch.undo()
+    # at the limit the tensor is built (checked here at a smaller limit)
+    monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 12)
+    assert LabeledSet.from_coords(coords[:12]).signs.shape == (12, 12, 12)
+    with pytest.raises(SizeGuard):
+        LabeledSet.from_coords(coords[:13]).signs
 
 
 def test_interiors_overlap_examples():

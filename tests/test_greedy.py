@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
 from jointtri.triangles import TriangleSet
 
-from helpers import mutate
+from helpers import brute_greedy, grid_locked_coords, mutate, xorient
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -202,3 +203,26 @@ def test_every_verified_triple_is_paired_and_legal():
             assert t in nc.candidates
             assert t in nc.legal.legal
         done += 1
+
+
+def test_greedy_choices_match_brute_reference_on_grid_pairs():
+    # The legal set where condition 2 holds, else the paired empty
+    # triangles: there B's overlaps differ more from A's.
+    rng = random.Random(2024)
+    done = legal = collinear = 0
+    while done < 30:
+        n = 8 + done * 22 // 29
+        coords = grid_locked_coords(rng, n, 6 if n <= 14 else 8 if n <= 25 else 9)
+        if coords is None:
+            continue
+        pair = _pair(*coords)
+        nc = necessary_conditions(pair)
+        pool = nc.legal.legal if nc.ok else nc.candidates
+        for policy, seed in ((LEX, None), (SEEDED_RANDOM, 3), (SEEDED_RANDOM, 11)):
+            jt = greedy_construct(pair, pool, policy, seed)
+            assert jt.choices == brute_greedy(*coords, pool, seed), \
+                (coords, policy, seed)
+        legal += nc.ok
+        collinear += any(xorient(*t) == 0 for t in combinations(coords[0], 3))
+        done += 1
+    assert legal >= 15 and collinear >= 20

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from jointtri import triangles
 from jointtri.conditions import PointSetPair
 from jointtri.geom import LabeledSet
 from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
                                 paired_empty, tri, tri_edges)
 
-from helpers import brute_empty_triangles, convex_position_points
+from helpers import (brute_empty_triangles, convex_position_points,
+                     grid_locked_coords)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -111,3 +113,45 @@ def test_paired_empty_is_intersection():
     # all of b's triples are empty (convex position), so the pairing is
     # exactly a's empty set
     assert set(got) == set(in_a)
+
+
+def _grid_set(rng, n, side):
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    return LabeledSet.from_coords(rng.sample(cells, n))
+
+
+def test_enumerate_empty_matches_brute_scan_on_grids_past_n12():
+    rng = random.Random(4)
+    for n in (13, 16, 20, 25, 31, 40):
+        s = _grid_set(rng, n, 7 if n < 25 else 9)
+        got = enumerate_empty(s)
+        assert set(got) == brute_empty_triangles(s.points), s.points
+        # added in lexicographic order
+        assert list(got) == list(TriangleSet(sorted(got)))
+
+
+def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
+    rng = random.Random(5)
+    sets = [_grid_set(rng, n, 6) for n in (13, 18, 24)]
+    whole = [list(enumerate_empty(s)) for s in sets]
+    # a few rows per chunk: 40 cells is one to three rows at these sizes
+    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 40)
+    for s, expected in zip(sets, whole):
+        got = enumerate_empty(s)
+        assert list(got) == expected
+        assert set(got) == brute_empty_triangles(s.points)
+
+
+def test_paired_empty_equals_filtered_a_in_iteration_order():
+    rng = random.Random(6)
+    for trial in range(12):
+        n = 8 + 2 * trial
+        coords = None
+        while coords is None:
+            coords = grid_locked_coords(rng, n, 7)
+        a, b = (LabeledSet.from_coords(c) for c in coords)
+        in_a, in_b = enumerate_empty(a), enumerate_empty(b)
+        expected = TriangleSet(t for t in in_a if t in in_b)
+        got = paired_empty(PointSetPair(a, b))
+        assert got == expected
+        assert list(got) == list(expected)
