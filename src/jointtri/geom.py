@@ -67,11 +67,6 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return COLLINEAR
 
 
-def area2(a: Point, b: Point, c: Point) -> int:
-    """Doubled absolute area of a triangle."""
-    return abs(cross(a, b, c))
-
-
 def signed_area2(points: Sequence[Point]) -> int:
     """Doubled signed area of a closed vertex cycle (positive iff CCW)."""
     total = 0
@@ -94,25 +89,6 @@ def point_on_segment(a: Point, b: Point, p: Point) -> bool:
 def strictly_between(a: Point, b: Point, p: Point) -> bool:
     """True iff p lies on the open segment ab (endpoints excluded)."""
     return p != a and p != b and point_on_segment(a, b, p)
-
-
-def segments_intersect_closed(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the closed segments ab and cd share at least one point."""
-    d1 = orient(a, b, c)
-    d2 = orient(a, b, d)
-    d3 = orient(c, d, a)
-    d4 = orient(c, d, b)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    if d1 == 0 and point_on_segment(a, b, c):
-        return True
-    if d2 == 0 and point_on_segment(a, b, d):
-        return True
-    if d3 == 0 and point_on_segment(c, d, a):
-        return True
-    if d4 == 0 and point_on_segment(c, d, b):
-        return True
-    return False
 
 
 def interiors_overlap(t1: Triangle, t2: Triangle) -> bool:

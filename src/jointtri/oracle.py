@@ -394,7 +394,7 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
         else:
             try:
                 pair = gen_polygon_pair(n, coord_range, inst_seed)
-            except (ValueError, GrazingDiagonal):
+            except ValueError:
                 continue
             _hunt_polygons(pair, inst_seed, n, report, cross_check, bundle_dir)
     return report

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import (COORD_LIMIT, Point, orient, point_on_segment,
-                   segments_intersect_closed, signed_area2)
+from .geom import COORD_LIMIT, Point, orient, signed_area2
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, edge, tri
 
@@ -24,6 +23,48 @@ from .triangles import Edge, Tri, TriangleSet, edge, tri
 class GrazingDiagonal(ValueError):
     """A candidate diagonal passes through a third vertex, making its
     visibility status ambiguous; such instances are rejected outright."""
+
+
+# Cells of one [segments, n] block of _boundary_hits' int64 temporaries
+# (1 MB each), so construction and visibility stay within a few MB at any n.
+_HIT_BLOCK_CELLS = 1 << 17
+
+
+def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
+                   vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tests of the segments us[r] -> vs[r], between vertices of the
+    cycle (xs, ys), against its boundary.  Returns two [len(us), n] masks:
+    ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a point
+    interior to both, and ``inner[r, w]`` iff vertex w lies strictly inside
+    the segment.
+
+    Only the side of each vertex against each segment is computed densely;
+    the few edges whose ends lie strictly on opposite sides, and the few
+    vertices on the segment's line, are then tested one by one.  A segment
+    sharing an endpoint with edge k has side 0 there, so it never crosses
+    that edge properly.  Int64 is exact for coordinates within COORD_LIMIT;
+    callers pass at most ``_HIT_BLOCK_CELLS // n`` segments.
+    """
+    n = len(xs)
+    dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
+    # vertex w is left of segment r iff cross > 0, with cross =
+    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms
+    cross = dx[:, None] * ys - dy[:, None] * xs
+    offset = (dx * ys[us] - dy * xs[us])[:, None]
+    left, right = cross > offset, cross < offset
+    proper = (left & np.roll(right, -1, axis=1)) | (right & np.roll(left, -1, axis=1))
+    r, k = np.divmod(np.flatnonzero(proper), n)
+    k1 = (k + 1) % n
+    ex, ey = xs[k1] - xs[k], ys[k1] - ys[k]
+    at_u = np.sign(ex * (ys[us[r]] - ys[k]) - ey * (xs[us[r]] - xs[k]))
+    at_v = np.sign(ex * (ys[vs[r]] - ys[k]) - ey * (xs[vs[r]] - xs[k]))
+    proper[r, k] = at_u * at_v < 0
+
+    inner = ~(left | right)
+    r, w = np.divmod(np.flatnonzero(inner), n)
+    wx, wy = xs[w] - xs[us[r]], ys[w] - ys[us[r]]
+    inner[r, w] = wx * (wx - dx[r]) + wy * (wy - dy[r]) < 0
+    return proper, inner
 
 
 @dataclass(frozen=True)
@@ -51,31 +92,29 @@ class Polygon:
             raise ValueError("polygon vertices must be pairwise distinct")
         if signed_area2(self.vertices) == 0:
             raise ValueError("polygon has zero area")
-        self._check_simple()
-
-    def _check_simple(self) -> None:
-        v = self.vertices
-        n = len(v)
-        for i in range(n):
-            a, b = v[i], v[(i + 1) % n]
-            for j in range(i + 1, n):
-                c, d = v[j], v[(j + 1) % n]
-                shared = {i, (i + 1) % n} & {j, (j + 1) % n}
-                if shared:
-                    if len(shared) == 2:
-                        raise ValueError("boundary is not simple: repeated edge")
-                    # Adjacent edges may only touch at the shared vertex.
-                    w = v[shared.pop()]
-                    others = [p for p in (a, b, c, d) if p != w]
-                    if orient(others[0], others[1], w) == 0 and (
-                            point_on_segment(w, others[0], others[1])
-                            or point_on_segment(w, others[1], others[0])):
-                        raise ValueError(
-                            f"boundary is not simple: edges at vertex overlap near {w}")
-                    continue
-                if segments_intersect_closed(a, b, c, d):
-                    raise ValueError(
-                        f"boundary is not simple: edges {i} and {j} intersect")
+        # With distinct vertices the cycle is simple iff no two edges meet
+        # but at a shared endpoint: no edge crosses another properly and no
+        # vertex lies strictly inside an edge.  The first offending pair
+        # (i, j), i < j, in row-major order is the one reported.
+        xs, ys = np.array(self.vertices, dtype=np.int64).T
+        edges = np.arange(n)
+        first = n * n
+        step = max(1, _HIT_BLOCK_CELLS // n)
+        for lo in range(0, n, step):
+            rows = edges[lo:lo + step]
+            proper, inner = _boundary_hits(xs, ys, rows, (rows + 1) % n)
+            # edge r crosses edge c, or vertex c or c + 1 lies inside edge r
+            r, c = np.nonzero(proper | inner | np.roll(inner, -1, axis=1))
+            if r.size:
+                r = rows[r]
+                first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
+        if first < n * n:
+            i, j = divmod(first, n)
+            if j == i + 1 or (i, j) == (0, n - 1):
+                w = self.vertices[j if j == i + 1 else 0]
+                raise ValueError(
+                    f"boundary is not simple: edges at vertex overlap near {w}")
+            raise ValueError(f"boundary is not simple: edges {i} and {j} intersect")
 
     @classmethod
     def from_coords(cls, coords) -> "Polygon":
@@ -122,68 +161,44 @@ def visibility_graph(poly: Polygon) -> set[Edge]:
     diagonal; if such a segment would otherwise qualify, the instance
     is rejected with GrazingDiagonal because its status is ambiguous.
 
-    Vectorized one row at a time: for a fixed i, every test against all
-    j, all vertices and all boundary edges is a single [n, n] pass.
+    Vectorized over blocks of candidate chords (i, j), i < j, in
+    lexicographic order, each tested against every vertex and boundary
+    edge by ``_boundary_hits``.
     """
     n = len(poly)
-    xs = np.array([p[0] for p in poly.vertices], dtype=np.int64)
-    ys = np.array([p[1] for p in poly.vertices], dtype=np.int64)
-    ex, ey = np.roll(xs, -1), np.roll(ys, -1)
-    edge_idx = np.arange(n)
-    # Lazily built [k, j] helpers shared across rows.
-    d4_all = ((ex - xs)[:, None] * (ys[None, :] - ys[:, None])
-              - (ey - ys)[:, None] * (xs[None, :] - xs[:, None]))
-    dxw = xs[None, :] - xs[:, None]  # [j, w]: x_w - x_j
-    dyw = ys[None, :] - ys[:, None]
+    xs, ys = np.array(poly.vertices, dtype=np.int64).T
+    us, vs = np.triu_indices(n, 2)
+    keep = (us != 0) | (vs != n - 1)
+    us, vs = us[keep], vs[keep]
 
     out: set[Edge] = set(poly.boundary_edges())
-    for i in range(n):
-        js = np.arange(i + 2, n)
-        js = js[~((js == (i - 1) % n) | (js == (i + 1) % n))]
-        if js.size == 0:
-            continue
-        ux = xs - xs[i]
-        uy = ys - ys[i]
-        # cvert[j, w] = orientation of vertex w against the segment i -> j
-        cvert = ux[js, None] * uy[None, :] - uy[js, None] * ux[None, :]
-        on_line = cvert == 0
-        dots = ux[None, :] * dxw[js, :] + uy[None, :] * dyw[js, :]
-        grazing = (on_line & (dots < 0)).any(axis=1)
-
-        d1 = cvert
-        d2 = cvert[:, (edge_idx + 1) % n]
-        d3 = (ex - xs) * (ys[i] - ys) - (ey - ys) * (xs[i] - xs)
-        d4 = d4_all[:, js].T
-        proper = ((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))
-        proper &= ((d3[None, :] > 0) & (d4 < 0)) | ((d3[None, :] < 0) & (d4 > 0))
-        proper[:, i] = proper[:, (i - 1) % n] = False
-        proper[np.arange(js.size), js] = False
-        proper[np.arange(js.size), (js - 1) % n] = False
+    step = max(1, _HIT_BLOCK_CELLS // n)
+    for lo in range(0, len(us), step):
+        u, v = us[lo:lo + step], vs[lo:lo + step]
+        proper, inner = _boundary_hits(xs, ys, u, v)
         blocked = proper.any(axis=1)
-
-        ambiguous = grazing & ~blocked
+        ambiguous = inner.any(axis=1) & ~blocked
         if bool(ambiguous.any()):
             # No crossing rules these out, so visibility hinges on the
             # grazed vertex; refuse rather than guess (the midpoint test
             # below is not even well defined here).
-            j_bad = int(js[ambiguous][0])
-            raise GrazingDiagonal(
-                f"diagonal candidate {(i, j_bad)} passes through another vertex")
+            r = int(np.argmax(ambiguous))
+            raise GrazingDiagonal(f"diagonal candidate {(int(u[r]), int(v[r]))} "
+                                  f"passes through another vertex")
 
-        # Midpoint-in-polygon, on doubled coordinates, for the survivors.
-        alive = js[~blocked]
-        if alive.size == 0:
-            continue
-        px2 = xs[i] + xs[alive]
-        py2 = ys[i] + ys[alive]
-        uy2, vy2 = 2 * ys, 2 * ey
-        straddle = (uy2[None, :] > py2[:, None]) != (vy2[None, :] > py2[:, None])
-        side = ((2 * ex - 2 * xs)[None, :] * (py2[:, None] - uy2[None, :])
-                - (vy2 - uy2)[None, :] * (px2[:, None] - 2 * xs[None, :]))
-        hit = straddle & np.where((vy2 > uy2)[None, :], side > 0, side < 0)
-        inside = (hit.sum(axis=1) % 2) == 1
-        for j in alive[inside]:
-            out.add((i, int(j)))
+        # Midpoint-in-polygon, on doubled coordinates, for the survivors:
+        # the parity of the edges that cross the ray from the midpoint
+        # toward +x.
+        u, v = u[~blocked], v[~blocked]
+        px2, py2 = xs[u] + xs[v], ys[u] + ys[v]
+        above = 2 * ys > py2[:, None]
+        r, k = np.divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), n)
+        k1 = (k + 1) % n
+        side = ((xs[k1] - xs[k]) * (py2[r] - 2 * ys[k])
+                - (ys[k1] - ys[k]) * (px2[r] - 2 * xs[k]))
+        hit = np.where(ys[k1] > ys[k], side > 0, side < 0)
+        inside = np.bincount(r[hit], minlength=len(u)) % 2 == 1
+        out.update(zip(u[inside].tolist(), v[inside].tolist()))
     return out
 
 

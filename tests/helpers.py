@@ -168,6 +168,31 @@ def brute_diagonal_visible(vertices, i: int, j: int) -> bool:
     return inside
 
 
+def brute_is_simple(vertices) -> bool:
+    """Reference simplicity test for a cycle of distinct vertices, over
+    every pair of edges: non-adjacent edges share no point (no proper
+    crossing, no endpoint on the other closed segment), and adjacent edges
+    do not overlap (neither far endpoint on the other edge)."""
+    n = len(vertices)
+
+    def on(a, b, p):
+        return point_in_closed_triangle(a, b, a, p)
+
+    ends = [(vertices[k], vertices[(k + 1) % n]) for k in range(n)]
+    for i, j in combinations(range(n), 2):
+        (a, b), (c, d) = ends[i], ends[j]
+        if j == i + 1:  # b == c
+            if on(b, a, d) or on(b, d, a):
+                return False
+        elif (i, j) == (0, n - 1):  # a == d
+            if on(a, b, c) or on(a, c, b):
+                return False
+        elif _proper_cross(a, b, c, d) or on(a, b, c) or on(a, b, d) \
+                or on(c, d, a) or on(c, d, b):
+            return False
+    return True
+
+
 def convex_position_points(n: int, spread: int = 1):
     """n integer points in strictly convex position (on a parabola)."""
     return [(k, spread * k * k) for k in range(n)]

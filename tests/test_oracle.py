@@ -56,7 +56,7 @@ def test_enumeration_is_duplicate_free_and_self_valid():
 def _tilings_by_subset_search(s):
     """Exponential reference: every subset of empty triangles with pairwise
     disjoint interiors whose doubled areas sum to the hull's."""
-    from jointtri.geom import area2, convex_hull, interiors_overlap, signed_area2
+    from jointtri.geom import convex_hull, interiors_overlap, signed_area2
     from jointtri.triangles import enumerate_empty
 
     hull = convex_hull(s)
@@ -66,7 +66,11 @@ def _tilings_by_subset_search(s):
     def pts(t):
         return (s[t[0]], s[t[1]], s[t[2]])
 
-    areas = {t: area2(*pts(t)) for t in empties}
+    def area2(t):
+        (ax, ay), (bx, by), (cx, cy) = pts(t)
+        return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+    areas = {t: area2(t) for t in empties}
     found = set()
 
     def rec(idx, chosen, covered):

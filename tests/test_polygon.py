@@ -1,14 +1,18 @@
+import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+from jointtri import polygon
 from jointtri.oracle import gen_polygon_pair, polygon_oracle_exists
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair,
                               count_joint_triangulations, dp_joint_polygon,
                               ivg, verify_polygon_joint, visibility_graph)
 
-from helpers import brute_diagonal_visible, convex_polygon_coords
+from helpers import (_on_open_segment, _proper_cross, brute_diagonal_visible,
+                     brute_is_simple, convex_polygon_coords)
 
 CONVEX_QUAD = [(0, 0), (2, 0), (2, 2), (0, 2)]
 DART = [(0, 0), (4, 0), (1, 1), (0, 4)]  # reflex at index 2
@@ -77,6 +81,102 @@ def test_grazing_diagonal_rejected():
     poly = Polygon.from_coords([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
     with pytest.raises(GrazingDiagonal):
         visibility_graph(poly)
+
+
+def _grid_cycles(seed: int, count: int):
+    """Seeded vertex cycles of 3 to 9 distinct points of a 4x4 to 6x6 grid,
+    where collinear vertices and touching edges are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        side, n = rng.randint(4, 6), rng.randint(3, 9)
+        yield rng.sample([(x, y) for x in range(side) for y in range(side)], n)
+
+
+def _construction_verdicts(cycles) -> list[str]:
+    out = []
+    for coords in cycles:
+        try:
+            Polygon.from_coords(coords)
+            out.append("ok")
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _visibility_or_grazing(poly):
+    try:
+        return sorted(visibility_graph(poly))
+    except GrazingDiagonal as exc:
+        return str(exc)
+
+
+# sha256 of the construction verdicts of _grid_cycles(5, 3000), "ok" or
+# the ValueError text, one a line: the first offending edge pair and the
+# message for it must not drift.
+GRID_VERDICTS_SHA256 = "c0a6f2b5b0b13d3900e98de19e16f0caf906924bec8334370645199b18a6aebd"
+
+
+def test_polygon_accepts_exactly_the_brute_simple_grid_cycles():
+    cycles = list(_grid_cycles(5, 3000))
+    verdicts = _construction_verdicts(cycles)
+    for coords, verdict in zip(cycles, verdicts):
+        assert (verdict == "ok") == brute_is_simple(coords), (coords, verdict)
+    assert 0 < verdicts.count("ok") < len(verdicts)
+    assert any("overlap" in v for v in verdicts)
+    assert any("intersect" in v for v in verdicts)
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert digest == GRID_VERDICTS_SHA256
+
+
+def test_construction_and_visibility_across_block_boundaries(monkeypatch):
+    cycles = list(_grid_cycles(6, 800))
+    verdicts = _construction_verdicts(cycles)
+    polys = [Polygon.from_coords(c) for c, v in zip(cycles, verdicts) if v == "ok"]
+    graphs = [_visibility_or_grazing(p) for p in polys]
+    # 20 cells is two to six segments per block at these sizes
+    monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
+    assert _construction_verdicts(cycles) == verdicts
+    assert [_visibility_or_grazing(p) for p in polys] == graphs
+
+
+def _first_grazing_chord(vertices):
+    """First non-adjacent chord (i, j), i < j, with a vertex strictly
+    inside it and no proper crossing with any boundary edge (an incident
+    edge meets it at orientation 0, so it never crosses properly)."""
+    n = len(vertices)
+    for i, j in combinations(range(n), 2):
+        if j - i == 1 or (i, j) == (0, n - 1):
+            continue
+        a, b = vertices[i], vertices[j]
+        if any(_on_open_segment(a, b, p) for p in vertices) and not any(
+                _proper_cross(a, b, vertices[k], vertices[(k + 1) % n])
+                for k in range(n)):
+            return (i, j)
+    return None
+
+
+def test_visibility_on_grid_polygons_matches_brute_force():
+    grazed = visible = 0
+    for coords in _grid_cycles(7, 4000):
+        if not brute_is_simple(coords):
+            continue
+        poly = Polygon.from_coords(coords)
+        first = _first_grazing_chord(coords)
+        if first is not None:
+            with pytest.raises(GrazingDiagonal) as exc:
+                visibility_graph(poly)
+            assert str(exc.value) == \
+                f"diagonal candidate {first} passes through another vertex"
+            grazed += 1
+            continue
+        got = visibility_graph(poly)
+        n = len(coords)
+        for i, j in combinations(range(n), 2):
+            adjacent = j - i == 1 or (i, j) == (0, n - 1)
+            want = adjacent or brute_diagonal_visible(coords, i, j)
+            assert ((i, j) in got) == want, (coords, i, j)
+        visible += 1
+    assert grazed >= 100 and visible >= 100, (grazed, visible)
 
 
 def test_ivg_cases():
