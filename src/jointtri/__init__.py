@@ -14,7 +14,7 @@ from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          necessary_conditions, successors)
 from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                    DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   hull_edge_set, interiors_overlap, orient)
+                   hull_edge_set, orient)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
 from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
@@ -38,7 +38,7 @@ __all__ = [
     "convex_hull", "count_joint_triangulations", "dp_joint_polygon",
     "enumerate_empty", "enumerate_triangulations", "gen_perturbed_pair",
     "gen_point_pair", "gen_polygon_pair", "greedy_construct",
-    "hull_edge_set", "hunt", "interiors_overlap", "iter_triangulations",
+    "hull_edge_set", "hunt", "iter_triangulations",
     "ivg", "legal_set", "necessary_conditions", "oracle_joint_exists",
     "orient", "paired_empty", "polygon_oracle_exists", "successors",
     "verify_joint", "verify_polygon_joint", "visibility_graph",

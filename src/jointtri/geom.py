@@ -33,9 +33,6 @@ class Point(NamedTuple):
     y: int
 
 
-Triangle = tuple[Point, Point, Point]
-
-
 class DegenerateInput(ValueError):
     """Raised for inputs that admit no triangulation (e.g. all collinear)."""
 
@@ -78,42 +75,11 @@ def signed_area2(points: Sequence[Point]) -> int:
     return total
 
 
-def point_on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True iff p lies on the closed segment ab (endpoints included)."""
-    if orient(a, b, p) != COLLINEAR:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
 def strictly_between(a: Point, b: Point, p: Point) -> bool:
     """True iff p lies on the open segment ab (endpoints excluded)."""
-    return p != a and p != b and point_on_segment(a, b, p)
-
-
-def interiors_overlap(t1: Triangle, t2: Triangle) -> bool:
-    """True iff the open interiors of two nondegenerate triangles meet.
-
-    Sharing only vertices or boundary segments does not count; one
-    triangle nested inside the other does.  Implemented as an exact
-    separating-axis test over the six edge lines: the interiors are
-    disjoint iff some edge line of one triangle has the whole other
-    triangle on its closed outer side.
-    """
-    s1 = orient(*t1)
-    s2 = orient(*t2)
-    if s1 == 0 or s2 == 0:
-        raise ValueError("interiors_overlap requires nondegenerate triangles")
-    return not (_edge_separates(t1, s1, t2) or _edge_separates(t2, s2, t1))
-
-
-def _edge_separates(tri: Triangle, s: int, other: Triangle) -> bool:
-    for i in range(3):
-        a = tri[i]
-        b = tri[(i + 1) % 3]
-        if all(s * cross(a, b, v) <= 0 for v in other):
-            return True
-    return False
+    return (p != a and p != b and orient(a, b, p) == COLLINEAR
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 @dataclass(frozen=True)

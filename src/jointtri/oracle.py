@@ -1,11 +1,13 @@
 """Exhaustive ground truth at small sizes, instance generators, and the
 conjecture-hunting harness.
 
-The point-set oracle enumerates every triangulation of side A by frontier
-expansion and keeps the first one that verifies as a joint triangulation
-of the pair.  The polygon oracle recursively enumerates candidate triangle
-sets over shared brute-force-validated diagonals and fully verifies each.
-Both are deliberately simple so they can arbitrate the fast paths.
+The point-set oracle enumerates, by frontier expansion over the paired
+empty triangles, the triangulations of side A whose interior edges also
+separate their two triangles in B, and keeps the first one that verifies
+as a joint triangulation of the pair.  The polygon oracle recursively
+enumerates candidate triangle sets over shared brute-force-validated
+diagonals and fully verifies each.  Both are deliberately simple so they
+can arbitrate the fast paths.
 """
 
 from __future__ import annotations
@@ -16,36 +18,56 @@ from typing import Iterator, Optional
 
 from .conditions import PointSetPair, necessary_conditions
 from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   interiors_overlap, orient, strictly_between)
+                   orient, signed_area2, strictly_between)
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
-                      verify_polygon_joint)
-from .triangles import Tri, enumerate_empty, tri
+                      ivg, verify_polygon_joint)
+from .triangles import Edge, Tri, edge, paired_empty, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
 
 
-def iter_triangulations(s: LabeledSet) -> Iterator[frozenset[Tri]]:
-    """Yield every triangulation of the point set exactly once.
+def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
+    """Yield, each exactly once, every triangulation of side A built from
+    paired empty triangles (``paired_empty``) whose two triangles at each
+    interior edge lie on opposite sides of it in B as well.
 
-    Each triangulation is produced as its component-triangle set.  The
-    search keeps the directed boundary of the untriangulated region and
-    always expands its smallest edge, so each triangulation is reached
-    along exactly one branch and no deduplication is needed.  Raises
+    Frontier search: the open directed edges of the untriangulated region
+    (the region on their left in A) start as A's hull edges, and the
+    smallest is always expanded, trying apexes w in ascending order, so
+    each triangulation is reached along exactly one branch.  Each open
+    edge keeps the B orientation its next apex must have, opposite the
+    triangle already there (none on a hull edge).  A placement is
+    rejected when it lies on the wrong side in B of the expanded edge or
+    of an edge it closes, when one of its new edges is already open in
+    the same direction (two triangles on one side in A), or when it
+    reopens a closed edge.  A completed branch
+    uses every interior edge twice, from opposite sides in both
+    realizations, and every hull edge once from inside A, so by the
+    degree argument of ``verify_tiling`` it tiles A's hull.  Raises
     SizeGuard above MAX_ORACLE_POINTS.
     """
-    n = len(s)
+    n = len(pair)
     if n > MAX_ORACLE_POINTS:
         raise SizeGuard(
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_POINTS}, got {n}")
     try:
-        hull = convex_hull(s)
+        hull = convex_hull(pair.a)
     except DegenerateInput:
         return
-    empty = enumerate_empty(s)
-    frontier: set[tuple[int, int]] = {
-        (hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))}
+    sa, sb = pair.a.signs.tolist(), pair.b.signs.tolist()
+    # Directed edge u -> v to the apexes w of its paired triangles on its
+    # left in A, ascending.
+    apexes: dict[Edge, list[int]] = {}
+    for i, j, k in paired_empty(pair):
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            apexes.setdefault((u, v) if sa[u][v][w] == 1 else (v, u), []).append(w)
+    for ws in apexes.values():
+        ws.sort()
+    frontier: dict[Edge, int] = {
+        (hull[i], hull[(i + 1) % len(hull)]): 0 for i in range(len(hull))}
+    closed: set[Edge] = set()
     placed: list[Tri] = []
 
     def expand() -> Iterator[frozenset[Tri]]:
@@ -53,47 +75,47 @@ def iter_triangulations(s: LabeledSet) -> Iterator[frozenset[Tri]]:
             yield frozenset(placed)
             return
         u, v = min(frontier)
-        for w in range(n):
-            if w == u or w == v:
+        want = frontier.pop((u, v))
+        closed.add(edge(u, v))
+        for w in apexes.get((u, v), ()):
+            if want and sb[u][v][w] != want:
                 continue
-            if orient(s[u], s[v], s[w]) != 1:
+            # The triangle lies right of u -> w and of w -> v, opposite its
+            # third vertex on each.
+            sides = (((u, w), v), ((w, v), u))
+            if any((a, b) in frontier or edge(a, b) in closed
+                   or frontier.get((b, a), 0) not in (0, sb[b][a][c])
+                   for (a, b), c in sides):
                 continue
-            t = tri(u, v, w)
-            if t not in empty:
-                continue
-            pts = (s[t[0]], s[t[1]], s[t[2]])
-            if any(interiors_overlap(pts, (s[p[0]], s[p[1]], s[p[2]]))
-                   for p in placed):
-                continue
-            new_edges = ((u, w), (w, v))
-            if any(e in frontier for e in new_edges):
-                continue
-            frontier.remove((u, v))
-            added = []
-            for a, b in new_edges:
+            shut: dict[Edge, int] = {}
+            opened: list[Edge] = []
+            for (a, b), c in sides:
                 if (b, a) in frontier:
-                    frontier.remove((b, a))
+                    shut[(b, a)] = frontier.pop((b, a))
+                    closed.add(edge(a, b))
                 else:
-                    frontier.add((a, b))
-                    added.append((a, b))
-            placed.append(t)
+                    frontier[(a, b)] = -sb[a][b][c]
+                    opened.append((a, b))
+            placed.append(tri(u, v, w))
             yield from expand()
             placed.pop()
-            for e in added:
-                frontier.remove(e)
-            for a, b in new_edges:
-                if (a, b) not in added:
-                    frontier.add((b, a))
-            frontier.add((u, v))
+            for e in opened:
+                del frontier[e]
+            for e in shut:
+                closed.discard(edge(*e))
+            frontier.update(shut)
+        closed.discard(edge(u, v))
+        frontier[(u, v)] = want
 
     yield from expand()
 
 
 def enumerate_triangulations(s: LabeledSet,
                              cap: Optional[int] = None) -> list[frozenset[Tri]]:
-    """All triangulations of the set (at most ``cap`` of them)."""
+    """All triangulations of the set (at most ``cap`` of them): the
+    frontier search on the pair of the set with itself."""
     out: list[frozenset[Tri]] = []
-    for t in iter_triangulations(s):
+    for t in iter_triangulations(PointSetPair(s, s)):
         out.append(t)
         if cap is not None and len(out) >= cap:
             break
@@ -103,13 +125,10 @@ def enumerate_triangulations(s: LabeledSet,
 def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
     """Exact decision of joint-triangulation existence (n <= 9).
 
-    Walks every triangulation of A and returns the first whose triple
-    set also verifies against B; None when none does.
+    Returns the first set of ``iter_triangulations`` that ``verify_joint``
+    accepts; None when none does.
     """
-    empty_b = enumerate_empty(pair.b)
-    for t_set in iter_triangulations(pair.a):
-        if any(t not in empty_b for t in t_set):
-            continue
+    for t_set in iter_triangulations(pair):
         if verify_joint(pair, t_set) is None:
             return t_set
     return None
@@ -192,8 +211,11 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
         memo[key] = out
         return out
 
-    for candidate in variants(0, n - 1):
-        if verify_polygon_joint(pair, candidate) is None:
+    candidates = variants(0, n - 1)
+    # ivg can raise GrazingDiagonal: only when a candidate needs it.
+    shared = ivg(pair) if candidates else set()
+    for candidate in candidates:
+        if verify_polygon_joint(pair, candidate, shared) is None:
             return candidate
     return None
 
@@ -309,10 +331,9 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int,
             order = _untangle(pts, rng)
             if order is None:
                 continue
-            poly = Polygon(tuple(order))
-            if poly.ccw_sign < 0:
-                poly = Polygon(tuple(reversed(order)))
-            return poly
+            if signed_area2(order) < 0:
+                order.reverse()
+            return Polygon(tuple(order))
         raise ValueError(
             f"failed to generate a simple polygon with n={n} in {max_tries} tries")
 

@@ -327,3 +327,43 @@ def pairwise_verify_polygons(a, b, triangles) -> bool:
                 return False
     boundary = [(i, (i + 1) % n) for i in range(n)]
     return _pairwise_tiles([(a, boundary), (b, boundary)], tris, empty=False)
+
+
+def brute_joint_triangulations(a, b):
+    """Every joint triangulation of two coordinate lists, as a sorted
+    triple list, by subset search: triples empty on both sides
+    (``brute_empty_triangles``), taken in sorted order and pairwise
+    interior-disjoint on both sides (``overlap_by_decomposition``), until
+    their doubled areas reach A's hull's; a set that does is yielded only
+    if ``pairwise_verify_points`` accepts it.  Exponential; meant for
+    n <= 7."""
+    edges = brute_hull_edges(a)
+    if not edges:
+        return
+    total = abs(sum(a[i][0] * a[j][1] - a[j][0] * a[i][1] for i, j in edges))
+    cands = sorted(brute_empty_triangles(a) & brute_empty_triangles(b))
+    areas = [_area2(*(a[v] for v in t)) for t in cands]
+    clash = [[any(overlap_by_decomposition(tuple(p[v] for v in t), tuple(p[v] for v in u))
+                  for p in (a, b)) for u in cands] for t in cands]
+    chosen: list[int] = []
+
+    def search(idx: int, covered: int):
+        if covered == total:
+            tris = [cands[x] for x in chosen]
+            if pairwise_verify_points(a, b, tris):
+                yield tris
+            return
+        if idx == len(cands):
+            return
+        if not any(clash[idx][x] for x in chosen):
+            chosen.append(idx)
+            yield from search(idx + 1, covered + areas[idx])
+            chosen.pop()
+        yield from search(idx + 1, covered)
+
+    yield from search(0, 0)
+
+
+def brute_joint_exists(a, b) -> bool:
+    """Reference decision: does ``brute_joint_triangulations`` find one?"""
+    return next(brute_joint_triangulations(a, b), None) is not None

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stdout
 
@@ -7,11 +8,14 @@ import pytest
 
 from jointtri import geom
 from jointtri.cli import main
+from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             format_instance, format_triangles, parse_instance,
                             parse_triangles)
+from jointtri.geom import LabeledSet
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 
+from helpers import grid_locked_coords
 from test_acceptance import _hull_locked_pair
 
 QUAD_TEXT = """\
@@ -259,6 +263,50 @@ def test_check_explain_bytes_pinned(tmp_path):
         got, out = run_cli("check", str(p), "--explain")
         assert got == code and out.count("\nremoved ") >= 70, args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def _oracle_instances():
+    """Family -> seeded point-pair instances, n 4-9, for ``oracle``."""
+    rng = random.Random(2026)
+    grid = []
+    while len(grid) < 20:
+        coords = grid_locked_coords(rng, rng.randint(4, 9), rng.choice((3, 4, 5)))
+        if coords is not None:
+            grid.append(PointSetPair(*map(LabeledSet.from_coords, coords)))
+    line = LabeledSet.from_coords([(0, 0), (1, 1), (2, 2), (4, 4), (5, 5)])
+    square = LabeledSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
+    return {
+        "locked": [_hull_locked_pair(4 + k % 6, 50, 2 + k % 4, k) for k in range(20)],
+        "independent": [gen_point_pair(4 + k % 6, 8 + k, 300 + k) for k in range(20)],
+        "grid": grid,
+        "collinear": [PointSetPair(square, line)],
+    }
+
+
+# sha256 of the exit code and stdout of `oracle` on each family of
+# _oracle_instances, in order.  The witness printed is the first joint
+# triangulation in the search's expansion order (smallest open edge, then
+# ascending apex), so these bytes pin that order as well.
+ORACLE_SHA256 = {
+    "locked": "f6ebcebc036057c5184032914f3d68e6feb294f432103197f77ee29e1e9eda7a",
+    "independent": "9bc98bfc476f5d6e8cf404e067624d715837705b8b5b247c18bc4294217915f7",
+    "grid": "46023905c787b4f6880a4e21a86e3ef21d4cb934370cd1e956adfb3959ae9236",
+    "collinear": "78fae11e1c421a4acc6b2a0ea00e5d647c31fa3f6daa6a0e70f39c163a07c28f",
+}
+
+
+def test_oracle_bytes_pinned(tmp_path):
+    p = tmp_path / "pair.txt"
+    answers = []
+    for family, pairs in _oracle_instances().items():
+        h = hashlib.sha256()
+        for pair in pairs:
+            p.write_text(format_instance(KIND_POINTS, pair))
+            code, out = run_cli("oracle", str(p))
+            answers.append(out.split("\n")[0])
+            h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == ORACLE_SHA256[family], family
+    assert answers.count("YES") >= 20 and answers.count("NO") >= 20
 
 
 def test_gen_and_hunt_deterministic_output():

@@ -2,14 +2,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from jointtri import geom
 from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                            DegenerateInput, LabeledSet, Point, SizeGuard,
-                           convex_hull, hull_edge_set, interiors_overlap,
-                           orient, orient_sign_tensor)
+                           convex_hull, hull_edge_set, orient,
+                           orient_sign_tensor)
 
 from helpers import overlap_by_decomposition, overlap_by_sampling, xorient
 
@@ -135,35 +135,6 @@ def test_size_guard_one_past_the_tensor_limit(monkeypatch):
         LabeledSet.from_coords(coords[:13]).signs
 
 
-def test_interiors_overlap_examples():
-    t1 = (Point(0, 0), Point(2, 0), Point(2, 2))
-    t2 = (Point(0, 0), Point(2, 2), Point(0, 2))
-    assert not interiors_overlap(t1, t2)  # two halves of a square
-    t3 = (Point(0, 0), Point(2, 0), Point(0, 2))
-    assert interiors_overlap(t1, t3)
-    big = (Point(0, 0), Point(6, 0), Point(0, 6))
-    small = (Point(1, 1), Point(2, 1), Point(1, 2))
-    assert interiors_overlap(big, small)
-    assert interiors_overlap(small, big)
-
-
-def test_interiors_overlap_shared_edge_nesting():
-    # Nested with two shared vertices and the apex on the boundary:
-    # no proper crossing and no strictly-contained vertex, yet overlap.
-    outer = (Point(0, 0), Point(4, 0), Point(0, 4))
-    inner = (Point(0, 0), Point(4, 0), Point(2, 2))
-    assert interiors_overlap(outer, inner)
-    assert interiors_overlap(inner, outer)
-
-
-def test_interiors_overlap_self_and_degenerate():
-    t = (Point(0, 0), Point(3, 0), Point(0, 3))
-    assert interiors_overlap(t, t)
-    flat = (Point(0, 0), Point(1, 1), Point(2, 2))
-    with pytest.raises(ValueError):
-        interiors_overlap(t, flat)
-
-
 def _random_triangle(rng):
     while True:
         pts = tuple(Point(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(3))
@@ -171,26 +142,18 @@ def _random_triangle(rng):
             return pts
 
 
-def test_interiors_overlap_against_decomposition_and_sampling():
+def test_overlap_reference_against_sampling():
+    # overlap_by_decomposition is the reference for the greedy's deletion
+    # mask; random interior points that land in both triangles confirm it.
     rng = random.Random(20250810)
     sampled_hits = 0
     for _ in range(1000):
         t1 = _random_triangle(rng)
         t2 = _random_triangle(rng)
-        got = interiors_overlap(t1, t2)
-        assert got == interiors_overlap(t2, t1)
-        assert got == overlap_by_decomposition(t1, t2)
+        got = overlap_by_decomposition(t1, t2)
+        assert got == overlap_by_decomposition(t2, t1)
         witness = overlap_by_sampling(t1, t2, rng)
         if witness is True:
             sampled_hits += 1
             assert got
     assert sampled_hits > 300  # sampling actually exercised the true cases
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_interiors_overlap_symmetry_property(data):
-    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-    t1 = _random_triangle(rng)
-    t2 = _random_triangle(rng)
-    assert interiors_overlap(t1, t2) == interiors_overlap(t2, t1)

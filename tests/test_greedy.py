@@ -9,7 +9,8 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
 from jointtri.triangles import TriangleSet
 
-from helpers import brute_greedy, grid_locked_coords, mutate, xorient
+from helpers import (brute_greedy, grid_locked_coords, mutate,
+                     overlap_by_decomposition, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -162,29 +163,50 @@ def test_verify_rejects_mutations():
         rejected += 1
 
 
+# Hand-made sets whose every nondegenerate triple the mask is tested on:
+# two halves of a square (disjoint) and its crossing halves, a triangle
+# nested in another across a shared edge, its apex on the outer boundary
+# (no proper crossing and no strictly inner vertex, yet they overlap),
+# and a triangle strictly inside another.
+MASK_SETS = (SQUARE, [(0, 0), (4, 0), (0, 4), (2, 2)],
+             [(0, 0), (6, 0), (0, 6), (1, 1), (2, 1), (1, 2)])
+
+
 def test_vectorized_deletion_mask_matches_scalar_overlap():
     import numpy as np
 
-    from jointtri.geom import interiors_overlap, orient_sign_tensor
+    from jointtri.geom import orient_sign_tensor
     from jointtri.greedy import _sat_overlap_mask
     from jointtri.triangles import enumerate_empty
 
+    def check(s, cands, picks):
+        arr = np.array(cands, dtype=np.intp)
+        d = orient_sign_tensor(s.points)
+        signs = d[arr[:, 0], arr[:, 1], arr[:, 2]]
+        for pick in picks:
+            t = cands[pick]
+            mask = _sat_overlap_mask(d, arr, signs, t, int(signs[pick]))
+            t_pts = tuple(s[v] for v in t)
+            for row, u in enumerate(cands):
+                u_pts = tuple(s[v] for v in u)
+                assert mask[row] == overlap_by_decomposition(t_pts, u_pts), (t, u)
+
+    for coords in MASK_SETS:
+        s = LabeledSet.from_coords(coords)
+        cands = [t for t in combinations(range(len(s)), 3)
+                 if xorient(*(s[v] for v in t))]
+        check(s, cands, range(len(cands)))
+    # the two halves of the square, and the nesting across a shared edge
+    assert not overlap_by_decomposition(((0, 0), (2, 0), (2, 2)),
+                                        ((0, 0), (2, 2), (0, 2)))
+    assert overlap_by_decomposition(((0, 0), (4, 0), (0, 4)),
+                                    ((0, 0), (4, 0), (2, 2)))
     rng = random.Random(43)
     for _ in range(15):
         s = _random_set(rng, rng.randint(5, 9))
         cands = enumerate_empty(s).sorted_triangles()
-        if len(cands) < 2:
-            continue
-        arr = np.array(cands, dtype=np.intp)
-        d = orient_sign_tensor(s.points)
-        signs = d[arr[:, 0], arr[:, 1], arr[:, 2]]
-        pick = rng.randrange(len(cands))
-        t = cands[pick]
-        mask = _sat_overlap_mask(d, arr, signs, t, int(signs[pick]))
-        t_pts = (s[t[0]], s[t[1]], s[t[2]])
-        for row, u in enumerate(cands):
-            u_pts = (s[u[0]], s[u[1]], s[u[2]])
-            assert mask[row] == interiors_overlap(t_pts, u_pts), (t, u)
+        if len(cands) >= 2:
+            check(s, cands, [rng.randrange(len(cands))])
 
 
 def test_every_verified_triple_is_paired_and_legal():

@@ -13,7 +13,11 @@ from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
                              oracle_joint_exists, polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
 
-from helpers import convex_position_points
+from helpers import (brute_joint_exists, brute_joint_triangulations,
+                     convex_position_points, grid_locked_coords,
+                     overlap_by_decomposition, pairwise_verify_points,
+                     xorient)
+from test_acceptance import _hull_locked_pair
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -56,7 +60,7 @@ def test_enumeration_is_duplicate_free_and_self_valid():
 def _tilings_by_subset_search(s):
     """Exponential reference: every subset of empty triangles with pairwise
     disjoint interiors whose doubled areas sum to the hull's."""
-    from jointtri.geom import convex_hull, interiors_overlap, signed_area2
+    from jointtri.geom import convex_hull, signed_area2
     from jointtri.triangles import enumerate_empty
 
     hull = convex_hull(s)
@@ -80,7 +84,7 @@ def _tilings_by_subset_search(s):
         if idx == len(empties) or covered > total:
             return
         t = empties[idx]
-        if all(not interiors_overlap(pts(t), pts(u)) for u in chosen):
+        if all(not overlap_by_decomposition(pts(t), pts(u)) for u in chosen):
             chosen.append(t)
             rec(idx + 1, chosen, covered + areas[t])
             chosen.pop()
@@ -167,6 +171,65 @@ def test_necessity_on_oracle_hits():
     assert hits == 10
 
 
+def _small_pairs(seed, count):
+    """Seeded pairs, n 4-7, in turn grid-locked and hull-locked (both sides
+    have the same hull edges), perturbed and independent."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 7)
+        kind = len(out) % 4
+        if kind == 0:
+            coords = grid_locked_coords(rng, n, rng.choice((3, 4, 5)))
+            if coords is None:
+                continue
+            pair = PointSetPair(*map(LabeledSet.from_coords, coords))
+        elif kind == 1:
+            pair = _hull_locked_pair(n, 30, 4, rng.randrange(10 ** 6))
+        elif kind == 2:
+            pair = gen_perturbed_pair(n, 20, 3, rng.randrange(10 ** 6))
+        else:
+            pair = gen_point_pair(n, 6, rng.randrange(10 ** 6))
+        out.append((pair, [tuple(p) for p in pair.a.points],
+                    [tuple(p) for p in pair.b.points]))
+    return out
+
+
+def test_oracle_agrees_with_brute_subset_search():
+    verdicts = []
+    for pair, a, b in _small_pairs(61, 240):
+        witness = oracle_joint_exists(pair)
+        assert (witness is not None) == brute_joint_exists(a, b), (a, b)
+        if witness is not None:
+            assert pairwise_verify_points(a, b, witness), (a, b)
+        verdicts.append(witness is not None)
+    assert 60 <= sum(verdicts) <= 180
+
+
+def test_frontier_search_yields_exactly_the_joint_triangulations():
+    # Every yielded set has the two triangles of each interior edge on
+    # opposite sides of it in both realizations, even where the hulls
+    # differ.  With equal hull edges (grid- and hull-locked pairs) the
+    # yielded sets are exactly the joint triangulations.
+    total = 0
+    for k, (pair, a, b) in enumerate(_small_pairs(67, 240)):
+        got = [sorted(t) for t in iter_triangulations(pair)]
+        assert len(got) == len({tuple(map(tuple, t)) for t in got}), (a, b)
+        for tris in got:
+            apexes = {}
+            for i, j, m in tris:
+                for e, c in (((i, j), m), ((j, m), i), ((i, m), j)):
+                    apexes.setdefault(e, []).append(c)
+            for (i, j), cs in apexes.items():
+                if len(cs) == 2:
+                    assert all(xorient(p[i], p[j], p[cs[0]]) * xorient(p[i], p[j], p[cs[1]]) < 0
+                               for p in (a, b)), (a, b, tris)
+        if k % 4 < 2:
+            assert sorted(got) == sorted(brute_joint_triangulations(a, b)), (a, b)
+            total += len(got)
+    assert total >= 300
+
+
 def test_gen_point_pair_determinism_and_distinctness():
     a = gen_point_pair(5, 100, 1)
     b = gen_point_pair(5, 100, 1)
@@ -227,10 +290,10 @@ def test_polygon_oracle_size_guard():
 
 def test_size_guards_raise_size_guard_one_past_the_limit():
     at_limit = LabeledSet.from_coords(convex_position_points(MAX_ORACLE_POINTS))
-    assert next(iter_triangulations(at_limit))
+    assert next(iter_triangulations(PointSetPair(at_limit, at_limit)))
     big = LabeledSet.from_coords(convex_position_points(MAX_ORACLE_POINTS + 1))
     with pytest.raises(SizeGuard):
-        next(iter_triangulations(big))
+        next(iter_triangulations(PointSetPair(big, big)))
     with pytest.raises(SizeGuard):
         polygon_oracle_exists(gen_polygon_pair(MAX_ORACLE_POLYGON + 1, 60, 7))
 
