@@ -11,7 +11,7 @@ counterexamples to the sufficiency conjecture.
 from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          PointSetPair, check_hull_correspondence,
                          check_legal_nonempty, legal_set,
-                         necessary_conditions, successors)
+                         necessary_conditions)
 from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                    DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
                    hull_edge_set, orient)
@@ -21,9 +21,8 @@ from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
                      gen_polygon_pair, gen_perturbed_pair, hunt,
                      iter_triangulations, oracle_joint_exists,
                      polygon_oracle_exists)
-from .polygon import (GrazingDiagonal, Polygon, PolygonPair,
-                      count_joint_triangulations, dp_joint_polygon, ivg,
-                      verify_polygon_joint, visibility_graph)
+from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
+                      ivg, verify_polygon_joint, visibility_graph)
 from .triangles import TriangleSet, enumerate_empty, paired_empty
 
 __version__ = "0.1.0"
@@ -35,11 +34,11 @@ __all__ = [
     "MAX_TENSOR_POINTS", "Point",
     "PointSetPair", "Polygon", "PolygonPair", "SEEDED_RANDOM", "SizeGuard",
     "TriangleSet", "check_hull_correspondence", "check_legal_nonempty",
-    "convex_hull", "count_joint_triangulations", "dp_joint_polygon",
+    "convex_hull", "dp_joint_polygon",
     "enumerate_empty", "enumerate_triangulations", "gen_perturbed_pair",
     "gen_point_pair", "gen_polygon_pair", "greedy_construct",
     "hull_edge_set", "hunt", "iter_triangulations",
     "ivg", "legal_set", "necessary_conditions", "oracle_joint_exists",
-    "orient", "paired_empty", "polygon_oracle_exists", "successors",
+    "orient", "paired_empty", "polygon_oracle_exists",
     "verify_joint", "verify_polygon_joint", "visibility_graph",
 ]

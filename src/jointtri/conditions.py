@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .geom import LabeledSet, convex_hull, hull_edge_set
-from .triangles import (FLIPS, Edge, Tri, TriangleSet, edge, paired_empty,
-                        tri, tri_edges)
+from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty, tri_edges
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,6 @@ def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
         return HullCorrespondence(True, edges_a)
     witness = min(edges_a.symmetric_difference(edges_b))
     return HullCorrespondence(False, edges_a, witness)
-
-
-def _apex_sides(pair: PointSetPair, t: Tri, e: Edge) -> tuple[int, int]:
-    """Side of t's apex from the directed edge e (sorted), per realization."""
-    flip = FLIPS[tri_edges(t).index(e)]
-    return flip * int(pair.a.signs[t]), flip * int(pair.b.signs[t])
-
-
-def successors(candidates: TriangleSet, pair: PointSetPair,
-               t: Tri, e: Edge) -> list[Tri]:
-    """Candidates sharing edge e whose apex is strictly across e from t's
-    apex in both realizations.  May be empty or contain several triangles.
-    """
-    t, e = tri(*t), edge(*e)
-    sa, sb = _apex_sides(pair, t, e)
-    out = []
-    for u in candidates:
-        if u == t or e not in tri_edges(u):
-            continue
-        ua, ub = _apex_sides(pair, u, e)
-        if ua == -sa and ub == -sb and sa != 0 and sb != 0:
-            out.append(u)
-    return sorted(out)
 
 
 def legal_set(pair: PointSetPair, candidates: TriangleSet,

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .geom import COORD_LIMIT, Point, orient, signed_area2
+from .geom import COORD_LIMIT, Point, signed_area2
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, edge, tri
 
@@ -152,26 +153,22 @@ class PolygonPair:
         return len(self.a)
 
 
-def visibility_graph(poly: Polygon) -> set[Edge]:
-    """Boundary edges plus every diagonal of the polygon.
+def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
+    polygon, are diagonals of it.
 
-    A non-adjacent pair {i, j} is a diagonal iff the open segment meets
-    the boundary only at its endpoints and its midpoint lies inside the
-    polygon.  A segment passing through a third vertex is never a
-    diagonal; if such a segment would otherwise qualify, the instance
-    is rejected with GrazingDiagonal because its status is ambiguous.
+    A chord is a diagonal iff the open segment meets the boundary only at
+    its endpoints and its midpoint lies inside the polygon.  A segment
+    passing through a third vertex is never a diagonal; if such a segment
+    would otherwise qualify, its status is ambiguous and GrazingDiagonal
+    names the first such chord in the given order.
 
-    Vectorized over blocks of candidate chords (i, j), i < j, in
-    lexicographic order, each tested against every vertex and boundary
-    edge by ``_boundary_hits``.
+    Vectorized over blocks of chords, each tested against every vertex
+    and boundary edge by ``_boundary_hits``.
     """
-    n = len(poly)
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
-    us, vs = np.triu_indices(n, 2)
-    keep = (us != 0) | (vs != n - 1)
-    us, vs = us[keep], vs[keep]
-
-    out: set[Edge] = set(poly.boundary_edges())
+    n = len(xs)
+    out = np.zeros(len(us), dtype=bool)
     step = max(1, _HIT_BLOCK_CELLS // n)
     for lo in range(0, len(us), step):
         u, v = us[lo:lo + step], vs[lo:lo + step]
@@ -189,7 +186,8 @@ def visibility_graph(poly: Polygon) -> set[Edge]:
         # Midpoint-in-polygon, on doubled coordinates, for the survivors:
         # the parity of the edges that cross the ray from the midpoint
         # toward +x.
-        u, v = u[~blocked], v[~blocked]
+        rows = np.flatnonzero(~blocked)
+        u, v = u[rows], v[rows]
         px2, py2 = xs[u] + xs[v], ys[u] + ys[v]
         above = 2 * ys > py2[:, None]
         r, k = np.divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), n)
@@ -198,27 +196,64 @@ def visibility_graph(poly: Polygon) -> set[Edge]:
                 - (ys[k1] - ys[k]) * (px2[r] - 2 * xs[k]))
         hit = np.where(ys[k1] > ys[k], side > 0, side < 0)
         inside = np.bincount(r[hit], minlength=len(u)) % 2 == 1
-        out.update(zip(u[inside].tolist(), v[inside].tolist()))
+        out[lo + rows[inside]] = True
+    return out
+
+
+def visibility_graph(poly: Polygon) -> set[Edge]:
+    """Boundary edges plus every diagonal of the polygon, deciding every
+    non-adjacent pair (i, j), i < j, in lexicographic order; a
+    GrazingDiagonal names the first grazing chord in that order."""
+    n = len(poly)
+    us, vs = np.triu_indices(n, 2)
+    keep = (us != 0) | (vs != n - 1)
+    us, vs = us[keep], vs[keep]
+    seen = _diagonal_mask(poly, us, vs)
+    out: set[Edge] = set(poly.boundary_edges())
+    out.update(zip(us[seen].tolist(), vs[seen].tolist()))
     return out
 
 
 def ivg(pair: PolygonPair) -> set[Edge]:
     """Label-pair intersection of the two visibility graphs; always
-    contains all boundary edges."""
-    return visibility_graph(pair.a) & visibility_graph(pair.b)
+    contains all boundary edges.
 
-
-def _interior_triangle(pair: PolygonPair, i: int, k: int, q: int) -> bool:
-    """The triangle (i, k, q) must sit on the interior side of the chain
-    in both polygons, relative to each polygon's own winding."""
-    return (orient(pair.a[i], pair.a[k], pair.a[q]) == pair.a.ccw_sign
-            and orient(pair.b[i], pair.b[k], pair.b[q]) == pair.b.ccw_sign)
+    A's full graph comes first, so a grazing chord of A raises exactly as
+    in ``visibility_graph``.  B then decides only A's diagonals, in
+    lexicographic order: a chord A does not see cannot be shared whatever
+    B's verdict on it, so B raises GrazingDiagonal only on a chord that is
+    a diagonal of A.
+    """
+    n = len(pair)
+    seen_a = visibility_graph(pair.a)
+    ends = np.fromiter(chain.from_iterable(seen_a), dtype=np.int64,
+                       count=2 * len(seen_a))
+    us, vs = np.divmod(np.sort(ends[0::2] * n + ends[1::2]), n)
+    diagonal = (vs - us > 1) & ((us != 0) | (vs != n - 1))
+    us, vs = us[diagonal], vs[diagonal]
+    seen = _diagonal_mask(pair.b, us, vs)
+    out: set[Edge] = set(pair.b.boundary_edges())
+    out.update(zip(us[seen].tolist(), vs[seen].tolist()))
+    return out
 
 
 def _fill_table(pair: PolygonPair,
                 shared: set[Edge]) -> tuple[list[list[bool]], list[list[int]]]:
-    """Fill the boolean interval table and the split-vertex choices."""
+    """Fill the boolean interval table and the split-vertex choices.
+
+    Each cell takes the first split vertex k, in ascending order, that
+    qualifies.  Shared edges are read from an [n][n] table and the two
+    orientation tests are inlined on coordinate tuples: the triangle
+    (i, k, q) must turn the way each polygon winds.
+    """
     n = len(pair)
+    ok = [[False] * n for _ in range(n)]
+    for i, q in shared:
+        ok[i][q] = True
+    ok[0][n - 1] = True  # the goal cell, never a sub-cell: tried regardless
+    ax, ay = zip(*pair.a.vertices)
+    bx, by = zip(*pair.b.vertices)
+    sa, sb = pair.a.ccw_sign, pair.b.ccw_sign
     m = [[False] * n for _ in range(n)]
     choice = [[-1] * n for _ in range(n)]
     for i in range(n - 1):
@@ -226,16 +261,19 @@ def _fill_table(pair: PolygonPair,
     for gap in range(2, n):
         for i in range(0, n - gap):
             q = i + gap
-            if (i, q) not in shared and (i, q) != (0, n - 1):
+            mi, oki = m[i], ok[i]
+            if not oki[q]:
                 continue
+            axi, ayi, bxi, byi = ax[i], ay[i], bx[i], by[i]
+            aqx, aqy, bqx, bqy = ax[q] - axi, ay[q] - ayi, bx[q] - bxi, by[q] - byi
             for k in range(i + 1, q):
-                if not (m[i][k] and m[k][q]):
+                if not (mi[k] and m[k][q] and oki[k] and ok[k][q]):
                     continue
-                if (i, k) not in shared or (k, q) not in shared:
+                if ((ax[k] - axi) * aqy - (ay[k] - ayi) * aqx) * sa <= 0:
                     continue
-                if not _interior_triangle(pair, i, k, q):
+                if ((bx[k] - bxi) * bqy - (by[k] - byi) * bqx) * sb <= 0:
                     continue
-                m[i][q] = True
+                mi[q] = True
                 choice[i][q] = k
                 break
     return m, choice
@@ -270,30 +308,6 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     collect(0, n - 1)
     violation = verify_polygon_joint(pair, tris, shared=shared)
     return JointTriangulation(TriangleSet(tris), violation is None, violation, tris)
-
-
-def count_joint_triangulations(pair: PolygonPair) -> int:
-    """Number of distinct joint triangulations the interval recurrence
-    admits (the split vertex on a chord is unique per triangulation, so
-    this counts triangle sets exactly)."""
-    n = len(pair)
-    shared = ivg(pair)
-    counts = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        counts[i][i + 1] = 1
-    for gap in range(2, n):
-        for i in range(0, n - gap):
-            q = i + gap
-            if (i, q) not in shared and (i, q) != (0, n - 1):
-                continue
-            total = 0
-            for k in range(i + 1, q):
-                if counts[i][k] and counts[k][q] \
-                        and (i, k) in shared and (k, q) in shared \
-                        and _interior_triangle(pair, i, k, q):
-                    total += counts[i][k] * counts[k][q]
-            counts[i][q] = total
-    return counts[0][n - 1]
 
 
 def verify_polygon_joint(pair: PolygonPair, triangles,

@@ -2,13 +2,18 @@
 
 Everything here is written directly against coordinate arithmetic, on
 purpose: these functions arbitrate the library's fast paths and must not
-share code with them.
+share code with them.  The one exception is ``count_joint_triangulations``,
+which checks the interval recurrence, not visibility, and reads the shared
+chords from ``visibility_graph``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
+
+from jointtri.polygon import visibility_graph
 
 
 def xorient(p, q, r) -> int:
@@ -202,6 +207,81 @@ def convex_polygon_coords(n: int, spread: int = 1):
     """A strictly convex integer polygon (parabola arc closed by its chord);
     no three vertices are collinear."""
     return [(k, spread * k * k) for k in range(n)]
+
+
+def star_polygon_coords(rng: random.Random, n: int, radius: int = 1000):
+    """n integer vertices around the origin at stratified angles and radii
+    in [radius / 3, radius], counterclockwise; the cycle is star-shaped
+    from the origin unless rounding breaks it, so callers must still
+    validate it."""
+    out = []
+    for k in range(n):
+        angle = 2 * math.pi * (k + rng.uniform(0.1, 0.9)) / n
+        r = rng.uniform(radius / 3, radius)
+        out.append((round(r * math.cos(angle)), round(r * math.sin(angle))))
+    return out
+
+
+def _winding(vertices) -> int:
+    """+1 if the cycle winds counterclockwise, -1 if clockwise."""
+    n = len(vertices)
+    area2 = sum(vertices[i][0] * vertices[(i + 1) % n][1]
+                - vertices[(i + 1) % n][0] * vertices[i][1] for i in range(n))
+    return 1 if area2 > 0 else -1
+
+
+def _interior_split(a, b, i: int, k: int, q: int) -> bool:
+    """Triangle (i, k, q) turns the way both vertex cycles wind."""
+    return all(xorient(p[i], p[k], p[q]) == _winding(p) for p in (a, b))
+
+
+def brute_fill_table(pair, shared):
+    """Reference interval table and split choices of ``_fill_table``: cell
+    (i, q), i + 1 < q, is true iff {i, q} is shared (or is {0, n - 1}) and
+    some k between them has both sub-cells true, {i, k} and {k, q} shared
+    and the triangle (i, k, q) on the interior side in both polygons; the
+    choice is the first such k."""
+    a, b = pair.a.vertices, pair.b.vertices
+    n = len(a)
+    m = [[False] * n for _ in range(n)]
+    choice = [[-1] * n for _ in range(n)]
+    for i in range(n - 1):
+        m[i][i + 1] = True
+    for gap in range(2, n):
+        for i in range(0, n - gap):
+            q = i + gap
+            if (i, q) not in shared and (i, q) != (0, n - 1):
+                continue
+            for k in range(i + 1, q):
+                if m[i][k] and m[k][q] and (i, k) in shared and (k, q) in shared \
+                        and _interior_split(a, b, i, k, q):
+                    m[i][q] = True
+                    choice[i][q] = k
+                    break
+    return m, choice
+
+
+def count_joint_triangulations(pair) -> int:
+    """Number of distinct joint triangulations the interval recurrence
+    admits (the split vertex on a chord is unique per triangulation, so
+    this counts triangle sets exactly), over the chords shared by both
+    visibility graphs."""
+    a, b = pair.a.vertices, pair.b.vertices
+    n = len(a)
+    shared = visibility_graph(pair.a) & visibility_graph(pair.b)
+    counts = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        counts[i][i + 1] = 1
+    for gap in range(2, n):
+        for i in range(0, n - gap):
+            q = i + gap
+            if (i, q) not in shared and (i, q) != (0, n - 1):
+                continue
+            counts[i][q] = sum(
+                counts[i][k] * counts[k][q] for k in range(i + 1, q)
+                if (i, k) in shared and (k, q) in shared
+                and _interior_split(a, b, i, k, q))
+    return counts[0][n - 1]
 
 
 def mutate(rng: random.Random, tris, n: int):

@@ -2,7 +2,7 @@ import hashlib
 import io
 import random
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -14,8 +14,9 @@ from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             parse_triangles)
 from jointtri.geom import LabeledSet
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
+from jointtri.polygon import Polygon, PolygonPair
 
-from helpers import grid_locked_coords
+from helpers import convex_polygon_coords, grid_locked_coords, star_polygon_coords
 from test_acceptance import _hull_locked_pair
 
 QUAD_TEXT = """\
@@ -307,6 +308,53 @@ def test_oracle_bytes_pinned(tmp_path):
             h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == ORACLE_SHA256[family], family
     assert answers.count("YES") >= 20 and answers.count("NO") >= 20
+
+
+def _polygon_instances():
+    """Seeded polygon pairs, n 4-40: random pairs (``gen_polygon_pair``),
+    convex pairs with rotated labels or a mirrored side, stars with a
+    jittered or an independent partner (the DP mostly fails on these), and
+    two pairs whose A grazes (exit 1)."""
+    rng = random.Random(2027)
+    out = [gen_polygon_pair(4 + k % 12, 20 + k, 500 + k) for k in range(14)]
+    for k in range(6):
+        coords = convex_polygon_coords(6 + 6 * k, 1 + k % 3)
+        other = coords[k:] + coords[:k] if k % 2 else [(x, -y) for x, y in coords]
+        out.append(PolygonPair(Polygon.from_coords(coords), Polygon.from_coords(other)))
+    while len(out) < 38:
+        n = rng.randint(10, 40)
+        a = star_polygon_coords(rng, n, 10**5)
+        b = ([(x + rng.randint(-900, 900), y + rng.randint(-900, 900)) for x, y in a]
+             if len(out) % 2 else star_polygon_coords(rng, n, 10**5))
+        try:
+            out.append(PolygonPair(Polygon.from_coords(a), Polygon.from_coords(b)))
+        except ValueError:
+            pass
+    flat = Polygon.from_coords([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
+    pentagon = Polygon.from_coords([(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)])
+    out += [PolygonPair(flat, pentagon), PolygonPair(flat, flat)]
+    return out
+
+
+# sha256 of the exit code, stdout and stderr of `polygon` on each of
+# _polygon_instances, in order: the DP's split choices (the first split
+# vertex in ascending order) fix the printed triangles.
+POLYGON_SHA256 = "14e559d290a3b2ee1a2c26ee7f4356c208b46297a7a25ec7c8bf052554ac12e2"
+
+
+def test_polygon_bytes_pinned(tmp_path):
+    p = tmp_path / "pair.txt"
+    h = hashlib.sha256()
+    codes = []
+    for pair in _polygon_instances():
+        p.write_text(format_instance(KIND_POLYGON, pair))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("polygon", str(p))
+        codes.append(code)
+        h.update(f"{code}\n{out}\n{err.getvalue()}".encode())
+    assert codes.count(0) >= 15 and codes.count(2) >= 8 and codes.count(1) == 2, codes
+    assert h.hexdigest() == POLYGON_SHA256
 
 
 def test_gen_and_hunt_deterministic_output():

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from jointtri import geom
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set,
-                                 necessary_conditions, successors)
+                                 necessary_conditions)
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct
 from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
@@ -56,8 +55,8 @@ def test_condition1_degenerate_raises():
 def test_successors_square():
     pair = _pair(SQUARE)
     cands = paired_empty(pair)
-    assert successors(cands, pair, (0, 1, 2), (0, 2)) == [(0, 2, 3)]
-    assert successors(cands, pair, (0, 1, 2), (0, 1)) == []
+    assert brute_successors(pair.a.points, pair.b.points, cands, (0, 1, 2), (0, 2)) == [(0, 2, 3)]
+    assert brute_successors(pair.a.points, pair.b.points, cands, (0, 1, 2), (0, 1)) == []
 
 
 # Eight points placed so one query has a three-way successor fan: the
@@ -69,7 +68,7 @@ FAN_POINTS = [(10, 10), (1, 2), (3, 2), (-10, 10), (2, -2), (0, 0), (2, 2), (4, 
 def test_successors_multiway_fan():
     pair = _pair(FAN_POINTS)
     cands = paired_empty(pair)
-    got = successors(cands, pair, (4, 5, 7), (5, 7))
+    got = brute_successors(pair.a.points, pair.b.points, cands, (4, 5, 7), (5, 7))
     assert got == [(1, 5, 7), (2, 5, 7), (5, 6, 7)]
 
 
@@ -169,29 +168,9 @@ def test_removal_log_is_a_valid_cascade():
         for t, witness in res.removed:
             assert witness in tri_edges(t)
             assert witness not in hc.hull_edges
-            assert successors(live, pair, t, witness) == []
+            assert brute_successors(pair.a.points, pair.b.points, live, t, witness) == []
             live.discard(t)
         assert live == res.legal
-
-
-def test_successors_match_brute_reference():
-    # Candidates are random triples, collinear ones included, so zero apex
-    # signs (never a successor) are exercised alongside the flip rule.
-    rng = random.Random(53)
-    checked = 0
-    for _ in range(30):
-        n = rng.randint(4, 8)
-        pair = PointSetPair(*(LabeledSet.from_coords(rng.sample(
-            [(x, y) for x in range(6) for y in range(6)], n)) for _ in range(2)))
-        triples = list(combinations(range(n), 3))
-        cands = TriangleSet(rng.sample(triples, rng.randint(1, len(triples))))
-        for t in cands:
-            for e in tri_edges(t):
-                got = successors(cands, pair, t, e)
-                assert got == brute_successors(pair.a.points, pair.b.points,
-                                               cands, t, e), (t, e)
-                checked += bool(got)
-    assert checked > 100
 
 
 def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):

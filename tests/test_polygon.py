@@ -7,12 +7,13 @@ import pytest
 
 from jointtri import polygon
 from jointtri.oracle import gen_polygon_pair, polygon_oracle_exists
-from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair,
-                              count_joint_triangulations, dp_joint_polygon,
-                              ivg, verify_polygon_joint, visibility_graph)
+from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
+                              dp_joint_polygon, ivg, verify_polygon_joint,
+                              visibility_graph)
 
 from helpers import (_on_open_segment, _proper_cross, brute_diagonal_visible,
-                     brute_is_simple, convex_polygon_coords)
+                     brute_fill_table, brute_is_simple, convex_polygon_coords,
+                     count_joint_triangulations, star_polygon_coords)
 
 CONVEX_QUAD = [(0, 0), (2, 0), (2, 2), (0, 2)]
 DART = [(0, 0), (4, 0), (1, 1), (0, 4)]  # reflex at index 2
@@ -139,12 +140,13 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     assert [_visibility_or_grazing(p) for p in polys] == graphs
 
 
-def _first_grazing_chord(vertices):
-    """First non-adjacent chord (i, j), i < j, with a vertex strictly
-    inside it and no proper crossing with any boundary edge (an incident
-    edge meets it at orientation 0, so it never crosses properly)."""
+def _first_grazing_chord(vertices, chords=None):
+    """First non-adjacent chord (i, j), i < j, among ``chords`` (default
+    all), with a vertex strictly inside it and no proper crossing with any
+    boundary edge (an incident edge meets it at orientation 0, so it never
+    crosses properly)."""
     n = len(vertices)
-    for i, j in combinations(range(n), 2):
+    for i, j in sorted(chords) if chords is not None else combinations(range(n), 2):
         if j - i == 1 or (i, j) == (0, n - 1):
             continue
         a, b = vertices[i], vertices[j]
@@ -187,6 +189,178 @@ def test_ivg_cases():
     assert mixed == {(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}
     crossed = ivg(PolygonPair(dart, Polygon.from_coords(DART_SHIFTED)))
     assert crossed == {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+
+def _polygon_or_none(coords):
+    try:
+        return Polygon.from_coords(coords)
+    except ValueError:
+        return None
+
+
+def _seeded_pairs(seed: int, per_family: int):
+    """Family -> seeded polygon pairs, n 4 to 24: convex pairs (labels
+    rotated, windings mixed), stars with a jittered or an independent
+    partner, ``gen_polygon_pair`` pairs, and pairs of simple grid cycles of
+    equal size.  Grid pairs often graze, stars rarely, the others never."""
+    rng = random.Random(seed)
+    out = {"convex": [], "star": [], "gen": [], "grid": []}
+
+    def add(family, a, b):
+        if a is not None and b is not None:
+            out[family].append(PolygonPair(a, b))
+
+    while len(out["convex"]) < per_family:
+        n = rng.randint(4, 24)
+        sides = []
+        for _ in range(2):
+            coords = convex_polygon_coords(n, rng.randint(1, 4))
+            r = rng.randrange(n)
+            coords = coords[r:] + coords[:r]
+            sides.append(Polygon.from_coords(coords[::rng.choice((1, -1))]))
+        add("convex", *sides)
+    while len(out["star"]) < per_family:
+        n = rng.randint(4, 24)
+        a = star_polygon_coords(rng, n)
+        b = ([(x + rng.randint(-30, 30), y + rng.randint(-30, 30)) for x, y in a]
+             if rng.randrange(2) else star_polygon_coords(rng, n))
+        add("star", _polygon_or_none(a), _polygon_or_none(b))
+    while len(out["gen"]) < per_family:
+        out["gen"].append(gen_polygon_pair(rng.randint(4, 16), 40, rng.randrange(10**6)))
+    by_size: dict = {}
+    for coords in _grid_cycles(seed, 40 * per_family):
+        if len(out["grid"]) < per_family and len(coords) >= 4 and brute_is_simple(coords):
+            other = by_size.pop(len(coords), None)
+            if other is None:
+                by_size[len(coords)] = coords
+            else:
+                add("grid", Polygon.from_coords(other), Polygon.from_coords(coords))
+    return out
+
+
+def _intersections(pairs):
+    """(pair, visibility_graph(a) & visibility_graph(b)) for the pairs on
+    which neither full graph raises GrazingDiagonal."""
+    out = []
+    for pair in pairs:
+        try:
+            out.append((pair, visibility_graph(pair.a) & visibility_graph(pair.b)))
+        except GrazingDiagonal:
+            pass
+    return out
+
+
+def test_ivg_is_the_intersection_of_the_full_graphs():
+    families = _seeded_pairs(131, 300)
+    cases = [c for pairs in families.values() for c in _intersections(pairs)]
+    assert len(cases) >= 1000
+    assert all(len(_intersections(pairs)) >= 100 for pairs in families.values())
+    for pair, want in cases:
+        assert ivg(pair) == want, (pair.a.vertices, pair.b.vertices)
+    # the stars share few diagonals, the convex pairs all of them
+    assert any(len(want) < len(visibility_graph(pair.a)) for pair, want in cases)
+
+
+def test_ivg_across_block_boundaries(monkeypatch):
+    cases = [c for pairs in _seeded_pairs(137, 50).values()
+             for c in _intersections(pairs)]
+    # 40 cells is one to ten chords per block at these sizes, so B's pass
+    # over A's diagonals spans several blocks
+    monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 40)
+    for pair, want in cases:
+        assert ivg(pair) == want, (pair.a.vertices, pair.b.vertices)
+
+
+PENTAGON = [(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)]  # convex: sees every chord
+FLAT_BOTTOM = [(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)]  # (0, 2) grazes vertex 1
+NOTCHED = [(0, 0), (2, 1), (4, 0), (4, 4), (0, 4)]  # reflex at 1: (0, 2) outside
+
+
+def _grazing_message(chord):
+    return f"diagonal candidate {chord} passes through another vertex"
+
+
+def test_ivg_grazing_on_a_raises_as_the_full_graph():
+    pair = PolygonPair(Polygon.from_coords(FLAT_BOTTOM), Polygon.from_coords(PENTAGON))
+    with pytest.raises(GrazingDiagonal) as exc:
+        ivg(pair)
+    assert str(exc.value) == _grazing_message((0, 2))
+
+
+def test_ivg_grazing_on_b_names_first_diagonal_of_a():
+    # B grazes on (0, 2), which A does not see, and on (3, 5), which it does
+    a = Polygon.from_coords([(0, 0), (2, 1), (4, 0), (4, 4), (2, 5), (0, 4)])
+    b = Polygon.from_coords([(0, 0), (2, 0), (4, 0), (4, 4), (2, 4), (0, 4)])
+    assert (0, 2) not in visibility_graph(a) and (3, 5) in visibility_graph(a)
+    with pytest.raises(GrazingDiagonal) as exc:
+        visibility_graph(b)
+    assert str(exc.value) == _grazing_message((0, 2))
+    with pytest.raises(GrazingDiagonal) as exc:
+        ivg(PolygonPair(a, b))
+    assert str(exc.value) == _grazing_message((3, 5))
+
+
+def test_ivg_grazing_on_b_off_a_diagonals_is_decided():
+    a, b = Polygon.from_coords(NOTCHED), Polygon.from_coords(FLAT_BOTTOM)
+    with pytest.raises(GrazingDiagonal):
+        visibility_graph(b)
+    want = {e for e in visibility_graph(a)
+            if e in a.boundary_edges() or brute_diagonal_visible(FLAT_BOTTOM, *e)}
+    assert ivg(PolygonPair(a, b)) == want == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                                              (0, 3), (1, 3), (1, 4), (2, 4)}
+
+
+def test_ivg_on_grid_pairs_follows_the_grazing_rule():
+    """On pairs of simple grid cycles: a grazing A raises as its full
+    graph does; otherwise B raises on the first of A's diagonals it grazes;
+    otherwise ivg keeps exactly A's edges that B sees."""
+    counts = {"a": 0, "b": 0, "decided": 0}
+    for pair in _seeded_pairs(139, 600)["grid"]:
+        try:
+            seen_a = visibility_graph(pair.a)
+        except GrazingDiagonal as exc:
+            with pytest.raises(GrazingDiagonal) as got:
+                ivg(pair)
+            assert str(got.value) == str(exc)
+            counts["a"] += 1
+            continue
+        b = pair.b.vertices
+        first = _first_grazing_chord(b, seen_a)
+        if first is not None:
+            with pytest.raises(GrazingDiagonal) as got:
+                ivg(pair)
+            assert str(got.value) == _grazing_message(first)
+            counts["b"] += 1
+            continue
+        want = {e for e in seen_a
+                if e in pair.a.boundary_edges() or brute_diagonal_visible(b, *e)}
+        assert ivg(pair) == want, (pair.a.vertices, b)
+        counts["decided"] += 1
+    assert min(counts.values()) >= 30, counts
+
+
+def test_fill_table_matches_brute_reference():
+    failed = found = 0
+    families = _seeded_pairs(149, 40)
+    families["mirrored"] = [PolygonPair(p.a, Polygon.from_coords(
+        [(x, -y) for x, y in p.a.vertices])) for p in families["star"]]
+    # independent stars from n = 16 on mostly admit no joint triangulation
+    rng = random.Random(151)
+    families["independent"] = [
+        PolygonPair(*(Polygon.from_coords(star_polygon_coords(rng, n, 10**6))
+                      for _ in range(2)))
+        for n in range(16, 40)]
+    for pairs in families.values():
+        for pair, shared in _intersections(pairs):
+            m, choice = _fill_table(pair, shared)
+            assert (m, choice) == brute_fill_table(pair, shared), pair.a.vertices
+            found += m[0][-1]
+            failed += not m[0][-1]
+            diagonals = sorted(shared - pair.a.boundary_edges())
+            if diagonals:
+                fewer = shared - {diagonals[len(diagonals) // 2]}
+                assert _fill_table(pair, fewer) == brute_fill_table(pair, fewer)
+    assert found >= 100 and failed >= 40, (found, failed)
 
 
 def test_dp_convex_sizes():
