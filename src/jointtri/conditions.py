@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
+import numpy as np
+
 from .geom import LabeledSet, convex_hull, hull_edge_set
-from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty, tri_edges
+from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class LegalSetResult:
 
     legal: TriangleSet
     removed: list[tuple[Tri, Edge]] = field(default_factory=list)
-    hull_edges: frozenset[Edge] = frozenset()
 
 
 def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
@@ -84,20 +86,39 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     Deletion only ever removes triangles that cannot be supported, so
     the fixpoint is unique and the processing order (shuffled via
     ``order_seed``) cannot change the result.
+
+    Edge (i, j) has the id i * n + j, so ids sort as the label pairs do.
+    Each edge counts its live residents per (side A, side B) apex sign
+    pair, coded 2 * (A > 0) + (B > 0), so the opposite of code c is 3 - c.
+    A resident is doomed iff its code's opposite count is zero, so an edge
+    dooms a resident iff some count is nonzero and its opposite's is zero.
     """
     live = candidates.copy()
-    # Bucket triangles on each edge by their (side A, side B) apex signs;
-    # a triangle is supported on an edge iff the opposite bucket is nonempty.
-    da, db = pair.a.signs, pair.b.signs
-    sides: dict[Tri, tuple[int, int]] = {}
-    buckets: dict[Edge, dict[tuple[int, int], set[Tri]]] = {}
-    for t in live:
-        sa, sb = sides[t] = int(da[t]), int(db[t])
-        for e, flip in zip(tri_edges(t), FLIPS):
-            buckets.setdefault(e, {}).setdefault((flip * sa, flip * sb), set()).add(t)
-
-    pending: list[Edge] = sorted(e for e in buckets if e not in hull_edges)
-    pending_set = set(pending)
+    order = list(live)
+    n = len(pair)
+    i, j, k = np.fromiter(chain.from_iterable(order), dtype=np.intp,
+                          count=3 * len(order)).reshape(-1, 3).T
+    flips = np.array(FLIPS)
+    side_a = pair.a.signs[i, j, k][:, None] * flips > 0
+    side_b = pair.b.signs[i, j, k][:, None] * flips > 0
+    # Incidence 3 p + q is edge q of tri_edges(order[p]); its key is
+    # 4 * edge id + code, the index of the count it belongs to.
+    ids = np.column_stack((i * n + j, j * n + k, i * n + k)).ravel()
+    keys = 4 * ids + (2 * side_a + side_b).ravel()
+    counts = np.bincount(keys, minlength=4 * n * n)
+    totals = counts.reshape(-1, 4).sum(axis=1)
+    # Edge e's incidences in candidate order: by_edge[bounds[e]:bounds[e + 1]].
+    # The narrowest key type makes the stable argsort a radix sort for n < 256.
+    by_edge = np.argsort(ids.astype(np.min_scalar_type(n * n)),
+                         kind="stable").tolist()
+    bounds = [0] + np.cumsum(totals).tolist()
+    hull = {a * n + b for a, b in hull_edges}
+    pending = [e for e in np.flatnonzero(totals).tolist() if e not in hull]
+    queued = bytearray(n * n)
+    for e in pending:
+        queued[e] = 1
+    cnt = counts.tolist()
+    keys_l = keys.tolist()
     rng = random.Random(order_seed) if order_seed is not None else None
     removed: list[tuple[Tri, Edge]] = []
 
@@ -105,29 +126,36 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         pos = rng.randrange(len(pending)) if rng else 0
         pending[pos], pending[-1] = pending[-1], pending[pos]
         e = pending.pop()
-        pending_set.discard(e)
-        by_sig = buckets.get(e)
-        if not by_sig:
+        queued[e] = 0
+        c0, c1, c2, c3 = cnt[4 * e:4 * e + 4]
+        if (c0 > 0) == (c3 > 0) and (c1 > 0) == (c2 > 0):
             continue
-        doomed = [t for sig, residents in by_sig.items()
-                  for t in residents
-                  if not by_sig.get((-sig[0], -sig[1]))]
-        if not doomed:
-            continue
-        for t in doomed:
+        # Rebuild the doomed residents in the order the per-edge sets of
+        # the dict-and-set worklist gave them: codes by first appearance,
+        # and per code a set filled with the edge's triangles in candidate
+        # order.  A CPython set built by the same insertions in the same
+        # order iterates in the same order, and discards never reorder it,
+        # so dropping the triangles no longer live gives that set's order.
+        groups: dict[int, list[int]] = {}
+        for x in by_edge[bounds[e]:bounds[e + 1]]:
+            key = keys_l[x]
+            if cnt[key] and not cnt[key ^ 3]:
+                groups.setdefault(key, []).append(x // 3)
+        doomed = []
+        for ps in groups.values():
+            at = {order[p]: p for p in ps}
+            doomed.extend((t, at[t]) for t in set(order[p] for p in ps) if t in live)
+        witness = divmod(e, n)
+        for t, p in doomed:
             live.discard(t)
-            removed.append((t, e))
-            sa, sb = sides[t]
-            for f, flip in zip(tri_edges(t), FLIPS):
-                sig = (flip * sa, flip * sb)
-                bucket = buckets[f][sig]
-                bucket.discard(t)
-                if not bucket:
-                    del buckets[f][sig]
-                if f not in hull_edges and f not in pending_set and buckets[f]:
+            removed.append((t, witness))
+            for key in keys_l[3 * p:3 * p + 3]:
+                cnt[key] -= 1
+                f = key >> 2
+                if not queued[f] and f not in hull and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
-                    pending_set.add(f)
-    return LegalSetResult(live, removed, hull_edges)
+                    queued[f] = 1
+    return LegalSetResult(live, removed)
 
 
 def check_legal_nonempty(result: LegalSetResult) -> bool:

@@ -173,21 +173,27 @@ def _sat_overlap_mask(d: np.ndarray, arr: np.ndarray, s_arr: np.ndarray,
                       t: Tri, s_t: int) -> np.ndarray:
     """Per-candidate mask: does the candidate's interior meet t's interior
     in the realization whose orientation-sign tensor is d?
+
+    Two triangles are interior-disjoint iff some edge of either has the
+    other's three vertices on its closed far side.  With signs in {-1, 0, 1}
+    and nondegenerate orientations s, "s * sign <= 0" is "sign != s".
+    Every gather reads contiguous memory: t's edge rows ``d[a, b]``, and
+    for the candidates' edges the n x n plane ``d[v]`` at ``va * n + vb``,
+    since orientation is cyclic (``d[va, vb, v] == d[v, va, vb]``).
     """
-    i, j, k = t
+    n = d.shape[0]
+    c0, c1, c2 = arr[:, 0], arr[:, 1], arr[:, 2]
     sep = np.zeros(len(arr), dtype=bool)
+    i, j, k = t
     for a, b in ((i, j), (j, k), (k, i)):
-        row = d[a, b]
-        m = (s_t * row[arr[:, 0]] <= 0)
-        m &= (s_t * row[arr[:, 1]] <= 0)
-        m &= (s_t * row[arr[:, 2]] <= 0)
-        sep |= m
-    for ca, cb in ((0, 1), (1, 2), (2, 0)):
-        va = arr[:, ca]
-        vb = arr[:, cb]
-        m = np.ones(len(arr), dtype=bool)
-        for v in (i, j, k):
-            m &= (s_arr * d[va, vb, v] <= 0)
+        off = d[a, b] != s_t
+        sep |= off.take(c0) & off.take(c1) & off.take(c2)
+    planes = [d[v].reshape(-1) for v in t]
+    for va, vb in ((c0, c1), (c1, c2), (c2, c0)):
+        flat = va * n + vb
+        m = planes[0].take(flat) != s_arr
+        m &= planes[1].take(flat) != s_arr
+        m &= planes[2].take(flat) != s_arr
         sep |= m
     return ~sep
 

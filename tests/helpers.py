@@ -2,9 +2,10 @@
 
 Everything here is written directly against coordinate arithmetic, on
 purpose: these functions arbitrate the library's fast paths and must not
-share code with them.  The one exception is ``count_joint_triangulations``,
-which checks the interval recurrence, not visibility, and reads the shared
-chords from ``visibility_graph``.
+share code with them.  There are two exceptions.  ``count_joint_triangulations``
+checks the interval recurrence, not visibility, and reads the shared chords
+from ``visibility_graph``.  ``reference_legal_set`` checks the order of the
+array worklist's removal log, not its geometry, and reads the sign tensors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 import random
 from itertools import combinations
 
+from jointtri.conditions import LegalSetResult
 from jointtri.polygon import visibility_graph
+from jointtri.triangles import FLIPS, tri_edges
 
 
 def xorient(p, q, r) -> int:
@@ -97,6 +100,55 @@ def overlap_by_decomposition(t1, t2) -> bool:
         if _strictly_inside(v3[0], v3[1], v3[2], cen):
             return True
     return False
+
+
+def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalSetResult:
+    """The dict-and-set worklist that ``conditions.legal_set`` replaced,
+    kept to pin its removal log (order included) and the legal set's
+    iteration order.  Triangles are bucketed on each edge by their
+    (side A, side B) apex signs; a triangle is supported on an edge iff
+    the opposite bucket is nonempty."""
+    live = candidates.copy()
+    da, db = pair.a.signs, pair.b.signs
+    sides = {}
+    buckets = {}
+    for t in live:
+        sa, sb = sides[t] = int(da[t]), int(db[t])
+        for e, flip in zip(tri_edges(t), FLIPS):
+            buckets.setdefault(e, {}).setdefault((flip * sa, flip * sb), set()).add(t)
+
+    pending = sorted(e for e in buckets if e not in hull_edges)
+    pending_set = set(pending)
+    rng = random.Random(order_seed) if order_seed is not None else None
+    removed = []
+
+    while pending:
+        pos = rng.randrange(len(pending)) if rng else 0
+        pending[pos], pending[-1] = pending[-1], pending[pos]
+        e = pending.pop()
+        pending_set.discard(e)
+        by_sig = buckets.get(e)
+        if not by_sig:
+            continue
+        doomed = [t for sig, residents in by_sig.items()
+                  for t in residents
+                  if not by_sig.get((-sig[0], -sig[1]))]
+        if not doomed:
+            continue
+        for t in doomed:
+            live.discard(t)
+            removed.append((t, e))
+            sa, sb = sides[t]
+            for f, flip in zip(tri_edges(t), FLIPS):
+                sig = (flip * sa, flip * sb)
+                bucket = buckets[f][sig]
+                bucket.discard(t)
+                if not bucket:
+                    del buckets[f][sig]
+                if f not in hull_edges and f not in pending_set and buckets[f]:
+                    pending.append(f)
+                    pending_set.add(f)
+    return LegalSetResult(live, removed)
 
 
 def brute_greedy(a, b, legal, seed=None) -> list[tuple[int, int, int]]:

@@ -266,6 +266,39 @@ def test_check_explain_bytes_pinned(tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
+# Exit code and sha256 of `triangulate` stdout under LEX and under seeded
+# random selection, for seeded hull-locked pairs (n, coordinate range,
+# jitter, seed).  These pin the greedy's choices at sizes the brute
+# reference cannot reach.
+TRIANGULATE_SHA256 = {
+    (40, 1000, 3, 1): {
+        ("--policy", "lex"): (0, "23f0ba9b7a31a4d9c3d7889d46a1899e8707e792ae32a4a1f1bf030dd6f47f8a"),
+        ("--policy", "random", "--seed", "3"):
+            (0, "81057d7474f4cfcb85bacf9f0e532f07f548f10493d2be15dfbc7787cf856a70"),
+    },
+    (60, 1000, 3, 2): {
+        ("--policy", "lex"): (0, "e028fb60a0ffef862e722f14b7bf2879f44ea2b9b6e2e81b2a1f8ca13ca0f609"),
+        ("--policy", "random", "--seed", "3"):
+            (0, "94e9bbca6ce21642a347b604ce5a4c379d1f23a385ff4a0dce8628f4f6cbb1e6"),
+    },
+    (80, 1000, 3, 3): {
+        ("--policy", "lex"): (0, "488e310ba03e82b55de7ad4906e134e587771102b633a9e9666303f5ff1553d3"),
+        ("--policy", "random", "--seed", "3"):
+            (0, "960f31ba40a006774907e458ac1e72ee4a2c202e1fd581815271478c8d370090"),
+    },
+}
+
+
+def test_triangulate_bytes_pinned(tmp_path):
+    p = tmp_path / "locked.txt"
+    for args, runs in TRIANGULATE_SHA256.items():
+        p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(*args)))
+        for flags, (code, digest) in runs.items():
+            got, out = run_cli("triangulate", str(p), *flags)
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), \
+                (args, flags)
+
+
 def _oracle_instances():
     """Family -> seeded point-pair instances, n 4-9, for ``oracle``."""
     rng = random.Random(2026)

@@ -7,12 +7,15 @@ from jointtri import geom
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set,
                                  necessary_conditions)
+from jointtri.files import parse_instance
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct
 from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
 
-from helpers import brute_successors
+from helpers import brute_successors, grid_locked_coords, reference_legal_set
+from test_acceptance import _hull_locked_pair
+from test_cli import COLLAPSING_TEXT
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -171,6 +174,45 @@ def test_removal_log_is_a_valid_cascade():
             assert brute_successors(pair.a.points, pair.b.points, live, t, witness) == []
             live.discard(t)
         assert live == res.legal
+
+
+def _legal_set_inputs():
+    """(pair, candidates, hull edges) for the array-worklist comparison."""
+    out = []
+    for n in range(8, 61, 4):
+        pair = _hull_locked_pair(n, 60 if n < 30 else 200, 2 + n % 3, n)
+        hc = check_hull_correspondence(pair)
+        out.append((pair, paired_empty(pair), hc.hull_edges))
+    rng = random.Random(808)
+    grid = 0
+    while grid < 40:
+        coords = grid_locked_coords(rng, rng.randint(5, 20), rng.choice((5, 6, 7)))
+        if coords is None:
+            continue
+        pair = _pair(*coords)
+        hc = check_hull_correspondence(pair)
+        out.append((pair, paired_empty(pair), hc.hull_edges))
+        grid += 1
+    _, pair = parse_instance(COLLAPSING_TEXT)
+    hc = check_hull_correspondence(pair)
+    out.append((pair, paired_empty(pair), hc.hull_edges))
+    out.append((pair, TriangleSet(), hc.hull_edges))
+    return out
+
+
+def test_legal_set_matches_reference_log_and_order():
+    # The array worklist must reproduce the dict-and-set worklist's removal
+    # log, order included, and the legal set's iteration order, for the
+    # sorted worklist and for shuffled ones.
+    removals = 0
+    for pair, cands, hull in _legal_set_inputs():
+        for order_seed in (None, 1, 2):
+            want = reference_legal_set(pair, cands, hull, order_seed)
+            got = legal_set(pair, cands, hull, order_seed)
+            assert got.removed == want.removed, order_seed
+            assert list(got.legal) == list(want.legal), order_seed
+            removals += len(want.removed)
+    assert removals > 1000
 
 
 def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):
