@@ -204,8 +204,9 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
 
     Each round commits one surviving triangle (the canonically smallest
     under LEX, or a seeded-uniform pick under SEEDED_RANDOM) and deletes
-    every survivor overlapping its interior in either realization; the
-    committed triangle overlaps itself and is deleted too.  The survivor
+    every survivor overlapping its interior in either realization, and
+    the committed triangle itself, so the loop ends after at most |legal|
+    rounds whatever the overlap mask says.  The survivor
     arrays are compacted after each round, in sorted order.  The result
     is never trusted: ``verified`` reflects the independent verifier,
     and a False verdict is returned, not raised.
@@ -226,6 +227,7 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
         chosen.append(t)
         gone = _sat_overlap_mask(da, arr, sa, t, int(sa[pick]))
         gone |= _sat_overlap_mask(db, arr, sb, t, int(sb[pick]))
+        gone[pick] = True
         keep = ~gone
         arr, sa, sb = arr[keep], sa[keep], sb[keep]
     violation = verify_joint(pair, chosen)

@@ -5,8 +5,8 @@ The point-set oracle enumerates, by frontier expansion over the paired
 empty triangles, the triangulations of side A whose interior edges also
 separate their two triangles in B, and keeps the first one that verifies
 as a joint triangulation of the pair.  The polygon oracle recursively
-enumerates candidate triangle sets over shared brute-force-validated
-diagonals and fully verifies each.  Both are deliberately simple so they
+enumerates candidate triangle sets over the chords both polygons see
+and fully verifies each.  Both are deliberately simple so they
 can arbitrate the fast paths.
 """
 
@@ -16,12 +16,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .conditions import PointSetPair, necessary_conditions
 from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   orient, signed_area2, strictly_between)
+                   orient, signed_area2)
 from .greedy import LEX, greedy_construct, verify_joint
-from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
-                      ivg, verify_polygon_joint)
+from .polygon import (GrazingDiagonal, Polygon, PolygonPair, _chord_masks,
+                      _chords, dp_joint_polygon, verify_polygon_joint)
 from .triangles import Edge, Tri, edge, paired_empty, tri
 
 MAX_ORACLE_POINTS = 9
@@ -134,47 +136,26 @@ def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
     return None
 
 
-def _diagonal_inside_slow(poly: Polygon, i: int, j: int) -> bool:
-    """Scalar reference test for a polygon diagonal; independent of the
-    vectorized visibility-graph path."""
-    n = len(poly)
-    if (j - i) % n == 1 or (i - j) % n == 1:
-        return True
-    a, b = poly[i], poly[j]
-    for w in range(n):
-        if w in (i, j):
-            continue
-        if strictly_between(a, b, poly[w]):
-            return False
-    for k in range(n):
-        k2 = (k + 1) % n
-        if k in (i, j) or k2 in (i, j):
-            continue
-        d1 = orient(a, b, poly[k])
-        d2 = orient(a, b, poly[k2])
-        d3 = orient(poly[k], poly[k2], a)
-        d4 = orient(poly[k], poly[k2], b)
-        if d1 * d2 < 0 and d3 * d4 < 0:
-            return False
-    mid2 = (a[0] + b[0], a[1] + b[1])
-    doubled = [Point(2 * p[0], 2 * p[1]) for p in poly.vertices]
-    inside = False
-    for k in range(n):
-        u, v = doubled[k], doubled[(k + 1) % n]
-        if (u[1] > mid2[1]) == (v[1] > mid2[1]):
-            continue
-        side = (v[0] - u[0]) * (mid2[1] - u[1]) - (v[1] - u[1]) * (mid2[0] - u[0])
-        if (side > 0) if v[1] > u[1] else (side < 0):
-            inside = not inside
-    return inside
+def _chord_table(pair: PolygonPair) -> list[list[bool]]:
+    """[n][n] table, read at (i, q) with i < q: is {i, q} a boundary edge,
+    or a diagonal of both polygons.  Each side's verdicts are the
+    non-raising ``_chord_masks``: a chord through a third vertex is simply
+    no diagonal here."""
+    n = len(pair)
+    us, vs = _chords(n)
+    table = np.zeros((n, n), dtype=bool)
+    table[us, vs] = _chord_masks(pair.a, us, vs)[0] & _chord_masks(pair.b, us, vs)[0]
+    table[np.arange(n - 1), np.arange(1, n)] = True
+    table[0, n - 1] = True
+    return table.tolist()
 
 
 def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
     """Exact polygon decision (n <= 10) by exhaustive interval recursion.
 
-    Candidate triangle sets are assembled from chords that are valid
-    diagonals of both polygons under the scalar reference test; each
-    complete candidate is then fully verified, so the recursion may
+    Candidate triangle sets are assembled from chords that are diagonals
+    of both polygons (``_chord_table``); each complete candidate is then
+    fully verified against the pair's shared edges, so the recursion may
     over-generate but never misses a joint triangulation.  Raises
     SizeGuard above MAX_ORACLE_POLYGON.
     """
@@ -183,15 +164,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
         raise SizeGuard(
             f"polygon oracle is limited to n <= {MAX_ORACLE_POLYGON}, got {n}")
 
-    ok_chord: dict[tuple[int, int], bool] = {}
-
-    def chord(i: int, q: int) -> bool:
-        key = (i, q)
-        if key not in ok_chord:
-            ok_chord[key] = (_diagonal_inside_slow(pair.a, i, q)
-                             and _diagonal_inside_slow(pair.b, i, q))
-        return ok_chord[key]
-
+    ok = _chord_table(pair)
     memo: dict[tuple[int, int], list[frozenset[Tri]]] = {}
 
     def variants(i: int, q: int) -> list[frozenset[Tri]]:
@@ -202,7 +175,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
             return memo[key]
         out: list[frozenset[Tri]] = []
         for k in range(i + 1, q):
-            if not (chord(i, k) and chord(k, q)):
+            if not (ok[i][k] and ok[k][q]):
                 continue
             t = tri(i, k, q)
             for left in variants(i, k):
@@ -211,11 +184,10 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
         memo[key] = out
         return out
 
-    candidates = variants(0, n - 1)
-    # ivg can raise GrazingDiagonal: only when a candidate needs it.
-    shared = ivg(pair) if candidates else set()
-    for candidate in candidates:
-        if verify_polygon_joint(pair, candidate, shared) is None:
+    # The verifier reads the pair's shared edges, which can raise
+    # GrazingDiagonal: only when some candidate needs them.
+    for candidate in variants(0, n - 1):
+        if verify_polygon_joint(pair, candidate) is None:
             return candidate
     return None
 

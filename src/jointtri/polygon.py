@@ -1,7 +1,11 @@
 """Joint triangulation of two simple polygons.
 
 Pipeline: per-polygon visibility graphs, their label-wise intersection,
-then an interval dynamic program over boundary indices.  A cell (i, q)
+then an interval dynamic program over boundary indices.  Visibility is
+decided exactly: two [n, n] masks (does a chord leave both ends into the
+interior angle, does it pass through a third vertex) pick the few chords
+worth the boundary crossing test, and the masks with that test decide
+every chord.  A cell (i, q)
 records whether the chain i..q closed by the chord {i, q} admits a joint
 triangulation; the split vertex chosen for each true cell drives the
 backtracking that extracts the triangle set.
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional
+from typing import AbstractSet, Optional
 
 import numpy as np
 
@@ -36,36 +40,33 @@ def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
     """Exact tests of the segments us[r] -> vs[r], between vertices of the
     cycle (xs, ys), against its boundary.  Returns two [len(us), n] masks:
     ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a point
-    interior to both, and ``inner[r, w]`` iff vertex w lies strictly inside
-    the segment.
+    interior to both, and ``on_line[r, w]`` iff vertex w lies on the
+    segment's line (the segment's own ends among them).
 
     Only the side of each vertex against each segment is computed densely;
-    the few edges whose ends lie strictly on opposite sides, and the few
-    vertices on the segment's line, are then tested one by one.  A segment
-    sharing an endpoint with edge k has side 0 there, so it never crosses
-    that edge properly.  Int64 is exact for coordinates within COORD_LIMIT;
-    callers pass at most ``_HIT_BLOCK_CELLS // n`` segments.
+    the few edges whose ends lie strictly on opposite sides are then
+    tested one by one.  A segment sharing an endpoint with edge k has side
+    0 there, so it never crosses that edge properly.  Int64 is exact for
+    coordinates within COORD_LIMIT; callers pass at most
+    ``_HIT_BLOCK_CELLS // n`` segments.
     """
     n = len(xs)
     dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
     # vertex w is left of segment r iff cross > 0, with cross =
-    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms
-    cross = dx[:, None] * ys - dy[:, None] * xs
+    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms;
+    # column n repeats vertex 0, so column k + 1 is edge k's far end
+    ring = np.arange(-n, 1)
+    cross = dx[:, None] * ys[ring] - dy[:, None] * xs[ring]
     offset = (dx * ys[us] - dy * xs[us])[:, None]
     left, right = cross > offset, cross < offset
-    proper = (left & np.roll(right, -1, axis=1)) | (right & np.roll(left, -1, axis=1))
+    proper = (left[:, :-1] & right[:, 1:]) | (right[:, :-1] & left[:, 1:])
     r, k = np.divmod(np.flatnonzero(proper), n)
     k1 = (k + 1) % n
     ex, ey = xs[k1] - xs[k], ys[k1] - ys[k]
     at_u = np.sign(ex * (ys[us[r]] - ys[k]) - ey * (xs[us[r]] - xs[k]))
     at_v = np.sign(ex * (ys[vs[r]] - ys[k]) - ey * (xs[vs[r]] - xs[k]))
     proper[r, k] = at_u * at_v < 0
-
-    inner = ~(left | right)
-    r, w = np.divmod(np.flatnonzero(inner), n)
-    wx, wy = xs[w] - xs[us[r]], ys[w] - ys[us[r]]
-    inner[r, w] = wx * (wx - dx[r]) + wy * (wy - dy[r]) < 0
-    return proper, inner
+    return proper, ~(left[:, :-1] | right[:, :-1])
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,14 @@ class Polygon:
         step = max(1, _HIT_BLOCK_CELLS // n)
         for lo in range(0, n, step):
             rows = edges[lo:lo + step]
-            proper, inner = _boundary_hits(xs, ys, rows, (rows + 1) % n)
+            ends = (rows + 1) % n
+            proper, inner = _boundary_hits(xs, ys, rows, ends)
+            # a vertex w on the line of edge u -> v lies strictly inside
+            # the edge iff w - u and w - v point opposite ways
+            r, w = np.nonzero(inner)
+            u, v = rows[r], ends[r]
+            inner[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
+                           + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
             # edge r crosses edge c, or vertex c or c + 1 lies inside edge r
             r, c = np.nonzero(proper | inner | np.roll(inner, -1, axis=1))
             if r.size:
@@ -152,69 +160,118 @@ class PolygonPair:
     def __len__(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def shared(self) -> frozenset[Edge]:
+        """The pair's shared visibility edges (``ivg``), computed once and
+        read by the interval DP, the verifier and the polygon oracle.
+        Raises GrazingDiagonal as ``ivg`` does, and then caches nothing."""
+        return ivg(self)
 
-def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
-    polygon, are diagonals of it.
 
-    A chord is a diagonal iff the open segment meets the boundary only at
-    its endpoints and its midpoint lies inside the polygon.  A segment
-    passing through a third vertex is never a diagonal; if such a segment
-    would otherwise qualify, its status is ambiguous and GrazingDiagonal
-    names the first such chord in the given order.
+def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
+                    ccw_sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two exact [n, n] masks over the ordered vertex pairs (u, v) of the
+    cycle (xs, ys), which winds as ``ccw_sign`` says.
 
-    Vectorized over blocks of chords, each tested against every vertex
-    and boundary edge by ``_boundary_hits``.
+    ``cone[u, v]``: the segment leaves both of its ends strictly inside the
+    interior angle there (O'Rourke's InCone, at u and at v).  At u, let p
+    and q be the signs, relative to the winding, of the previous and the
+    next vertex against the line u -> v.  A convex u (interior angle at
+    most pi) needs p > 0 and q < 0, a reflex u needs p > 0 or q < 0.  Adjacent
+    vertices never qualify.
+
+    ``graze[u, v]``: some third vertex lies strictly inside the segment.
+    The directions from u to the other vertices reduce by their gcd to
+    integer keys, and w lies strictly between u and v iff its key is v's
+    at a smaller multiple.  Keys and multiples fit int64 under COORD_LIMIT.
+    """
+    n = len(xs)
+    dx, dy = xs - xs[:, None], ys - ys[:, None]  # dx[u, v] = x_v - x_u
+    # The previous and next vertex of u, relative to u.  A clockwise cycle
+    # is the counterclockwise one run backwards: the two swap roles.
+    u = np.arange(n)
+    before, after = u - 1, (u + 1) % n
+    if ccw_sign < 0:
+        before, after = after, before
+    px, py, qx, qy = dx[u, before], dy[u, before], dx[u, after], dy[u, after]
+    p = dx * py[:, None] > dy * px[:, None]
+    q = dx * qy[:, None] < dy * qx[:, None]
+    convex = (qx * py >= qy * px)[:, None]
+    cone = np.where(convex, p & q, p | q)
+    cone &= cone.T
+
+    g = np.gcd(dx, dy)
+    g[u, u] = 1  # u itself: key 0, alone in its row
+    key = dx // g * (1 << 27) + dy // g  # |dy // g| <= 2**25
+    order = np.lexsort((g, key))  # each row by key, then by multiple
+    row = u[:, None]
+    ranked = key[row, order]
+    graze = np.zeros((n, n), dtype=bool)
+    graze[row, order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
+    return cone, graze
+
+
+def _chord_masks(poly: Polygon, us: np.ndarray,
+                 vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts on the chords us[r] -> vs[r], non-adjacent vertex pairs of
+    the polygon: two masks, (diagonal, ambiguous).
+
+    A chord through a third vertex (``graze``) is never a diagonal; it is
+    ambiguous, its visibility hinging on the grazed vertex, unless it also
+    crosses an edge properly.  Any other chord that crosses no edge
+    properly meets the boundary only at its ends, so its open segment lies
+    wholly inside or wholly outside, and the ``cone`` test at its ends
+    tells which.  So the exact boundary test (``_boundary_hits``, in blocks
+    of chords) runs only on chords that pass the cone test or graze.
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
-    out = np.zeros(len(us), dtype=bool)
+    cone, graze = _cone_and_graze(xs, ys, poly.ccw_sign)
+    cone, graze = cone[us, vs], graze[us, vs]
+    test = np.flatnonzero(cone | graze)
+    blocked = np.zeros(len(us), dtype=bool)
     step = max(1, _HIT_BLOCK_CELLS // n)
-    for lo in range(0, len(us), step):
-        u, v = us[lo:lo + step], vs[lo:lo + step]
-        proper, inner = _boundary_hits(xs, ys, u, v)
-        blocked = proper.any(axis=1)
-        ambiguous = inner.any(axis=1) & ~blocked
-        if bool(ambiguous.any()):
-            # No crossing rules these out, so visibility hinges on the
-            # grazed vertex; refuse rather than guess (the midpoint test
-            # below is not even well defined here).
-            r = int(np.argmax(ambiguous))
-            raise GrazingDiagonal(f"diagonal candidate {(int(u[r]), int(v[r]))} "
-                                  f"passes through another vertex")
+    for lo in range(0, len(test), step):
+        rows = test[lo:lo + step]
+        proper, _ = _boundary_hits(xs, ys, us[rows], vs[rows])
+        blocked[rows] = proper.any(axis=1)
+    return cone & ~graze & ~blocked, graze & ~blocked
 
-        # Midpoint-in-polygon, on doubled coordinates, for the survivors:
-        # the parity of the edges that cross the ray from the midpoint
-        # toward +x.
-        rows = np.flatnonzero(~blocked)
-        u, v = u[rows], v[rows]
-        px2, py2 = xs[u] + xs[v], ys[u] + ys[v]
-        above = 2 * ys > py2[:, None]
-        r, k = np.divmod(np.flatnonzero(above != np.roll(above, -1, axis=1)), n)
-        k1 = (k + 1) % n
-        side = ((xs[k1] - xs[k]) * (py2[r] - 2 * ys[k])
-                - (ys[k1] - ys[k]) * (px2[r] - 2 * xs[k]))
-        hit = np.where(ys[k1] > ys[k], side > 0, side < 0)
-        inside = np.bincount(r[hit], minlength=len(u)) % 2 == 1
-        out[lo + rows[inside]] = True
-    return out
+
+def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
+    polygon, are diagonals of it (``_chord_masks``).  GrazingDiagonal
+    names the first ambiguous chord in the given order: rather than guess,
+    such instances are refused."""
+    diagonal, ambiguous = _chord_masks(poly, us, vs)
+    if ambiguous.any():
+        r = int(np.argmax(ambiguous))
+        raise GrazingDiagonal(f"diagonal candidate {(int(us[r]), int(vs[r]))} "
+                              f"passes through another vertex")
+    return diagonal
+
+
+def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-adjacent vertex pairs (i, j), i < j, of an n-cycle, in
+    lexicographic order, as two index arrays."""
+    i = np.arange(n)
+    chord = i - i[:, None] >= 2
+    chord[0, n - 1] = False
+    return np.nonzero(chord)
 
 
 def visibility_graph(poly: Polygon) -> set[Edge]:
     """Boundary edges plus every diagonal of the polygon, deciding every
     non-adjacent pair (i, j), i < j, in lexicographic order; a
     GrazingDiagonal names the first grazing chord in that order."""
-    n = len(poly)
-    us, vs = np.triu_indices(n, 2)
-    keep = (us != 0) | (vs != n - 1)
-    us, vs = us[keep], vs[keep]
+    us, vs = _chords(len(poly))
     seen = _diagonal_mask(poly, us, vs)
     out: set[Edge] = set(poly.boundary_edges())
     out.update(zip(us[seen].tolist(), vs[seen].tolist()))
     return out
 
 
-def ivg(pair: PolygonPair) -> set[Edge]:
+def ivg(pair: PolygonPair) -> frozenset[Edge]:
     """Label-pair intersection of the two visibility graphs; always
     contains all boundary edges.
 
@@ -232,13 +289,11 @@ def ivg(pair: PolygonPair) -> set[Edge]:
     diagonal = (vs - us > 1) & ((us != 0) | (vs != n - 1))
     us, vs = us[diagonal], vs[diagonal]
     seen = _diagonal_mask(pair.b, us, vs)
-    out: set[Edge] = set(pair.b.boundary_edges())
-    out.update(zip(us[seen].tolist(), vs[seen].tolist()))
-    return out
+    return pair.b.boundary_edges().union(zip(us[seen].tolist(), vs[seen].tolist()))
 
 
 def _fill_table(pair: PolygonPair,
-                shared: set[Edge]) -> tuple[list[list[bool]], list[list[int]]]:
+                shared: AbstractSet[Edge]) -> tuple[list[list[bool]], list[list[int]]]:
     """Fill the boolean interval table and the split-vertex choices.
 
     Each cell takes the first split vertex k, in ascending order, that
@@ -290,8 +345,7 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     joint triangulation exists.
     """
     n = len(pair)
-    shared = ivg(pair)
-    m, choice = _fill_table(pair, shared)
+    m, choice = _fill_table(pair, pair.shared)
     if not m[0][n - 1]:
         return None
 
@@ -306,19 +360,19 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
         collect(k, q)
 
     collect(0, n - 1)
-    violation = verify_polygon_joint(pair, tris, shared=shared)
+    violation = verify_polygon_joint(pair, tris)
     return JointTriangulation(TriangleSet(tris), violation is None, violation, tris)
 
 
 def verify_polygon_joint(pair: PolygonPair, triangles,
-                         shared: Optional[set[Edge]] = None) -> Optional[str]:
+                         shared: Optional[AbstractSet[Edge]] = None) -> Optional[str]:
     """Exact check that a triple set jointly triangulates both polygons:
     ``verify_tiling`` with each polygon's vertex cycle as its boundary and
-    the shared visibility edges as the allowed edges.  Pass ``shared`` to
-    reuse an already-computed ``ivg(pair)``.
+    the shared visibility edges as the allowed edges: ``shared`` when
+    given, else the pair's own (``PolygonPair.shared``).
     """
     if shared is None:
-        shared = ivg(pair)
+        shared = pair.shared
     cycle = range(len(pair))
     return verify_tiling((("A", pair.a.vertices, cycle),
                           ("B", pair.b.vertices, cycle)), triangles, shared)

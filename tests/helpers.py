@@ -225,6 +225,30 @@ def brute_diagonal_visible(vertices, i: int, j: int) -> bool:
     return inside
 
 
+def _diagonal_inside_slow(poly, i: int, j: int) -> bool:
+    """Scalar reference for one entry of the polygon oracle's chord table:
+    a boundary edge counts as true, any other chord as
+    ``brute_diagonal_visible`` says (a chord through a third vertex is no
+    diagonal)."""
+    n = len(poly)
+    if (j - i) % n == 1 or (i - j) % n == 1:
+        return True
+    return brute_diagonal_visible(poly.vertices, i, j)
+
+
+def in_cone(vertices, u: int, v: int) -> bool:
+    """O'Rourke's InCone: the segment u -> v leaves u strictly inside the
+    interior angle there.  Written for a counterclockwise cycle; every
+    orientation is multiplied by the winding."""
+    s = _winding(vertices)
+    n = len(vertices)
+    a, b = vertices[u], vertices[v]
+    a0, a1 = vertices[(u - 1) % n], vertices[(u + 1) % n]
+    if s * xorient(a, a1, a0) >= 0:  # convex (or straight) at u
+        return s * xorient(a, b, a0) > 0 and s * xorient(b, a, a1) > 0
+    return not (s * xorient(a, b, a1) >= 0 and s * xorient(b, a, a0) >= 0)
+
+
 def brute_is_simple(vertices) -> bool:
     """Reference simplicity test for a cycle of distinct vertices, over
     every pair of edges: non-adjacent edges share no point (no proper

@@ -248,3 +248,30 @@ def test_greedy_choices_match_brute_reference_on_grid_pairs():
         collinear += any(xorient(*t) == 0 for t in combinations(coords[0], 3))
         done += 1
     assert legal >= 15 and collinear >= 20
+
+
+def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
+    # A faulty mask that misses every overlap, even the committed
+    # triangle's with itself: each round still drops its pick, so the
+    # greedy commits every legal triangle once and the verifier rejects
+    # the overlapping result instead of the loop running forever.
+    import numpy as np
+
+    from jointtri import greedy
+
+    pair = _pair(SQUARE)
+    legal = necessary_conditions(pair).legal.legal
+    calls = []
+
+    def blind(d, arr, *_):
+        calls.append(len(arr))
+        assert len(calls) <= 2 * len(legal), "the greedy does not end"
+        return np.zeros(len(arr), dtype=bool)
+
+    monkeypatch.setattr(greedy, "_sat_overlap_mask", blind)
+    for policy, seed in ((LEX, None), (SEEDED_RANDOM, 5)):
+        calls.clear()
+        jt = greedy_construct(pair, legal, policy, seed)
+        assert not jt.verified and jt.violation is not None
+        assert sorted(jt.choices) == legal.sorted_triangles()
+        assert len(calls) == 2 * len(legal)

@@ -3,17 +3,20 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from jointtri import polygon
-from jointtri.oracle import gen_polygon_pair, polygon_oracle_exists
+from jointtri.oracle import _chord_table, gen_polygon_pair, polygon_oracle_exists
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
                               dp_joint_polygon, ivg, verify_polygon_joint,
                               visibility_graph)
 
-from helpers import (_on_open_segment, _proper_cross, brute_diagonal_visible,
-                     brute_fill_table, brute_is_simple, convex_polygon_coords,
-                     count_joint_triangulations, star_polygon_coords)
+from helpers import (_diagonal_inside_slow, _on_open_segment, _proper_cross,
+                     _winding, brute_diagonal_visible, brute_fill_table,
+                     brute_is_simple, convex_polygon_coords,
+                     count_joint_triangulations, in_cone, star_polygon_coords,
+                     xorient)
 
 CONVEX_QUAD = [(0, 0), (2, 0), (2, 2), (0, 2)]
 DART = [(0, 0), (4, 0), (1, 1), (0, 4)]  # reflex at index 2
@@ -179,6 +182,52 @@ def test_visibility_on_grid_polygons_matches_brute_force():
             assert ((i, j) in got) == want, (coords, i, j)
         visible += 1
     assert grazed >= 100 and visible >= 100, (grazed, visible)
+
+
+def _mask_polygons():
+    """Simple grid cycles, stars and convex polygons, each in both windings."""
+    out = [c for c in _grid_cycles(11, 1200) if brute_is_simple(c)]
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(3, 20)
+        star = star_polygon_coords(rng, n, rng.choice((8, 1000)))
+        out += [star] if brute_is_simple(star) else []
+        out.append(convex_polygon_coords(n, rng.randint(1, 3)))
+    return out + [c[::-1] for c in out]
+
+
+def test_cone_and_graze_match_scalar_references():
+    grazing = reflex = 0
+    for coords in _mask_polygons():
+        xs, ys = np.array(coords, dtype=np.int64).T
+        cone, graze = polygon._cone_and_graze(
+            xs, ys, Polygon.from_coords(coords).ccw_sign)
+        n = len(coords)
+        for u in range(n):
+            for v in range(n):
+                a, b = coords[u], coords[v]
+                assert graze[u, v] == any(_on_open_segment(a, b, p) for p in coords), \
+                    (coords, u, v)
+                assert cone[u, v] == (in_cone(coords, u, v) and in_cone(coords, v, u)), \
+                    (coords, u, v)
+        grazing += bool(graze.any())
+        s = _winding(coords)
+        reflex += any(s * xorient(coords[u], coords[(u + 1) % n], coords[u - 1]) < 0
+                      for u in range(n))
+    assert grazing >= 100 and reflex >= 100, (grazing, reflex)
+
+
+def test_oracle_chord_table_matches_scalar_reference():
+    families = _seeded_pairs(157, 150)
+    grazing = 0
+    for pair in families["grid"] + families["star"] + families["gen"]:
+        table = _chord_table(pair)
+        for i, q in combinations(range(len(pair)), 2):
+            want = (_diagonal_inside_slow(pair.a, i, q)
+                    and _diagonal_inside_slow(pair.b, i, q))
+            assert table[i][q] == want, (pair.a.vertices, pair.b.vertices, i, q)
+        grazing += any(_first_grazing_chord(p.vertices) for p in (pair.a, pair.b))
+    assert grazing >= 30, grazing
 
 
 def test_ivg_cases():
