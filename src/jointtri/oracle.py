@@ -16,14 +16,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .conditions import PointSetPair, necessary_conditions
 from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
                    orient, signed_area2)
 from .greedy import LEX, greedy_construct, verify_joint
-from .polygon import (GrazingDiagonal, Polygon, PolygonPair, _chord_masks,
-                      _chords, dp_joint_polygon, verify_polygon_joint)
+from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
+                      verify_polygon_joint)
 from .triangles import Edge, Tri, edge, paired_empty, tri
 
 MAX_ORACLE_POINTS = 9
@@ -112,16 +110,10 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     yield from expand()
 
 
-def enumerate_triangulations(s: LabeledSet,
-                             cap: Optional[int] = None) -> list[frozenset[Tri]]:
-    """All triangulations of the set (at most ``cap`` of them): the
-    frontier search on the pair of the set with itself."""
-    out: list[frozenset[Tri]] = []
-    for t in iter_triangulations(PointSetPair(s, s)):
-        out.append(t)
-        if cap is not None and len(out) >= cap:
-            break
-    return out
+def enumerate_triangulations(s: LabeledSet) -> list[frozenset[Tri]]:
+    """All triangulations of the set: the frontier search on the pair of
+    the set with itself."""
+    return list(iter_triangulations(PointSetPair(s, s)))
 
 
 def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
@@ -136,35 +128,21 @@ def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
     return None
 
 
-def _chord_table(pair: PolygonPair) -> list[list[bool]]:
-    """[n][n] table, read at (i, q) with i < q: is {i, q} a boundary edge,
-    or a diagonal of both polygons.  Each side's verdicts are the
-    non-raising ``_chord_masks``: a chord through a third vertex is simply
-    no diagonal here."""
-    n = len(pair)
-    us, vs = _chords(n)
-    table = np.zeros((n, n), dtype=bool)
-    table[us, vs] = _chord_masks(pair.a, us, vs)[0] & _chord_masks(pair.b, us, vs)[0]
-    table[np.arange(n - 1), np.arange(1, n)] = True
-    table[0, n - 1] = True
-    return table.tolist()
-
-
 def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
     """Exact polygon decision (n <= 10) by exhaustive interval recursion.
 
-    Candidate triangle sets are assembled from chords that are diagonals
-    of both polygons (``_chord_table``); each complete candidate is then
-    fully verified against the pair's shared edges, so the recursion may
-    over-generate but never misses a joint triangulation.  Raises
-    SizeGuard above MAX_ORACLE_POLYGON.
+    Candidate triangle sets are assembled from the pair's shared edges
+    (``PolygonPair.shared``); each complete candidate is then fully
+    verified, so the recursion may over-generate but never misses a joint
+    triangulation.  Raises SizeGuard above MAX_ORACLE_POLYGON, and
+    GrazingDiagonal wherever ``dp_joint_polygon`` does.
     """
     n = len(pair)
     if n > MAX_ORACLE_POLYGON:
         raise SizeGuard(
             f"polygon oracle is limited to n <= {MAX_ORACLE_POLYGON}, got {n}")
 
-    ok = _chord_table(pair)
+    shared = pair.shared
     memo: dict[tuple[int, int], list[frozenset[Tri]]] = {}
 
     def variants(i: int, q: int) -> list[frozenset[Tri]]:
@@ -175,7 +153,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
             return memo[key]
         out: list[frozenset[Tri]] = []
         for k in range(i + 1, q):
-            if not (ok[i][k] and ok[k][q]):
+            if not ((i, k) in shared and (k, q) in shared):
                 continue
             t = tri(i, k, q)
             for left in variants(i, k):
@@ -184,8 +162,6 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
         memo[key] = out
         return out
 
-    # The verifier reads the pair's shared edges, which can raise
-    # GrazingDiagonal: only when some candidate needs them.
     for candidate in variants(0, n - 1):
         if verify_polygon_joint(pair, candidate) is None:
             return candidate

@@ -211,10 +211,9 @@ def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
     return cone, graze
 
 
-def _chord_masks(poly: Polygon, us: np.ndarray,
-                 vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Verdicts on the chords us[r] -> vs[r], non-adjacent vertex pairs of
-    the polygon: two masks, (diagonal, ambiguous).
+def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
+    polygon, are diagonals of it.
 
     A chord through a third vertex (``graze``) is never a diagonal; it is
     ambiguous, its visibility hinging on the grazed vertex, unless it also
@@ -223,6 +222,8 @@ def _chord_masks(poly: Polygon, us: np.ndarray,
     wholly inside or wholly outside, and the ``cone`` test at its ends
     tells which.  So the exact boundary test (``_boundary_hits``, in blocks
     of chords) runs only on chords that pass the cone test or graze.
+    GrazingDiagonal names the first ambiguous chord in the given order:
+    rather than guess, such instances are refused.
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
@@ -235,20 +236,12 @@ def _chord_masks(poly: Polygon, us: np.ndarray,
         rows = test[lo:lo + step]
         proper, _ = _boundary_hits(xs, ys, us[rows], vs[rows])
         blocked[rows] = proper.any(axis=1)
-    return cone & ~graze & ~blocked, graze & ~blocked
-
-
-def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
-    polygon, are diagonals of it (``_chord_masks``).  GrazingDiagonal
-    names the first ambiguous chord in the given order: rather than guess,
-    such instances are refused."""
-    diagonal, ambiguous = _chord_masks(poly, us, vs)
+    ambiguous = graze & ~blocked
     if ambiguous.any():
         r = int(np.argmax(ambiguous))
         raise GrazingDiagonal(f"diagonal candidate {(int(us[r]), int(vs[r]))} "
                               f"passes through another vertex")
-    return diagonal
+    return cone & ~graze & ~blocked
 
 
 def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,15 +357,12 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     return JointTriangulation(TriangleSet(tris), violation is None, violation, tris)
 
 
-def verify_polygon_joint(pair: PolygonPair, triangles,
-                         shared: Optional[AbstractSet[Edge]] = None) -> Optional[str]:
+def verify_polygon_joint(pair: PolygonPair, triangles) -> Optional[str]:
     """Exact check that a triple set jointly triangulates both polygons:
     ``verify_tiling`` with each polygon's vertex cycle as its boundary and
-    the shared visibility edges as the allowed edges: ``shared`` when
-    given, else the pair's own (``PolygonPair.shared``).
+    the pair's shared visibility edges (``PolygonPair.shared``) as the
+    allowed edges.
     """
-    if shared is None:
-        shared = pair.shared
     cycle = range(len(pair))
     return verify_tiling((("A", pair.a.vertices, cycle),
-                          ("B", pair.b.vertices, cycle)), triangles, shared)
+                          ("B", pair.b.vertices, cycle)), triangles, pair.shared)

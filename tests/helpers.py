@@ -226,10 +226,10 @@ def brute_diagonal_visible(vertices, i: int, j: int) -> bool:
 
 
 def _diagonal_inside_slow(poly, i: int, j: int) -> bool:
-    """Scalar reference for one entry of the polygon oracle's chord table:
-    a boundary edge counts as true, any other chord as
-    ``brute_diagonal_visible`` says (a chord through a third vertex is no
-    diagonal)."""
+    """Scalar reference for one polygon's half of ``PolygonPair.shared``:
+    does the polygon see {i, j}.  A boundary edge counts as true, any
+    other chord as ``brute_diagonal_visible`` says (a chord through a
+    third vertex is no diagonal)."""
     n = len(poly)
     if (j - i) % n == 1 or (i - j) % n == 1:
         return True

@@ -3,6 +3,7 @@ import io
 import random
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,21 @@ def test_oracle_size_guard_exit_3(tmp_path):
     assert code == 3
 
 
+def test_oracle_refuses_grazing_pair_as_polygon_does(tmp_path):
+    # A's chord (0, 2) runs through vertex 1, and B's only diagonal is
+    # (0, 2).  No chord is a plain diagonal of both, so the recursion has
+    # no candidate; the oracle still refuses the pair, as the DP does.
+    p = tmp_path / "grazing.txt"
+    p.write_text("POLYGON 4\n0 0 2 1\n2 0 0 0\n4 0 4 0\n2 3 2 4\n")
+    for command in ("polygon", "oracle"):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(command, str(p))
+        assert (code, out) == (1, ""), command
+        assert err.getvalue() == \
+            "diagonal candidate (0, 2) passes through another vertex\n", command
+
+
 def test_tensor_size_guard_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 9)
     p = tmp_path / "big.txt"
@@ -439,7 +455,7 @@ def test_bundle_files_parse_as_instances(tmp_path):
                              oracle_verdict="no joint")
     path = write_bundle(str(tmp_path), "points", pair, finding,
                         ["choice (0, 1, 2)"])
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert "synthetic finding" in text
     kind, parsed = parse_instance(text)
     assert kind == KIND_POINTS

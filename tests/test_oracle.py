@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -122,7 +123,7 @@ def test_square_plus_center_has_unique_triangulation():
 
 def test_enumeration_cap_and_guard():
     s = LabeledSet.from_coords(convex_position_points(8))
-    assert len(enumerate_triangulations(s, cap=10)) == 10
+    assert len(list(islice(iter_triangulations(PointSetPair(s, s)), 10))) == 10
     big = LabeledSet.from_coords(convex_position_points(10))
     with pytest.raises(ValueError):
         enumerate_triangulations(big)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from jointtri import polygon
-from jointtri.oracle import _chord_table, gen_polygon_pair, polygon_oracle_exists
+from jointtri.geom import SizeGuard
+from jointtri.greedy import verify_tiling
+from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
+                             polygon_oracle_exists)
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
                               dp_joint_polygon, ivg, verify_polygon_joint,
                               visibility_graph)
@@ -217,17 +220,36 @@ def test_cone_and_graze_match_scalar_references():
     assert grazing >= 100 and reflex >= 100, (grazing, reflex)
 
 
-def test_oracle_chord_table_matches_scalar_reference():
+def test_shared_edges_match_scalar_reference():
+    """``pair.shared`` holds exactly the chords both polygons see, boundary
+    edges included.  Where computing it raises, the polygon oracle refuses
+    the pair with the DP's GrazingDiagonal, after its size guard."""
     families = _seeded_pairs(157, 150)
-    grazing = 0
+    counts = {"refused": 0, "decided_grazing": 0}
     for pair in families["grid"] + families["star"] + families["gen"]:
-        table = _chord_table(pair)
-        for i, q in combinations(range(len(pair)), 2):
+        n = len(pair)
+        try:
+            shared = pair.shared
+        except GrazingDiagonal as exc:
+            with pytest.raises(GrazingDiagonal) as dp:
+                dp_joint_polygon(pair)
+            assert str(dp.value) == str(exc)
+            if n > MAX_ORACLE_POLYGON:
+                with pytest.raises(SizeGuard):
+                    polygon_oracle_exists(pair)
+                continue
+            with pytest.raises(GrazingDiagonal) as got:
+                polygon_oracle_exists(pair)
+            assert str(got.value) == str(exc)
+            counts["refused"] += 1
+            continue
+        for i, q in combinations(range(n), 2):
             want = (_diagonal_inside_slow(pair.a, i, q)
                     and _diagonal_inside_slow(pair.b, i, q))
-            assert table[i][q] == want, (pair.a.vertices, pair.b.vertices, i, q)
-        grazing += any(_first_grazing_chord(p.vertices) for p in (pair.a, pair.b))
-    assert grazing >= 30, grazing
+            assert ((i, q) in shared) == want, (pair.a.vertices, pair.b.vertices, i, q)
+        counts["decided_grazing"] += any(
+            _first_grazing_chord(p.vertices) for p in (pair.a, pair.b))
+    assert counts["refused"] >= 30 and counts["decided_grazing"] >= 5, counts
 
 
 def test_ivg_cases():
@@ -475,12 +497,12 @@ def test_verify_polygon_joint_quad():
 
 
 def test_verify_polygon_rejects_edge_outside_shared_graph():
-    # Exercised via an explicit shared-edge set: with only boundary
-    # edges allowed, the tiling's diagonal must be flagged.
+    # With only boundary edges allowed, the tiling's diagonal is flagged.
     quad = Polygon.from_coords(CONVEX_QUAD)
-    pair = PolygonPair(quad, quad)
-    violation = verify_polygon_joint(pair, [(0, 1, 2), (0, 2, 3)],
-                                     shared=set(quad.boundary_edges()))
+    cycle = range(len(quad))
+    sides = (("A", quad.vertices, cycle), ("B", quad.vertices, cycle))
+    violation = verify_tiling(sides, [(0, 1, 2), (0, 2, 3)],
+                              allowed=quad.boundary_edges())
     assert violation == "edge (0, 2) not shared by both visibility graphs"
 
 
