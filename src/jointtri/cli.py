@@ -86,12 +86,11 @@ def _cmd_triangulate(args) -> int:
     if not nc.ok:
         print("FAIL NC2" if nc.hull.ok else "FAIL NC1")
         return EXIT_FAIL
-    policy = LEX if args.policy == "lex" else SEEDED_RANDOM
-    jt = greedy_construct(pair, nc.legal.legal, policy, args.seed)
+    jt = greedy_construct(pair, nc.legal.legal, args.policy, args.seed)
     if not jt.verified:
         finding = Counterexample(POINTS, args.seed or 0, len(pair),
                                  f"greedy result failed verification: {jt.violation}")
-        path = write_bundle(args.bundle_dir, "points", pair, finding,
+        path = write_bundle(args.bundle_dir, pair, finding,
                             [f"policy {args.policy}"]
                             + [f"choice {t}" for t in (jt.choices or [])])
         print(f"FAIL {path}")
@@ -114,7 +113,7 @@ def _cmd_polygon(args) -> int:
     if not jt.verified:
         finding = Counterexample(POLYGONS, 0, len(pair),
                                  f"dp result failed verification: {jt.violation}")
-        path = write_bundle(args.bundle_dir, "polygon", pair, finding,
+        path = write_bundle(args.bundle_dir, pair, finding,
                             [f"choice {t}" for t in (jt.choices or [])])
         print(f"FAIL {path}")
         return EXIT_FAIL
@@ -162,8 +161,7 @@ def _cmd_genpoly(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    mode = POINTS if args.mode == "points" else POLYGONS
-    report = hunt(mode, (args.nmin, args.nmax), args.trials, args.seed,
+    report = hunt(args.mode, (args.nmin, args.nmax), args.trials, args.seed,
                   coord_range=args.range,
                   cross_check=not args.no_oracle,
                   bundle_dir=args.bundle_dir)
@@ -224,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangulate", help="greedy joint triangulation of a point pair")
     p.add_argument("file")
-    p.add_argument("--policy", choices=("lex", "random"), default="lex")
+    p.add_argument("--policy", choices=(LEX, SEEDED_RANDOM), default=LEX)
     p.add_argument("--seed", type=int, default=0,
                    help="selection seed for --policy random")
     p.add_argument("--svg", default=None, help="also render the result")
@@ -256,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genpoly)
 
     p = sub.add_parser("hunt", help="randomized campaign with oracle cross-checks")
-    p.add_argument("mode", choices=("points", "polygons"))
+    p.add_argument("mode", choices=(POINTS, POLYGONS))
     p.add_argument("nmin", type=int)
     p.add_argument("nmax", type=int)
     p.add_argument("trials", type=int)

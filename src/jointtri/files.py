@@ -117,23 +117,23 @@ def format_triangles(triangles: Iterable[Tri]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_bundle(bundle_dir: str, kind: str, pair: Instance,
-                 finding, trace_lines: list[str]) -> str:
+def write_bundle(bundle_dir: str, pair: Instance, finding,
+                 trace_lines: list[str]) -> str:
     """Write a counterexample bundle and return its path.
 
-    The bundle is itself a valid instance file; the finding and the
-    execution trace ride along as comment lines.
+    The bundle is itself a valid instance file of the pair's kind; the
+    finding and the execution trace ride along as comment lines.
     """
     os.makedirs(bundle_dir, exist_ok=True)
     name = f"counterexample-{finding.mode}-seed{finding.seed}-n{finding.n}.txt"
     path = os.path.join(bundle_dir, name)
-    file_kind = KIND_POINTS if kind == "points" else KIND_POLYGON
+    kind = KIND_POINTS if isinstance(pair, PointSetPair) else KIND_POLYGON
     parts = [
         f"# counterexample: {finding.reason}",
     ]
     if finding.oracle_verdict:
         parts.append(f"# oracle verdict: {finding.oracle_verdict}")
-    parts.append(format_instance(file_kind, pair).rstrip("\n"))
+    parts.append(format_instance(kind, pair).rstrip("\n"))
     if trace_lines:
         parts.append("# trace:")
         parts.extend(f"# {line}" for line in trace_lines)

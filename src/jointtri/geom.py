@@ -75,13 +75,6 @@ def signed_area2(points: Sequence[Point]) -> int:
     return total
 
 
-def strictly_between(a: Point, b: Point, p: Point) -> bool:
-    """True iff p lies on the open segment ab (endpoints excluded)."""
-    return (p != a and p != b and orient(a, b, p) == COLLINEAR
-            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
 @dataclass(frozen=True)
 class LabeledSet:
     """An indexed planar point set; a point's position in the tuple is its label.
@@ -128,41 +121,27 @@ class LabeledSet:
 def convex_hull(s: LabeledSet | Sequence[Point]) -> list[int]:
     """Counterclockwise label sequence of the convex hull boundary.
 
-    Points collinear on the boundary are included as hull vertices, so a
-    boundary segment covering another input point is never a hull edge.
-    The sequence is rotated to start at the smallest label.  Raises
-    DegenerateInput if all points are collinear.
+    Andrew's monotone chain, popping only on a strict right turn, so
+    points collinear on the boundary stay as hull vertices and a boundary
+    segment covering another input point is never a hull edge.  The
+    sequence is rotated to start at the smallest label.  Raises
+    DegenerateInput if all points are collinear (the two chains then
+    trace the same line and repeat a label).
     """
     pts = s.points if isinstance(s, LabeledSet) else tuple(s)
-    n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i])
+    order = sorted(range(len(pts)), key=lambda i: pts[i])
 
     def chain(indices: list[int]) -> list[int]:
         out: list[int] = []
         for i in indices:
-            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[i]) <= 0:
+            while len(out) >= 2 and cross(pts[out[-2]], pts[out[-1]], pts[i]) < 0:
                 out.pop()
             out.append(i)
         return out
 
-    lower = chain(order)
-    upper = chain(order[::-1])
-    corners = lower[:-1] + upper[:-1]
-    if len(corners) < 3:
+    hull = chain(order)[:-1] + chain(order[::-1])[:-1]
+    if len(set(hull)) != len(hull):
         raise DegenerateInput("degenerate point set: all points collinear")
-
-    # Insert collinear boundary points along each strict hull edge.
-    hull: list[int] = []
-    on_hull = set(corners)
-    for idx, u in enumerate(corners):
-        v = corners[(idx + 1) % len(corners)]
-        hull.append(u)
-        between = [w for w in range(n)
-                   if w not in on_hull and strictly_between(pts[u], pts[v], pts[w])]
-        between.sort(key=lambda w: (abs(pts[w][0] - pts[u][0]),
-                                    abs(pts[w][1] - pts[u][1])))
-        hull.extend(between)
-
     start = hull.index(min(hull))
     return hull[start:] + hull[:start]
 

@@ -2,12 +2,11 @@
 conjecture-hunting harness.
 
 The point-set oracle enumerates, by frontier expansion over the paired
-empty triangles, the triangulations of side A whose interior edges also
-separate their two triangles in B, and keeps the first one that verifies
-as a joint triangulation of the pair.  The polygon oracle recursively
-enumerates candidate triangle sets over the chords both polygons see
-and fully verifies each.  Both are deliberately simple so they
-can arbitrate the fast paths.
+empty triangles, the joint triangulations of a pair whose two hulls
+carry the same edges, and returns the first one after verifying it.
+The polygon oracle recursively enumerates candidate triangle sets over
+the chords both polygons see and fully verifies each.  Both are
+deliberately simple so they can arbitrate the fast paths.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .conditions import PointSetPair, necessary_conditions
+from .files import write_bundle
 from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   orient, signed_area2)
+                   hull_edge_set, orient, signed_area2)
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
@@ -29,9 +29,11 @@ MAX_ORACLE_POLYGON = 10
 
 
 def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
-    """Yield, each exactly once, every triangulation of side A built from
-    paired empty triangles (``paired_empty``) whose two triangles at each
-    interior edge lie on opposite sides of it in B as well.
+    """Yield, each exactly once, every joint triangulation of the pair:
+    none unless both hulls carry the same edges (condition 1), and then
+    every triangulation of side A built from paired empty triangles
+    (``paired_empty``) whose two triangles at each interior edge lie on
+    opposite sides of it in B as well.
 
     Frontier search: the open directed edges of the untriangulated region
     (the region on their left in A) start as A's hull edges, and the
@@ -45,8 +47,9 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     reopens a closed edge.  A completed branch
     uses every interior edge twice, from opposite sides in both
     realizations, and every hull edge once from inside A, so by the
-    degree argument of ``verify_tiling`` it tiles A's hull.  Raises
-    SizeGuard above MAX_ORACLE_POINTS.
+    degree argument of ``verify_tiling`` it tiles A's hull, and B's,
+    whose hull edges are the same.  Raises SizeGuard above
+    MAX_ORACLE_POINTS.
     """
     n = len(pair)
     if n > MAX_ORACLE_POINTS:
@@ -54,6 +57,8 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_POINTS}, got {n}")
     try:
         hull = convex_hull(pair.a)
+        if hull_edge_set(hull) != hull_edge_set(convex_hull(pair.b)):
+            return
     except DegenerateInput:
         return
     sa, sb = pair.a.signs.tolist(), pair.b.signs.tolist()
@@ -119,8 +124,9 @@ def enumerate_triangulations(s: LabeledSet) -> list[frozenset[Tri]]:
 def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
     """Exact decision of joint-triangulation existence (n <= 9).
 
-    Returns the first set of ``iter_triangulations`` that ``verify_joint``
-    accepts; None when none does.
+    Returns the first set of ``iter_triangulations``, re-checked by
+    ``verify_joint`` (every yielded set passes, so this verifies once per
+    YES and never on a NO); None when nothing is yielded.
     """
     for t_set in iter_triangulations(pair):
         if verify_joint(pair, t_set) is None:
@@ -213,8 +219,13 @@ def gen_perturbed_pair(n: int, coord_range: int, jitter: int,
     return PointSetPair(base, LabeledSet(tuple(pts)))
 
 
-def _untangle(pts: list[Point], rng: random.Random,
-              max_sweeps: int = 2000) -> Optional[list[Point]]:
+# Budgets of the random polygon generator: 2-opt sweeps per untangling,
+# and attempts per side before it gives up.
+_UNTANGLE_SWEEPS = 2000
+_POLYGON_TRIES = 50
+
+
+def _untangle(pts: list[Point]) -> Optional[list[Point]]:
     """Remove boundary crossings by repeated 2-opt segment reversal.
 
     Each applied swap strictly shortens the tour, so the loop terminates;
@@ -222,7 +233,7 @@ def _untangle(pts: list[Point], rng: random.Random,
     """
     order = pts[:]
     n = len(order)
-    for _ in range(max_sweeps):
+    for _ in range(_UNTANGLE_SWEEPS):
         crossed = False
         for i in range(n - 1):
             a, b = order[i], order[i + 1]
@@ -245,8 +256,7 @@ def _untangle(pts: list[Point], rng: random.Random,
     return None
 
 
-def gen_polygon_pair(n: int, coord_range: int, seed: int,
-                     max_tries: int = 50) -> PolygonPair:
+def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
     """Two independent random simple polygons on n vertices each, both
     wound counterclockwise, deterministic per seed.
 
@@ -259,7 +269,7 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int,
     rng = random.Random(seed)
 
     def side() -> Polygon:
-        for _ in range(max_tries):
+        for _ in range(_POLYGON_TRIES):
             pts: list[Point] = []
             seen: set[Point] = set()
             guard = 0
@@ -276,14 +286,14 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int,
             if len(pts) < n:
                 continue
             rng.shuffle(pts)
-            order = _untangle(pts, rng)
+            order = _untangle(pts)
             if order is None:
                 continue
             if signed_area2(order) < 0:
                 order.reverse()
             return Polygon(tuple(order))
         raise ValueError(
-            f"failed to generate a simple polygon with n={n} in {max_tries} tries")
+            f"failed to generate a simple polygon with n={n} in {_POLYGON_TRIES} tries")
 
     return PolygonPair(side(), side())
 
@@ -369,13 +379,10 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     return report
 
 
-def _record(report: HuntReport, ce: Counterexample, pair, kind: str,
+def _record(report: HuntReport, ce: Counterexample, pair,
             bundle_dir: Optional[str], trace: list[str]) -> None:
-    from .files import write_bundle
-
     if bundle_dir is not None:
-        path = write_bundle(bundle_dir, kind, pair, ce, trace)
-        ce.bundle_path = path
+        ce.bundle_path = write_bundle(bundle_dir, pair, ce, trace)
     report.counterexamples.append(ce)
 
 
@@ -397,7 +404,7 @@ def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
             _record(report,
                     Counterexample(POINTS, inst_seed, n,
                                    f"greedy result failed verification: {result.violation}"),
-                    pair, "points", bundle_dir,
+                    pair, bundle_dir,
                     [f"choice {t}" for t in (result.choices or [])])
     if cross_check and n <= 8:
         report.oracle_checked += 1
@@ -410,7 +417,7 @@ def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
                     Counterexample(POINTS, inst_seed, n,
                                    "oracle disagrees with fast path",
                                    oracle_verdict=verdict),
-                    pair, "points", bundle_dir, [])
+                    pair, bundle_dir, [])
 
 
 def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
@@ -428,7 +435,7 @@ def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
             _record(report,
                     Counterexample(POLYGONS, inst_seed, n,
                                    f"dp result failed verification: {result.violation}"),
-                    pair, "polygon", bundle_dir,
+                    pair, bundle_dir,
                     [f"choice {t}" for t in (result.choices or [])])
     if cross_check and n <= MAX_ORACLE_POLYGON:
         report.oracle_checked += 1
@@ -441,4 +448,4 @@ def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
                     Counterexample(POLYGONS, inst_seed, n,
                                    "polygon oracle disagrees with dp",
                                    oracle_verdict=verdict),
-                    pair, "polygon", bundle_dir, [])
+                    pair, bundle_dir, [])

@@ -20,9 +20,9 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from .geom import COORD_LIMIT, Point, signed_area2
+from .geom import COORD_LIMIT, Point, hull_edge_set, signed_area2
 from .greedy import JointTriangulation, verify_tiling
-from .triangles import Edge, Tri, TriangleSet, edge, tri
+from .triangles import Edge, Tri, TriangleSet, tri
 
 
 class GrazingDiagonal(ValueError):
@@ -141,8 +141,7 @@ class Polygon:
         return 1 if signed_area2(self.vertices) > 0 else -1
 
     def boundary_edges(self) -> frozenset[Edge]:
-        n = len(self.vertices)
-        return frozenset(edge(i, (i + 1) % n) for i in range(n))
+        return hull_edge_set(range(len(self.vertices)))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ _FILLS = ("#9ecae1", "#a1d99b", "#fdae6b", "#bcbddc", "#fc9272",
 
 MARGIN = 30.0
 POINT_RADIUS = 3.0
+# Width of each panel's longer extent, in SVG units.
+TARGET_WIDTH = 360.0
 
 
 def _bounds(pts: Sequence[Point]) -> tuple[int, int, int, int]:
@@ -47,15 +49,14 @@ class _Panel:
 def render_pair(points_a: Sequence[Point], points_b: Sequence[Point],
                 triangles: Sequence[Tri],
                 boundary_a: Optional[Sequence[int]] = None,
-                boundary_b: Optional[Sequence[int]] = None,
-                target_width: float = 360.0) -> str:
+                boundary_b: Optional[Sequence[int]] = None) -> str:
     """Render both realizations of a triangle set as one SVG document."""
     tris = sorted(tri(*t) for t in triangles)
 
     def panel_scale(pts: Sequence[Point]) -> float:
         x0, y0, x1, y1 = _bounds(pts)
         extent = max(x1 - x0, y1 - y0, 1)
-        return target_width / extent
+        return TARGET_WIDTH / extent
 
     scale_a = panel_scale(points_a)
     scale_b = panel_scale(points_b)

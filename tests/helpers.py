@@ -6,6 +6,8 @@ share code with them.  There are two exceptions.  ``count_joint_triangulations``
 checks the interval recurrence, not visibility, and reads the shared chords
 from ``visibility_graph``.  ``reference_legal_set`` checks the order of the
 array worklist's removal log, not its geometry, and reads the sign tensors.
+``hull_locked_pair`` is an instance generator, not a reference: it draws A
+with ``gen_point_pair`` and fixes A's hull from ``convex_hull``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 import random
 from itertools import combinations
 
-from jointtri.conditions import LegalSetResult
+from jointtri.conditions import LegalSetResult, PointSetPair
+from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
+from jointtri.oracle import gen_point_pair
 from jointtri.polygon import visibility_graph
 from jointtri.triangles import FLIPS, tri_edges
 
@@ -422,6 +426,39 @@ def grid_locked_coords(rng: random.Random, n: int, side: int):
         if moves:
             b[i] = rng.choice(moves)
     return a, b
+
+
+def hull_locked_pair(n, coord_range, jitter, seed):
+    """B = A with hull points fixed and interior points jittered, each
+    constrained to stay strictly inside the hull, so NC1 holds by
+    construction and the greedy stage actually runs."""
+    base = gen_point_pair(n, coord_range, seed).a
+    hull = convex_hull(base)
+    hull_set = set(hull)
+    hull_pts = [base.points[i] for i in hull]
+
+    def strictly_inside(q):
+        m = len(hull_pts)
+        return all(orient(hull_pts[i], hull_pts[(i + 1) % m], q) == CCW
+                   for i in range(m))
+
+    rng = random.Random(seed + 1)
+    pts, taken = [], set()
+    fixed = {base.points[i] for i in hull_set}
+    for i, p in enumerate(base.points):
+        if i in hull_set:
+            q = p
+        else:
+            q = p
+            for _ in range(40):
+                cand = Point(p.x + rng.randint(-jitter, jitter),
+                             p.y + rng.randint(-jitter, jitter))
+                if cand not in taken and cand not in fixed and strictly_inside(cand):
+                    q = cand
+                    break
+        taken.add(q)
+        pts.append(q)
+    return PointSetPair(base, LabeledSet(tuple(pts)))
 
 
 def _pairwise_tiles(sides, tris, empty: bool) -> bool:

@@ -14,7 +14,7 @@ import time
 
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  legal_set, necessary_conditions)
-from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
+from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.files import write_bundle
 from jointtri.oracle import (Counterexample, POINTS, enumerate_triangulations,
@@ -24,7 +24,8 @@ from jointtri.oracle import (Counterexample, POINTS, enumerate_triangulations,
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import enumerate_empty, paired_empty
 
-from helpers import brute_empty_triangles, convex_polygon_coords, mutate
+from helpers import (brute_empty_triangles, convex_polygon_coords,
+                     hull_locked_pair, mutate)
 
 N_RANGE = (4, 8)
 
@@ -95,7 +96,7 @@ def test_criterion_2_greedy_on_condition_passing_instances(tmp_path):
         if not jt.verified:
             finding = Counterexample(POINTS, inst_seed, len(pair),
                                      f"greedy failed verification: {jt.violation}")
-            path = write_bundle(str(tmp_path), "points", pair, finding,
+            path = write_bundle(str(tmp_path), pair, finding,
                                 [f"choice {t}" for t in (jt.choices or [])])
             print(f"CONJECTURE COUNTEREXAMPLE: seed={inst_seed} bundle={path}")
             failures.append(inst_seed)
@@ -222,44 +223,9 @@ def test_criterion_7_polygon_agreement():
              "both-convex pairs always tile with n-2 triangles")
 
 
-def _hull_locked_pair(n, coord_range, jitter, seed):
-    """B = A with hull points fixed and interior points jittered, each
-    constrained to stay strictly inside the hull, so NC1 holds by
-    construction and the greedy stage actually runs."""
-    from jointtri.geom import CCW, orient
-
-    base = gen_point_pair(n, coord_range, seed).a
-    hull = convex_hull(base)
-    hull_set = set(hull)
-    hull_pts = [base.points[i] for i in hull]
-
-    def strictly_inside(q):
-        m = len(hull_pts)
-        return all(orient(hull_pts[i], hull_pts[(i + 1) % m], q) == CCW
-                   for i in range(m))
-
-    rng = random.Random(seed + 1)
-    pts, taken = [], set()
-    fixed = {base.points[i] for i in hull_set}
-    for i, p in enumerate(base.points):
-        if i in hull_set:
-            q = p
-        else:
-            q = p
-            for _ in range(40):
-                cand = Point(p.x + rng.randint(-jitter, jitter),
-                             p.y + rng.randint(-jitter, jitter))
-                if cand not in taken and cand not in fixed and strictly_inside(cand):
-                    q = cand
-                    break
-        taken.add(q)
-        pts.append(q)
-    return PointSetPair(base, LabeledSet(tuple(pts)))
-
-
 def test_criterion_8_performance_sanity():
     t0 = time.time()
-    pair = _hull_locked_pair(60, 1000, 3, 0)
+    pair = hull_locked_pair(60, 1000, 3, 0)
     nc = necessary_conditions(pair)  # enumerates A, tests its triples in B
     assert nc.ok
     jt = greedy_construct(pair, nc.legal.legal, LEX)

@@ -17,8 +17,8 @@ from jointtri.geom import LabeledSet
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
 
-from helpers import convex_polygon_coords, grid_locked_coords, star_polygon_coords
-from test_acceptance import _hull_locked_pair
+from helpers import (convex_polygon_coords, grid_locked_coords, hull_locked_pair,
+                     star_polygon_coords)
 
 QUAD_TEXT = """\
 # convex quad, identical sides
@@ -255,7 +255,7 @@ def test_oracle_refuses_grazing_pair_as_polygon_does(tmp_path):
 def test_tensor_size_guard_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 9)
     p = tmp_path / "big.txt"
-    p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(10, 60, 2, 1)))
+    p.write_text(format_instance(KIND_POINTS, hull_locked_pair(10, 60, 2, 1)))
     for argv in (["check", str(p)], ["check", str(p), "--explain"],
                  ["triangulate", str(p)]):
         code, out = run_cli(*argv)
@@ -276,7 +276,7 @@ EXPLAIN_SHA256 = {
 def test_check_explain_bytes_pinned(tmp_path):
     for args, (code, digest) in EXPLAIN_SHA256.items():
         p = tmp_path / "locked.txt"
-        p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(*args)))
+        p.write_text(format_instance(KIND_POINTS, hull_locked_pair(*args)))
         got, out = run_cli("check", str(p), "--explain")
         assert got == code and out.count("\nremoved ") >= 70, args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
@@ -308,7 +308,7 @@ TRIANGULATE_SHA256 = {
 def test_triangulate_bytes_pinned(tmp_path):
     p = tmp_path / "locked.txt"
     for args, runs in TRIANGULATE_SHA256.items():
-        p.write_text(format_instance(KIND_POINTS, _hull_locked_pair(*args)))
+        p.write_text(format_instance(KIND_POINTS, hull_locked_pair(*args)))
         for flags, (code, digest) in runs.items():
             got, out = run_cli("triangulate", str(p), *flags)
             assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), \
@@ -326,7 +326,7 @@ def _oracle_instances():
     line = LabeledSet.from_coords([(0, 0), (1, 1), (2, 2), (4, 4), (5, 5)])
     square = LabeledSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
     return {
-        "locked": [_hull_locked_pair(4 + k % 6, 50, 2 + k % 4, k) for k in range(20)],
+        "locked": [hull_locked_pair(4 + k % 6, 50, 2 + k % 4, k) for k in range(20)],
         "independent": [gen_point_pair(4 + k % 6, 8 + k, 300 + k) for k in range(20)],
         "grid": grid,
         "collinear": [PointSetPair(square, line)],
@@ -357,6 +357,23 @@ def test_oracle_bytes_pinned(tmp_path):
             h.update(f"{code}\n{out}".encode())
         assert h.hexdigest() == ORACLE_SHA256[family], family
     assert answers.count("YES") >= 20 and answers.count("NO") >= 20
+
+
+# sha256 of the stdout of two seeded `hunt` campaigns, with the oracle
+# cross-check on: every count of the report is pinned.
+HUNT_SHA256 = {
+    ("points", "4", "8", "200", "7"):
+        "fba39a08a1f5f1a6a9536b5f690872508c3d0f8ce51fdf6e43fe73d08e4dc74f",
+    ("polygons", "4", "10", "60", "3"):
+        "2bd39a4861d9cf9609d3d9c74a4946b193888f1e9ff9d9a1d42a76fb8f33fdb3",
+}
+
+
+def test_hunt_bytes_pinned():
+    for args, digest in HUNT_SHA256.items():
+        code, out = run_cli("hunt", *args)
+        assert code == 0, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, out)
 
 
 def _polygon_instances():
@@ -453,8 +470,7 @@ def test_bundle_files_parse_as_instances(tmp_path):
     pair = gen_point_pair(5, 30, 8)
     finding = Counterexample(POINTS, 8, 5, "synthetic finding",
                              oracle_verdict="no joint")
-    path = write_bundle(str(tmp_path), "points", pair, finding,
-                        ["choice (0, 1, 2)"])
+    path = write_bundle(str(tmp_path), pair, finding, ["choice (0, 1, 2)"])
     text = Path(path).read_text(encoding="utf-8")
     assert "synthetic finding" in text
     kind, parsed = parse_instance(text)

@@ -13,8 +13,8 @@ from jointtri.greedy import LEX, greedy_construct
 from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
 
-from helpers import brute_successors, grid_locked_coords, reference_legal_set
-from test_acceptance import _hull_locked_pair
+from helpers import (brute_successors, grid_locked_coords, hull_locked_pair,
+                     reference_legal_set)
 from test_cli import COLLAPSING_TEXT
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -180,7 +180,7 @@ def _legal_set_inputs():
     """(pair, candidates, hull edges) for the array-worklist comparison."""
     out = []
     for n in range(8, 61, 4):
-        pair = _hull_locked_pair(n, 60 if n < 30 else 200, 2 + n % 3, n)
+        pair = hull_locked_pair(n, 60 if n < 30 else 200, 2 + n % 3, n)
         hc = check_hull_correspondence(pair)
         out.append((pair, paired_empty(pair), hc.hull_edges))
     rng = random.Random(808)

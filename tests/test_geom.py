@@ -11,7 +11,8 @@ from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                            convex_hull, hull_edge_set, orient,
                            orient_sign_tensor)
 
-from helpers import overlap_by_decomposition, overlap_by_sampling, xorient
+from helpers import (brute_hull_edges, overlap_by_decomposition,
+                     overlap_by_sampling, xorient)
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point, coords, coords)
@@ -57,6 +58,39 @@ def test_convex_hull_degenerate():
     s = LabeledSet.from_coords([(0, 0), (1, 1), (2, 2), (3, 3)])
     with pytest.raises(DegenerateInput):
         convex_hull(s)
+
+
+def _hull_cycle_edges(pts):
+    hull = convex_hull(LabeledSet.from_coords(pts))
+    assert hull[0] == min(hull)
+    return set(zip(hull, hull[1:] + hull[:1]))
+
+
+def test_convex_hull_matches_brute_hull_on_dense_grids():
+    # Dense grid sets with collinear runs on the vertical edges at min x and
+    # max x, where the monotone chains meet a run of equal x end-on.
+    rng = random.Random(31)
+    for _ in range(300):
+        side = rng.randint(2, 7)
+        left = [(0, y) for y in rng.sample(range(side), rng.randint(2, side))]
+        right = [(side - 1, y) for y in rng.sample(range(side), rng.randint(2, side))]
+        inner = [(x, y) for x in range(1, side - 1) for y in range(side)]
+        pts = left + right + rng.sample(inner, min(len(inner), rng.randint(0, 9)))
+        rng.shuffle(pts)
+        assert _hull_cycle_edges(pts) == set(brute_hull_edges(pts)), pts
+
+
+def test_convex_hull_degenerate_exactly_when_all_collinear():
+    rng = random.Random(32)
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3)):
+        for n in range(3, 9):
+            pts = [(3 + k * dx, 5 + k * dy) for k in rng.sample(range(-10, 10), n)]
+            assert brute_hull_edges(pts) == []
+            with pytest.raises(DegenerateInput):
+                convex_hull(LabeledSet.from_coords(pts))
+            # one point off the line: a triangle with the rest on one edge
+            off = pts + [(3 + 10 * dx - dy, 5 + 10 * dy + dx)]
+            assert _hull_cycle_edges(off) == set(brute_hull_edges(off)), off
 
 
 def test_convex_hull_invariant_under_relabeling():

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+from jointtri import oracle
 from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import verify_joint
@@ -14,11 +15,10 @@ from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
                              oracle_joint_exists, polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
 
-from helpers import (brute_joint_exists, brute_joint_triangulations,
-                     convex_position_points, grid_locked_coords,
-                     overlap_by_decomposition, pairwise_verify_points,
-                     xorient)
-from test_acceptance import _hull_locked_pair
+from helpers import (brute_hull_edges, brute_joint_exists,
+                     brute_joint_triangulations, convex_position_points,
+                     grid_locked_coords, hull_locked_pair,
+                     overlap_by_decomposition, pairwise_verify_points, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -186,7 +186,7 @@ def _small_pairs(seed, count):
                 continue
             pair = PointSetPair(*map(LabeledSet.from_coords, coords))
         elif kind == 1:
-            pair = _hull_locked_pair(n, 30, 4, rng.randrange(10 ** 6))
+            pair = hull_locked_pair(n, 30, 4, rng.randrange(10 ** 6))
         elif kind == 2:
             pair = gen_perturbed_pair(n, 20, 3, rng.randrange(10 ** 6))
         else:
@@ -196,26 +196,41 @@ def _small_pairs(seed, count):
     return out
 
 
-def test_oracle_agrees_with_brute_subset_search():
+def test_oracle_agrees_with_brute_subset_search(monkeypatch):
+    # Every set the search yields is a joint triangulation, so the oracle
+    # verifies exactly once per YES (its witness) and never on a NO.
+    verified = []
+
+    def counting_verify(pair, triangles):
+        verified.append(triangles)
+        return verify_joint(pair, triangles)
+
+    monkeypatch.setattr(oracle, "verify_joint", counting_verify)
     verdicts = []
     for pair, a, b in _small_pairs(61, 240):
+        verified.clear()
         witness = oracle_joint_exists(pair)
         assert (witness is not None) == brute_joint_exists(a, b), (a, b)
         if witness is not None:
             assert pairwise_verify_points(a, b, witness), (a, b)
+        assert verified == ([witness] if witness is not None else []), (a, b)
         verdicts.append(witness is not None)
     assert 60 <= sum(verdicts) <= 180
 
 
 def test_frontier_search_yields_exactly_the_joint_triangulations():
-    # Every yielded set has the two triangles of each interior edge on
-    # opposite sides of it in both realizations, even where the hulls
-    # differ.  With equal hull edges (grid- and hull-locked pairs) the
-    # yielded sets are exactly the joint triangulations.
-    total = 0
-    for k, (pair, a, b) in enumerate(_small_pairs(67, 240)):
+    # The yielded sets are exactly the joint triangulations on all four
+    # families, and every one has the two triangles of each interior edge
+    # on opposite sides of it in both realizations.  Where the hull edge
+    # sets differ nothing is yielded.
+    total = differ = 0
+    for pair, a, b in _small_pairs(67, 240):
         got = [sorted(t) for t in iter_triangulations(pair)]
         assert len(got) == len({tuple(map(tuple, t)) for t in got}), (a, b)
+        if ({tuple(sorted(e)) for e in brute_hull_edges(a)}
+                != {tuple(sorted(e)) for e in brute_hull_edges(b)}):
+            differ += 1
+            assert got == [], (a, b)
         for tris in got:
             apexes = {}
             for i, j, m in tris:
@@ -225,10 +240,9 @@ def test_frontier_search_yields_exactly_the_joint_triangulations():
                 if len(cs) == 2:
                     assert all(xorient(p[i], p[j], p[cs[0]]) * xorient(p[i], p[j], p[cs[1]]) < 0
                                for p in (a, b)), (a, b, tris)
-        if k % 4 < 2:
-            assert sorted(got) == sorted(brute_joint_triangulations(a, b)), (a, b)
-            total += len(got)
-    assert total >= 300
+        assert sorted(got) == sorted(brute_joint_triangulations(a, b)), (a, b)
+        total += len(got)
+    assert total >= 600 and differ >= 80
 
 
 def test_gen_point_pair_determinism_and_distinctness():
