@@ -22,6 +22,7 @@ from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
                      Counterexample, gen_point_pair, gen_polygon_pair, hunt,
                      oracle_joint_exists, polygon_oracle_exists)
 from .polygon import GrazingDiagonal, dp_joint_polygon
+from .svg import render_pair
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -192,15 +193,11 @@ def _cmd_render(args) -> int:
 
 
 def _write_svg_points(path: str, pair, triangles) -> None:
-    from .svg import render_pair
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_pair(pair.a.points, pair.b.points, list(triangles)))
 
 
 def _write_svg_polygon(path: str, pair, triangles) -> None:
-    from .svg import render_pair
-
     boundary = list(range(len(pair)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_pair(pair.a.vertices, pair.b.vertices, list(triangles),

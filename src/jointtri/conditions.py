@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
@@ -35,6 +36,13 @@ class PointSetPair:
 
     def __len__(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def candidates(self) -> TriangleSet:
+        """The pair's paired empty triangles (``paired_empty``), computed
+        once and read by the necessary-condition chain and the oracle's
+        search; shared, so callers must not modify it."""
+        return paired_empty(self)
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,5 @@ def necessary_conditions(pair: PointSetPair) -> Conditions:
     hull = check_hull_correspondence(pair)
     if not hull.ok:
         return Conditions(hull)
-    candidates = paired_empty(pair)
-    return Conditions(hull, candidates,
-                      legal_set(pair, candidates, hull.hull_edges))
+    return Conditions(hull, pair.candidates,
+                      legal_set(pair, pair.candidates, hull.hull_edges))

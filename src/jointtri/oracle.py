@@ -22,7 +22,7 @@ from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
-from .triangles import Edge, Tri, edge, paired_empty, tri
+from .triangles import Edge, Tri, edge, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
@@ -32,7 +32,7 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     """Yield, each exactly once, every joint triangulation of the pair:
     none unless both hulls carry the same edges (condition 1), and then
     every triangulation of side A built from paired empty triangles
-    (``paired_empty``) whose two triangles at each interior edge lie on
+    (``pair.candidates``) whose two triangles at each interior edge lie on
     opposite sides of it in B as well.
 
     Frontier search: the open directed edges of the untriangulated region
@@ -65,7 +65,7 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     # Directed edge u -> v to the apexes w of its paired triangles on its
     # left in A, ascending.
     apexes: dict[Edge, list[int]] = {}
-    for i, j, k in paired_empty(pair):
+    for i, j, k in pair.candidates:
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
             apexes.setdefault((u, v) if sa[u][v][w] == 1 else (v, u), []).append(w)
     for ws in apexes.values():

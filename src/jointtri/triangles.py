@@ -102,7 +102,7 @@ class TriangleSet:
 
 
 # Cells of one [rows, n] block of _empty_rows' temporaries (1 MB of int8),
-# so enumeration stays within a few MB at any n.
+# so pairing stays within a few MB at any n.
 _ROW_CHUNK_CELLS = 1 << 20
 
 
@@ -129,23 +129,100 @@ def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# Cells of one block of the sweep's temporaries, of at most 4 bytes each:
+# [rows, n - 1] walks, or [vertices, n, n] for the ranks (one vertex at
+# least), so the sweep's working set stays small at any n.
+_SWEEP_BLOCK_CELLS = 1 << 16
+
+
+def _angular_ranks(dx: np.ndarray, dy: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[n, n] int16 table: ``R[v, p]`` counts the points strictly before p
+    counterclockwise around v, from the +x direction, upper half-plane
+    (including +x itself) first.  Points in one direction from v tie.
+    ``dx[v, p]`` and ``dy[v, p]`` are p's coordinates minus v's, ``d`` the
+    orientation-sign tensor.
+
+    Exact: q precedes p iff q's half-plane comes first, or both share one
+    and ``orient(v, q, p)`` is counterclockwise.  ``R[v, v]`` is -n, below
+    every other point's rank.
+    """
+    n = len(d)
+    # half[v, p]: 0 in the upper half-plane, 1 in the lower, 2 at v itself,
+    # which then precedes nothing.
+    half = np.where((dy > 0) | ((dy == 0) & (dx > 0)), 0, 1).astype(np.int8)
+    np.fill_diagonal(half, 2)
+    ranks = np.empty((n, n), dtype=np.int16)
+    step = max(1, _SWEEP_BLOCK_CELLS // (n * n))
+    for v in range(0, n, step):
+        hq, hp = half[v:v + step, :, None], half[v:v + step, None, :]
+        before = (hq < hp) | ((hq == hp) & (d[v:v + step] == 1))
+        ranks[v:v + step] = np.count_nonzero(before, axis=1)
+    np.fill_diagonal(ranks, -n)
+    return ranks
+
+
 def enumerate_empty(s: LabeledSet) -> TriangleSet:
     """All empty triangles of a point set, added in lexicographic order.
 
     A triple is empty when no other point of the set lies in its closed
     triangle minus the three vertices (a point on an edge disqualifies).
-    Degenerate (collinear) triples are excluded.  Vectorized over the
-    set's cached orientation-sign tensor (``LabeledSet.signs``), one block
-    of rows (i, j, k), j < k, per i.
+    Degenerate (collinear) triples are excluded.
+
+    Angular sweep, O(n^3) on exact integer ranks (``_angular_ranks``).
+    Each triangle is found once, in the row (i, j) of its smallest label i
+    and the j that puts the third vertex k strictly left of i -> j.  The
+    closed triangle is the intersection of its angles at i and at j, so a
+    point p other than i, j, k lies in it iff p's angle at i,
+    counterclockwise from i -> j, is at most k's, and p's angle at j,
+    clockwise from j -> i, is at most k's too.  Row (i, j) walks i's other
+    points counterclockwise from j's direction, ties nearest first (a
+    rotation of i's one sorted list, read by a gather), and gives each its
+    clockwise rank offset at j from j -> i: a prefix of the walk holds
+    exactly the points of the first test, so k is empty iff its offset is
+    below every earlier one.  A point inside segment ij has offset 0 and
+    blocks the whole row; a point on ik comes before k, and one on jk ties
+    with it, so both block it.  Rows are swept in blocks of about
+    ``_SWEEP_BLOCK_CELLS`` cells.
     """
     n = len(s)
     d = s.signs
-    found: list[Tri] = []
-    for i in range(n - 2):
-        j, k = np.triu_indices(n - i - 1, 1)
-        arr = np.column_stack((np.full(len(j), i), j + i + 1, k + i + 1))
-        found.extend(map(tuple, arr[_empty_rows(d, arr)].tolist()))
-    return TriangleSet._of_canonical(found)
+    xs = np.array([p[0] for p in s.points], dtype=np.int64)
+    ys = np.array([p[1] for p in s.points], dtype=np.int64)
+    dx, dy = xs - xs[:, None], ys - ys[:, None]
+    ranks = _angular_ranks(dx, dy, d)
+    # i's other points by (rank, distance): i itself, ranked -n, is first
+    # and dropped; the list is doubled so every rotation is one slice.
+    around = np.lexsort((dx * dx + dy * dy, ranks)).astype(np.int32)[:, 1:]
+    around = np.concatenate((around, around), axis=1).ravel()
+    width = n - 1
+    span = np.arange(width, dtype=np.int32)
+    flat_d = d.reshape(-1)
+    flat_r = ranks.reshape(-1)
+    ii, jj = (a.astype(np.int32) for a in np.triu_indices(n, 1))
+    codes = []
+    step = max(1, _SWEEP_BLOCK_CELLS // width)
+    for lo in range(0, len(ii), step):
+        i, j = ii[lo:lo + step, None], jj[lo:lo + step, None]
+        # The first point in j's direction from i has index R[i, j] in i's
+        # sorted list, since exactly R[i, j] points precede that direction.
+        k = around[i * (2 * width) + ranks[i, j] + span]
+        side = flat_d[(i * n + j) * n + k]
+        # Clockwise rank offset at j from j -> i, in [0, n - 2]; j itself
+        # gets R[j, i] + n, past every point.
+        offset = flat_r[j * n + i] - flat_r[j * n + k]
+        offset += np.int16(width) * (offset < 0)
+        # Position 0 is in j's direction, never a candidate, so the prefix
+        # minimum before position t is ``low[:, t - 1]``.
+        low = np.minimum.accumulate(offset, axis=1)
+        hit = (side[:, 1:] == 1) & (k[:, 1:] > i) & (offset[:, 1:] < low[:, :-1])
+        r, t = np.nonzero(hit)
+        a, b, c = i[r, 0].astype(np.int64), j[r, 0], k[r, t + 1]
+        codes.append((a * n + np.minimum(b, c)) * n + np.maximum(b, c))
+    # Each triangle is found in exactly one row, so sorting the codes
+    # gives lexicographic order.
+    code = np.sort(np.concatenate(codes))
+    return TriangleSet._of_canonical(zip(
+        (code // (n * n)).tolist(), (code // n % n).tolist(), (code % n).tolist()))
 
 
 def paired_empty(pair: "PointSetPair") -> TriangleSet:

@@ -6,6 +6,9 @@ share code with them.  There are two exceptions.  ``count_joint_triangulations``
 checks the interval recurrence, not visibility, and reads the shared chords
 from ``visibility_graph``.  ``reference_legal_set`` checks the order of the
 array worklist's removal log, not its geometry, and reads the sign tensors.
+``scan_empty_triangles`` is the per-label scan that ``enumerate_empty``
+replaced, kept to pin the sweep's triples and their order; it tests rows
+with ``_empty_rows``, which stays as ``paired_empty``'s test on side B.
 ``hull_locked_pair`` is an instance generator, not a reference: it draws A
 with ``gen_point_pair`` and fixes A's hull from ``convex_hull``.
 """
@@ -16,11 +19,28 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
+
 from jointtri.conditions import LegalSetResult, PointSetPair
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
 from jointtri.oracle import gen_point_pair
 from jointtri.polygon import visibility_graph
-from jointtri.triangles import FLIPS, tri_edges
+from jointtri.triangles import FLIPS, TriangleSet, _empty_rows, tri_edges
+
+
+# A point instance that passes NC1 and fails NC2: all 21 of its paired
+# empty triangles prune away in one long removal cascade.
+COLLAPSING_TEXT = """\
+POINTS 8
+8 10 9 15
+12 7 14 11
+16 4 17 10
+8 6 8 5
+2 0 2 15
+14 3 16 17
+4 15 6 0
+16 14 16 6
+"""
 
 
 def xorient(p, q, r) -> int:
@@ -70,6 +90,18 @@ def brute_empty_triangles(points) -> set[tuple[int, int, int]]:
             continue
         out.add((i, j, k))
     return out
+
+
+def scan_empty_triangles(s: LabeledSet) -> TriangleSet:
+    """Empty triples, added in lexicographic order, by testing for each i
+    all rows (i, j, k), i < j < k, against every point of the set's tensor."""
+    n = len(s)
+    found = []
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - i - 1, 1)
+        arr = np.column_stack((np.full(len(j), i), j + i + 1, k + i + 1))
+        found.extend(map(tuple, arr[_empty_rows(s.signs, arr)].tolist()))
+    return TriangleSet._of_canonical(found)
 
 
 def _proper_cross(a, b, c, d) -> bool:

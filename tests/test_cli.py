@@ -17,8 +17,8 @@ from jointtri.geom import LabeledSet
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
 
-from helpers import (convex_polygon_coords, grid_locked_coords, hull_locked_pair,
-                     star_polygon_coords)
+from helpers import (COLLAPSING_TEXT, convex_polygon_coords, grid_locked_coords,
+                     hull_locked_pair, star_polygon_coords)
 
 QUAD_TEXT = """\
 # convex quad, identical sides
@@ -112,19 +112,6 @@ def test_check_fail_witness(tmp_path):
     code, out = run_cli("check", str(p))
     assert code == 2
     assert out == "NC1 FAIL witness 1 2\n"
-
-
-COLLAPSING_TEXT = """\
-POINTS 8
-8 10 9 15
-12 7 14 11
-16 4 17 10
-8 6 8 5
-2 0 2 15
-14 3 16 17
-4 15 6 0
-16 14 16 6
-"""
 
 
 # The full removal log of COLLAPSING_TEXT, in cascade order.

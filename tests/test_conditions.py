@@ -13,9 +13,8 @@ from jointtri.greedy import LEX, greedy_construct
 from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
 
-from helpers import (brute_successors, grid_locked_coords, hull_locked_pair,
-                     reference_legal_set)
-from test_cli import COLLAPSING_TEXT
+from helpers import (COLLAPSING_TEXT, brute_successors, grid_locked_coords,
+                     hull_locked_pair, reference_legal_set)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 

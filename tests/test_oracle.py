@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from jointtri import oracle
+from jointtri import conditions, oracle, triangles
 from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import verify_joint
@@ -330,6 +330,30 @@ def test_hunt_points_reproducible_and_consistent():
     ) == r1.nc_pass_count
     assert r1.oracle_checked == r1.oracle_agreements  # no disagreements
     assert r1.counterexamples == []
+
+
+def test_hunt_points_builds_candidates_once_per_nc1_pass(monkeypatch):
+    # The NC chain and the oracle's search both read pair.candidates, so a
+    # pair that passes NC1 enumerates its empty triangles once, wherever
+    # they are read from, and one that fails NC1 never does.
+    enumerated, nc1_pass = [], []
+    enumerate_empty, check = triangles.enumerate_empty, conditions.check_hull_correspondence
+
+    def counting_enumerate(s):
+        enumerated.append(s)
+        return enumerate_empty(s)
+
+    def counting_check(pair):
+        hull = check(pair)
+        nc1_pass.extend([pair.a] if hull.ok else [])
+        return hull
+
+    monkeypatch.setattr(triangles, "enumerate_empty", counting_enumerate)
+    monkeypatch.setattr(conditions, "check_hull_correspondence", counting_check)
+    report = hunt(POINTS, (4, 7), 80, 5, coord_range=10)
+    assert report.oracle_checked == 80 and report.nc_pass_count > 0
+    assert len(enumerated) == len(nc1_pass)
+    assert all(s is a for s, a in zip(enumerated, nc1_pass))
 
 
 def test_hunt_points_without_oracle():

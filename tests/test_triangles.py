@@ -10,7 +10,7 @@ from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
                                 paired_empty, tri, tri_edges)
 
 from helpers import (brute_empty_triangles, convex_position_points,
-                     grid_locked_coords)
+                     grid_locked_coords, hull_locked_pair, scan_empty_triangles)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -134,12 +134,64 @@ def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
     rng = random.Random(5)
     sets = [_grid_set(rng, n, 6) for n in (13, 18, 24)]
     whole = [list(enumerate_empty(s)) for s in sets]
-    # a few rows per chunk: 40 cells is one to three rows at these sizes
-    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 40)
+    # a few rows per block: rows are n - 1 cells wide, so 40 cells is three,
+    # two and one row at these sizes (and one vertex per block of ranks)
+    monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", 40)
     for s, expected in zip(sets, whole):
         got = enumerate_empty(s)
         assert list(got) == expected
         assert set(got) == brute_empty_triangles(s.points)
+
+
+def test_paired_empty_across_row_chunk_boundaries(monkeypatch):
+    rng = random.Random(8)
+    pairs = []
+    while len(pairs) < 3:
+        coords = grid_locked_coords(rng, 12 + 5 * len(pairs), 6)
+        if coords is not None:
+            pairs.append(PointSetPair(*(LabeledSet.from_coords(c) for c in coords)))
+    whole = [list(paired_empty(p)) for p in pairs]
+    # B's test runs in chunks of n-cell rows: 40 cells is one to three rows
+    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 40)
+    for pair, expected in zip(pairs, whole):
+        assert list(paired_empty(pair)) == expected
+
+
+def _collinear_grid_set(rng, n):
+    """n distinct points of a small grid, most of them on a few lines that
+    cross at shared points, so that points on edges, collinear runs
+    through a vertex and ties in direction are everywhere."""
+    side = rng.choice((7, 9))
+    pts = []
+    while len(pts) < n:
+        if rng.randrange(4) and pts:
+            x, y = rng.choice(pts)
+        else:
+            x, y = rng.randrange(side), rng.randrange(side)
+        dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2)))
+        for t in range(-side, side):
+            q = (x + t * dx, y + t * dy)
+            if (0 <= q[0] < side and 0 <= q[1] < side and q not in pts
+                    and len(pts) < n and rng.randrange(3)):
+                pts.append(q)
+    return pts
+
+
+def test_enumerate_empty_matches_brute_scan_on_collinear_runs():
+    rng = random.Random(12)
+    for trial in range(76):
+        pts = _collinear_grid_set(rng, 3 + trial % 38)
+        got = enumerate_empty(LabeledSet.from_coords(pts))
+        assert set(got) == brute_empty_triangles(pts), pts
+        assert list(got) == list(TriangleSet(sorted(got)))
+
+
+def test_enumerate_empty_matches_per_label_scan_at_large_n():
+    # identical triples in identical insertion order, against the scan of
+    # every row (i, j, k) that the angular sweep replaced
+    for n, seed in ((100, 1), (200, 2), (300, 3)):
+        s = hull_locked_pair(n, 1000, 3, seed).a
+        assert list(enumerate_empty(s)) == list(scan_empty_triangles(s))
 
 
 def test_paired_empty_equals_filtered_a_in_iteration_order():
