@@ -129,6 +129,7 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     keys_l = keys.tolist()
     rng = random.Random(order_seed) if order_seed is not None else None
     removed: list[tuple[Tri, Edge]] = []
+    removed_at: list[int] = []
 
     while pending:
         pos = rng.randrange(len(pending)) if rng else 0
@@ -157,12 +158,22 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         for t, p in doomed:
             live.discard(t)
             removed.append((t, witness))
+            removed_at.append(p)
             for key in keys_l[3 * p:3 * p + 3]:
                 cnt[key] -= 1
                 f = key >> 2
                 if not queued[f] and f not in hull and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
                     queued[f] = 1
+    if removed_at:
+        # The candidates' sorted rows minus the removed ones, found by code
+        # (i * n + j) * n + k, which sorts as the triples do.
+        arr = candidates.array()
+        code = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
+        at = np.array(removed_at)
+        keep = np.ones(len(arr), dtype=bool)
+        keep[np.searchsorted(code, (i[at] * n + j[at]) * n + k[at])] = False
+        live._seed_array(arr[keep])
     return LegalSetResult(live, removed)
 
 

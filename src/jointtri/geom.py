@@ -17,7 +17,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 # Cap so that any orientation determinant of coordinate differences
-# (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51) stays well inside signed
+# (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51), and the three-term sum the
+# sign tensor adds (below 3 * 2**49 < 2**51), stay well inside signed
 # 64-bit range on the numpy fast paths, with headroom for summing a few
 # thousand doubled areas.  Inputs outside the cap are rejected when a
 # point set or polygon is constructed, never inside a predicate.
@@ -157,19 +158,21 @@ def hull_edge_set(hull: Sequence[int]) -> frozenset[tuple[int, int]]:
 def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
     """n x n x n tensor of orientation signs D[i,j,k] = sign(cross(p_i, p_j, p_k)).
 
-    Exact for coordinates within COORD_LIMIT (the determinant fits in
-    int64 with a wide margin).  Built in blocks of i into one int8 array,
-    so the int64 temporaries stay near ``_TENSOR_BLOCK`` entries.
+    cross(p_i, p_j, p_k) = C[i,j] + C[j,k] + C[k,i] with the antisymmetric
+    n x n table C[a,b] = x_a * y_b - x_b * y_a, so each entry is two
+    additions.  Exact for coordinates within COORD_LIMIT: |C| <= 2**49 and
+    the sum stays below 3 * 2**49 < 2**51.  Built in blocks of i into one
+    int8 array, so the int64 temporaries stay near ``_TENSOR_BLOCK`` entries.
     """
     xs = np.array([p[0] for p in pts], dtype=np.int64)
     ys = np.array([p[1] for p in pts], dtype=np.int64)
-    dx = xs[None, :] - xs[:, None]
-    dy = ys[None, :] - ys[:, None]
+    c = xs[:, None] * ys[None, :] - xs[None, :] * ys[:, None]
     n = len(xs)
     out = np.empty((n, n, n), dtype=np.int8)
     step = max(1, _TENSOR_BLOCK // (n * n))
     for i in range(0, n, step):
-        bx, by = dx[i:i + step], dy[i:i + step]
-        out[i:i + step] = np.sign(bx[:, :, None] * by[:, None, :]
-                                  - by[:, :, None] * bx[:, None, :])
+        # C[k, i] = -C[i, k]
+        v = c[i:i + step, :, None] + c[None, :, :]
+        v -= c[i:i + step, None, :]
+        np.subtract(v > 0, v < 0, dtype=np.int8, out=out[i:i + step])
     return out

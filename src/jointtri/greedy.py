@@ -169,33 +169,50 @@ def verify_joint(pair: PointSetPair, triangles: Iterable[Tri]) -> Optional[str]:
                           ("B", pair.b.points, hull_b)), triangles)
 
 
-def _sat_overlap_mask(d: np.ndarray, arr: np.ndarray, s_arr: np.ndarray,
-                      t: Tri, s_t: int) -> np.ndarray:
-    """Per-candidate mask: does the candidate's interior meet t's interior
-    in the realization whose orientation-sign tensor is d?
+def _edge_cells(d: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """[3, m] cells ``a * n + b`` of the edges (c0, c1), (c1, c2), (c2, c0)
+    of the label columns ``cols`` ([3, m]), each edge directed so that its
+    triangle lies on its left in the realization whose orientation-sign
+    tensor is d.  The triangles must be nondegenerate there."""
+    n = len(d)
+    heads = cols[[1, 2, 0]]
+    fwd = cols * n + heads
+    ccw = d.reshape(-1).take(fwd[0] * n + cols[2]) > 0
+    return np.where(ccw, fwd, heads * n + cols)
+
+
+# Weights of the picked triangle's three edge bits in a point's code.
+_BITS = np.array([1, 2, 4], dtype=np.uint8)
+
+
+def _sat_overlap_mask(d: np.ndarray, cols: np.ndarray, cells: np.ndarray,
+                      pick: int) -> np.ndarray:
+    """Per-candidate mask: does the candidate's interior meet that of
+    candidate ``pick`` in the realization whose orientation-sign tensor is
+    d?  ``cols`` holds the candidates' labels ([3, m]), ``cells`` their
+    directed edge cells in that realization (``_edge_cells``).
 
     Two triangles are interior-disjoint iff some edge of either has the
-    other's three vertices on its closed far side.  With signs in {-1, 0, 1}
-    and nondegenerate orientations s, "s * sign <= 0" is "sign != s".
-    Every gather reads contiguous memory: t's edge rows ``d[a, b]``, and
-    for the candidates' edges the n x n plane ``d[v]`` at ``va * n + vb``,
-    since orientation is cyclic (``d[va, vb, v] == d[v, va, vb]``).
+    other's three vertices on its closed far side, that is off its open
+    left side: sign != 1 on an edge with its triangle on the left.  The
+    picked triangle's edges become one 3-bit code per point (bit e: off
+    the left of edge e, read from the row ``d[a, b]``), so its edges
+    separate a candidate iff the AND of the candidate's three codes is
+    nonzero.  A candidate's edge cell ``a * n + b`` reads the n x n plane
+    of each picked vertex v, ``d[v, a, b] == d[a, b, v]`` since orientation
+    is cyclic, and that edge separates iff none of the three reads is 1.
     """
-    n = d.shape[0]
-    c0, c1, c2 = arr[:, 0], arr[:, 1], arr[:, 2]
-    sep = np.zeros(len(arr), dtype=bool)
-    i, j, k = t
-    for a, b in ((i, j), (j, k), (k, i)):
-        off = d[a, b] != s_t
-        sep |= off.take(c0) & off.take(c1) & off.take(c2)
-    planes = [d[v].reshape(-1) for v in t]
-    for va, vb in ((c0, c1), (c1, c2), (c2, c0)):
-        flat = va * n + vb
-        m = planes[0].take(flat) != s_arr
-        m &= planes[1].take(flat) != s_arr
-        m &= planes[2].take(flat) != s_arr
-        sep |= m
-    return ~sep
+    n = len(d)
+    off = d.reshape(n * n, n).take(cells[:, pick], axis=0) != 1
+    code = np.dot(_BITS, off.view(np.uint8)).take(cols)
+    clear = (code[0] & code[1] & code[2]) == 0
+    flat = d.reshape(-1)
+    i, j, k = cols[:, pick].tolist()
+    left = flat[i * n * n:].take(cells)
+    np.maximum(left, flat[j * n * n:].take(cells), out=left)
+    np.maximum(left, flat[k * n * n:].take(cells), out=left)
+    left = left == 1
+    return clear & left[0] & left[1] & left[2]
 
 
 def greedy_construct(pair: PointSetPair, legal: TriangleSet,
@@ -206,30 +223,30 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     under LEX, or a seeded-uniform pick under SEEDED_RANDOM) and deletes
     every survivor overlapping its interior in either realization, and
     the committed triangle itself, so the loop ends after at most |legal|
-    rounds whatever the overlap mask says.  The survivor
-    arrays are compacted after each round, in sorted order.  The result
-    is never trusted: ``verified`` reflects the independent verifier,
-    and a False verdict is returned, not raised.
+    rounds whatever the overlap mask says.  The survivors start as the
+    legal set's sorted rows (``legal.array()``); their labels and both
+    realizations' edge cells are compacted together after each round, in
+    sorted order.  The result is never trusted: ``verified`` reflects the
+    independent verifier, and a False verdict is returned, not raised.
     """
     if len(legal) == 0:
         raise ValueError("greedy_construct requires a nonempty legal set")
     if policy not in (LEX, SEEDED_RANDOM):
         raise ValueError(f"unknown policy: {policy!r}")
-    arr = np.array(legal.sorted_triangles(), dtype=np.intp)
     da, db = pair.a.signs, pair.b.signs
-    sa = da[arr[:, 0], arr[:, 1], arr[:, 2]]
-    sb = db[arr[:, 0], arr[:, 1], arr[:, 2]]
+    cols = legal.array().T
+    # Labels, then A's and B's edge cells, per survivor: one compaction.
+    state = np.stack((cols, _edge_cells(da, cols), _edge_cells(db, cols)))
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
     chosen: list[Tri] = []
-    while len(arr):
-        pick = rng.randrange(len(arr)) if rng else 0
-        t: Tri = tuple(arr[pick].tolist())  # type: ignore[assignment]
-        chosen.append(t)
-        gone = _sat_overlap_mask(da, arr, sa, t, int(sa[pick]))
-        gone |= _sat_overlap_mask(db, arr, sb, t, int(sb[pick]))
+    while state.shape[2]:
+        cols, cells_a, cells_b = state
+        pick = rng.randrange(state.shape[2]) if rng else 0
+        chosen.append(tuple(cols[:, pick].tolist()))  # type: ignore[arg-type]
+        gone = _sat_overlap_mask(da, cols, cells_a, pick)
+        gone |= _sat_overlap_mask(db, cols, cells_b, pick)
         gone[pick] = True
-        keep = ~gone
-        arr, sa, sb = arr[keep], sa[keep], sb[keep]
+        state = state.compress(~gone, axis=2)
     violation = verify_joint(pair, chosen)
     return JointTriangulation(TriangleSet(chosen), violation is None,
                               violation, chosen)

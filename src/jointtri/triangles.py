@@ -6,7 +6,7 @@ triple simultaneously names a triangle in each of two paired point sets.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -53,33 +53,60 @@ def apex(t: Tri, e: Edge) -> int:
 
 
 class TriangleSet:
-    """A set of canonical label triples."""
+    """A set of canonical label triples.
+
+    ``array()`` gives the same triples as a sorted label array, built on
+    first use and dropped by ``add`` and ``discard``; producers that hold
+    it already pass it in (``_of_canonical``, ``_seed_array``).
+    """
 
     def __init__(self, triangles: Iterable[Tri] = ()):
         self._tris: set[Tri] = set()
+        self._arr: Optional[np.ndarray] = None
         for t in triangles:
             self.add(t)
 
     @classmethod
-    def _of_canonical(cls, triangles: Iterable[Tri]) -> "TriangleSet":
+    def _of_canonical(cls, triangles: Iterable[Tri],
+                      arr: Optional[np.ndarray] = None) -> "TriangleSet":
         """A set of triples already in canonical form, added in the given
         order, so it iterates exactly as one built by ``add``.  (``iter``
-        keeps a set argument from being copied table to table.)"""
+        keeps a set argument from being copied table to table.)  ``arr``,
+        when given, must be the triples' sorted rows (``_seed_array``)."""
         out = cls.__new__(cls)
         out._tris = set(iter(triangles))
+        out._arr = None
+        if arr is not None:
+            out._seed_array(arr)
         return out
+
+    def _seed_array(self, arr: np.ndarray) -> None:
+        """Cache ``arr``, which the caller guarantees holds this set's
+        triples as rows in lexicographic order, as ``array()``."""
+        arr.flags.writeable = False
+        self._arr = arr
 
     def add(self, t: Tri) -> None:
         self._tris.add(tri(*t))
+        self._arr = None
 
     def discard(self, t: Tri) -> None:
         self._tris.discard(t)
+        self._arr = None
 
     def sorted_triangles(self) -> list[Tri]:
         return sorted(self._tris)
 
+    def array(self) -> np.ndarray:
+        """The triples as a read-only [m, 3] intp array of rows in
+        lexicographic order, the rows of ``sorted_triangles()``."""
+        if self._arr is None:
+            self._seed_array(np.array(self.sorted_triangles(),
+                                      dtype=np.intp).reshape(-1, 3))
+        return self._arr
+
     def copy(self) -> "TriangleSet":
-        return TriangleSet._of_canonical(self._tris)
+        return TriangleSet._of_canonical(self._tris, self._arr)
 
     def __contains__(self, t: object) -> bool:
         return t in self._tris
@@ -221,8 +248,14 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     # Each triangle is found in exactly one row, so sorting the codes
     # gives lexicographic order.
     code = np.sort(np.concatenate(codes))
-    return TriangleSet._of_canonical(zip(
-        (code // (n * n)).tolist(), (code // n % n).tolist(), (code % n).tolist()))
+    arr = np.column_stack((code // (n * n), code // n % n, code % n)).astype(
+        np.intp, copy=False)
+    return TriangleSet._of_canonical(_tuples(arr), arr)
+
+
+def _tuples(arr: np.ndarray) -> Iterator[Tri]:
+    """The rows of a label array as tuples, in row order."""
+    return zip(*(c.tolist() for c in arr.T))
 
 
 def paired_empty(pair: "PointSetPair") -> TriangleSet:
@@ -230,9 +263,11 @@ def paired_empty(pair: "PointSetPair") -> TriangleSet:
 
     Only these can ever appear in a joint triangulation, so this is the
     candidate pool for everything downstream.  A's empty triangles are
-    tested against B's tensor, kept in A's iteration order.
+    tested against B's tensor, kept in A's iteration order; the kept rows
+    of A's sorted array become the result's ``array()``.
     """
-    in_a = list(enumerate_empty(pair.a))
-    keep = _empty_rows(pair.b.signs, np.array(in_a, dtype=np.intp).reshape(-1, 3))
-    return TriangleSet._of_canonical(
-        t for t, ok in zip(in_a, keep.tolist()) if ok)
+    in_a = enumerate_empty(pair.a)
+    arr = in_a.array()
+    keep = _empty_rows(pair.b.signs, arr)
+    drop = set(_tuples(arr[~keep]))
+    return TriangleSet._of_canonical((t for t in in_a if t not in drop), arr[keep])

@@ -152,6 +152,25 @@ def test_chunked_sign_tensor_equals_unchunked_formula(monkeypatch):
         assert np.array_equal(got, _unchunked_signs(pts)), (n, block)
 
 
+def test_sign_tensor_is_exact_on_collinear_triples_at_the_cap():
+    # Points on y = x and y = -x out to +-COORD_LIMIT, and neighbours one
+    # unit off them: the table's products reach COORD_LIMIT**2 and the
+    # three terms of each collinear triple must cancel to exactly 0.
+    lim = COORD_LIMIT
+    diag = [Point(v, v) for v in (-lim, -lim + 1, -1, 0, 1, lim - 1, lim)]
+    anti = [Point(v, -v) for v in (-lim, -lim + 1, lim - 1, lim)]
+    near = [Point(lim, lim - 1), Point(-lim, lim - 1), Point(lim - 1, -lim),
+            Point(-lim + 1, -lim)]
+    pts = diag + anti + near
+    d = orient_sign_tensor(pts)
+    assert d.tolist() == [[[xorient(p, q, r) for r in pts] for q in pts]
+                          for p in pts]
+    on_anti = [3] + list(range(len(diag), len(diag) + len(anti)))
+    for run in (range(len(diag)), on_anti):
+        assert not d[np.ix_(run, run, run)].any()
+    assert np.count_nonzero(d) > len(pts) ** 3 // 2
+
+
 def test_size_guard_one_past_the_tensor_limit(monkeypatch):
     def refuse(pts):
         raise AssertionError("tensor built past the size guard")

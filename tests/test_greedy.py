@@ -176,16 +176,16 @@ def test_vectorized_deletion_mask_matches_scalar_overlap():
     import numpy as np
 
     from jointtri.geom import orient_sign_tensor
-    from jointtri.greedy import _sat_overlap_mask
+    from jointtri.greedy import _edge_cells, _sat_overlap_mask
     from jointtri.triangles import enumerate_empty
 
     def check(s, cands, picks):
-        arr = np.array(cands, dtype=np.intp)
+        cols = np.array(cands, dtype=np.intp).T
         d = orient_sign_tensor(s.points)
-        signs = d[arr[:, 0], arr[:, 1], arr[:, 2]]
+        cells = _edge_cells(d, cols)
         for pick in picks:
             t = cands[pick]
-            mask = _sat_overlap_mask(d, arr, signs, t, int(signs[pick]))
+            mask = _sat_overlap_mask(d, cols, cells, pick)
             t_pts = tuple(s[v] for v in t)
             for row, u in enumerate(cands):
                 u_pts = tuple(s[v] for v in u)
@@ -263,10 +263,10 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
     legal = necessary_conditions(pair).legal.legal
     calls = []
 
-    def blind(d, arr, *_):
-        calls.append(len(arr))
+    def blind(d, cols, *_):
+        calls.append(cols.shape[1])
         assert len(calls) <= 2 * len(legal), "the greedy does not end"
-        return np.zeros(len(arr), dtype=bool)
+        return np.zeros(cols.shape[1], dtype=bool)
 
     monkeypatch.setattr(greedy, "_sat_overlap_mask", blind)
     for policy, seed in ((LEX, None), (SEEDED_RANDOM, 5)):

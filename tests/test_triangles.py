@@ -1,16 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from jointtri import triangles
-from jointtri.conditions import PointSetPair
+from jointtri.conditions import (PointSetPair, check_hull_correspondence,
+                                 legal_set)
+from jointtri.files import parse_instance
 from jointtri.geom import LabeledSet
 from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
                                 paired_empty, tri, tri_edges)
 
-from helpers import (brute_empty_triangles, convex_position_points,
-                     grid_locked_coords, hull_locked_pair, scan_empty_triangles)
+from helpers import (COLLAPSING_TEXT, brute_empty_triangles,
+                     convex_position_points, grid_locked_coords,
+                     hull_locked_pair, scan_empty_triangles)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -207,3 +211,57 @@ def test_paired_empty_equals_filtered_a_in_iteration_order():
         got = paired_empty(PointSetPair(a, b))
         assert got == expected
         assert list(got) == list(expected)
+
+
+def _check_array(ts):
+    arr = ts.array()
+    assert arr.dtype == np.intp and arr.shape == (len(ts), 3)
+    assert np.array_equal(arr, np.array(ts.sorted_triangles(),
+                                        dtype=np.intp).reshape(-1, 3))
+    if len(ts):
+        with pytest.raises(ValueError):
+            arr[0, 0] = -1
+
+
+def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
+    # enumerate_empty, paired_empty and legal_set each hand over the sorted
+    # rows they already hold; legal_set's must drop exactly the removed rows
+    # whatever order the worklist ran in.
+    removals = 0
+    pairs = [hull_locked_pair(n, 1000, 3, seed)
+             for n, seed in ((20, 0), (24, 3), (30, 2))]
+    pairs.append(parse_instance(COLLAPSING_TEXT)[1])
+    for pair in pairs:
+        _check_array(enumerate_empty(pair.a))
+        cands = paired_empty(pair)
+        _check_array(cands)
+        hull = check_hull_correspondence(pair).hull_edges
+        for order_seed in (None, 0, 1, 2):
+            res = legal_set(pair, cands, hull, order_seed)
+            _check_array(res.legal)
+            removals += len(res.removed)
+        _check_array(cands)
+    assert removals > 0
+    assert len(legal_set(pairs[-1], paired_empty(pairs[-1]), hull).legal) == 0
+
+
+def test_triangle_set_array_follows_add_discard_and_copy():
+    ts = paired_empty(hull_locked_pair(20, 1000, 3, 1))
+    _check_array(ts)
+    t = ts.sorted_triangles()[len(ts) // 2]
+    ts.discard(t)
+    assert t not in {tuple(r) for r in ts.array().tolist()}
+    _check_array(ts)
+    ts.add(t)
+    _check_array(ts)
+    dup = ts.copy()
+    _check_array(dup)
+    dup.discard(t)
+    _check_array(dup)
+    _check_array(ts)
+    assert len(ts.array()) == len(dup.array()) + 1
+    fresh = TriangleSet([(4, 2, 0), (1, 2, 3)])
+    _check_array(fresh)
+    fresh.add((0, 1, 2))
+    assert fresh.array().tolist() == [[0, 1, 2], [0, 2, 4], [1, 2, 3]]
+    _check_array(TriangleSet())
