@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import LabeledSet, convex_hull, hull_edge_set
+from .geom import LabeledSet, hull_edge_set
 from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty
 
 
@@ -74,8 +74,8 @@ def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
     exactly one side.  Raises DegenerateInput if either side is fully
     collinear.
     """
-    edges_a = hull_edge_set(convex_hull(pair.a))
-    edges_b = hull_edge_set(convex_hull(pair.b))
+    edges_a = hull_edge_set(pair.a.hull)
+    edges_b = hull_edge_set(pair.b.hull)
     if edges_a == edges_b:
         return HullCorrespondence(True, edges_a)
     witness = min(edges_a.symmetric_difference(edges_b))

@@ -118,6 +118,13 @@ class LabeledSet:
         d.flags.writeable = False
         return d
 
+    @cached_property
+    def hull(self) -> tuple[int, ...]:
+        """The set's ``convex_hull`` label cycle, computed once and read by
+        the hull-correspondence test, the verifier and the oracle.  Raises
+        DegenerateInput as ``convex_hull`` does, and then caches nothing."""
+        return tuple(convex_hull(self))
+
 
 def convex_hull(s: LabeledSet | Sequence[Point]) -> list[int]:
     """Counterclockwise label sequence of the convex hull boundary.

@@ -17,8 +17,7 @@ from typing import Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from .conditions import PointSetPair
-from .geom import (DegenerateInput, Point, convex_hull, hull_edge_set, orient,
-                   signed_area2)
+from .geom import DegenerateInput, Point, hull_edge_set, orient, signed_area2
 from .triangles import (FLIPS, Edge, Tri, TriangleSet, apex, edge, tri,
                         tri_edges)
 
@@ -162,7 +161,7 @@ def verify_joint(pair: PointSetPair, triangles: Iterable[Tri]) -> Optional[str]:
     """Exact check that a triple set is a joint triangulation of the pair:
     ``verify_tiling`` with each side's convex hull as its boundary cycle."""
     try:
-        hull_a, hull_b = convex_hull(pair.a), convex_hull(pair.b)
+        hull_a, hull_b = pair.a.hull, pair.b.hull
     except DegenerateInput as exc:
         return str(exc)
     return verify_tiling((("A", pair.a.points, hull_a),

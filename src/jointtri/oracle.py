@@ -17,8 +17,8 @@ from typing import Iterator, Optional
 
 from .conditions import PointSetPair, necessary_conditions
 from .files import write_bundle
-from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   hull_edge_set, orient, signed_area2)
+from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, hull_edge_set,
+                   orient, signed_area2)
 from .greedy import LEX, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
@@ -56,8 +56,8 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
         raise SizeGuard(
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_POINTS}, got {n}")
     try:
-        hull = convex_hull(pair.a)
-        if hull_edge_set(hull) != hull_edge_set(convex_hull(pair.b)):
+        hull = pair.a.hull
+        if hull_edge_set(hull) != hull_edge_set(pair.b.hull):
             return
     except DegenerateInput:
         return

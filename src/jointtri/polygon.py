@@ -3,9 +3,12 @@
 Pipeline: per-polygon visibility graphs, their label-wise intersection,
 then an interval dynamic program over boundary indices.  Visibility is
 decided exactly: two [n, n] masks (does a chord leave both ends into the
-interior angle, does it pass through a third vertex) pick the few chords
-worth the boundary crossing test, and the masks with that test decide
-every chord.  A cell (i, q)
+interior angle, does it pass through a third vertex) pick the chords
+worth a boundary crossing test, and the masks with that test decide
+every chord.  Small polygons test those chords against every edge.
+Larger ones sort the vertices around each vertex by an exact integer
+angle key and test a chord u-w only against the edges whose angular span
+at u holds w's direction, so a convex polygon tests none.  A cell (i, q)
 records whether the chain i..q closed by the chord {i, q} admits a joint
 triangulation; the split vertex chosen for each true cell drives the
 backtracking that extracts the triangle set.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import AbstractSet, Optional
 
 import numpy as np
@@ -32,6 +34,8 @@ class GrazingDiagonal(ValueError):
 
 # Cells of one [segments, n] block of _boundary_hits' int64 temporaries
 # (1 MB each), so construction and visibility stay within a few MB at any n.
+# The angle tables and the span test hold about four times as many int64
+# temporaries per cell, so their blocks take a quarter of this.
 _HIT_BLOCK_CELLS = 1 << 17
 
 
@@ -143,6 +147,18 @@ class Polygon:
     def boundary_edges(self) -> frozenset[Edge]:
         return hull_edge_set(range(len(self.vertices)))
 
+    @cached_property
+    def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The polygon's diagonals (i, j), i < j, in lexicographic order, as
+        two read-only index arrays, decided once and read by
+        ``visibility_graph`` and ``ivg``.  Raises GrazingDiagonal on the
+        first grazing chord in that order, and then caches nothing."""
+        us, vs = _chords(len(self))
+        seen = _diagonal_mask(self, us, vs)
+        us, vs = us[seen], vs[seen]
+        us.flags.writeable = vs.flags.writeable = False
+        return us, vs
+
 
 @dataclass(frozen=True)
 class PolygonPair:
@@ -167,25 +183,18 @@ class PolygonPair:
         return ivg(self)
 
 
-def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
-                    ccw_sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two exact [n, n] masks over the ordered vertex pairs (u, v) of the
-    cycle (xs, ys), which winds as ``ccw_sign`` says.
+def _cone(dx: np.ndarray, dy: np.ndarray, ccw_sign: int) -> np.ndarray:
+    """Exact [n, n] mask over the ordered vertex pairs (u, v) of a cycle
+    that winds as ``ccw_sign`` says, given ``dx[u, v] = x_v - x_u`` and
+    ``dy`` likewise: the segment leaves both of its ends strictly inside
+    the interior angle there (O'Rourke's InCone, at u and at v).
 
-    ``cone[u, v]``: the segment leaves both of its ends strictly inside the
-    interior angle there (O'Rourke's InCone, at u and at v).  At u, let p
-    and q be the signs, relative to the winding, of the previous and the
-    next vertex against the line u -> v.  A convex u (interior angle at
-    most pi) needs p > 0 and q < 0, a reflex u needs p > 0 or q < 0.  Adjacent
-    vertices never qualify.
-
-    ``graze[u, v]``: some third vertex lies strictly inside the segment.
-    The directions from u to the other vertices reduce by their gcd to
-    integer keys, and w lies strictly between u and v iff its key is v's
-    at a smaller multiple.  Keys and multiples fit int64 under COORD_LIMIT.
+    At u, let p and q be the signs, relative to the winding, of the
+    previous and the next vertex against the line u -> v.  A convex u
+    (interior angle at most pi) needs p > 0 and q < 0, a reflex u needs
+    p > 0 or q < 0.  Adjacent vertices never qualify.
     """
-    n = len(xs)
-    dx, dy = xs - xs[:, None], ys - ys[:, None]  # dx[u, v] = x_v - x_u
+    n = len(dx)
     # The previous and next vertex of u, relative to u.  A clockwise cycle
     # is the counterclockwise one run backwards: the two swap roles.
     u = np.arange(n)
@@ -197,8 +206,23 @@ def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
     q = dx * qy[:, None] < dy * qx[:, None]
     convex = (qx * py >= qy * px)[:, None]
     cone = np.where(convex, p & q, p | q)
-    cone &= cone.T
+    return cone & cone.T
 
+
+def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
+                    ccw_sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two exact [n, n] masks over the ordered vertex pairs (u, v) of the
+    cycle (xs, ys), which winds as ``ccw_sign`` says: ``_cone``'s, and
+    ``graze``.
+
+    ``graze[u, v]``: some third vertex lies strictly inside the segment.
+    The directions from u to the other vertices reduce by their gcd to
+    integer keys, and w lies strictly between u and v iff its key is v's
+    at a smaller multiple.  Keys and multiples fit int64 under COORD_LIMIT.
+    """
+    n = len(xs)
+    dx, dy = xs - xs[:, None], ys - ys[:, None]  # dx[u, v] = x_v - x_u
+    u = np.arange(n)
     g = np.gcd(dx, dy)
     g[u, u] = 1  # u itself: key 0, alone in its row
     key = dx // g * (1 << 27) + dy // g  # |dy // g| <= 2**25
@@ -207,7 +231,162 @@ def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
     ranked = key[row, order]
     graze = np.zeros((n, n), dtype=bool)
     graze[row, order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
-    return cone, graze
+    return _cone(dx, dy, ccw_sign), graze
+
+
+def _angle_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact int64 keys that order nonzero directions (x, y), coordinate
+    differences within 2 * COORD_LIMIT, counterclockwise from +x: equal
+    keys for equal directions, the upper half-plane (+x included) first.
+
+    The lower half-plane is turned by pi onto the upper one, where the
+    diamond angle -x / (|x| + y) grows with the angle.  Its value times
+    2**52, floored, is taken as two 26-bit digits: with |x| + y <= 2**26,
+    two distinct directions of one half-plane differ in value by at least
+    2**-52, so their floors differ.  Every term stays within 2**52, and
+    every key below 2**54 + 2**52 + 2**26.
+    """
+    lower = (y < 0) | ((y == 0) & (x < 0))
+    den = np.abs(x) + np.abs(y)
+    d1, rest = np.divmod(np.where(lower, x, -x) << 26, den)
+    return (lower.astype(np.int64) << 54) + (d1 << 26) + (rest << 26) // den
+
+
+def _angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every vertex's view of the others, by exact ``_angle_keys``.
+    Returns four [n, n] tables:
+
+    - ``order[u]``: the other vertices counterclockwise around u from +x,
+      those in one direction nearest first, then u itself (position n - 1);
+    - ``first[u, v]``, ``last[u, v]``: the first and last position in
+      ``order[u]`` of v's direction group (the vertices in v's direction
+      from u);
+    - ``graze[u, v]``: a nearer vertex lies in v's direction from u, so
+      strictly inside the segment u-v.
+
+    The first three are int16, which holds n at any size whose [n, n]
+    int64 cone masks fit in memory.  Rows go in blocks of a quarter of
+    ``_HIT_BLOCK_CELLS`` cells.
+    """
+    n = len(xs)
+    order, first, last = (np.empty((n, n), dtype=np.int16) for _ in range(3))
+    graze = np.zeros((n, n), dtype=bool)
+    pos = np.arange(n)
+    step = max(1, _HIT_BLOCK_CELLS // (4 * n))
+    for lo in range(0, n, step):
+        rows = pos[lo:lo + step]
+        x, y = xs - xs[rows, None], ys - ys[rows, None]
+        own = (rows - lo, rows)
+        x[own] = 1  # a stand-in direction for u itself, so no zero divisor
+        key = _angle_keys(x, y)
+        key[own] = 1 << 62  # u itself sorts last
+        o = np.argsort(key, axis=1)
+        ranked = np.take_along_axis(key, o, axis=1)
+        same = ranked[:, 1:] == ranked[:, :-1]
+        tie = same.any(axis=1)
+        if tie.any():  # rows with collinear vertices: nearest first
+            x, y = x[tie], y[tie]
+            o[tie] = np.lexsort((x * x + y * y, key[tie]))
+        graze[rows[:, None], o[:, 1:]] = same
+        order[rows] = o
+        # a group starts where the key changes and ends before the next start
+        starts = np.ones(o.shape, dtype=bool)
+        starts[:, 1:] = ~same
+        ends = np.ones(o.shape, dtype=bool)
+        ends[:, :-1] = ~same
+        cell = rows[:, None], o
+        first[cell] = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+        last[cell] = np.minimum.accumulate(
+            np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    return order, first, last, graze
+
+
+def _edge_sides(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[n, n] int8 table: ``side[k, v]`` is the sign of vertex v against
+    the line of edge k -> k + 1, positive on its left.  Edges go in
+    blocks of a quarter of ``_HIT_BLOCK_CELLS`` cells."""
+    n = len(xs)
+    side = np.empty((n, n), dtype=np.int8)
+    step = max(1, _HIT_BLOCK_CELLS // (4 * n))
+    for lo in range(0, n, step):
+        k = np.arange(lo, min(n, lo + step))
+        k1 = (k + 1) % n
+        ex, ey = (xs[k1] - xs[k])[:, None], (ys[k1] - ys[k])[:, None]
+        v = ex * (ys - ys[k, None]) - ey * (xs - xs[k, None])
+        np.subtract(v > 0, v < 0, dtype=np.int8, out=side[lo:lo + step])
+    return side
+
+
+def _span_crossings(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
+                    first: np.ndarray, last: np.ndarray,
+                    tested: np.ndarray) -> np.ndarray:
+    """[n, n] mask: ``blocked[u, w]`` iff the segment u-w crosses an edge
+    of the cycle (xs, ys) at a point interior to both, decided on the
+    cells ``tested`` marks and False elsewhere.  ``order``, ``first`` and
+    ``last`` are ``_angle_order``'s tables.
+
+    Span lemma: seen from a vertex u off its line, an edge a -> b covers
+    the directions strictly between a's and b's, a cyclic run of
+    ``order[u]``; from u on its line (incident edges among them) it covers
+    none.  The segment u-w can cross the edge properly only if w's
+    direction is in that run, and then it does iff u and w lie strictly on
+    opposite sides of the edge's line.  So row u lists its tested vertices
+    in angular order, twice over so no run wraps, a prefix count per
+    position says which of them fall in each edge's run, and only those
+    (vertex, edge, chord) triples are tested.  Rows, and then triples, go
+    in blocks of about a quarter of ``_HIT_BLOCK_CELLS`` cells.
+    """
+    n = len(xs)
+    side = _edge_sides(xs, ys)
+    flat_side = side.reshape(-1)
+    blocked = np.zeros((n, n), dtype=bool)
+    k = np.arange(n, dtype=np.int16)
+    k1 = (k + 1) % n
+    rows = np.flatnonzero(tested.any(axis=1))
+    cells = max(1, _HIT_BLOCK_CELLS // 4)
+    step = max(1, cells // n)
+    for lo in range(0, len(rows), step):
+        u = rows[lo:lo + step]
+        around = order[u]
+        listed = tested[u[:, None], around]
+        # count[r, p]: u's tested vertices before position p.  Column n
+        # is there for the incident edges, whose ends include u itself at
+        # position n - 1; their runs are zeroed below.
+        count = np.zeros((len(u), n + 1), dtype=np.int32)
+        np.cumsum(listed, axis=1, out=count[:, 1:])
+        total = count[:, -1:]
+        # each row's tested vertices in angular order, twice, row after row
+        targets = np.tile(around, 2)[np.tile(listed, 2)]
+        base = 2 * (np.cumsum(total) - total[:, 0])
+        # Edge k's run starts past its clockwise end's group and stops
+        # before its counterclockwise end's; starting after it stops, it
+        # wraps round through the row's end.
+        s = side[:, u].T
+        ccw = s > 0
+        start = np.take_along_axis(last[u], np.where(ccw, k, k1), axis=1) + 1
+        stop = np.take_along_axis(first[u], np.where(ccw, k1, k), axis=1)
+        begin = np.take_along_axis(count, start, axis=1)
+        size = np.take_along_axis(count, stop, axis=1) - begin
+        size += (start > stop) * total
+        size[s == 0] = 0
+        r, e = np.nonzero(size)
+        size = size[r, e]
+        ends = np.cumsum(size)
+        # Triple t, counted over the block's pairs, reads its vertex w at
+        # targets[head + t]; it crosses iff side[e, w] is opposite u's.
+        head = base[r] + begin[r, e] - (ends - size)
+        edge = e * n
+        away = -s[r, e]
+        i = 0
+        while i < len(ends):
+            j = max(i + 1, int(np.searchsorted(ends, ends[i] - size[i] + cells,
+                                               side="right")))
+            pick = np.repeat(np.arange(i, j), size[i:j])
+            w = targets[head[pick] + np.arange(ends[i] - size[i], ends[j - 1])]
+            hit = flat_side[edge[pick] + w] == away[pick]
+            blocked[u[r[pick[hit]]], w[hit]] = True
+            i = j
+    return blocked
 
 
 def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -219,22 +398,31 @@ def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     crosses an edge properly.  Any other chord that crosses no edge
     properly meets the boundary only at its ends, so its open segment lies
     wholly inside or wholly outside, and the ``cone`` test at its ends
-    tells which.  So the exact boundary test (``_boundary_hits``, in blocks
-    of chords) runs only on chords that pass the cone test or graze.
-    GrazingDiagonal names the first ambiguous chord in the given order:
-    rather than guess, such instances are refused.
+    tells which.  So only chords that pass the cone test or graze are
+    tested for crossings.  When all the chords fit one ``_boundary_hits``
+    block, those are tested densely against every edge, with
+    ``_cone_and_graze``'s masks; above that, ``_angle_order`` gives the
+    graze mask and ``_span_crossings`` tests each chord only against the
+    edges that cover its direction.  GrazingDiagonal names the first
+    ambiguous chord in the given order: rather than guess, such instances
+    are refused.
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
-    cone, graze = _cone_and_graze(xs, ys, poly.ccw_sign)
-    cone, graze = cone[us, vs], graze[us, vs]
-    test = np.flatnonzero(cone | graze)
-    blocked = np.zeros(len(us), dtype=bool)
-    step = max(1, _HIT_BLOCK_CELLS // n)
-    for lo in range(0, len(test), step):
-        rows = test[lo:lo + step]
-        proper, _ = _boundary_hits(xs, ys, us[rows], vs[rows])
-        blocked[rows] = proper.any(axis=1)
+    if len(us) <= max(1, _HIT_BLOCK_CELLS // n):
+        cone, graze = _cone_and_graze(xs, ys, poly.ccw_sign)
+        cone, graze = cone[us, vs], graze[us, vs]
+        test = np.flatnonzero(cone | graze)
+        blocked = np.zeros(len(us), dtype=bool)
+        proper, _ = _boundary_hits(xs, ys, us[test], vs[test])
+        blocked[test] = proper.any(axis=1)
+    else:
+        order, first, last, graze = _angle_order(xs, ys)
+        cone = _cone(xs - xs[:, None], ys - ys[:, None], poly.ccw_sign)[us, vs]
+        graze = graze[us, vs]
+        tested = np.zeros((n, n), dtype=bool)
+        tested[us, vs] = cone | graze
+        blocked = _span_crossings(xs, ys, order, first, last, tested)[us, vs]
     ambiguous = graze & ~blocked
     if ambiguous.any():
         r = int(np.argmax(ambiguous))
@@ -253,13 +441,12 @@ def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def visibility_graph(poly: Polygon) -> set[Edge]:
-    """Boundary edges plus every diagonal of the polygon, deciding every
-    non-adjacent pair (i, j), i < j, in lexicographic order; a
-    GrazingDiagonal names the first grazing chord in that order."""
-    us, vs = _chords(len(poly))
-    seen = _diagonal_mask(poly, us, vs)
+    """Boundary edges plus every diagonal of the polygon (``Polygon.diagonals``),
+    deciding every non-adjacent pair (i, j), i < j, in lexicographic order;
+    a GrazingDiagonal names the first grazing chord in that order."""
+    us, vs = poly.diagonals
     out: set[Edge] = set(poly.boundary_edges())
-    out.update(zip(us[seen].tolist(), vs[seen].tolist()))
+    out.update(zip(us.tolist(), vs.tolist()))
     return out
 
 
@@ -273,13 +460,10 @@ def ivg(pair: PolygonPair) -> frozenset[Edge]:
     B's verdict on it, so B raises GrazingDiagonal only on a chord that is
     a diagonal of A.
     """
-    n = len(pair)
-    seen_a = visibility_graph(pair.a)
-    ends = np.fromiter(chain.from_iterable(seen_a), dtype=np.int64,
-                       count=2 * len(seen_a))
-    us, vs = np.divmod(np.sort(ends[0::2] * n + ends[1::2]), n)
-    diagonal = (vs - us > 1) & ((us != 0) | (vs != n - 1))
-    us, vs = us[diagonal], vs[diagonal]
+    # A's full graph, which raises on a grazing A and is the call the
+    # benchmark's tracer reads |E_A| from; its diagonals stay cached on A.
+    visibility_graph(pair.a)
+    us, vs = pair.a.diagonals
     seen = _diagonal_mask(pair.b, us, vs)
     return pair.b.boundary_edges().union(zip(us[seen].tolist(), vs[seen].tolist()))
 

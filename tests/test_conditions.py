@@ -9,8 +9,8 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  necessary_conditions)
 from jointtri.files import parse_instance
 from jointtri.geom import DegenerateInput, LabeledSet
-from jointtri.greedy import LEX, greedy_construct
-from jointtri.oracle import gen_perturbed_pair, oracle_joint_exists
+from jointtri.greedy import LEX, greedy_construct, verify_joint
+from jointtri.oracle import gen_perturbed_pair, iter_triangulations, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
 
 from helpers import (COLLAPSING_TEXT, brute_successors, grid_locked_coords,
@@ -50,8 +50,13 @@ def test_condition1_reflection_passes():
 
 
 def test_condition1_degenerate_raises():
-    with pytest.raises(DegenerateInput):
-        check_hull_correspondence(_pair([(0, 0), (1, 1), (2, 2), (3, 3)]))
+    pair = _pair([(0, 0), (1, 1), (2, 2), (3, 3)])
+    # the cached hull caches nothing when it raises: every reader sees it
+    for _ in range(2):
+        with pytest.raises(DegenerateInput):
+            check_hull_correspondence(pair)
+    assert verify_joint(pair, []) == "degenerate point set: all points collinear"
+    assert list(iter_triangulations(pair)) == []
 
 
 def test_successors_square():

@@ -40,6 +40,7 @@ def test_convex_hull_square():
     hull = convex_hull(s)
     assert hull == [0, 1, 2, 3]
     assert hull_edge_set(hull) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert s.hull == (0, 1, 2, 3) and s.hull is s.hull
 
 
 def test_convex_hull_collinear_boundary_point_subdivides_edge():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jointtri import polygon
-from jointtri.geom import SizeGuard
+from jointtri.geom import COORD_LIMIT, SizeGuard
 from jointtri.greedy import verify_tiling
 from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
                              polygon_oracle_exists)
@@ -140,10 +140,12 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     verdicts = _construction_verdicts(cycles)
     polys = [Polygon.from_coords(c) for c, v in zip(cycles, verdicts) if v == "ok"]
     graphs = [_visibility_or_grazing(p) for p in polys]
-    # 20 cells is two to six segments per block at these sizes
+    # 20 cells is two to six segments per block at these sizes; visibility
+    # then takes the span path, in blocks of one row and five triples
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
     assert _construction_verdicts(cycles) == verdicts
-    assert [_visibility_or_grazing(p) for p in polys] == graphs
+    # fresh polygons, since each caches its diagonals
+    assert [_visibility_or_grazing(Polygon(p.vertices)) for p in polys] == graphs
 
 
 def _first_grazing_chord(vertices, chords=None):
@@ -205,12 +207,14 @@ def test_cone_and_graze_match_scalar_references():
         xs, ys = np.array(coords, dtype=np.int64).T
         cone, graze = polygon._cone_and_graze(
             xs, ys, Polygon.from_coords(coords).ccw_sign)
+        span_graze = polygon._angle_order(xs, ys)[3]
         n = len(coords)
         for u in range(n):
             for v in range(n):
                 a, b = coords[u], coords[v]
-                assert graze[u, v] == any(_on_open_segment(a, b, p) for p in coords), \
-                    (coords, u, v)
+                grazes = any(_on_open_segment(a, b, p) for p in coords)
+                assert graze[u, v] == grazes, (coords, u, v)
+                assert span_graze[u, v] == grazes, (coords, u, v)
                 assert cone[u, v] == (in_cone(coords, u, v) and in_cone(coords, v, u)), \
                     (coords, u, v)
         grazing += bool(graze.any())
@@ -339,7 +343,9 @@ def test_ivg_across_block_boundaries(monkeypatch):
     # over A's diagonals spans several blocks
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 40)
     for pair, want in cases:
-        assert ivg(pair) == want, (pair.a.vertices, pair.b.vertices)
+        # fresh polygons, since each caches its diagonals
+        fresh = PolygonPair(Polygon(pair.a.vertices), Polygon(pair.b.vertices))
+        assert ivg(fresh) == want, (pair.a.vertices, pair.b.vertices)
 
 
 PENTAGON = [(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)]  # convex: sees every chord
@@ -353,9 +359,10 @@ def _grazing_message(chord):
 
 def test_ivg_grazing_on_a_raises_as_the_full_graph():
     pair = PolygonPair(Polygon.from_coords(FLAT_BOTTOM), Polygon.from_coords(PENTAGON))
-    with pytest.raises(GrazingDiagonal) as exc:
-        ivg(pair)
-    assert str(exc.value) == _grazing_message((0, 2))
+    for _ in range(2):  # A's diagonals cache nothing when they raise
+        with pytest.raises(GrazingDiagonal) as exc:
+            ivg(pair)
+        assert str(exc.value) == _grazing_message((0, 2))
 
 
 def test_ivg_grazing_on_b_names_first_diagonal_of_a():
@@ -542,3 +549,213 @@ def test_orientation_guard_versus_verbatim_rule():
         guarded = dp_joint_polygon(pair)
         oracle_says = polygon_oracle_exists(pair) is not None
         assert (guarded is not None and guarded.verified) == oracle_says
+
+
+def _direction_cmp(d, e) -> int:
+    """Scalar reference order of nonzero directions, counterclockwise from
+    +x: the upper half-plane (+x included) first, then the cross product;
+    0 for equal directions."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    if half(d) != half(e):
+        return half(d) - half(e)
+    return -xorient((0, 0), d, e)
+
+
+def _cap_directions():
+    """Directions at the coordinate cap (differences up to 2 * COORD_LIMIT),
+    in every octant: pairs one step apart, whose cross product is +-1, the
+    half-plane boundaries, and equal directions at different lengths."""
+    m = 2 * COORD_LIMIT
+    base = [(m, m - 1), (m - 1, m - 2), (m, m), (1, 1), (m // 2, m // 2),
+            (m, 1), (m, 0), (1, 0), (m - 1, 1), (m, m // 2), (2, 1),
+            (m - 2, m // 2 - 1), (m - 1, m // 2), (3, m), (1, m - 1)]
+    out = set()
+    for x, y in base:
+        for sx in (1, -1):
+            for sy in (1, -1):
+                out |= {(sx * x, sy * y), (sy * y, sx * x)}
+    return sorted(out)
+
+
+def test_angle_keys_order_directions_at_the_cap():
+    dirs = _cap_directions()
+    key = polygon._angle_keys(*np.array(dirs, dtype=np.int64).T).tolist()
+    ties = 0
+    for i, j in combinations(range(len(dirs)), 2):
+        want = _direction_cmp(dirs[i], dirs[j])
+        assert (key[i] > key[j]) - (key[i] < key[j]) == (want > 0) - (want < 0), \
+            (dirs[i], dirs[j])
+        ties += want == 0
+    assert ties >= 16
+
+
+def test_angle_order_matches_scalar_sort_at_the_cap():
+    """``_angle_order`` on points at +-COORD_LIMIT: each row sorted by the
+    scalar direction order, nearest first within a direction, and
+    ``first`` and ``last`` bracket each direction's run."""
+    c = COORD_LIMIT
+    pts = [(-c, -c), (c, c), (0, 0), (c, c - 1), (c - 1, c - 2), (-c, c),
+           (c, -c), (c // 2, c // 2), (1, 0), (c, 0), (-c, 1), (2, 1),
+           (c - 2, c // 2 - 1), (-c + 1, -c + 2), (0, c), (0, -c)]
+    xs, ys = np.array(pts, dtype=np.int64).T
+    order, first, last, graze = polygon._angle_order(xs, ys)
+    n = len(pts)
+    for u in range(n):
+        row = order[u].tolist()
+        assert row[-1] == u and sorted(row) == list(range(n))
+        d = [(pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]) for v in row[:-1]]
+        for p in range(n - 2):
+            cmp = _direction_cmp(d[p], d[p + 1])
+            assert cmp < 0 or (cmp == 0 and abs(d[p][0]) + abs(d[p][1])
+                               < abs(d[p + 1][0]) + abs(d[p + 1][1])), (u, row)
+        for p, v in enumerate(row[:-1]):
+            run = [q for q in range(n - 1) if _direction_cmp(d[q], d[p]) == 0]
+            assert (first[u, v], last[u, v]) == (run[0], run[-1]), (u, v)
+            assert graze[u, v] == (p > run[0])
+    assert graze.any()
+
+
+def _comb_coords(rng: random.Random, teeth: int, flat: bool = False):
+    """A comb, counterclockwise: a base edge under ``teeth`` spikes between
+    low valleys, 2 * teeth + 3 vertices.  The tips stand at seeded heights,
+    or all at one height when ``flat``, so that chords between tips graze."""
+    tip = (lambda: 10**4) if flat else (lambda: rng.randint(6000, 10**4))
+    out = [(0, 0), (400 * teeth, 0)]
+    for t in range(teeth, 0, -1):
+        out += [(400 * t, tip()), (400 * t - 200, rng.randint(1, 3000))]
+    return out + [(0, tip())]
+
+
+def _spiral_coords(points: int, turns: int, scale: int = 10**6):
+    """A strip winding ``turns`` times inward, 2 * ``points`` vertices: an
+    outer chain and, half a turn's spacing inside it, an inner one."""
+    gap = scale / (turns + 1)
+    outer, inner = [], []
+    for k in range(points):
+        theta = 2 * math.pi * turns * k / (points - 1)
+        r = scale - gap * theta / (2 * math.pi)
+        for chain, radius in ((outer, r), (inner, r - gap / 2)):
+            chain.append((round(radius * math.cos(theta)),
+                          round(radius * math.sin(theta))))
+    return outer + inner[::-1]
+
+
+def _at_the_cap(coords):
+    """``coords`` stretched by an integer factor per axis and shifted to
+    touch -COORD_LIMIT, which keeps every orientation and every verdict."""
+    x0, y0 = min(x for x, _ in coords), min(y for _, y in coords)
+    sx = 2 * COORD_LIMIT // (max(x for x, _ in coords) - x0)
+    sy = 2 * COORD_LIMIT // (max(y for _, y in coords) - y0)
+    return [((x - x0) * sx - COORD_LIMIT, (y - y0) * sy - COORD_LIMIT)
+            for x, y in coords]
+
+
+def _check_mask(coords, chords=None) -> str:
+    """``_diagonal_mask`` on ``chords`` (default all, lexicographic)
+    against the scalar references: it raises on the first grazing chord
+    with no proper crossing, or else decides each chord as
+    ``brute_diagonal_visible`` does.  Returns which of the two happened."""
+    n = len(coords)
+    us, vs = polygon._chords(n) if chords is None else np.array(sorted(chords)).T
+    poly = Polygon.from_coords(coords)
+    first = _first_grazing_chord(coords, list(zip(us.tolist(), vs.tolist())))
+    if first is not None:
+        with pytest.raises(GrazingDiagonal) as exc:
+            polygon._diagonal_mask(poly, us, vs)
+        assert str(exc.value) == _grazing_message(first), coords
+        return "grazing"
+    got = polygon._diagonal_mask(poly, us, vs).tolist()
+    assert got == [brute_diagonal_visible(coords, i, j)
+                   for i, j in zip(us.tolist(), vs.tolist())], coords
+    return "decided"
+
+
+def _counting_span(monkeypatch) -> list:
+    """Count calls of ``_span_crossings``, the span path's crossing test."""
+    calls = []
+    span = polygon._span_crossings
+
+    def counting(*args):
+        calls.append(1)
+        return span(*args)
+
+    monkeypatch.setattr(polygon, "_span_crossings", counting)
+    return calls
+
+
+def _chord_sample(rng: random.Random, n: int):
+    """About nine tenths of an n-gon's chords, seeded, as ``ivg`` passes
+    A's diagonals to B."""
+    return [c for c in zip(*(a.tolist() for a in polygon._chords(n)))
+            if rng.randrange(10)]
+
+
+def test_span_mask_on_combs_and_spirals(monkeypatch):
+    """The candidate-heavy cases: every chord of a comb or spiral sees many
+    edges' spans.  At n >= 70 all chords exceed one dense block, so the
+    span path decides them."""
+    rng = random.Random(167)
+    polys = [_comb_coords(rng, 34), _comb_coords(rng, 40)[::-1],
+             _comb_coords(rng, 36, flat=True), _at_the_cap(_comb_coords(rng, 35)),
+             _spiral_coords(36, 3), _spiral_coords(40, 4)[::-1],
+             _at_the_cap(_spiral_coords(37, 3))]
+    calls = _counting_span(monkeypatch)
+    seen = []
+    for coords in polys:
+        assert brute_is_simple(coords)
+        seen.append(_check_mask(coords))
+        seen.append(_check_mask(coords, _chord_sample(rng, len(coords))))
+    assert len(calls) == len(seen) and seen.count("decided") >= 10 and "grazing" in seen
+
+
+def test_span_mask_on_grid_polygons(monkeypatch):
+    """Grid cycles, where collinear vertices and grazing chords are common,
+    on the span path: 8 cells is less than one chord per block."""
+    monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 8)
+    calls = _counting_span(monkeypatch)
+    rng = random.Random(173)
+    seen = []
+    for coords in _grid_cycles(173, 5000):
+        if len(coords) >= 5 and brute_is_simple(coords):
+            seen.append(_check_mask(coords))
+            seen.append(_check_mask(coords, _chord_sample(rng, len(coords))))
+    assert len(calls) == len(seen)
+    assert seen.count("grazing") >= 100 and seen.count("decided") >= 100
+
+
+def test_span_mask_across_row_and_triple_blocks(monkeypatch):
+    """With 96 cells a span block holds one row, and at most 24
+    (vertex, edge, chord) triples or else one (vertex, edge) pair's, so
+    combs and spirals of n 31 to 50 run many blocks of both."""
+    monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 96)
+    calls = _counting_span(monkeypatch)
+    rng = random.Random(179)
+    polys = [_comb_coords(rng, t, flat=t % 5 == 0) for t in range(14, 23)]
+    polys += [_spiral_coords(p, 2 + p % 2) for p in range(18, 26)]
+    seen = [_check_mask(c) for c in polys + [c[::-1] for c in polys]]
+    assert len(calls) == len(seen) and seen.count("decided") >= 20 and "grazing" in seen
+
+
+def test_dense_and_span_paths_agree_at_the_selection(monkeypatch):
+    """``_diagonal_mask`` tests densely exactly when all chords fit one
+    ``_boundary_hits`` block of ``_HIT_BLOCK_CELLS`` cells, and both sides
+    of that selection decide as the scalar references do."""
+    rng = random.Random(181)
+    polys = [c for c in _grid_cycles(181, 1000) if len(c) >= 5 and brute_is_simple(c)]
+    polys += [_comb_coords(rng, 6), _spiral_coords(12, 2)]
+    polys += [s for s in (star_polygon_coords(rng, n) for n in range(6, 30, 3))
+              if brute_is_simple(s)]
+    calls = _counting_span(monkeypatch)
+    sides = {"dense": [], "span": []}
+    for coords in polys:
+        n = len(coords)
+        chords = n * (n - 3) // 2
+        for cells, path in ((chords * n, "dense"), (chords * n - 1, "span")):
+            monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", cells)
+            before = len(calls)
+            verdict = _check_mask(coords)
+            sides[path].append(verdict)
+            assert len(calls) - before == (path == "span")
+    assert sides["dense"] == sides["span"]
+    assert sides["span"].count("grazing") >= 10 and sides["span"].count("decided") >= 20
