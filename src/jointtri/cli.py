@@ -108,6 +108,8 @@ def _cmd_polygon(args) -> int:
         jt = dp_joint_polygon(pair)
     except GrazingDiagonal as exc:
         raise _CliError(str(exc), EXIT_INPUT)
+    except SizeGuard as exc:
+        raise _CliError(str(exc), EXIT_GUARD)
     if jt is None:
         print("FAIL none")
         return EXIT_FAIL
@@ -162,10 +164,15 @@ def _cmd_genpoly(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    report = hunt(args.mode, (args.nmin, args.nmax), args.trials, args.seed,
-                  coord_range=args.range,
-                  cross_check=not args.no_oracle,
-                  bundle_dir=args.bundle_dir)
+    try:
+        report = hunt(args.mode, (args.nmin, args.nmax), args.trials, args.seed,
+                      coord_range=args.range,
+                      cross_check=not args.no_oracle,
+                      bundle_dir=args.bundle_dir)
+    except SizeGuard as exc:
+        raise _CliError(str(exc), EXIT_GUARD)
+    except ValueError as exc:
+        raise _CliError(str(exc), EXIT_INPUT)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK

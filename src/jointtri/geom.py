@@ -46,7 +46,8 @@ class SizeGuard(ValueError):
 # per side (512 MB at n = 800), so a pair's two tensors stay near 1 GB.
 MAX_TENSOR_POINTS = 800
 # Entries of one int64 block of the tensor build (1 MB); bounds its
-# temporaries at any n.
+# temporaries at any n.  The angle tables hold about four int64
+# temporaries per cell, so their blocks take a quarter of this.
 _TENSOR_BLOCK = 1 << 17
 
 
@@ -183,3 +184,71 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
         v -= c[i:i + step, None, :]
         np.subtract(v > 0, v < 0, dtype=np.int8, out=out[i:i + step])
     return out
+
+
+def angle_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact int64 keys that order nonzero directions (x, y), coordinate
+    differences within 2 * COORD_LIMIT, counterclockwise from +x: equal
+    keys for equal directions, the upper half-plane (+x included) first.
+
+    The lower half-plane is turned by pi onto the upper one, where the
+    diamond angle -x / (|x| + y) grows with the angle.  Its value times
+    2**52, floored, is taken as two 26-bit digits: with |x| + y <= 2**26,
+    two distinct directions of one half-plane differ in value by at least
+    2**-52, so their floors differ.  Every term stays within 2**52, and
+    every key below 2**54 + 2**52 + 2**26.
+    """
+    lower = (y < 0) | ((y == 0) & (x < 0))
+    den = np.abs(x) + np.abs(y)
+    d1, rest = np.divmod(np.where(lower, x, -x) << 26, den)
+    return (lower.astype(np.int64) << 54) + (d1 << 26) + (rest << 26) // den
+
+
+def angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every point's view of the others, by exact ``angle_keys``, for
+    int64 coordinate arrays within COORD_LIMIT.  Returns four [n, n]
+    tables:
+
+    - ``order[u]``: the other points counterclockwise around u from +x,
+      those in one direction nearest first, then u itself (position n - 1);
+    - ``first[u, v]``, ``last[u, v]``: the first and last position in
+      ``order[u]`` of v's direction group (the points in v's direction
+      from u), so ``first[u, v]`` counts the points strictly before v's
+      direction;
+    - ``graze[u, v]``: a nearer point lies in v's direction from u, so
+      strictly inside the segment u-v.
+
+    The first three are int16, exact below 32,768 points.  Rows go in
+    blocks of a quarter of ``_TENSOR_BLOCK`` cells.
+    """
+    n = len(xs)
+    order, first, last = (np.empty((n, n), dtype=np.int16) for _ in range(3))
+    graze = np.zeros((n, n), dtype=bool)
+    pos = np.arange(n)
+    step = max(1, _TENSOR_BLOCK // (4 * n))
+    for lo in range(0, n, step):
+        rows = pos[lo:lo + step]
+        x, y = xs - xs[rows, None], ys - ys[rows, None]
+        own = (rows - lo, rows)
+        x[own] = 1  # a stand-in direction for u itself, so no zero divisor
+        key = angle_keys(x, y)
+        key[own] = 1 << 62  # u itself sorts last
+        o = np.argsort(key, axis=1)
+        ranked = np.take_along_axis(key, o, axis=1)
+        same = ranked[:, 1:] == ranked[:, :-1]
+        tie = same.any(axis=1)
+        if tie.any():  # rows with collinear points: nearest first
+            x, y = x[tie], y[tie]
+            o[tie] = np.lexsort((x * x + y * y, key[tie]))
+        graze[rows[:, None], o[:, 1:]] = same
+        order[rows] = o
+        # a group starts where the key changes and ends before the next start
+        starts = np.ones(o.shape, dtype=bool)
+        starts[:, 1:] = ~same
+        ends = np.ones(o.shape, dtype=bool)
+        ends[:, :-1] = ~same
+        cell = rows[:, None], o
+        first[cell] = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+        last[cell] = np.minimum.accumulate(
+            np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    return order, first, last, graze

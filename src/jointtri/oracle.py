@@ -177,11 +177,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
 def gen_point_pair(n: int, coord_range: int, seed: int) -> PointSetPair:
     """Two independent uniform sets of n distinct integer points in
     [0, coord_range]^2, deterministic per seed."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    if (coord_range + 1) ** 2 < n:
-        raise ValueError(
-            f"coordinate range {coord_range} too small for {n} distinct points")
+    _check_size(n, coord_range)
     rng = random.Random(seed)
 
     def side() -> LabeledSet:
@@ -195,6 +191,16 @@ def gen_point_pair(n: int, coord_range: int, seed: int) -> PointSetPair:
         return LabeledSet(tuple(pts))
 
     return PointSetPair(side(), side())
+
+
+def _check_size(n: int, coord_range: int) -> None:
+    """Raise ValueError unless n distinct points, n >= 3, fit in
+    [0, coord_range]^2."""
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    if (coord_range + 1) ** 2 < n:
+        raise ValueError(
+            f"coordinate range {coord_range} too small for {n} distinct points")
 
 
 def gen_perturbed_pair(n: int, coord_range: int, jitter: int,
@@ -355,11 +361,17 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     polygon oracle.  ``nc_pass_count`` counts condition passes (POINTS)
     or DP successes (POLYGONS).  Any verification failure or oracle
     disagreement is recorded as a counterexample (and serialized when
-    ``bundle_dir`` is given); these are findings, not errors.
+    ``bundle_dir`` is given); these are findings, not errors.  Raises
+    ValueError, before the first instance, on an unknown mode, an empty
+    size range, n < 3, or a range too small for nmax distinct points.
     """
     if mode not in (POINTS, POLYGONS):
         raise ValueError(f"unknown hunt mode: {mode!r}")
     n_lo, n_hi = n_range
+    if n_lo > n_hi:
+        raise ValueError(f"empty size range: nmin {n_lo} exceeds nmax {n_hi}")
+    _check_size(n_lo, coord_range)
+    _check_size(n_hi, coord_range)
     report = HuntReport(mode=mode)
     master = random.Random(seed)
 

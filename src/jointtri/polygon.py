@@ -5,13 +5,14 @@ then an interval dynamic program over boundary indices.  Visibility is
 decided exactly: two [n, n] masks (does a chord leave both ends into the
 interior angle, does it pass through a third vertex) pick the chords
 worth a boundary crossing test, and the masks with that test decide
-every chord.  Small polygons test those chords against every edge.
-Larger ones sort the vertices around each vertex by an exact integer
-angle key and test a chord u-w only against the edges whose angular span
-at u holds w's direction, so a convex polygon tests none.  A cell (i, q)
-records whether the chain i..q closed by the chord {i, q} admits a joint
-triangulation; the split vertex chosen for each true cell drives the
-backtracking that extracts the triangle set.
+every chord.  Small polygons test every chord against every edge and
+vertex.  Larger ones sort the vertices around each vertex in the exact
+angular order of ``geom.angle_order`` and test a chord u-w only against
+the edges whose angular span at u holds w's direction, so a convex
+polygon tests none.  A cell (i, q) records whether the chain i..q closed
+by the chord {i, q} admits a joint triangulation; the split vertex
+chosen for each true cell drives the backtracking that extracts the
+triangle set.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from .geom import COORD_LIMIT, Point, hull_edge_set, signed_area2
+from .geom import (COORD_LIMIT, Point, SizeGuard, angle_order, hull_edge_set,
+                   signed_area2)
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, tri
 
@@ -34,9 +36,17 @@ class GrazingDiagonal(ValueError):
 
 # Cells of one [segments, n] block of _boundary_hits' int64 temporaries
 # (1 MB each), so construction and visibility stay within a few MB at any n.
-# The angle tables and the span test hold about four times as many int64
-# temporaries per cell, so their blocks take a quarter of this.
+# The span test holds about four times as many int64 temporaries per cell,
+# so its blocks take a quarter of this.  Visibility tests all chords densely
+# only while they fit a quarter too (n <= 41 for a whole polygon), about
+# where the span test becomes the faster one.
 _HIT_BLOCK_CELLS = 1 << 17
+
+# Largest polygon whose visibility is decided.  The [n, n] int64 tables of
+# the cone test, the shared-edge set and the interval DP's three n x n
+# lists peak near 135 * n**2 bytes for a convex pair (300 MB at n = 1500),
+# so a pair stays under 1 GB, and the int16 angle tables exact, up to here.
+MAX_POLYGON_VERTICES = 2500
 
 
 def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
@@ -44,15 +54,17 @@ def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
     """Exact tests of the segments us[r] -> vs[r], between vertices of the
     cycle (xs, ys), against its boundary.  Returns two [len(us), n] masks:
     ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a point
-    interior to both, and ``on_line[r, w]`` iff vertex w lies on the
-    segment's line (the segment's own ends among them).
+    interior to both, and ``inside[r, w]`` iff vertex w lies strictly
+    inside the segment.
 
     Only the side of each vertex against each segment is computed densely;
     the few edges whose ends lie strictly on opposite sides are then
-    tested one by one.  A segment sharing an endpoint with edge k has side
-    0 there, so it never crosses that edge properly.  Int64 is exact for
-    coordinates within COORD_LIMIT; callers pass at most
-    ``_HIT_BLOCK_CELLS // n`` segments.
+    tested one by one, and so are the few vertices on the segment's line,
+    which lie strictly inside it iff they see its ends in opposite
+    directions (a negative dot product).  A segment sharing an endpoint
+    with edge k has side 0 there, so it never crosses that edge properly.
+    Int64 is exact for coordinates within COORD_LIMIT; callers pass at
+    most ``_HIT_BLOCK_CELLS // n`` segments.
     """
     n = len(xs)
     dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
@@ -70,7 +82,12 @@ def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
     at_u = np.sign(ex * (ys[us[r]] - ys[k]) - ey * (xs[us[r]] - xs[k]))
     at_v = np.sign(ex * (ys[vs[r]] - ys[k]) - ey * (xs[vs[r]] - xs[k]))
     proper[r, k] = at_u * at_v < 0
-    return proper, ~(left[:, :-1] | right[:, :-1])
+    inside = ~(left[:, :-1] | right[:, :-1])
+    r, w = np.nonzero(inside)
+    u, v = us[r], vs[r]
+    inside[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
+                    + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
+    return proper, inside
 
 
 @dataclass(frozen=True)
@@ -109,15 +126,9 @@ class Polygon:
         for lo in range(0, n, step):
             rows = edges[lo:lo + step]
             ends = (rows + 1) % n
-            proper, inner = _boundary_hits(xs, ys, rows, ends)
-            # a vertex w on the line of edge u -> v lies strictly inside
-            # the edge iff w - u and w - v point opposite ways
-            r, w = np.nonzero(inner)
-            u, v = rows[r], ends[r]
-            inner[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
-                           + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
+            proper, inside = _boundary_hits(xs, ys, rows, ends)
             # edge r crosses edge c, or vertex c or c + 1 lies inside edge r
-            r, c = np.nonzero(proper | inner | np.roll(inner, -1, axis=1))
+            r, c = np.nonzero(proper | inside | np.roll(inside, -1, axis=1))
             if r.size:
                 r = rows[r]
                 first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
@@ -152,7 +163,12 @@ class Polygon:
         """The polygon's diagonals (i, j), i < j, in lexicographic order, as
         two read-only index arrays, decided once and read by
         ``visibility_graph`` and ``ivg``.  Raises GrazingDiagonal on the
-        first grazing chord in that order, and then caches nothing."""
+        first grazing chord in that order, and SizeGuard, before
+        allocating, above MAX_POLYGON_VERTICES vertices; either caches
+        nothing."""
+        if len(self) > MAX_POLYGON_VERTICES:
+            raise SizeGuard(f"polygon visibility is limited to n <= "
+                            f"{MAX_POLYGON_VERTICES}, got {len(self)}")
         us, vs = _chords(len(self))
         seen = _diagonal_mask(self, us, vs)
         us, vs = us[seen], vs[seen]
@@ -209,98 +225,6 @@ def _cone(dx: np.ndarray, dy: np.ndarray, ccw_sign: int) -> np.ndarray:
     return cone & cone.T
 
 
-def _cone_and_graze(xs: np.ndarray, ys: np.ndarray,
-                    ccw_sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two exact [n, n] masks over the ordered vertex pairs (u, v) of the
-    cycle (xs, ys), which winds as ``ccw_sign`` says: ``_cone``'s, and
-    ``graze``.
-
-    ``graze[u, v]``: some third vertex lies strictly inside the segment.
-    The directions from u to the other vertices reduce by their gcd to
-    integer keys, and w lies strictly between u and v iff its key is v's
-    at a smaller multiple.  Keys and multiples fit int64 under COORD_LIMIT.
-    """
-    n = len(xs)
-    dx, dy = xs - xs[:, None], ys - ys[:, None]  # dx[u, v] = x_v - x_u
-    u = np.arange(n)
-    g = np.gcd(dx, dy)
-    g[u, u] = 1  # u itself: key 0, alone in its row
-    key = dx // g * (1 << 27) + dy // g  # |dy // g| <= 2**25
-    order = np.lexsort((g, key))  # each row by key, then by multiple
-    row = u[:, None]
-    ranked = key[row, order]
-    graze = np.zeros((n, n), dtype=bool)
-    graze[row, order[:, 1:]] = ranked[:, 1:] == ranked[:, :-1]
-    return _cone(dx, dy, ccw_sign), graze
-
-
-def _angle_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact int64 keys that order nonzero directions (x, y), coordinate
-    differences within 2 * COORD_LIMIT, counterclockwise from +x: equal
-    keys for equal directions, the upper half-plane (+x included) first.
-
-    The lower half-plane is turned by pi onto the upper one, where the
-    diamond angle -x / (|x| + y) grows with the angle.  Its value times
-    2**52, floored, is taken as two 26-bit digits: with |x| + y <= 2**26,
-    two distinct directions of one half-plane differ in value by at least
-    2**-52, so their floors differ.  Every term stays within 2**52, and
-    every key below 2**54 + 2**52 + 2**26.
-    """
-    lower = (y < 0) | ((y == 0) & (x < 0))
-    den = np.abs(x) + np.abs(y)
-    d1, rest = np.divmod(np.where(lower, x, -x) << 26, den)
-    return (lower.astype(np.int64) << 54) + (d1 << 26) + (rest << 26) // den
-
-
-def _angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Every vertex's view of the others, by exact ``_angle_keys``.
-    Returns four [n, n] tables:
-
-    - ``order[u]``: the other vertices counterclockwise around u from +x,
-      those in one direction nearest first, then u itself (position n - 1);
-    - ``first[u, v]``, ``last[u, v]``: the first and last position in
-      ``order[u]`` of v's direction group (the vertices in v's direction
-      from u);
-    - ``graze[u, v]``: a nearer vertex lies in v's direction from u, so
-      strictly inside the segment u-v.
-
-    The first three are int16, which holds n at any size whose [n, n]
-    int64 cone masks fit in memory.  Rows go in blocks of a quarter of
-    ``_HIT_BLOCK_CELLS`` cells.
-    """
-    n = len(xs)
-    order, first, last = (np.empty((n, n), dtype=np.int16) for _ in range(3))
-    graze = np.zeros((n, n), dtype=bool)
-    pos = np.arange(n)
-    step = max(1, _HIT_BLOCK_CELLS // (4 * n))
-    for lo in range(0, n, step):
-        rows = pos[lo:lo + step]
-        x, y = xs - xs[rows, None], ys - ys[rows, None]
-        own = (rows - lo, rows)
-        x[own] = 1  # a stand-in direction for u itself, so no zero divisor
-        key = _angle_keys(x, y)
-        key[own] = 1 << 62  # u itself sorts last
-        o = np.argsort(key, axis=1)
-        ranked = np.take_along_axis(key, o, axis=1)
-        same = ranked[:, 1:] == ranked[:, :-1]
-        tie = same.any(axis=1)
-        if tie.any():  # rows with collinear vertices: nearest first
-            x, y = x[tie], y[tie]
-            o[tie] = np.lexsort((x * x + y * y, key[tie]))
-        graze[rows[:, None], o[:, 1:]] = same
-        order[rows] = o
-        # a group starts where the key changes and ends before the next start
-        starts = np.ones(o.shape, dtype=bool)
-        starts[:, 1:] = ~same
-        ends = np.ones(o.shape, dtype=bool)
-        ends[:, :-1] = ~same
-        cell = rows[:, None], o
-        first[cell] = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-        last[cell] = np.minimum.accumulate(
-            np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
-    return order, first, last, graze
-
-
 def _edge_sides(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """[n, n] int8 table: ``side[k, v]`` is the sign of vertex v against
     the line of edge k -> k + 1, positive on its left.  Edges go in
@@ -323,7 +247,7 @@ def _span_crossings(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
     """[n, n] mask: ``blocked[u, w]`` iff the segment u-w crosses an edge
     of the cycle (xs, ys) at a point interior to both, decided on the
     cells ``tested`` marks and False elsewhere.  ``order``, ``first`` and
-    ``last`` are ``_angle_order``'s tables.
+    ``last`` are ``angle_order``'s tables.
 
     Span lemma: seen from a vertex u off its line, an edge a -> b covers
     the directions strictly between a's and b's, a cyclic run of
@@ -398,27 +322,23 @@ def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     crosses an edge properly.  Any other chord that crosses no edge
     properly meets the boundary only at its ends, so its open segment lies
     wholly inside or wholly outside, and the ``cone`` test at its ends
-    tells which.  So only chords that pass the cone test or graze are
-    tested for crossings.  When all the chords fit one ``_boundary_hits``
-    block, those are tested densely against every edge, with
-    ``_cone_and_graze``'s masks; above that, ``_angle_order`` gives the
-    graze mask and ``_span_crossings`` tests each chord only against the
-    edges that cover its direction.  GrazingDiagonal names the first
-    ambiguous chord in the given order: rather than guess, such instances
-    are refused.
+    tells which.  So crossings matter only on chords that pass the cone
+    test or graze.  While all the chords fit a quarter of a
+    ``_boundary_hits`` block, one call of it tests them all against every
+    edge and vertex; above that, ``angle_order`` gives the graze mask and
+    ``_span_crossings`` tests only those chords, each against the edges
+    that cover its direction.  GrazingDiagonal names the first ambiguous
+    chord in the given order: rather than guess, such instances are
+    refused.
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
-    if len(us) <= max(1, _HIT_BLOCK_CELLS // n):
-        cone, graze = _cone_and_graze(xs, ys, poly.ccw_sign)
-        cone, graze = cone[us, vs], graze[us, vs]
-        test = np.flatnonzero(cone | graze)
-        blocked = np.zeros(len(us), dtype=bool)
-        proper, _ = _boundary_hits(xs, ys, us[test], vs[test])
-        blocked[test] = proper.any(axis=1)
+    cone = _cone(xs - xs[:, None], ys - ys[:, None], poly.ccw_sign)[us, vs]
+    if len(us) * n <= _HIT_BLOCK_CELLS // 4:
+        proper, inside = _boundary_hits(xs, ys, us, vs)
+        graze, blocked = inside.any(axis=1), proper.any(axis=1)
     else:
-        order, first, last, graze = _angle_order(xs, ys)
-        cone = _cone(xs - xs[:, None], ys - ys[:, None], poly.ccw_sign)[us, vs]
+        order, first, last, graze = angle_order(xs, ys)
         graze = graze[us, vs]
         tested = np.zeros((n, n), dtype=bool)
         tested[us, vs] = cone | graze
@@ -525,17 +445,17 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     if not m[0][n - 1]:
         return None
 
+    # Backtrack in preorder, cell (i, k) before (k, q), on an explicit
+    # stack: a fan's chain of cells is n - 2 deep.
     tris: list[Tri] = []
-
-    def collect(i: int, q: int) -> None:
+    stack = [(0, n - 1)]
+    while stack:
+        i, q = stack.pop()
         if q - i < 2:
-            return
+            continue
         k = choice[i][q]
         tris.append(tri(i, k, q))
-        collect(i, k)
-        collect(k, q)
-
-    collect(0, n - 1)
+        stack += ((k, q), (i, k))
     violation = verify_polygon_joint(pair, tris)
     return JointTriangulation(TriangleSet(tris), violation is None, violation, tris)
 

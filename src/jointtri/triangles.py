@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geom import LabeledSet
+from .geom import LabeledSet, angle_order
 
 if TYPE_CHECKING:
     from .conditions import PointSetPair
@@ -156,36 +156,9 @@ def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells of one block of the sweep's temporaries, of at most 4 bytes each:
-# [rows, n - 1] walks, or [vertices, n, n] for the ranks (one vertex at
-# least), so the sweep's working set stays small at any n.
+# Cells of one [rows, n - 1] block of the sweep's temporaries, of at most
+# 4 bytes each, so its working set stays small at any n.
 _SWEEP_BLOCK_CELLS = 1 << 16
-
-
-def _angular_ranks(dx: np.ndarray, dy: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """[n, n] int16 table: ``R[v, p]`` counts the points strictly before p
-    counterclockwise around v, from the +x direction, upper half-plane
-    (including +x itself) first.  Points in one direction from v tie.
-    ``dx[v, p]`` and ``dy[v, p]`` are p's coordinates minus v's, ``d`` the
-    orientation-sign tensor.
-
-    Exact: q precedes p iff q's half-plane comes first, or both share one
-    and ``orient(v, q, p)`` is counterclockwise.  ``R[v, v]`` is -n, below
-    every other point's rank.
-    """
-    n = len(d)
-    # half[v, p]: 0 in the upper half-plane, 1 in the lower, 2 at v itself,
-    # which then precedes nothing.
-    half = np.where((dy > 0) | ((dy == 0) & (dx > 0)), 0, 1).astype(np.int8)
-    np.fill_diagonal(half, 2)
-    ranks = np.empty((n, n), dtype=np.int16)
-    step = max(1, _SWEEP_BLOCK_CELLS // (n * n))
-    for v in range(0, n, step):
-        hq, hp = half[v:v + step, :, None], half[v:v + step, None, :]
-        before = (hq < hp) | ((hq == hp) & (d[v:v + step] == 1))
-        ranks[v:v + step] = np.count_nonzero(before, axis=1)
-    np.fill_diagonal(ranks, -n)
-    return ranks
 
 
 def enumerate_empty(s: LabeledSet) -> TriangleSet:
@@ -195,7 +168,9 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     triangle minus the three vertices (a point on an edge disqualifies).
     Degenerate (collinear) triples are excluded.
 
-    Angular sweep, O(n^3) on exact integer ranks (``_angular_ranks``).
+    Angular sweep, O(n^3) on the exact angular order of ``angle_order``.
+    Its ``first`` table is the rank table R: R[v, p] counts the points
+    strictly before p's direction around v, counterclockwise from +x.
     Each triangle is found once, in the row (i, j) of its smallest label i
     and the j that puts the third vertex k strictly left of i -> j.  The
     closed triangle is the intersection of its angles at i and at j, so a
@@ -213,13 +188,11 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     """
     n = len(s)
     d = s.signs
-    xs = np.array([p[0] for p in s.points], dtype=np.int64)
-    ys = np.array([p[1] for p in s.points], dtype=np.int64)
-    dx, dy = xs - xs[:, None], ys - ys[:, None]
-    ranks = _angular_ranks(dx, dy, d)
-    # i's other points by (rank, distance): i itself, ranked -n, is first
-    # and dropped; the list is doubled so every rotation is one slice.
-    around = np.lexsort((dx * dx + dy * dy, ranks)).astype(np.int32)[:, 1:]
+    order, ranks, _, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
+    # i itself, last in its own list, is dropped and ranked -n, below every
+    # other point; the list is doubled so every rotation is one slice.
+    np.fill_diagonal(ranks, -n)
+    around = order[:, :-1].astype(np.int32)
     around = np.concatenate((around, around), axis=1).ravel()
     width = n - 1
     span = np.arange(width, dtype=np.int32)

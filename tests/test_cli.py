@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jointtri import geom
+from jointtri import geom, polygon
 from jointtri.cli import main
 from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
@@ -420,6 +420,36 @@ def test_gen_and_hunt_deterministic_output():
     assert code1 == code2 == 0
     assert hunt1 == hunt2
     assert "instances_tried 25" in hunt1
+
+
+def test_hunt_bad_arguments_exit_1():
+    """An empty size range, n < 3 or a range too small for nmax distinct
+    points stop the hunt before its first instance with the message on
+    stderr and exit 1, as they do ``gen``."""
+    cases = {
+        ("points", "9", "5", "3", "1"): "empty size range: nmin 9 exceeds nmax 5",
+        ("polygons", "2", "5", "3", "1"): "n must be at least 3",
+        ("points", "4", "10", "3", "1", "--range", "2"):
+            "coordinate range 2 too small for 10 distinct points",
+    }
+    for argv, message in cases.items():
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli("hunt", *argv)
+        assert (code, out, err.getvalue()) == (1, "", message + "\n"), argv
+
+
+def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 5)
+    p = tmp_path / "hexagons.txt"
+    hexagon = Polygon.from_coords(convex_polygon_coords(6))
+    p.write_text(format_instance(KIND_POLYGON, PolygonPair(hexagon, hexagon)))
+    for argv in (["polygon", str(p)], ["hunt", "polygons", "6", "6", "1", "1"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.getvalue() == "polygon visibility is limited to n <= 5, got 6\n"
 
 
 def test_genpoly_output_parses():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -211,3 +212,72 @@ def test_overlap_reference_against_sampling():
             sampled_hits += 1
             assert got
     assert sampled_hits > 300  # sampling actually exercised the true cases
+
+
+def _direction_cmp(d, e) -> int:
+    """Scalar reference order of nonzero directions, counterclockwise from
+    +x: the upper half-plane (+x included) first, then the cross product;
+    0 for equal directions."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    if half(d) != half(e):
+        return half(d) - half(e)
+    return -xorient((0, 0), d, e)
+
+
+def _cap_directions():
+    """Directions at the coordinate cap (differences up to 2 * COORD_LIMIT),
+    in every octant: pairs one step apart, whose cross product is +-1, the
+    half-plane boundaries, and equal directions at different lengths."""
+    m = 2 * COORD_LIMIT
+    base = [(m, m - 1), (m - 1, m - 2), (m, m), (1, 1), (m // 2, m // 2),
+            (m, 1), (m, 0), (1, 0), (m - 1, 1), (m, m // 2), (2, 1),
+            (m - 2, m // 2 - 1), (m - 1, m // 2), (3, m), (1, m - 1)]
+    out = set()
+    for x, y in base:
+        for sx in (1, -1):
+            for sy in (1, -1):
+                out |= {(sx * x, sy * y), (sy * y, sx * x)}
+    return sorted(out)
+
+
+def test_angle_keys_order_directions_at_the_cap():
+    dirs = _cap_directions()
+    key = geom.angle_keys(*np.array(dirs, dtype=np.int64).T).tolist()
+    ties = 0
+    for i, j in combinations(range(len(dirs)), 2):
+        want = _direction_cmp(dirs[i], dirs[j])
+        assert (key[i] > key[j]) - (key[i] < key[j]) == (want > 0) - (want < 0), \
+            (dirs[i], dirs[j])
+        ties += want == 0
+    assert ties >= 16
+
+
+def test_angle_order_matches_scalar_sort_at_the_cap(monkeypatch):
+    """``angle_order`` on points at +-COORD_LIMIT: each row sorted by the
+    scalar direction order, nearest first within a direction, and
+    ``first`` and ``last`` bracket each direction's run."""
+    c = COORD_LIMIT
+    pts = [(-c, -c), (c, c), (0, 0), (c, c - 1), (c - 1, c - 2), (-c, c),
+           (c, -c), (c // 2, c // 2), (1, 0), (c, 0), (-c, 1), (2, 1),
+           (c - 2, c // 2 - 1), (-c + 1, -c + 2), (0, c), (0, -c)]
+    xs, ys = np.array(pts, dtype=np.int64).T
+    order, first, last, graze = geom.angle_order(xs, ys)
+    n = len(pts)
+    for u in range(n):
+        row = order[u].tolist()
+        assert row[-1] == u and sorted(row) == list(range(n))
+        d = [(pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]) for v in row[:-1]]
+        for p in range(n - 2):
+            cmp = _direction_cmp(d[p], d[p + 1])
+            assert cmp < 0 or (cmp == 0 and abs(d[p][0]) + abs(d[p][1])
+                               < abs(d[p + 1][0]) + abs(d[p + 1][1])), (u, row)
+        for p, v in enumerate(row[:-1]):
+            run = [q for q in range(n - 1) if _direction_cmp(d[q], d[p]) == 0]
+            assert (first[u, v], last[u, v]) == (run[0], run[-1]), (u, v)
+            assert graze[u, v] == (p > run[0])
+    assert graze.any()
+    # the same tables in blocks of three rows of the 16 (the last holds one)
+    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 4 * 16 * 3)
+    for got, want in zip(geom.angle_order(xs, ys), (order, first, last, graze)):
+        assert np.array_equal(got, want)

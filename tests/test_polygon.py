@@ -1,13 +1,14 @@
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from jointtri import polygon
-from jointtri.geom import COORD_LIMIT, SizeGuard
+from jointtri import geom, polygon
+from jointtri.geom import COORD_LIMIT, SizeGuard, angle_order
 from jointtri.greedy import verify_tiling
 from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
                              polygon_oracle_exists)
@@ -45,6 +46,25 @@ def test_polygon_orientation_sign():
 def test_visibility_convex_is_complete():
     poly = Polygon.from_coords([(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)])
     assert len(visibility_graph(poly)) == math.comb(5, 2)
+
+
+def test_visibility_size_guard(monkeypatch):
+    """Above MAX_POLYGON_VERTICES visibility raises SizeGuard before any
+    chord is listed, and caches nothing; at the limit it decides."""
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
+    at = Polygon.from_coords(convex_polygon_coords(8))
+    assert len(visibility_graph(at)) == math.comb(8, 2)
+    over = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(9)),) * 2)
+
+    def no_chords(n):
+        raise AssertionError("chords listed above the size limit")
+
+    monkeypatch.setattr(polygon, "_chords", no_chords)
+    for call in (visibility_graph, lambda p: ivg(PolygonPair(p, p))):
+        with pytest.raises(SizeGuard, match="n <= 8, got 9"):
+            call(over.a)
+    with pytest.raises(SizeGuard):
+        dp_joint_polygon(over)
 
 
 def test_visibility_reflex_quad_single_diagonal():
@@ -141,8 +161,10 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     polys = [Polygon.from_coords(c) for c, v in zip(cycles, verdicts) if v == "ok"]
     graphs = [_visibility_or_grazing(p) for p in polys]
     # 20 cells is two to six segments per block at these sizes; visibility
-    # then takes the span path, in blocks of one row and five triples
+    # then takes the span path, in blocks of one row and five triples, on
+    # angle tables built one row per block
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
+    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 20)
     assert _construction_verdicts(cycles) == verdicts
     # fresh polygons, since each caches its diagonals
     assert [_visibility_or_grazing(Polygon(p.vertices)) for p in polys] == graphs
@@ -202,13 +224,18 @@ def _mask_polygons():
 
 
 def test_cone_and_graze_match_scalar_references():
+    """``_cone``, and the graze masks of both visibility paths: the dense
+    path's ``inside`` from ``_boundary_hits`` on every ordered pair, and
+    the span path's from ``angle_order``."""
     grazing = reflex = 0
     for coords in _mask_polygons():
         xs, ys = np.array(coords, dtype=np.int64).T
-        cone, graze = polygon._cone_and_graze(
-            xs, ys, Polygon.from_coords(coords).ccw_sign)
-        span_graze = polygon._angle_order(xs, ys)[3]
         n = len(coords)
+        cone = polygon._cone(xs - xs[:, None], ys - ys[:, None],
+                             Polygon.from_coords(coords).ccw_sign)
+        us, vs = np.divmod(np.arange(n * n), n)
+        graze = polygon._boundary_hits(xs, ys, us, vs)[1].any(axis=1).reshape(n, n)
+        span_graze = angle_order(xs, ys)[3]
         for u in range(n):
             for v in range(n):
                 a, b = coords[u], coords[v]
@@ -540,6 +567,24 @@ def test_table_monotone_under_shared_edge_removal():
     assert sampled >= 20
 
 
+def test_dp_backtracks_a_fan_deeper_than_the_recursion_limit():
+    """On a convex pair every cell (i, q) splits at i + 1, so the chain of
+    cells to backtrack is n - 2 deep; with the recursion limit 100 frames
+    above the caller, a fan of 150 vertices still comes back whole."""
+    pair = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(150)),) * 2)
+    pair.shared  # visibility at the normal limit
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        jt = dp_joint_polygon(pair)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert jt.verified and len(jt.triangles) == 148
+
+
 def test_orientation_guard_versus_verbatim_rule():
     # The recurrence, with its interior-side guard on every split, must
     # stay exact (oracle-checked).
@@ -549,71 +594,6 @@ def test_orientation_guard_versus_verbatim_rule():
         guarded = dp_joint_polygon(pair)
         oracle_says = polygon_oracle_exists(pair) is not None
         assert (guarded is not None and guarded.verified) == oracle_says
-
-
-def _direction_cmp(d, e) -> int:
-    """Scalar reference order of nonzero directions, counterclockwise from
-    +x: the upper half-plane (+x included) first, then the cross product;
-    0 for equal directions."""
-    def half(v):
-        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
-    if half(d) != half(e):
-        return half(d) - half(e)
-    return -xorient((0, 0), d, e)
-
-
-def _cap_directions():
-    """Directions at the coordinate cap (differences up to 2 * COORD_LIMIT),
-    in every octant: pairs one step apart, whose cross product is +-1, the
-    half-plane boundaries, and equal directions at different lengths."""
-    m = 2 * COORD_LIMIT
-    base = [(m, m - 1), (m - 1, m - 2), (m, m), (1, 1), (m // 2, m // 2),
-            (m, 1), (m, 0), (1, 0), (m - 1, 1), (m, m // 2), (2, 1),
-            (m - 2, m // 2 - 1), (m - 1, m // 2), (3, m), (1, m - 1)]
-    out = set()
-    for x, y in base:
-        for sx in (1, -1):
-            for sy in (1, -1):
-                out |= {(sx * x, sy * y), (sy * y, sx * x)}
-    return sorted(out)
-
-
-def test_angle_keys_order_directions_at_the_cap():
-    dirs = _cap_directions()
-    key = polygon._angle_keys(*np.array(dirs, dtype=np.int64).T).tolist()
-    ties = 0
-    for i, j in combinations(range(len(dirs)), 2):
-        want = _direction_cmp(dirs[i], dirs[j])
-        assert (key[i] > key[j]) - (key[i] < key[j]) == (want > 0) - (want < 0), \
-            (dirs[i], dirs[j])
-        ties += want == 0
-    assert ties >= 16
-
-
-def test_angle_order_matches_scalar_sort_at_the_cap():
-    """``_angle_order`` on points at +-COORD_LIMIT: each row sorted by the
-    scalar direction order, nearest first within a direction, and
-    ``first`` and ``last`` bracket each direction's run."""
-    c = COORD_LIMIT
-    pts = [(-c, -c), (c, c), (0, 0), (c, c - 1), (c - 1, c - 2), (-c, c),
-           (c, -c), (c // 2, c // 2), (1, 0), (c, 0), (-c, 1), (2, 1),
-           (c - 2, c // 2 - 1), (-c + 1, -c + 2), (0, c), (0, -c)]
-    xs, ys = np.array(pts, dtype=np.int64).T
-    order, first, last, graze = polygon._angle_order(xs, ys)
-    n = len(pts)
-    for u in range(n):
-        row = order[u].tolist()
-        assert row[-1] == u and sorted(row) == list(range(n))
-        d = [(pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]) for v in row[:-1]]
-        for p in range(n - 2):
-            cmp = _direction_cmp(d[p], d[p + 1])
-            assert cmp < 0 or (cmp == 0 and abs(d[p][0]) + abs(d[p][1])
-                               < abs(d[p + 1][0]) + abs(d[p + 1][1])), (u, row)
-        for p, v in enumerate(row[:-1]):
-            run = [q for q in range(n - 1) if _direction_cmp(d[q], d[p]) == 0]
-            assert (first[u, v], last[u, v]) == (run[0], run[-1]), (u, v)
-            assert graze[u, v] == (p > run[0])
-    assert graze.any()
 
 
 def _comb_coords(rng: random.Random, teeth: int, flat: bool = False):
@@ -711,8 +691,10 @@ def test_span_mask_on_combs_and_spirals(monkeypatch):
 
 def test_span_mask_on_grid_polygons(monkeypatch):
     """Grid cycles, where collinear vertices and grazing chords are common,
-    on the span path: 8 cells is less than one chord per block."""
+    on the span path: 8 cells is less than one chord per block, and the
+    angle tables are built one row per block."""
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 8)
+    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 8)
     calls = _counting_span(monkeypatch)
     rng = random.Random(173)
     seen = []
@@ -738,9 +720,9 @@ def test_span_mask_across_row_and_triple_blocks(monkeypatch):
 
 
 def test_dense_and_span_paths_agree_at_the_selection(monkeypatch):
-    """``_diagonal_mask`` tests densely exactly when all chords fit one
-    ``_boundary_hits`` block of ``_HIT_BLOCK_CELLS`` cells, and both sides
-    of that selection decide as the scalar references do."""
+    """``_diagonal_mask`` tests densely exactly when all chords fit a
+    quarter of a ``_boundary_hits`` block of ``_HIT_BLOCK_CELLS`` cells,
+    and both sides of that selection decide as the scalar references do."""
     rng = random.Random(181)
     polys = [c for c in _grid_cycles(181, 1000) if len(c) >= 5 and brute_is_simple(c)]
     polys += [_comb_coords(rng, 6), _spiral_coords(12, 2)]
@@ -751,7 +733,7 @@ def test_dense_and_span_paths_agree_at_the_selection(monkeypatch):
     for coords in polys:
         n = len(coords)
         chords = n * (n - 3) // 2
-        for cells, path in ((chords * n, "dense"), (chords * n - 1, "span")):
+        for cells, path in ((4 * chords * n, "dense"), (4 * chords * n - 1, "span")):
             monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", cells)
             before = len(calls)
             verdict = _check_mask(coords)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from jointtri import triangles
+from jointtri import geom, triangles
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  legal_set)
 from jointtri.files import parse_instance
@@ -139,8 +139,10 @@ def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
     sets = [_grid_set(rng, n, 6) for n in (13, 18, 24)]
     whole = [list(enumerate_empty(s)) for s in sets]
     # a few rows per block: rows are n - 1 cells wide, so 40 cells is three,
-    # two and one row at these sizes (and one vertex per block of ranks)
+    # two and one row at these sizes; the angle tables that give the ranks
+    # are built one vertex per block
     monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", 40)
+    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 40)
     for s, expected in zip(sets, whole):
         got = enumerate_empty(s)
         assert list(got) == expected
