@@ -326,6 +326,7 @@ class HuntReport:
 
     mode: str
     instances_tried: int = 0
+    instances_skipped: int = 0
     nc_pass_count: int = 0
     greedy_success: int = 0
     oracle_checked: int = 0
@@ -336,6 +337,10 @@ class HuntReport:
         lines = [
             f"mode {self.mode}",
             f"instances_tried {self.instances_tried}",
+        ]
+        if self.instances_skipped:
+            lines.append(f"instances_skipped {self.instances_skipped}")
+        lines += [
             f"nc_pass {self.nc_pass_count}",
             f"construct_success {self.greedy_success}",
             f"oracle_checked {self.oracle_checked}",
@@ -359,7 +364,9 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     fast-path verdict against the exhaustive oracle.  POLYGONS: run the
     interval DP and verify; where n <= 10 compare existence against the
     polygon oracle.  ``nc_pass_count`` counts condition passes (POINTS)
-    or DP successes (POLYGONS).  Any verification failure or oracle
+    or DP successes (POLYGONS); ``instances_skipped`` counts the tried
+    polygon instances ``gen_polygon_pair`` could not build, and the summary
+    names it only when it is not zero.  Any verification failure or oracle
     disagreement is recorded as a counterexample (and serialized when
     ``bundle_dir`` is given); these are findings, not errors.  Raises
     ValueError, before the first instance, on an unknown mode, an empty
@@ -386,6 +393,7 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
             try:
                 pair = gen_polygon_pair(n, coord_range, inst_seed)
             except ValueError:
+                report.instances_skipped += 1
                 continue
             _hunt_polygons(pair, inst_seed, n, report, cross_check, bundle_dir)
     return report

@@ -9,17 +9,20 @@ every chord.  Small polygons test every chord against every edge and
 vertex.  Larger ones sort the vertices around each vertex in the exact
 angular order of ``geom.angle_order`` and test a chord u-w only against
 the edges whose angular span at u holds w's direction, so a convex
-polygon tests none.  A cell (i, q) records whether the chain i..q closed
-by the chord {i, q} admits a joint triangulation; the split vertex
-chosen for each true cell drives the backtracking that extracts the
-triangle set.
+polygon tests none.  A visibility graph, and the shared graph, is one
+read-only [n, n] bool table (``EdgeTable``).  A cell (i, q) records
+whether the chain i..q closed by the chord {i, q} admits a joint
+triangulation; the table keeps each row's cells as the bits of one
+integer, and the split vertex chosen for each true cell drives the
+backtracking that extracts the triangle set.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +37,41 @@ class GrazingDiagonal(ValueError):
     visibility status ambiguous; such instances are rejected outright."""
 
 
+class EdgeTable(Set):
+    """A read-only set of label pairs (i, j), i < j, held as one [n, n]
+    bool table: ``table[i, j]`` iff (i, j) is in the set; the diagonal and
+    the lower triangle are False.  ``in`` reads one cell after a bounds
+    check (numpy would wrap a negative index onto another cell) and is
+    False for any key that is not such a pair; iteration is lexicographic,
+    in Python ints; the set operators return frozensets."""
+
+    __slots__ = ("table", "_n", "_size")
+
+    def __init__(self, table: np.ndarray) -> None:
+        table.flags.writeable = False
+        self.table = table
+        self._n = len(table)
+        self._size = int(np.count_nonzero(table))
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, e: object) -> bool:
+        try:
+            i, j = e
+            return 0 <= i < j < self._n and self.table.item(i, j)
+        except (TypeError, ValueError):
+            return False
+
+    def __iter__(self) -> Iterator[Edge]:
+        us, vs = np.nonzero(self.table)
+        return zip(us.tolist(), vs.tolist())
+
+
 # Cells of one [segments, n] block of _boundary_hits' int64 temporaries
 # (1 MB each), so construction and visibility stay within a few MB at any n.
 # The span test holds about four times as many int64 temporaries per cell,
@@ -43,9 +81,10 @@ class GrazingDiagonal(ValueError):
 _HIT_BLOCK_CELLS = 1 << 17
 
 # Largest polygon whose visibility is decided.  The [n, n] int64 tables of
-# the cone test, the shared-edge set and the interval DP's three n x n
-# lists peak near 135 * n**2 bytes for a convex pair (300 MB at n = 1500),
-# so a pair stays under 1 GB, and the int16 angle tables exact, up to here.
+# the cone test dominate; a convex pair through the DP and the verifier
+# peaks near 60 * n**2 bytes above the interpreter (130 MB at n = 1500,
+# 370 MB at n = 2500), so a pair stays well under 1 GB, and the int16
+# angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
 
@@ -192,7 +231,7 @@ class PolygonPair:
         return len(self.a)
 
     @cached_property
-    def shared(self) -> frozenset[Edge]:
+    def shared(self) -> EdgeTable:
         """The pair's shared visibility edges (``ivg``), computed once and
         read by the interval DP, the verifier and the polygon oracle.
         Raises GrazingDiagonal as ``ivg`` does, and then caches nothing."""
@@ -360,17 +399,25 @@ def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(chord)
 
 
-def visibility_graph(poly: Polygon) -> set[Edge]:
+def _edge_table(n: int, us: np.ndarray, vs: np.ndarray) -> EdgeTable:
+    """The boundary edges of an n-cycle plus the chords (us[r], vs[r]),
+    us[r] < vs[r], as one table."""
+    table = np.zeros((n, n), dtype=bool)
+    i = np.arange(n - 1)
+    table[i, i + 1] = True
+    table[0, n - 1] = True
+    table[us, vs] = True
+    return EdgeTable(table)
+
+
+def visibility_graph(poly: Polygon) -> EdgeTable:
     """Boundary edges plus every diagonal of the polygon (``Polygon.diagonals``),
     deciding every non-adjacent pair (i, j), i < j, in lexicographic order;
     a GrazingDiagonal names the first grazing chord in that order."""
-    us, vs = poly.diagonals
-    out: set[Edge] = set(poly.boundary_edges())
-    out.update(zip(us.tolist(), vs.tolist()))
-    return out
+    return _edge_table(len(poly), *poly.diagonals)
 
 
-def ivg(pair: PolygonPair) -> frozenset[Edge]:
+def ivg(pair: PolygonPair) -> EdgeTable:
     """Label-pair intersection of the two visibility graphs; always
     contains all boundary edges.
 
@@ -385,64 +432,68 @@ def ivg(pair: PolygonPair) -> frozenset[Edge]:
     visibility_graph(pair.a)
     us, vs = pair.a.diagonals
     seen = _diagonal_mask(pair.b, us, vs)
-    return pair.b.boundary_edges().union(zip(us[seen].tolist(), vs[seen].tolist()))
+    return _edge_table(len(pair), us[seen], vs[seen])
 
 
-def _fill_table(pair: PolygonPair,
-                shared: AbstractSet[Edge]) -> tuple[list[list[bool]], list[list[int]]]:
-    """Fill the boolean interval table and the split-vertex choices.
+def _fill_table(table: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The interval table as bit rows, and the split-vertex choices, over
+    the shared edges ``table`` (an [n, n] bool table, i < j).
 
-    Each cell takes the first split vertex k, in ascending order, that
-    qualifies.  Shared edges are read from an [n][n] table and the two
-    orientation tests are inlined on coordinate tuples: the triangle
-    (i, k, q) must turn the way each polygon winds.
+    Cell (i, q), i + 1 < q, is true iff {i, q} is shared and some k in
+    (i, q) has both cells (i, k) and (k, q) true; its choice is the least
+    such k.  Cells (i, i + 1) are true.  Bit q of ``row[i]`` says whether
+    cell (i, q) is true.  Columns q go in ascending order and rows i in
+    descending order, so with ``col`` holding bit k iff cell (k, q) is
+    true, ``row[i] & col`` has exactly the qualifying split vertices.
+
+    No coordinate is read, because the triangle (i, k, q) of every such
+    split lies on the interior side of both polygons.  Lemma: if i < k < q
+    and each of {i, k}, {k, q} and {i, q} is a boundary edge or a diagonal
+    of a simple polygon, then the triangle (i, k, q) turns the way the
+    polygon winds.  The chord {i, q} bounds the sub-polygon i, i + 1, ...,
+    q (the whole polygon when it is the edge {0, n - 1}), and the other two
+    chords lie in it.  The chord {i, k} splits that sub-polygon again, and
+    {k, q} then cuts off the triangle (i, k, q) as a face.  A face keeps
+    the winding of the polygon it was cut from, and it is not degenerate,
+    since a collinear triple would put a vertex on one of the three
+    segments.  The shared edges are edges or diagonals of both polygons,
+    and a true cell's chord is shared, so both orientation tests would pass
+    at every split the table reaches.  Leaving them out can only add true
+    cells, never remove one, and ``verify_polygon_joint`` still checks the
+    result.
     """
-    n = len(pair)
-    ok = [[False] * n for _ in range(n)]
-    for i, q in shared:
-        ok[i][q] = True
-    ok[0][n - 1] = True  # the goal cell, never a sub-cell: tried regardless
-    ax, ay = zip(*pair.a.vertices)
-    bx, by = zip(*pair.b.vertices)
-    sa, sb = pair.a.ccw_sign, pair.b.ccw_sign
-    m = [[False] * n for _ in range(n)]
+    n = len(table)
+    cols = table.T.tolist()
+    cols[n - 1][0] = True  # the goal cell, never a sub-cell: tried regardless
+    row = [1 << (i + 1) for i in range(n)]
     choice = [[-1] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = True
-    for gap in range(2, n):
-        for i in range(0, n - gap):
-            q = i + gap
-            mi, oki = m[i], ok[i]
-            if not oki[q]:
-                continue
-            axi, ayi, bxi, byi = ax[i], ay[i], bx[i], by[i]
-            aqx, aqy, bqx, bqy = ax[q] - axi, ay[q] - ayi, bx[q] - bxi, by[q] - byi
-            for k in range(i + 1, q):
-                if not (mi[k] and m[k][q] and oki[k] and ok[k][q]):
-                    continue
-                if ((ax[k] - axi) * aqy - (ay[k] - ayi) * aqx) * sa <= 0:
-                    continue
-                if ((bx[k] - bxi) * bqy - (by[k] - byi) * bqx) * sb <= 0:
-                    continue
-                mi[q] = True
-                choice[i][q] = k
-                break
-    return m, choice
+    for q in range(2, n):
+        shared = cols[q]
+        col = 1 << (q - 1)
+        bit = 1 << q
+        for i in range(q - 2, -1, -1):
+            if shared[i]:
+                cand = row[i] & col
+                if cand:
+                    row[i] |= bit
+                    col |= 1 << i
+                    choice[i][q] = (cand & -cand).bit_length() - 1
+    return row, choice
 
 
 def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     """Interval dynamic program for a joint triangulation of the pair.
 
     Cell (i, q) is true iff {i, q} is a shared visibility edge and some
-    split vertex k strictly between them has both sub-cells true, the
-    chords {i, k} and {k, q} shared, and the triangle (i, k, q) on the
-    interior side in both realizations.  On success the backtracked
-    triangle set is re-checked by the polygon verifier; None means no
-    joint triangulation exists.
+    split vertex k strictly between them has both sub-cells true, so the
+    chords {i, k} and {k, q} are shared too; the triangle (i, k, q) then
+    lies on the interior side in both realizations (``_fill_table``).  On
+    success the backtracked triangle set is re-checked by the polygon
+    verifier; None means no joint triangulation exists.
     """
     n = len(pair)
-    m, choice = _fill_table(pair, pair.shared)
-    if not m[0][n - 1]:
+    row, choice = _fill_table(pair.shared.table)
+    if not row[0] >> (n - 1) & 1:
         return None
 
     # Backtrack in preorder, cell (i, k) before (k, q), on an explicit

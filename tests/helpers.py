@@ -348,11 +348,13 @@ def _interior_split(a, b, i: int, k: int, q: int) -> bool:
 
 
 def brute_fill_table(pair, shared):
-    """Reference interval table and split choices of ``_fill_table``: cell
-    (i, q), i + 1 < q, is true iff {i, q} is shared (or is {0, n - 1}) and
-    some k between them has both sub-cells true, {i, k} and {k, q} shared
-    and the triangle (i, k, q) on the interior side in both polygons; the
-    choice is the first such k."""
+    """Reference interval table and split choices of ``_fill_table``, as
+    [n][n] lists (its bit rows unpacked): cell (i, q), i + 1 < q, is true
+    iff {i, q} is shared (or is {0, n - 1}) and some k between them has
+    both sub-cells true, {i, k} and {k, q} shared and the triangle
+    (i, k, q) on the interior side in both polygons; the choice is the
+    first such k.  ``_fill_table`` leaves the orientation test out (a
+    lemma in its docstring); this reference keeps it."""
     a, b = pair.a.vertices, pair.b.vertices
     n = len(a)
     m = [[False] * n for _ in range(n)]

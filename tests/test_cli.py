@@ -422,6 +422,20 @@ def test_gen_and_hunt_deterministic_output():
     assert "instances_tried 25" in hunt1
 
 
+def test_hunt_counts_polygon_instances_it_cannot_generate():
+    """No 10-vertex polygon without three collinear vertices fits a 4 x 4
+    grid, so every tried instance is skipped, and the report says so; a
+    hunt that skips nothing prints no such line."""
+    code, out = run_cli("hunt", "polygons", "10", "10", "2", "1", "--range", "3")
+    assert code == 0
+    assert out.splitlines() == ["mode polygons", "instances_tried 2",
+                                "instances_skipped 2", "nc_pass 0",
+                                "construct_success 0", "oracle_checked 0",
+                                "oracle_agreements 0", "counterexamples 0"]
+    code, out = run_cli("hunt", "polygons", "5", "5", "2", "1")
+    assert code == 0 and "instances_skipped" not in out
+
+
 def test_hunt_bad_arguments_exit_1():
     """An empty size range, n < 3 or a range too small for nmax distinct
     points stop the hunt before its first instance with the message on

@@ -16,8 +16,8 @@ from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table
                               dp_joint_polygon, ivg, verify_polygon_joint,
                               visibility_graph)
 
-from helpers import (_diagonal_inside_slow, _on_open_segment, _proper_cross,
-                     _winding, brute_diagonal_visible, brute_fill_table,
+from helpers import (_diagonal_inside_slow, _interior_split, _on_open_segment,
+                     _proper_cross, _winding, brute_diagonal_visible, brute_fill_table,
                      brute_is_simple, convex_polygon_coords,
                      count_joint_triangulations, in_cone, star_polygon_coords,
                      xorient)
@@ -70,6 +70,34 @@ def test_visibility_size_guard(monkeypatch):
 def test_visibility_reflex_quad_single_diagonal():
     poly = Polygon.from_coords(DART)
     assert visibility_graph(poly) == {(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}
+
+
+def test_edge_table_contract():
+    """``visibility_graph`` and ``ivg`` return a read-only set over one
+    [n, n] table: membership is bounds-checked, the set operators return
+    frozensets, and iteration is lexicographic in Python ints."""
+    dart = Polygon.from_coords(DART)
+    want = frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)})
+    for got in (visibility_graph(dart), ivg(PolygonPair(dart, dart))):
+        assert got == want and want == got and got != want - {(0, 2)}
+        assert len(got) == 5 and (0, 2) in got and (1, 3) not in got
+        # reversed, negative (numpy would wrap (0, -1) onto (0, 3)),
+        # out of range, and not a pair of labels
+        for key in ((2, 0), (3, 0), (0, -1), (-3, 2), (-1, 0), (0, 4), (4, 5),
+                    (np.int64(0), np.int64(-1)), (0,), (0, 1, 2), 0, None, "02"):
+            assert key not in got, key
+        assert (np.int64(0), np.int64(2)) in got
+        assert type(got & {(0, 2), (1, 3)}) is frozenset
+        assert got & {(0, 2), (1, 3)} == {(0, 2)}
+        assert type(got - dart.boundary_edges()) is frozenset
+        assert got - dart.boundary_edges() == {(0, 2)}
+        assert list(got) == sorted(want)
+        assert all(type(v) is int for e in got for v in e)
+        assert not got.table.flags.writeable
+        with pytest.raises(ValueError):
+            got.table[1, 3] = True
+    hexagon = visibility_graph(Polygon.from_coords(convex_polygon_coords(6)))
+    assert list(hexagon) == list(combinations(range(6), 2))
 
 
 COMB = [(0, 0), (12, 0), (12, 5), (9, 1), (6, 4), (3, 1), (0, 5)]
@@ -444,11 +472,51 @@ def test_ivg_on_grid_pairs_follows_the_grazing_rule():
     assert min(counts.values()) >= 30, counts
 
 
+def _bool_table(n: int, edges) -> np.ndarray:
+    """[n, n] bool table with cell (i, j) set for each edge (i, j), i < j."""
+    table = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        table[i, j] = True
+    return table
+
+
+def _fill_cells(edges, n: int):
+    """``_fill_table`` over the given edges, its bit rows unpacked into the
+    [n][n] cell lists of ``brute_fill_table``."""
+    row, choice = _fill_table(_bool_table(n, edges))
+    return [[bool(r >> q & 1) for q in range(n)] for r in row], choice
+
+
+def _mirrored_stars(families):
+    """Each star pair's A against its own mirror image, which winds the
+    other way."""
+    return [PolygonPair(p.a, Polygon.from_coords([(x, -y) for x, y in p.a.vertices]))
+            for p in families["star"]]
+
+
+def test_shared_triples_turn_with_both_windings():
+    """The lemma that lets ``_fill_table`` skip orientation tests: when all
+    three sides of a triple i < k < q are shared edges, the triangle
+    (i, k, q) turns the way both polygons wind."""
+    families = _seeded_pairs(157, 60)
+    families["mirrored"] = _mirrored_stars(families)
+    counts = {}
+    for family, pairs in families.items():
+        counts[family] = 0
+        for pair, shared in _intersections(pairs):
+            n = len(pair)
+            for i, k, q in combinations(range(n), 3):
+                if (i, k) in shared and (k, q) in shared and (i, q) in shared:
+                    assert _interior_split(pair.a.vertices, pair.b.vertices,
+                                           i, k, q), (pair.a.vertices, (i, k, q))
+                    counts[family] += 1
+    assert min(counts.values()) >= 50, counts
+
+
 def test_fill_table_matches_brute_reference():
     failed = found = 0
     families = _seeded_pairs(149, 40)
-    families["mirrored"] = [PolygonPair(p.a, Polygon.from_coords(
-        [(x, -y) for x, y in p.a.vertices])) for p in families["star"]]
+    families["mirrored"] = _mirrored_stars(families)
     # independent stars from n = 16 on mostly admit no joint triangulation
     rng = random.Random(151)
     families["independent"] = [
@@ -457,14 +525,15 @@ def test_fill_table_matches_brute_reference():
         for n in range(16, 40)]
     for pairs in families.values():
         for pair, shared in _intersections(pairs):
-            m, choice = _fill_table(pair, shared)
+            n = len(pair)
+            m, choice = _fill_cells(shared, n)
             assert (m, choice) == brute_fill_table(pair, shared), pair.a.vertices
             found += m[0][-1]
             failed += not m[0][-1]
             diagonals = sorted(shared - pair.a.boundary_edges())
             if diagonals:
                 fewer = shared - {diagonals[len(diagonals) // 2]}
-                assert _fill_table(pair, fewer) == brute_fill_table(pair, fewer)
+                assert _fill_cells(fewer, n) == brute_fill_table(pair, fewer)
     assert found >= 100 and failed >= 40, (found, failed)
 
 
@@ -543,8 +612,6 @@ def test_verify_polygon_rejects_edge_outside_shared_graph():
 def test_table_monotone_under_shared_edge_removal():
     # Dropping a diagonal from the shared set never turns a false cell
     # true: every true cell of the restricted table is true in the full one.
-    from jointtri.polygon import _fill_table
-
     rng = random.Random(83)
     sampled = 0
     for trial in range(30):
@@ -554,11 +621,11 @@ def test_table_monotone_under_shared_edge_removal():
         diagonals = sorted(shared - boundary)
         if not diagonals:
             continue
-        full, _ = _fill_table(pair, shared)
+        n = len(pair)
+        full, _ = _fill_cells(shared, n)
         for _ in range(3):
             dropped = diagonals[rng.randrange(len(diagonals))]
-            restricted, _ = _fill_table(pair, shared - {dropped})
-            n = len(pair)
+            restricted, _ = _fill_cells(shared - {dropped}, n)
             for i in range(n):
                 for q in range(i + 2, n):
                     if restricted[i][q]:
