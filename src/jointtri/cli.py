@@ -190,8 +190,8 @@ def _cmd_render(args) -> int:
     n = len(pair)
     for t in tris:
         if t[2] >= n:
-            raise _CliError(f"triangle {t} references label beyond n={n}",
-                            EXIT_INPUT)
+            raise _CliError(f"triangle {tuple(v + 1 for v in t)} references "
+                            f"label beyond n={n}", EXIT_INPUT)
     if kind == KIND_POINTS:
         _write_svg_points(args.out, pair, tris)
     else:

@@ -106,6 +106,8 @@ def parse_triangles(text: str) -> list[Tri]:
             raise InstanceFormatError(line_no, f"non-integer label in {body!r}")
         if min(i, j, k) < 1:
             raise InstanceFormatError(line_no, "labels are 1-based")
+        if len({i, j, k}) < 3:
+            raise InstanceFormatError(line_no, f"repeated label in {body!r}")
         out.append(tri(i - 1, j - 1, k - 1))
     return out
 

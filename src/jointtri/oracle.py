@@ -148,7 +148,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
         raise SizeGuard(
             f"polygon oracle is limited to n <= {MAX_ORACLE_POLYGON}, got {n}")
 
-    shared = pair.shared
+    shared = pair.shared.table.tolist()  # read at (i, k) and (k, q), i < k < q
     memo: dict[tuple[int, int], list[frozenset[Tri]]] = {}
 
     def variants(i: int, q: int) -> list[frozenset[Tri]]:
@@ -159,7 +159,7 @@ def polygon_oracle_exists(pair: PolygonPair) -> Optional[frozenset[Tri]]:
             return memo[key]
         out: list[frozenset[Tri]] = []
         for k in range(i + 1, q):
-            if not ((i, k) in shared and (k, q) in shared):
+            if not (shared[i][k] and shared[k][q]):
                 continue
             t = tri(i, k, q)
             for left in variants(i, k):

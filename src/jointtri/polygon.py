@@ -1,20 +1,22 @@
 """Joint triangulation of two simple polygons.
 
 Pipeline: per-polygon visibility graphs, their label-wise intersection,
-then an interval dynamic program over boundary indices.  Visibility is
-decided exactly: two [n, n] masks (does a chord leave both ends into the
-interior angle, does it pass through a third vertex) pick the chords
-worth a boundary crossing test, and the masks with that test decide
-every chord.  Small polygons test every chord against every edge and
-vertex.  Larger ones sort the vertices around each vertex in the exact
-angular order of ``geom.angle_order`` and test a chord u-w only against
-the edges whose angular span at u holds w's direction, so a convex
-polygon tests none.  A visibility graph, and the shared graph, is one
-read-only [n, n] bool table (``EdgeTable``).  A cell (i, q) records
-whether the chain i..q closed by the chord {i, q} admits a joint
-triangulation; the table keeps each row's cells as the bits of one
-integer, and the split vertex chosen for each true cell drives the
-backtracking that extracts the triangle set.
+then an interval dynamic program over boundary indices.  Each polygon
+holds one exact [n, n] table of the side of every vertex against every
+edge's line (``Polygon.sides``): construction fills it and checks
+simplicity on it, and visibility reads it.  Two [n, n] masks (does a
+chord leave both ends into the interior angle, does it pass through a
+third vertex) pick the chords worth a boundary crossing test, and the
+masks with that test decide every chord.  Small polygons test every
+chord against every edge and vertex.  Larger ones sort the vertices
+around each vertex in the exact angular order of ``geom.angle_order``
+and test a chord u-w only against the edges whose angular span at u
+holds w's direction, so a convex polygon tests none.  A visibility
+graph, and the shared graph, is one read-only [n, n] bool table
+(``EdgeTable``).  A cell (i, q) records whether the chain i..q closed by
+the chord {i, q} admits a joint triangulation; the table keeps each
+row's cells as the bits of one integer, and the split vertex chosen for
+each true cell drives the backtracking that extracts the triangle set.
 """
 
 from __future__ import annotations
@@ -72,61 +74,20 @@ class EdgeTable(Set):
         return zip(us.tolist(), vs.tolist())
 
 
-# Cells of one [segments, n] block of _boundary_hits' int64 temporaries
-# (1 MB each), so construction and visibility stay within a few MB at any n.
-# The span test holds about four times as many int64 temporaries per cell,
-# so its blocks take a quarter of this.  Visibility tests all chords densely
-# only while they fit a quarter too (n <= 41 for a whole polygon), about
-# where the span test becomes the faster one.
+# Cells of ``Polygon.sides`` that construction reads per block, so it and
+# visibility stay within a few MB at any n.  Building that table, the span
+# test and ``_boundary_hits`` hold int64 temporaries, so their blocks take a
+# quarter of this.  Visibility tests all chords densely only while they fit
+# a quarter too (n <= 41 for a whole polygon), about where the span test
+# becomes the faster one.
 _HIT_BLOCK_CELLS = 1 << 17
 
-# Largest polygon whose visibility is decided.  The [n, n] int64 tables of
-# the cone test dominate; a convex pair through the DP and the verifier
-# peaks near 60 * n**2 bytes above the interpreter (130 MB at n = 1500,
-# 370 MB at n = 2500), so a pair stays well under 1 GB, and the int16
-# angle tables exact, up to here.
+# Largest polygon whose visibility is decided.  A convex pair through the
+# DP and the verifier peaks near 60 * n**2 bytes above the interpreter
+# (134 MB at n = 1500, 384 MB at n = 2500), the DP's choice lists of Python
+# ints and the verifier's [triangles, n] int64 temporaries dominating, so a
+# pair stays well under 1 GB, and the int16 angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
-
-
-def _boundary_hits(xs: np.ndarray, ys: np.ndarray, us: np.ndarray,
-                   vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact tests of the segments us[r] -> vs[r], between vertices of the
-    cycle (xs, ys), against its boundary.  Returns two [len(us), n] masks:
-    ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a point
-    interior to both, and ``inside[r, w]`` iff vertex w lies strictly
-    inside the segment.
-
-    Only the side of each vertex against each segment is computed densely;
-    the few edges whose ends lie strictly on opposite sides are then
-    tested one by one, and so are the few vertices on the segment's line,
-    which lie strictly inside it iff they see its ends in opposite
-    directions (a negative dot product).  A segment sharing an endpoint
-    with edge k has side 0 there, so it never crosses that edge properly.
-    Int64 is exact for coordinates within COORD_LIMIT; callers pass at
-    most ``_HIT_BLOCK_CELLS // n`` segments.
-    """
-    n = len(xs)
-    dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
-    # vertex w is left of segment r iff cross > 0, with cross =
-    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms;
-    # column n repeats vertex 0, so column k + 1 is edge k's far end
-    ring = np.arange(-n, 1)
-    cross = dx[:, None] * ys[ring] - dy[:, None] * xs[ring]
-    offset = (dx * ys[us] - dy * xs[us])[:, None]
-    left, right = cross > offset, cross < offset
-    proper = (left[:, :-1] & right[:, 1:]) | (right[:, :-1] & left[:, 1:])
-    r, k = np.divmod(np.flatnonzero(proper), n)
-    k1 = (k + 1) % n
-    ex, ey = xs[k1] - xs[k], ys[k1] - ys[k]
-    at_u = np.sign(ex * (ys[us[r]] - ys[k]) - ey * (xs[us[r]] - xs[k]))
-    at_v = np.sign(ex * (ys[vs[r]] - ys[k]) - ey * (xs[vs[r]] - xs[k]))
-    proper[r, k] = at_u * at_v < 0
-    inside = ~(left[:, :-1] | right[:, :-1])
-    r, w = np.nonzero(inside)
-    u, v = us[r], vs[r]
-    inside[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
-                    + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
-    return proper, inside
 
 
 @dataclass(frozen=True)
@@ -155,21 +116,31 @@ class Polygon:
         if signed_area2(self.vertices) == 0:
             raise ValueError("polygon has zero area")
         # With distinct vertices the cycle is simple iff no two edges meet
-        # but at a shared endpoint: no edge crosses another properly and no
-        # vertex lies strictly inside an edge.  The first offending pair
-        # (i, j), i < j, in row-major order is the one reported.
+        # but at a shared endpoint: no edge crosses another properly (each
+        # one's ends strictly apart across the other's line) and no vertex
+        # lies strictly inside an edge (on its line, seeing its ends in
+        # opposite directions).  ``sides`` is read in row blocks; the first
+        # offending pair (i, j), i < j, in row-major order is reported.
+        side = self.sides
         xs, ys = np.array(self.vertices, dtype=np.int64).T
-        edges = np.arange(n)
         first = n * n
         step = max(1, _HIT_BLOCK_CELLS // n)
         for lo in range(0, n, step):
-            rows = edges[lo:lo + step]
-            ends = (rows + 1) % n
-            proper, inside = _boundary_hits(xs, ys, rows, ends)
+            hi = min(n, lo + step)
+            s = side[lo:hi]
+            # t[c, r - lo]: vertex r against edge c, for r = lo .. hi (mod n)
+            t = np.concatenate((side[:, lo:hi], side[:, hi % n, None]), axis=1)
+            proper = (s * np.roll(s, -1, axis=1) < 0) & (t[:, :-1] * t[:, 1:] < 0).T
+            r, c = np.divmod(np.flatnonzero(s == 0), n)
+            u, v = r + lo, (r + lo + 1) % n
+            inside = np.zeros_like(proper)
+            inside[r, c] = ((xs[c] - xs[u]) * (xs[c] - xs[v])
+                            + (ys[c] - ys[u]) * (ys[c] - ys[v]) < 0)
             # edge r crosses edge c, or vertex c or c + 1 lies inside edge r
-            r, c = np.nonzero(proper | inside | np.roll(inside, -1, axis=1))
+            hits = proper | inside | np.roll(inside, -1, axis=1)
+            r, c = np.divmod(np.flatnonzero(hits), n)
             if r.size:
-                r = rows[r]
+                r += lo
                 first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
         if first < n * n:
             i, j = divmod(first, n)
@@ -196,6 +167,25 @@ class Polygon:
 
     def boundary_edges(self) -> frozenset[Edge]:
         return hull_edge_set(range(len(self.vertices)))
+
+    @cached_property
+    def sides(self) -> np.ndarray:
+        """Read-only [n, n] int8 table: ``sides[k, v]`` is the sign of
+        vertex v against the line of edge k -> k + 1, positive on its left.
+        Construction fills and reads it, as do the cone test and both
+        crossing tests.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
+        xs, ys = np.array(self.vertices, dtype=np.int64).T
+        n = len(xs)
+        side = np.empty((n, n), dtype=np.int8)
+        step = max(1, _HIT_BLOCK_CELLS // (4 * n))
+        for lo in range(0, n, step):
+            k = np.arange(lo, min(n, lo + step))
+            k1 = (k + 1) % n
+            ex, ey = (xs[k1] - xs[k])[:, None], (ys[k1] - ys[k])[:, None]
+            v, at_k = ex * ys - ey * xs, ex * ys[k, None] - ey * xs[k, None]
+            np.subtract(v > at_k, v < at_k, dtype=np.int8, out=side[lo:lo + step])
+        side.flags.writeable = False
+        return side
 
     @cached_property
     def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -238,55 +228,32 @@ class PolygonPair:
         return ivg(self)
 
 
-def _cone(dx: np.ndarray, dy: np.ndarray, ccw_sign: int) -> np.ndarray:
+def _cone(side: np.ndarray, ccw_sign: int) -> np.ndarray:
     """Exact [n, n] mask over the ordered vertex pairs (u, v) of a cycle
-    that winds as ``ccw_sign`` says, given ``dx[u, v] = x_v - x_u`` and
-    ``dy`` likewise: the segment leaves both of its ends strictly inside
+    with edge-side table ``side`` (``Polygon.sides``) that winds as
+    ``ccw_sign`` says: the segment leaves both of its ends strictly inside
     the interior angle there (O'Rourke's InCone, at u and at v).
 
-    At u, let p and q be the signs, relative to the winding, of the
-    previous and the next vertex against the line u -> v.  A convex u
-    (interior angle at most pi) needs p > 0 and q < 0, a reflex u needs
-    p > 0 or q < 0.  Adjacent vertices never qualify.
+    Relative to the winding the interior lies left of every edge.  A
+    convex u (interior angle at most pi: u + 1 is not right of the edge
+    u - 1 -> u) needs v strictly left of both the edge into u and the edge
+    out of u, a reflex u needs either.  Adjacent vertices never qualify.
     """
-    n = len(dx)
-    # The previous and next vertex of u, relative to u.  A clockwise cycle
-    # is the counterclockwise one run backwards: the two swap roles.
-    u = np.arange(n)
-    before, after = u - 1, (u + 1) % n
-    if ccw_sign < 0:
-        before, after = after, before
-    px, py, qx, qy = dx[u, before], dy[u, before], dx[u, after], dy[u, after]
-    p = dx * py[:, None] > dy * px[:, None]
-    q = dx * qy[:, None] < dy * qx[:, None]
-    convex = (qx * py >= qy * px)[:, None]
-    cone = np.where(convex, p & q, p | q)
+    out = ccw_sign * side > 0
+    into = np.roll(out, 1, axis=0)
+    u = np.arange(len(side))
+    convex = (ccw_sign * side[u - 1, (u + 1) % len(u)] >= 0)[:, None]
+    cone = np.where(convex, into & out, into | out)
     return cone & cone.T
 
 
-def _edge_sides(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """[n, n] int8 table: ``side[k, v]`` is the sign of vertex v against
-    the line of edge k -> k + 1, positive on its left.  Edges go in
-    blocks of a quarter of ``_HIT_BLOCK_CELLS`` cells."""
-    n = len(xs)
-    side = np.empty((n, n), dtype=np.int8)
-    step = max(1, _HIT_BLOCK_CELLS // (4 * n))
-    for lo in range(0, n, step):
-        k = np.arange(lo, min(n, lo + step))
-        k1 = (k + 1) % n
-        ex, ey = (xs[k1] - xs[k])[:, None], (ys[k1] - ys[k])[:, None]
-        v = ex * (ys - ys[k, None]) - ey * (xs - xs[k, None])
-        np.subtract(v > 0, v < 0, dtype=np.int8, out=side[lo:lo + step])
-    return side
-
-
-def _span_crossings(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
-                    first: np.ndarray, last: np.ndarray,
-                    tested: np.ndarray) -> np.ndarray:
+def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
+                    last: np.ndarray, tested: np.ndarray) -> np.ndarray:
     """[n, n] mask: ``blocked[u, w]`` iff the segment u-w crosses an edge
-    of the cycle (xs, ys) at a point interior to both, decided on the
-    cells ``tested`` marks and False elsewhere.  ``order``, ``first`` and
-    ``last`` are ``angle_order``'s tables.
+    of the cycle with edge-side table ``side`` (``Polygon.sides``) at a
+    point interior to both, decided on the cells ``tested`` marks and
+    False elsewhere.  ``order``, ``first`` and ``last`` are
+    ``angle_order``'s tables.
 
     Span lemma: seen from a vertex u off its line, an edge a -> b covers
     the directions strictly between a's and b's, a cyclic run of
@@ -299,8 +266,7 @@ def _span_crossings(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
     (vertex, edge, chord) triples are tested.  Rows, and then triples, go
     in blocks of about a quarter of ``_HIT_BLOCK_CELLS`` cells.
     """
-    n = len(xs)
-    side = _edge_sides(xs, ys)
+    n = len(side)
     flat_side = side.reshape(-1)
     blocked = np.zeros((n, n), dtype=bool)
     k = np.arange(n, dtype=np.int16)
@@ -352,6 +318,40 @@ def _span_crossings(xs: np.ndarray, ys: np.ndarray, order: np.ndarray,
     return blocked
 
 
+def _boundary_hits(xs: np.ndarray, ys: np.ndarray, side: np.ndarray,
+                   us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tests of the segments us[r] -> vs[r], between vertices of the
+    cycle (xs, ys) with edge-side table ``side`` (``Polygon.sides``),
+    against its boundary.  Returns two [len(us), n] masks: ``proper[r, k]``
+    iff the segment and edge k -> k+1 cross at a point interior to both,
+    and ``inside[r, w]`` iff vertex w lies strictly inside the segment.
+
+    The segment crosses edge k properly iff the edge's ends lie strictly
+    on opposite sides of the segment's line, computed here, and the
+    segment's ends strictly on opposite sides of the edge's, read off
+    ``side``.  A vertex on the segment's line lies strictly inside it iff
+    it sees its ends in opposite directions (a negative dot product).
+    Int64 is exact for coordinates within COORD_LIMIT; ``_diagonal_mask``
+    passes at most ``_HIT_BLOCK_CELLS // (4 * n)`` segments.
+    """
+    dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
+    # vertex w is left of segment r iff cross > 0, with cross =
+    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms;
+    # column n repeats vertex 0, so column k + 1 is edge k's far end
+    ring = np.arange(-len(xs), 1)
+    cross = dx[:, None] * ys[ring] - dy[:, None] * xs[ring]
+    offset = (dx * ys[us] - dy * xs[us])[:, None]
+    left, right = cross > offset, cross < offset
+    proper = (left[:, :-1] & right[:, 1:]) | (right[:, :-1] & left[:, 1:])
+    proper &= (side[:, us] * side[:, vs] < 0).T
+    inside = ~(left[:, :-1] | right[:, :-1])
+    r, w = np.nonzero(inside)
+    u, v = us[r], vs[r]
+    inside[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
+                    + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
+    return proper, inside
+
+
 def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
     polygon, are diagonals of it.
@@ -362,8 +362,8 @@ def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     properly meets the boundary only at its ends, so its open segment lies
     wholly inside or wholly outside, and the ``cone`` test at its ends
     tells which.  So crossings matter only on chords that pass the cone
-    test or graze.  While all the chords fit a quarter of a
-    ``_boundary_hits`` block, one call of it tests them all against every
+    test or graze.  While all the chords fit ``_HIT_BLOCK_CELLS // 4``
+    cells, one ``_boundary_hits`` call tests them all against every
     edge and vertex; above that, ``angle_order`` gives the graze mask and
     ``_span_crossings`` tests only those chords, each against the edges
     that cover its direction.  GrazingDiagonal names the first ambiguous
@@ -372,16 +372,16 @@ def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
-    cone = _cone(xs - xs[:, None], ys - ys[:, None], poly.ccw_sign)[us, vs]
+    cone = _cone(poly.sides, poly.ccw_sign)[us, vs]
     if len(us) * n <= _HIT_BLOCK_CELLS // 4:
-        proper, inside = _boundary_hits(xs, ys, us, vs)
+        proper, inside = _boundary_hits(xs, ys, poly.sides, us, vs)
         graze, blocked = inside.any(axis=1), proper.any(axis=1)
     else:
         order, first, last, graze = angle_order(xs, ys)
         graze = graze[us, vs]
         tested = np.zeros((n, n), dtype=bool)
         tested[us, vs] = cone | graze
-        blocked = _span_crossings(xs, ys, order, first, last, tested)[us, vs]
+        blocked = _span_crossings(poly.sides, order, first, last, tested)[us, vs]
     ambiguous = graze & ~blocked
     if ambiguous.any():
         r = int(np.argmax(ambiguous))

@@ -490,8 +490,25 @@ def test_render_rejects_out_of_range_labels(quad_file, tmp_path):
     tri_file = tmp_path / "tris.txt"
     tri_file.write_text("1 2 9\n")
     out_svg = tmp_path / "render.svg"
-    code, _ = run_cli("render", quad_file, str(tri_file), str(out_svg))
-    assert code == 1
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("render", quad_file, str(tri_file), str(out_svg))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == "triangle (1, 2, 9) references label beyond n=4\n"
+
+
+def test_render_rejects_repeated_labels(quad_file, tmp_path):
+    """A triangle line repeating a label is a format error at its line, as
+    ``parse_triangles`` reports it, not a traceback."""
+    tri_file = tmp_path / "tris.txt"
+    tri_file.write_text("# one bad triangle\n1 1 2\n")
+    out_svg = tmp_path / "render.svg"
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("render", quad_file, str(tri_file), str(out_svg))
+    assert (code, out) == (1, "")
+    assert err.getvalue() == f"{tri_file}: line 2: repeated label in '1 1 2'\n"
+    assert not out_svg.exists()
 
 
 def test_bundle_files_parse_as_instances(tmp_path):

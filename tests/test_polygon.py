@@ -188,7 +188,8 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     verdicts = _construction_verdicts(cycles)
     polys = [Polygon.from_coords(c) for c, v in zip(cycles, verdicts) if v == "ok"]
     graphs = [_visibility_or_grazing(p) for p in polys]
-    # 20 cells is two to six segments per block at these sizes; visibility
+    # 20 cells is two to six rows of the side table per construction block
+    # at these sizes, and the table is built one row per block; visibility
     # then takes the span path, in blocks of one row and five triples, on
     # angle tables built one row per block
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
@@ -251,6 +252,25 @@ def _mask_polygons():
     return out + [c[::-1] for c in out]
 
 
+def test_sides_table_matches_scalar_reference(monkeypatch):
+    """``Polygon.sides[k, v]`` is the sign of vertex v against the line of
+    edge k -> k + 1, filled by construction and read-only, with the table
+    built in one block and then in blocks of one to three rows."""
+    polys = _mask_polygons()
+    for cells in (polygon._HIT_BLOCK_CELLS, 40):
+        monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", cells)
+        for coords in polys:
+            n = len(coords)
+            poly = Polygon.from_coords(coords)
+            assert "sides" in vars(poly)
+            side = poly.sides
+            assert side.dtype == np.int8 and not side.flags.writeable
+            assert side.tolist() == [[xorient(coords[k], coords[(k + 1) % n], v)
+                                      for v in coords] for k in range(n)], coords
+            with pytest.raises(ValueError):
+                side[0, 0] = 1
+
+
 def test_cone_and_graze_match_scalar_references():
     """``_cone``, and the graze masks of both visibility paths: the dense
     path's ``inside`` from ``_boundary_hits`` on every ordered pair, and
@@ -259,10 +279,11 @@ def test_cone_and_graze_match_scalar_references():
     for coords in _mask_polygons():
         xs, ys = np.array(coords, dtype=np.int64).T
         n = len(coords)
-        cone = polygon._cone(xs - xs[:, None], ys - ys[:, None],
-                             Polygon.from_coords(coords).ccw_sign)
+        poly = Polygon.from_coords(coords)
+        cone = polygon._cone(poly.sides, poly.ccw_sign)
         us, vs = np.divmod(np.arange(n * n), n)
-        graze = polygon._boundary_hits(xs, ys, us, vs)[1].any(axis=1).reshape(n, n)
+        graze = polygon._boundary_hits(xs, ys, poly.sides, us, vs)[1]
+        graze = graze.any(axis=1).reshape(n, n)
         span_graze = angle_order(xs, ys)[3]
         for u in range(n):
             for v in range(n):
