@@ -46,9 +46,15 @@ class SizeGuard(ValueError):
 # per side (512 MB at n = 800), so a pair's two tensors stay near 1 GB.
 MAX_TENSOR_POINTS = 800
 # Entries of one int64 block of the tensor build (1 MB); bounds its
-# temporaries at any n.  The angle tables hold about four int64
-# temporaries per cell, so their blocks take a quarter of this.
+# temporaries at any n.
 _TENSOR_BLOCK = 1 << 17
+# Cells of one row block of the angle tables, whose int64 temporaries are
+# then 64 KB each.  On polygons of n 150-300 such blocks took about 25
+# minor page faults per call, their pages reused from the heap by the next
+# block and call, against about 290 with blocks of 2**15 cells, whose
+# larger temporaries came as fresh pages; 2**13 also ran faster than 2**12
+# or 2**15, and as fast as 2**14.
+_ANGLE_BLOCK_CELLS = 1 << 13
 
 
 def cross(o: Point, a: Point, b: Point) -> int:
@@ -218,37 +224,55 @@ def angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     - ``graze[u, v]``: a nearer point lies in v's direction from u, so
       strictly inside the segment u-v.
 
-    The first three are int16, exact below 32,768 points.  Rows go in
-    blocks of a quarter of ``_TENSOR_BLOCK`` cells.
+    The first three are int16, exact below 32,768 points.  Rows are sorted
+    on a coarse key, ``angle_keys``'s key shifted right by 26 bits: the
+    half-plane bit, then the diamond angle times 2**26, floored, which
+    takes one division per cell.  It orders directions as the full key
+    does, only coarser, so a row whose coarse keys are distinct is in
+    exact order with every direction group one point; only a row with two
+    equal coarse keys is sorted again on the full keys, nearest first
+    within a direction.  Rows go in blocks of ``_ANGLE_BLOCK_CELLS`` cells.
     """
     n = len(xs)
     order, first, last = (np.empty((n, n), dtype=np.int16) for _ in range(3))
     graze = np.zeros((n, n), dtype=bool)
+    flat_first, flat_last, flat_graze = (a.reshape(-1) for a in (first, last, graze))
     pos = np.arange(n)
-    step = max(1, _TENSOR_BLOCK // (4 * n))
+    step = max(1, _ANGLE_BLOCK_CELLS // n)
     for lo in range(0, n, step):
         rows = pos[lo:lo + step]
         x, y = xs - xs[rows, None], ys - ys[rows, None]
         own = (rows - lo, rows)
         x[own] = 1  # a stand-in direction for u itself, so no zero divisor
-        key = angle_keys(x, y)
+        lower = (y < 0) | ((y == 0) & (x < 0))
+        key = (np.where(lower, x, -x) << 26) // (np.abs(x) + np.abs(y))
+        key[lower] += 1 << 28
         key[own] = 1 << 62  # u itself sorts last
         o = np.argsort(key, axis=1)
+        order[lo:lo + step] = o
         ranked = np.take_along_axis(key, o, axis=1)
-        same = ranked[:, 1:] == ranked[:, :-1]
-        tie = same.any(axis=1)
-        if tie.any():  # rows with collinear points: nearest first
+        # with distinct keys each point is its own direction group
+        cell = rows[:, None] * n + o
+        flat_first[cell] = pos
+        last[lo:lo + step] = first[lo:lo + step]
+        tie = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+        if tie.size:  # rows with close or collinear points: exact keys
             x, y = x[tie], y[tie]
-            o[tie] = np.lexsort((x * x + y * y, key[tie]))
-        graze[rows[:, None], o[:, 1:]] = same
-        order[rows] = o
-        # a group starts where the key changes and ends before the next start
-        starts = np.ones(o.shape, dtype=bool)
-        starts[:, 1:] = ~same
-        ends = np.ones(o.shape, dtype=bool)
-        ends[:, :-1] = ~same
-        cell = rows[:, None], o
-        first[cell] = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-        last[cell] = np.minimum.accumulate(
-            np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
+            key = angle_keys(x, y)
+            key[np.arange(len(tie)), rows[tie]] = 1 << 62
+            o = np.lexsort((x * x + y * y, key))
+            order[rows[tie]] = o
+            ranked = np.take_along_axis(key, o, axis=1)
+            same = ranked[:, 1:] == ranked[:, :-1]
+            cell = rows[tie, None] * n + o
+            flat_graze[cell[:, 1:]] = same
+            # a group starts where the key changes and ends before the
+            # next start
+            starts = np.ones(o.shape, dtype=bool)
+            starts[:, 1:] = ~same
+            ends = np.ones(o.shape, dtype=bool)
+            ends[:, :-1] = ~same
+            flat_first[cell] = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+            flat_last[cell] = np.minimum.accumulate(
+                np.where(ends, pos, n)[:, ::-1], axis=1)[:, ::-1]
     return order, first, last, graze

@@ -41,11 +41,23 @@ class JointTriangulation:
 Side = tuple[str, Sequence[Point], Sequence[int]]
 
 
+# Cells of one [rows, n] block of ``_scan``'s temporaries.  On polygons of
+# n 150-300, whole [triangles, n] int64 arrays (up to 700 KB each) took
+# about 440 minor page faults per call, fresh pages every time; blocks of
+# 2**15 cells take about 5, their pages reused from the heap, and ran as
+# fast as any size from 2**13 to 2**16.
+_SCAN_BLOCK_CELLS = 1 << 15
+
+
 def _scan(points: Sequence[Point], arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doubled signed area of each triangle of ``arr`` (label rows) and the
     first point in its closed triangle other than its vertices (-1: none).
 
-    int64 throughout, exact under COORD_LIMIT; one [T, n] pass per edge.
+    A point lies in the closed triangle iff it is on or left of each edge
+    turned to have the triangle on its left; a degenerate triangle's
+    turned edges vanish, so it holds every point.  int64 throughout,
+    exact under COORD_LIMIT; triangles go in row blocks of about
+    ``_SCAN_BLOCK_CELLS`` [rows, n] cells.
     """
     xy = np.array(points, dtype=np.int64)
     x, y = xy[:, 0], xy[:, 1]
@@ -54,12 +66,22 @@ def _scan(points: Sequence[Point], arr: np.ndarray) -> tuple[np.ndarray, np.ndar
     ey = ty[:, [1, 2, 0]] - ty
     det = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
     s = np.sign(det)[:, None]
-    inside = np.ones((len(arr), len(x)), dtype=bool)
-    for e in range(3):
-        inside &= s * (ex[:, e, None] * (y - ty[:, e, None])
-                       - ey[:, e, None] * (x - tx[:, e, None])) >= 0
-    inside[np.arange(len(arr))[:, None], arr] = False
-    return det, np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    ex *= s
+    ey *= s
+    # point p is on or left of turned edge e iff ex * y_p - ey * x_p >= at
+    at = ex * ty - ey * tx
+    hit = np.empty(len(arr), dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_CELLS // len(x))
+    for lo in range(0, len(arr), step):
+        b = slice(lo, lo + step)
+        inside = ex[b, 0, None] * y - ey[b, 0, None] * x >= at[b, 0, None]
+        for e in (1, 2):
+            inside &= ex[b, e, None] * y - ey[b, e, None] * x >= at[b, e, None]
+        r = np.arange(len(inside))
+        inside[r[:, None], arr[b]] = False
+        first = inside.argmax(axis=1)
+        hit[b] = np.where(inside[r, first], first, -1)
+    return det, hit
 
 
 def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],

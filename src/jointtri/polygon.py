@@ -15,8 +15,10 @@ holds w's direction, so a convex polygon tests none.  A visibility
 graph, and the shared graph, is one read-only [n, n] bool table
 (``EdgeTable``).  A cell (i, q) records whether the chain i..q closed by
 the chord {i, q} admits a joint triangulation; the table keeps each
-row's cells as the bits of one integer, and the split vertex chosen for
-each true cell drives the backtracking that extracts the triangle set.
+row's cells, and each column's, as the bits of one integer, and the
+backtracking that extracts the triangle set splits each true cell at
+the least vertex set in both its row and its column, so no choice is
+stored per cell.
 """
 
 from __future__ import annotations
@@ -70,23 +72,26 @@ class EdgeTable(Set):
             return False
 
     def __iter__(self) -> Iterator[Edge]:
-        us, vs = np.nonzero(self.table)
+        us, vs = np.divmod(np.flatnonzero(self.table), self._n)
         return zip(us.tolist(), vs.tolist())
 
 
 # Cells of ``Polygon.sides`` that construction reads per block, so it and
 # visibility stay within a few MB at any n.  Building that table, the span
 # test and ``_boundary_hits`` hold int64 temporaries, so their blocks take a
-# quarter of this.  Visibility tests all chords densely only while they fit
-# a quarter too (n <= 41 for a whole polygon), about where the span test
-# becomes the faster one.
+# quarter of this.  Span blocks of an eighth cut the span test's minor page
+# faults on polygons of n 150-300 from about 130 to 40 per call, but not
+# its time, so they stay at a quarter.  Visibility tests all chords densely
+# only while they fit a quarter too (n <= 41 for a whole polygon), about
+# where the span test becomes the faster one.
 _HIT_BLOCK_CELLS = 1 << 17
 
-# Largest polygon whose visibility is decided.  A convex pair through the
-# DP and the verifier peaks near 60 * n**2 bytes above the interpreter
-# (134 MB at n = 1500, 384 MB at n = 2500), the DP's choice lists of Python
-# ints and the verifier's [triangles, n] int64 temporaries dominating, so a
-# pair stays well under 1 GB, and the int16 angle tables exact, up to here.
+# Largest polygon whose visibility is decided.  A convex pair through
+# visibility, the DP and the verifier peaks near 25 * n**2 bytes above the
+# interpreter (55 MB at n = 1500, 139 MB at n = 2500, in ru_maxrss), set
+# by visibility's chord index arrays and angle tables; the DP's bit rows
+# and columns and the verifier's row blocks stay below that.  So a pair
+# stays well under 1 GB, and the int16 angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
 
@@ -298,7 +303,7 @@ def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
         size = np.take_along_axis(count, stop, axis=1) - begin
         size += (start > stop) * total
         size[s == 0] = 0
-        r, e = np.nonzero(size)
+        r, e = np.divmod(np.flatnonzero(size), n)
         size = size[r, e]
         ends = np.cumsum(size)
         # Triple t, counted over the block's pairs, reads its vertex w at
@@ -396,7 +401,7 @@ def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(n)
     chord = i - i[:, None] >= 2
     chord[0, n - 1] = False
-    return np.nonzero(chord)
+    return np.divmod(np.flatnonzero(chord), n)
 
 
 def _edge_table(n: int, us: np.ndarray, vs: np.ndarray) -> EdgeTable:
@@ -435,16 +440,19 @@ def ivg(pair: PolygonPair) -> EdgeTable:
     return _edge_table(len(pair), us[seen], vs[seen])
 
 
-def _fill_table(table: np.ndarray) -> tuple[list[int], list[list[int]]]:
-    """The interval table as bit rows, and the split-vertex choices, over
-    the shared edges ``table`` (an [n, n] bool table, i < j).
+def _fill_table(table: np.ndarray) -> tuple[list[int], list[int]]:
+    """The interval table over the shared edges ``table`` (an [n, n] bool
+    table, i < j), as bit rows and bit columns: bit q of ``row[i]``, and
+    bit i of ``col[q]``, says whether cell (i, q) is true.
 
     Cell (i, q), i + 1 < q, is true iff {i, q} is shared and some k in
-    (i, q) has both cells (i, k) and (k, q) true; its choice is the least
-    such k.  Cells (i, i + 1) are true.  Bit q of ``row[i]`` says whether
-    cell (i, q) is true.  Columns q go in ascending order and rows i in
-    descending order, so with ``col`` holding bit k iff cell (k, q) is
-    true, ``row[i] & col`` has exactly the qualifying split vertices.
+    (i, q) has both cells (i, k) and (k, q) true.  Cells (i, i + 1) are
+    true.  Columns q go in ascending order and rows i in descending order,
+    so when cell (i, q) is filled, ``row[i] & col[q]`` has exactly the
+    qualifying split vertices.  Row i has bits only above i and column q
+    only below q, and those between i and q are final by then, so the
+    finished tables give the same split vertices: the backtracking reads
+    them there instead of from a stored choice per cell.
 
     No coordinate is read, because the triangle (i, k, q) of every such
     split lies on the interior side of both polygons.  Lemma: if i < k < q
@@ -463,22 +471,21 @@ def _fill_table(table: np.ndarray) -> tuple[list[int], list[list[int]]]:
     result.
     """
     n = len(table)
-    cols = table.T.tolist()
-    cols[n - 1][0] = True  # the goal cell, never a sub-cell: tried regardless
     row = [1 << (i + 1) for i in range(n)]
-    choice = [[-1] * n for _ in range(n)]
-    for q in range(2, n):
-        shared = cols[q]
+    cols = [0] * n
+    for q in range(1, n):
+        # one column at a time, so no list of n**2 items is held
+        shared = table[:, q].tolist()
+        if q == n - 1:
+            shared[0] = True  # the goal cell, never a sub-cell: tried regardless
         col = 1 << (q - 1)
         bit = 1 << q
         for i in range(q - 2, -1, -1):
-            if shared[i]:
-                cand = row[i] & col
-                if cand:
-                    row[i] |= bit
-                    col |= 1 << i
-                    choice[i][q] = (cand & -cand).bit_length() - 1
-    return row, choice
+            if shared[i] and row[i] & col:
+                row[i] |= bit
+                col |= 1 << i
+        cols[q] = col
+    return row, cols
 
 
 def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
@@ -487,12 +494,13 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     Cell (i, q) is true iff {i, q} is a shared visibility edge and some
     split vertex k strictly between them has both sub-cells true, so the
     chords {i, k} and {k, q} are shared too; the triangle (i, k, q) then
-    lies on the interior side in both realizations (``_fill_table``).  On
-    success the backtracked triangle set is re-checked by the polygon
-    verifier; None means no joint triangulation exists.
+    lies on the interior side in both realizations (``_fill_table``).  The
+    backtracking splits each true cell at its least such k, the lowest bit
+    of ``row[i] & col[q]``.  On success the triangle set is re-checked by
+    the polygon verifier; None means no joint triangulation exists.
     """
     n = len(pair)
-    row, choice = _fill_table(pair.shared.table)
+    row, col = _fill_table(pair.shared.table)
     if not row[0] >> (n - 1) & 1:
         return None
 
@@ -504,7 +512,8 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
         i, q = stack.pop()
         if q - i < 2:
             continue
-        k = choice[i][q]
+        split = row[i] & col[q]
+        k = (split & -split).bit_length() - 1
         tris.append(tri(i, k, q))
         stack += ((k, q), (i, k))
     violation = verify_polygon_joint(pair, tris)

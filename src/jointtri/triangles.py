@@ -215,7 +215,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
         # minimum before position t is ``low[:, t - 1]``.
         low = np.minimum.accumulate(offset, axis=1)
         hit = (side[:, 1:] == 1) & (k[:, 1:] > i) & (offset[:, 1:] < low[:, :-1])
-        r, t = np.nonzero(hit)
+        r, t = np.divmod(np.flatnonzero(hit), width - 1)
         a, b, c = i[r, 0].astype(np.int64), j[r, 0], k[r, t + 1]
         codes.append((a * n + np.minimum(b, c)) * n + np.maximum(b, c))
     # Each triangle is found in exactly one row, so sorting the codes

@@ -277,7 +277,16 @@ def test_angle_order_matches_scalar_sort_at_the_cap(monkeypatch):
             assert (first[u, v], last[u, v]) == (run[0], run[-1]), (u, v)
             assert graze[u, v] == (p > run[0])
     assert graze.any()
+    # Two distinct directions from (-c, -c), to (c, c - 1) and to
+    # (c - 1, c - 2), whose cross product is -1: their coarse keys, the
+    # full keys shifted right by 26 bits, collide, so the row takes the
+    # exact path, and it still puts (c - 1, c - 2) first.
+    d = np.array([[2 * c, 2 * c - 1], [2 * c - 1, 2 * c - 2]], dtype=np.int64)
+    key = geom.angle_keys(*d.T)
+    assert key[1] < key[0] and key[0] >> 26 == key[1] >> 26
+    row = order[0].tolist()
+    assert row.index(4) == row.index(3) - 1
     # the same tables in blocks of three rows of the 16 (the last holds one)
-    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 4 * 16 * 3)
+    monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 16 * 3)
     for got, want in zip(geom.angle_order(xs, ys), (order, first, last, graze)):
         assert np.array_equal(got, want)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -193,7 +194,7 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     # then takes the span path, in blocks of one row and five triples, on
     # angle tables built one row per block
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
-    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 20)
+    monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
     assert _construction_verdicts(cycles) == verdicts
     # fresh polygons, since each caches its diagonals
     assert [_visibility_or_grazing(Polygon(p.vertices)) for p in polys] == graphs
@@ -502,10 +503,20 @@ def _bool_table(n: int, edges) -> np.ndarray:
 
 
 def _fill_cells(edges, n: int):
-    """``_fill_table`` over the given edges, its bit rows unpacked into the
-    [n][n] cell lists of ``brute_fill_table``."""
-    row, choice = _fill_table(_bool_table(n, edges))
-    return [[bool(r >> q & 1) for q in range(n)] for r in row], choice
+    """``_fill_table`` over the given edges, unpacked into the [n][n] cell
+    and choice lists of ``brute_fill_table``: each true cell (i, q),
+    i + 1 < q, chooses the lowest bit of ``row[i] & col[q]``, as the
+    backtracking does.  The columns must hold the rows' cells."""
+    row, col = _fill_table(_bool_table(n, edges))
+    cells = [[bool(r >> q & 1) for q in range(n)] for r in row]
+    assert [[bool(c >> i & 1) for c in col] for i in range(n)] == cells
+    choice = [[-1] * n for _ in range(n)]
+    for i in range(n):
+        for q in range(i + 2, n):
+            if cells[i][q]:
+                split = row[i] & col[q]
+                choice[i][q] = (split & -split).bit_length() - 1
+    return cells, choice
 
 
 def _mirrored_stars(families):
@@ -673,6 +684,26 @@ def test_dp_backtracks_a_fan_deeper_than_the_recursion_limit():
     assert jt.verified and len(jt.triangles) == 148
 
 
+def test_dp_memory_peak_stays_near_its_tables():
+    """Past the shared edges, ``dp_joint_polygon`` on a convex pair at
+    n = 600 holds its bit rows and columns, the triangles and the
+    verifier's row blocks: its tracemalloc peak stays under 8 * n**2
+    bytes.  Choice lists of every cell and whole [triangles, n] int64
+    scans took about 39 * n**2."""
+    n = 600
+    pair = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(n)),) * 2)
+    pair.shared  # visibility is not measured here
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        jt = dp_joint_polygon(pair)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert jt.verified and len(jt.triangles) == n - 2
+    assert peak < 8 * n * n, peak
+
+
 def test_orientation_guard_versus_verbatim_rule():
     # The recurrence, with its interior-side guard on every split, must
     # stay exact (oracle-checked).
@@ -782,7 +813,7 @@ def test_span_mask_on_grid_polygons(monkeypatch):
     on the span path: 8 cells is less than one chord per block, and the
     angle tables are built one row per block."""
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 8)
-    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 8)
+    monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
     calls = _counting_span(monkeypatch)
     rng = random.Random(173)
     seen = []

@@ -142,7 +142,7 @@ def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
     # two and one row at these sizes; the angle tables that give the ranks
     # are built one vertex per block
     monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", 40)
-    monkeypatch.setattr(geom, "_TENSOR_BLOCK", 40)
+    monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
     for s, expected in zip(sets, whole):
         got = enumerate_empty(s)
         assert list(got) == expected

@@ -1,15 +1,18 @@
 """The linear-size verifier against the pairwise reference verifiers."""
 
 import random
+from itertools import combinations, islice
 
+from jointtri import greedy
 from jointtri.conditions import PointSetPair, necessary_conditions
-from jointtri.geom import DegenerateInput, convex_hull
+from jointtri.geom import DegenerateInput, LabeledSet, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.oracle import gen_perturbed_pair, gen_point_pair, gen_polygon_pair
 from jointtri.polygon import PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
-from helpers import mutate, pairwise_verify_points, pairwise_verify_polygons
+from helpers import (grid_locked_coords, mutate, pairwise_verify_points,
+                     pairwise_verify_polygons)
 
 
 def _point_cases(rng):
@@ -96,3 +99,36 @@ def test_polygon_verifier_matches_pairwise_reference():
                                                     pair.b.vertices, tris))
     assert len(verdicts) == 300
     assert sum(verdicts) >= 50 and verdicts.count(False) >= 50
+
+
+def _grid_triple_cases(rng):
+    """Seeded (pair, triangles) cases on grid pairs, where collinear
+    triples are common: random label triples, so triangles are often
+    degenerate or hold other points."""
+    while True:
+        coords = grid_locked_coords(rng, rng.randint(5, 9), 4)
+        if coords is None:
+            continue
+        pair = PointSetPair(*(LabeledSet.from_coords(c) for c in coords))
+        n = len(pair.a)
+        yield pair, rng.sample(list(combinations(range(n), 3)), rng.randint(1, n))
+
+
+def test_verifier_messages_hold_across_scan_blocks(monkeypatch):
+    """Each verdict's message, not only its verdict, is the same when
+    ``_scan`` runs in row blocks of one to a few triangles, on mutated
+    point and polygon triangulations and on grid triples: the first
+    degenerate or non-empty triangle is still the one named."""
+    cases = ([(verify_joint, c) for c in islice(_point_cases(random.Random(2026)), 300)]
+             + [(verify_joint, c) for c in islice(_grid_triple_cases(random.Random(2028)), 100)]
+             + [(verify_polygon_joint, c)
+                for c in islice(_polygon_cases(random.Random(2027)), 200)])
+    whole = [verify(pair, tris) for verify, (pair, tris) in cases]
+    # n is 4 to 9: 1 cell is one row per block, 20 cells two to five rows
+    for cells in (1, 20):
+        monkeypatch.setattr(greedy, "_SCAN_BLOCK_CELLS", cells)
+        assert [verify(pair, tris) for verify, (pair, tris) in cases] == whole
+    messages = [m for m in whole if m is not None]
+    for kind in ("not empty in A", "not empty in B", "degenerate in A"):
+        assert sum(kind in m for m in messages) >= 10, kind
+    assert whole.count(None) >= 50
