@@ -4,8 +4,9 @@ Every combinatorial decision in this package reduces to the sign of a
 2x2 cross-product determinant over integer coordinates; nothing in a
 decision path touches floating point.  Scalar predicates use Python
 integers and are exact for any magnitude.  The vectorized helpers use
-64-bit integers, which is why coordinates are capped at construction
-time (see ``COORD_LIMIT``).
+64-bit integers (the sign tensor 32-bit ones where the coordinates allow),
+which is why coordinates are capped at construction time (see
+``COORD_LIMIT``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import numpy as np
 # (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51), and the three-term sum the
 # sign tensor adds (below 3 * 2**49 < 2**51), stay well inside signed
 # 64-bit range on the numpy fast paths, with headroom for summing a few
-# thousand doubled areas.  Inputs outside the cap are rejected when a
-# point set or polygon is constructed, never inside a predicate.
+# thousand doubled areas.  The sign tensor drops to int32 where every
+# coordinate is within _INT32_COORDS = 2**14 (its sum then stays below
+# 6 * 2**28 < 2**31).  Inputs outside the cap are rejected when a point
+# set or polygon is constructed, never inside a predicate.
 COORD_LIMIT = 2**24
 
 CCW = 1
@@ -45,9 +48,16 @@ class SizeGuard(ValueError):
 # Largest point set whose orientation-sign tensor is built: n**3 int8 bytes
 # per side (512 MB at n = 800), so a pair's two tensors stay near 1 GB.
 MAX_TENSOR_POINTS = 800
-# Entries of one int64 block of the tensor build (1 MB); bounds its
-# temporaries at any n.
-_TENSOR_BLOCK = 1 << 17
+# Bytes of the widest temporary of one block of the tensor build, its
+# [rows, n, n] sums in int32 or int64 (256 KB, or one row where that is
+# larger), so the build's temporaries stay small at any n; at n = 100
+# blocks of 1 MB ran about 20% slower.
+_TENSOR_BLOCK_BYTES = 1 << 18
+# Largest coordinate magnitude at which the tensor build runs in int32:
+# |C| <= 2 * (2**14)**2 = 2**29, and its three-term sums stay below
+# 6 * 2**28 < 2**31.  Beyond it the build runs in int64, exact up to
+# COORD_LIMIT.
+_INT32_COORDS = 2**14
 # Cells of one row block of the angle tables, whose int64 temporaries are
 # then 64 KB each.  On polygons of n 150-300 such blocks took about 25
 # minor page faults per call, their pages reused from the heap by the next
@@ -174,16 +184,21 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
 
     cross(p_i, p_j, p_k) = C[i,j] + C[j,k] + C[k,i] with the antisymmetric
     n x n table C[a,b] = x_a * y_b - x_b * y_a, so each entry is two
-    additions.  Exact for coordinates within COORD_LIMIT: |C| <= 2**49 and
-    the sum stays below 3 * 2**49 < 2**51.  Built in blocks of i into one
-    int8 array, so the int64 temporaries stay near ``_TENSOR_BLOCK`` entries.
+    additions.  Exact in int32 when every coordinate is within
+    ``_INT32_COORDS`` = 2**14: then |C| <= 2**29, and the sum and its
+    partial sums stay within 3 * 2**29 = 6 * 2**28 < 2**31.  Otherwise in
+    int64, exact for coordinates within COORD_LIMIT: |C| <= 2**49 and the
+    sum stays below 3 * 2**49 < 2**51.  Built in blocks of i into one int8
+    array, each block's widest temporary about ``_TENSOR_BLOCK_BYTES``
+    (at least one row).
     """
-    xs = np.array([p[0] for p in pts], dtype=np.int64)
-    ys = np.array([p[1] for p in pts], dtype=np.int64)
-    c = xs[:, None] * ys[None, :] - xs[None, :] * ys[:, None]
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    narrow = max(map(abs, xs + ys), default=0) <= _INT32_COORDS
+    xs, ys = (np.array(v, dtype=np.int32 if narrow else np.int64) for v in (xs, ys))
     n = len(xs)
+    c = xs[:, None] * ys[None, :] - xs[None, :] * ys[:, None]
     out = np.empty((n, n, n), dtype=np.int8)
-    step = max(1, _TENSOR_BLOCK // (n * n))
+    step = max(1, _TENSOR_BLOCK_BYTES // (n * n * c.itemsize))
     for i in range(0, n, step):
         # C[k, i] = -C[i, k]
         v = c[i:i + step, :, None] + c[None, :, :]

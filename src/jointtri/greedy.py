@@ -202,38 +202,58 @@ def _edge_cells(d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where(ccw, fwd, heads * n + cols)
 
 
-# Weights of the picked triangle's three edge bits in a point's code.
-_BITS = np.array([1, 2, 4], dtype=np.uint8)
+def _survivors(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
+    """The [9, m] survivor table of label columns ``cols`` ([3, m]) under
+    the two realizations' orientation-sign tensors ``signs``: the labels,
+    A's directed edge cells (``_edge_cells``) and B's, these offset by n * n
+    so that they index B's half of a stacked [2, n, n] table."""
+    n = len(signs[0])
+    cols = np.ascontiguousarray(cols)  # a transposed label array reads slower
+    return np.concatenate((cols, _edge_cells(signs[0], cols),
+                           _edge_cells(signs[1], cols) + n * n))
 
 
-def _sat_overlap_mask(d: np.ndarray, cols: np.ndarray, cells: np.ndarray,
-                      pick: int) -> np.ndarray:
-    """Per-candidate mask: does the candidate's interior meet that of
-    candidate ``pick`` in the realization whose orientation-sign tensor is
-    d?  ``cols`` holds the candidates' labels ([3, m]), ``cells`` their
-    directed edge cells in that realization (``_edge_cells``).
+# Per realization, the bits of the picked triangle's three edges in a
+# point's code: A's in the low three bits, B's in the next three.
+_SIDE_BITS = np.array([[0b111], [0b111000]], dtype=np.uint8)
+
+
+def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
+                  pick: int) -> np.ndarray:
+    """Per-survivor mask: does the survivor's interior meet that of
+    survivor ``pick`` in either realization?  ``signs`` holds A's and B's
+    orientation-sign tensors, ``state`` the survivor table (``_survivors``).
 
     Two triangles are interior-disjoint iff some edge of either has the
     other's three vertices on its closed far side, that is off its open
     left side: sign != 1 on an edge with its triangle on the left.  The
-    picked triangle's edges become one 3-bit code per point (bit e: off
-    the left of edge e, read from the row ``d[a, b]``), so its edges
-    separate a candidate iff the AND of the candidate's three codes is
-    nonzero.  A candidate's edge cell ``a * n + b`` reads the n x n plane
-    of each picked vertex v, ``d[v, a, b] == d[a, b, v]`` since orientation
-    is cyclic, and that edge separates iff none of the three reads is 1.
+    picked triangle's edges become one 6-bit code per point (bit e of a
+    realization: off the left of its edge e, read from the row ``d[a, b]``),
+    so its edges separate a survivor in a realization iff the AND of the
+    survivor's three codes has a bit of that realization.  For its own
+    edges, each realization gets one n x n plane, the elementwise maximum
+    of the picked vertices' planes ``d[v]``: a survivor's edge cell
+    ``a * n + b`` reads ``max_v d[v, a, b] == max_v d[a, b, v]``, since
+    orientation is cyclic, and that edge separates iff the maximum is not 1.
+    Both realizations share one code gather and one plane gather.
     """
-    n = len(d)
-    off = d.reshape(n * n, n).take(cells[:, pick], axis=0) != 1
-    code = np.dot(_BITS, off.view(np.uint8)).take(cols)
-    clear = (code[0] & code[1] & code[2]) == 0
-    flat = d.reshape(-1)
-    i, j, k = cols[:, pick].tolist()
-    left = flat[i * n * n:].take(cells)
-    np.maximum(left, flat[j * n * n:].take(cells), out=left)
-    np.maximum(left, flat[k * n * n:].take(cells), out=left)
-    left = left == 1
-    return clear & left[0] & left[1] & left[2]
+    n = len(signs[0])
+    cols, cells = state[:3], state[3:]
+    # the rows d[a, b] of the picked triangle's edges, A's then B's
+    rows = [d.reshape(n * n, n).take(e, axis=0)
+            for d, e in zip(signs, (cells[:3, pick], cells[3:, pick] - n * n))]
+    code = np.packbits(np.concatenate(rows) != 1, axis=0, bitorder="little")[0]
+    # [2, m]: no edge of the picked triangle separates, per realization
+    meet = (np.bitwise_and.reduce(code.take(cols), axis=0) & _SIDE_BITS) == 0
+    u, v, w = cols[:, pick].tolist()
+    plane = np.empty((2, n, n), dtype=np.int8)
+    for p, d in zip(plane, signs):
+        np.maximum(d[u], d[v], out=p)
+        np.maximum(p, d[w], out=p)
+    reach = plane.reshape(-1).take(cells).reshape(2, 3, -1)
+    # ... and no edge of the survivor does
+    meet &= np.minimum.reduce(reach, axis=1) == 1
+    return meet[0] | meet[1]
 
 
 def greedy_construct(pair: PointSetPair, legal: TriangleSet,
@@ -254,20 +274,17 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
         raise ValueError("greedy_construct requires a nonempty legal set")
     if policy not in (LEX, SEEDED_RANDOM):
         raise ValueError(f"unknown policy: {policy!r}")
-    da, db = pair.a.signs, pair.b.signs
-    cols = legal.array().T
+    signs = (pair.a.signs, pair.b.signs)
     # Labels, then A's and B's edge cells, per survivor: one compaction.
-    state = np.stack((cols, _edge_cells(da, cols), _edge_cells(db, cols)))
+    state = _survivors(signs, legal.array().T)
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
     chosen: list[Tri] = []
-    while state.shape[2]:
-        cols, cells_a, cells_b = state
-        pick = rng.randrange(state.shape[2]) if rng else 0
-        chosen.append(tuple(cols[:, pick].tolist()))  # type: ignore[arg-type]
-        gone = _sat_overlap_mask(da, cols, cells_a, pick)
-        gone |= _sat_overlap_mask(db, cols, cells_b, pick)
+    while state.shape[1]:
+        pick = rng.randrange(state.shape[1]) if rng else 0
+        chosen.append(tuple(state[:3, pick].tolist()))  # type: ignore[arg-type]
+        gone = _overlap_mask(signs, state, pick)
         gone[pick] = True
-        state = state.compress(~gone, axis=2)
+        state = state.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
     return JointTriangulation(TriangleSet(chosen), violation is None,
                               violation, chosen)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .geom import LabeledSet, angle_order
 
@@ -128,9 +129,11 @@ class TriangleSet:
         return f"TriangleSet({self.sorted_triangles()!r})"
 
 
-# Cells of one [rows, n] block of _empty_rows' temporaries (1 MB of int8),
-# so pairing stays within a few MB at any n.
-_ROW_CHUNK_CELLS = 1 << 20
+# Cells of one [rows, n] block of _empty_rows' temporaries (256 KB of
+# int8), so pairing stays within about a MB at any n.  At n = 100 such
+# blocks ran about 30% faster than blocks of 2**20 cells, which fall out of
+# cache.
+_ROW_CHUNK_CELLS = 1 << 18
 
 
 def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -156,9 +159,10 @@ def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells of one [rows, n - 1] block of the sweep's temporaries, of at most
-# 4 bytes each, so its working set stays small at any n.
-_SWEEP_BLOCK_CELLS = 1 << 16
+# Cells of one [positions, rows] block of the sweep's temporaries, of at
+# most 8 bytes each (the gather indices), so its working set stays near
+# 256 KB at any n.
+_SWEEP_BLOCK_CELLS = 1 << 15
 
 
 def enumerate_empty(s: LabeledSet) -> TriangleSet:
@@ -183,47 +187,107 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     exactly the points of the first test, so k is empty iff its offset is
     below every earlier one.  A point inside segment ij has offset 0 and
     blocks the whole row; a point on ik comes before k, and one on jk ties
-    with it, so both block it.  Rows are swept in blocks of about
-    ``_SWEEP_BLOCK_CELLS`` cells.
+    with it, so both block it.
+
+    A row stops at its half-turn: it holds j's direction group (g points,
+    j among them), then the points strictly left of i -> j, and nothing
+    after them can be a candidate or precede one.  So row (i, j) is
+    L = g + |{k strictly left of i -> j}| long (g from ``angle_order``'s
+    ``last`` table, the count from the sign tensor's row d[i, j]), a
+    candidate is a position t with g <= t < L, and rows with nothing
+    strictly left are skipped.  Rows are sorted by L, longest first, and
+    swept in blocks of about ``_SWEEP_BLOCK_CELLS`` cells, each as long as
+    its longest row; when one block holds every row they are neither
+    sorted nor split.
     """
     n = len(s)
-    d = s.signs
-    order, ranks, _, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
+    order, ranks, last, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
     # i itself, last in its own list, is dropped and ranked -n, below every
-    # other point; the list is doubled so every rotation is one slice.
+    # other point; the list is doubled so every rotation is one window.
     np.fill_diagonal(ranks, -n)
-    around = order[:, :-1].astype(np.int32)
-    around = np.concatenate((around, around), axis=1).ravel()
     width = n - 1
-    span = np.arange(width, dtype=np.int32)
-    flat_d = d.reshape(-1)
+    around = order[:, :-1]
+    around = np.concatenate((around, around), axis=1).ravel()
+    around = as_strided(around, (len(around) - width + 1, width),
+                        around.strides * 2, writeable=False)
     flat_r = ranks.reshape(-1)
-    ii, jj = (a.astype(np.int32) for a in np.triu_indices(n, 1))
+    pos = np.arange(n)
+    cell = np.flatnonzero(pos[:, None] < pos)
+    left = _left_counts(s.signs, cell)
+    cell, left = cell[left > 0], left[left > 0]
+    base = flat_r[cell]
+    group = last.reshape(-1)[cell] + 1 - base
+    length = group + left
+    widest = int(length.max(initial=0))
+    if len(cell) * widest > _SWEEP_BLOCK_CELLS:
+        wide = np.argsort(-length, kind="stable")
+        cell, base, group, left, length = (
+            a[wide] for a in (cell, base, group, left, length))
+    ii, jj = np.divmod(cell, n)
+    # The first point in j's direction from i has index R[i, j] in i's
+    # sorted list, since exactly R[i, j] points precede that direction.
+    start = ii * (2 * width) + base
+    # Clockwise rank of i at j, from which each walk point's offset counts.
+    home = flat_r[jj * n + ii]
+    i16 = ii.astype(np.int16)
+    span = np.arange(width, dtype=np.int16)[:, None]
     codes = []
-    step = max(1, _SWEEP_BLOCK_CELLS // width)
-    for lo in range(0, len(ii), step):
-        i, j = ii[lo:lo + step, None], jj[lo:lo + step, None]
-        # The first point in j's direction from i has index R[i, j] in i's
-        # sorted list, since exactly R[i, j] points precede that direction.
-        k = around[i * (2 * width) + ranks[i, j] + span]
-        side = flat_d[(i * n + j) * n + k]
+    lo = 0
+    while lo < len(cell):
+        # a block of rows is [positions, rows], as long as its first row
+        w = widest if lo == 0 else int(length[lo])
+        b = slice(lo, lo + max(1, _SWEEP_BLOCK_CELLS // w))
+        lo = b.stop
+        k = np.ascontiguousarray(around[start[b], :w].T)
         # Clockwise rank offset at j from j -> i, in [0, n - 2]; j itself
         # gets R[j, i] + n, past every point.
-        offset = flat_r[j * n + i] - flat_r[j * n + k]
-        offset += np.int16(width) * (offset < 0)
-        # Position 0 is in j's direction, never a candidate, so the prefix
-        # minimum before position t is ``low[:, t - 1]``.
-        low = np.minimum.accumulate(offset, axis=1)
-        hit = (side[:, 1:] == 1) & (k[:, 1:] > i) & (offset[:, 1:] < low[:, :-1])
-        r, t = np.divmod(np.flatnonzero(hit), width - 1)
-        a, b, c = i[r, 0].astype(np.int64), j[r, 0], k[r, t + 1]
-        codes.append((a * n + np.minimum(b, c)) * n + np.maximum(b, c))
+        low = home[b] - flat_r.take(jj[b] * n + k)
+        low += np.int16(width) * (low < 0)
+        low = _prefix_min(low)
+        # k at position t is empty iff its offset is below every earlier
+        # one, that is iff the running minimum falls at t, and t is a
+        # candidate iff group <= t < length: t - group, taken unsigned, is
+        # below the row's count of points left of i -> j.
+        hit = (low[1:] < low[:-1]) & (k[1:] > i16[b])
+        hit &= (span[1:w] - group[b]).view(np.uint16) < left[b].view(np.uint16)
+        t, r = np.divmod(np.flatnonzero(hit), k.shape[1])
+        a, m, c = ii[b][r], jj[b][r], k[t + 1, r]
+        codes.append((a * n + np.minimum(m, c)) * n + np.maximum(m, c))
     # Each triangle is found in exactly one row, so sorting the codes
-    # gives lexicographic order.
-    code = np.sort(np.concatenate(codes))
-    arr = np.column_stack((code // (n * n), code // n % n, code % n)).astype(
-        np.intp, copy=False)
+    # gives lexicographic order.  The codes stay below n**3 < 2**31 within
+    # the tensor's size limit, and int32 divides several times faster.
+    code = np.sort(np.concatenate(codes) if codes else np.empty(0, dtype=np.intp))
+    arr = np.empty((len(code), 3), dtype=np.intp)
+    rest, arr[:, 2] = np.divmod(code.astype(np.int32), n)
+    arr[:, 0], arr[:, 1] = np.divmod(rest, n)
     return TriangleSet._of_canonical(_tuples(arr), arr)
+
+
+def _left_counts(d: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """For each flat cell i * n + j of ``cell``, the number of points
+    strictly left of i -> j under orientation-sign tensor ``d``, read off
+    the tensor's rows in blocks of about ``_SWEEP_BLOCK_CELLS`` bytes."""
+    n = len(d)
+    rows = d.reshape(n * n, n)
+    step = max(1, _SWEEP_BLOCK_CELLS // n)
+    return np.concatenate([
+        (rows.take(cell[lo:lo + step], axis=0) > 0).sum(axis=1, dtype=np.int16)
+        for lo in range(0, len(cell), step)])
+
+
+def _prefix_min(a: np.ndarray) -> np.ndarray:
+    """The running minimum of 2-D ``a`` down axis 0, by doubling: about
+    log2(len(a)) elementwise minima over whole blocks of rows, which numpy
+    vectorizes (``np.minimum.accumulate`` walks the cells one by one and
+    ran several times slower).  Overwrites ``a``."""
+    spare = np.empty_like(a)
+    s = 1
+    while s < len(a):
+        spare[:s] = a[:s]
+        np.minimum(a[s:], a[:-s], out=spare[s:])
+        a, spare = spare, a
+        s *= 2
+    return a
 
 
 def _tuples(arr: np.ndarray) -> Iterator[Tri]:

@@ -143,9 +143,10 @@ def test_chunked_sign_tensor_equals_unchunked_formula(monkeypatch):
     assert d.dtype == np.int8
     assert d.tolist() == [[[xorient(p, q, r) for r in small] for q in small]
                           for p in small]
-    for n, block in ((60, None), (100, None), (37, 1), (23, 3 * 23 * 23)):
+    # blocks in bytes: one row, and three int64 rows at n = 23
+    for n, block in ((60, None), (100, None), (37, 1), (23, 3 * 23 * 23 * 8)):
         if block is not None:
-            monkeypatch.setattr(geom, "_TENSOR_BLOCK", block)
+            monkeypatch.setattr(geom, "_TENSOR_BLOCK_BYTES", block)
         lim = COORD_LIMIT if n % 2 else 20
         pts = [Point(rng.randint(-lim, lim), rng.randint(-lim, lim))
                for _ in range(n)]
@@ -171,6 +172,34 @@ def test_sign_tensor_is_exact_on_collinear_triples_at_the_cap():
     for run in (range(len(diag)), on_anti):
         assert not d[np.ix_(run, run, run)].any()
     assert np.count_nonzero(d) > len(pts) ** 3 // 2
+
+
+def test_sign_tensor_is_exact_at_the_int32_bound(monkeypatch):
+    # Collinear and near-collinear triples with every coordinate within
+    # +-2**14, the int32 build's bound: the table's entries reach 2**29 and
+    # its sums 2**30.  One coordinate moved to 2**14 + 1 or
+    # +-2**15 sends the build to int64.  The same points doubled have
+    # doubled areas up to 2**32, past int32, so a build that stays in int32
+    # there gets signs wrong.  One row per block crosses every boundary.
+    monkeypatch.setattr(geom, "_TENSOR_BLOCK_BYTES", 1)
+    c = 2**14
+    frame = [Point(c, c), Point(-c, -c), Point(c, -c), Point(-c, c)]
+    near = [Point(0, 0), Point(c - 1, c), Point(-c, -c + 1), Point(c, -c + 1),
+            Point(-c + 1, c), Point(1, 1), Point(-1, 1), Point(c, 0),
+            Point(0, -c), Point(c - 1, -c + 1)]
+    base = frame + near
+    sets = [base] + [base[:1] + [moved] + base[2:] for moved in (
+        Point(c + 1, c), Point(c, 2 * c), Point(-2 * c, -c), Point(-c, -c - 1))]
+    sets.append([Point(2 * x, 2 * y) for x, y in base])
+    for pts in sets:
+        d = orient_sign_tensor(pts)
+        assert d.dtype == np.int8
+        assert d.tolist() == [[[orient(p, q, r) for r in pts] for q in pts]
+                              for p in pts], pts[1]
+    # both diagonals pass through the origin; their neighbours do not
+    d = orient_sign_tensor(base)
+    assert not d[0, 1, 4] and not d[2, 3, 4]
+    assert d[0, 1, 5] and d[0, 1, 6] and d[2, 3, 7]
 
 
 def test_size_guard_one_past_the_tensor_limit(monkeypatch):

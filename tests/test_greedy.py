@@ -176,37 +176,50 @@ def test_vectorized_deletion_mask_matches_scalar_overlap():
     import numpy as np
 
     from jointtri.geom import orient_sign_tensor
-    from jointtri.greedy import _edge_cells, _sat_overlap_mask
+    from jointtri.greedy import _overlap_mask, _survivors
     from jointtri.triangles import enumerate_empty
 
-    def check(s, cands, picks):
+    def check(sides, cands, picks):
+        # the mask is the overlap in either realization
         cols = np.array(cands, dtype=np.intp).T
-        d = orient_sign_tensor(s.points)
-        cells = _edge_cells(d, cols)
+        signs = tuple(orient_sign_tensor(s.points) for s in sides)
+        state = _survivors(signs, cols)
+        differ = 0
         for pick in picks:
             t = cands[pick]
-            mask = _sat_overlap_mask(d, cols, cells, pick)
-            t_pts = tuple(s[v] for v in t)
+            mask = _overlap_mask(signs, state, pick)
             for row, u in enumerate(cands):
-                u_pts = tuple(s[v] for v in u)
-                assert mask[row] == overlap_by_decomposition(t_pts, u_pts), (t, u)
+                overlaps = [overlap_by_decomposition(tuple(s[v] for v in t),
+                                                     tuple(s[v] for v in u))
+                            for s in sides]
+                assert mask[row] == any(overlaps), (t, u)
+                differ += overlaps[0] != overlaps[1]
+        return differ
 
     for coords in MASK_SETS:
         s = LabeledSet.from_coords(coords)
         cands = [t for t in combinations(range(len(s)), 3)
                  if xorient(*(s[v] for v in t))]
-        check(s, cands, range(len(cands)))
+        check((s, s), cands, range(len(cands)))
     # the two halves of the square, and the nesting across a shared edge
     assert not overlap_by_decomposition(((0, 0), (2, 0), (2, 2)),
                                         ((0, 0), (2, 2), (0, 2)))
     assert overlap_by_decomposition(((0, 0), (4, 0), (0, 4)),
                                     ((0, 0), (4, 0), (2, 2)))
     rng = random.Random(43)
+    differ = 0
     for _ in range(15):
         s = _random_set(rng, rng.randint(5, 9))
         cands = enumerate_empty(s).sorted_triangles()
         if len(cands) >= 2:
-            check(s, cands, [rng.randrange(len(cands))])
+            pick = [rng.randrange(len(cands))]
+            check((s, s), cands, pick)
+            # a second realization: the triples nondegenerate in both
+            other = _random_set(rng, len(s))
+            both = [t for t in cands if xorient(*(other[v] for v in t))]
+            if len(both) >= 2:
+                differ += check((s, other), both, [rng.randrange(len(both))])
+    assert differ > 0
 
 
 def test_every_verified_triple_is_paired_and_legal():
@@ -263,15 +276,16 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
     legal = necessary_conditions(pair).legal.legal
     calls = []
 
-    def blind(d, cols, *_):
-        calls.append(cols.shape[1])
+    def blind(signs, state, *_):
+        calls.append(state.shape[1])
         assert len(calls) <= 2 * len(legal), "the greedy does not end"
-        return np.zeros(cols.shape[1], dtype=bool)
+        return np.zeros(state.shape[1], dtype=bool)
 
-    monkeypatch.setattr(greedy, "_sat_overlap_mask", blind)
+    monkeypatch.setattr(greedy, "_overlap_mask", blind)
     for policy, seed in ((LEX, None), (SEEDED_RANDOM, 5)):
         calls.clear()
         jt = greedy_construct(pair, legal, policy, seed)
         assert not jt.verified and jt.violation is not None
         assert sorted(jt.choices) == legal.sorted_triangles()
-        assert len(calls) == 2 * len(legal)
+        # one mask per round, both realizations at once
+        assert calls == list(range(len(legal), 0, -1))

@@ -138,15 +138,58 @@ def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
     rng = random.Random(5)
     sets = [_grid_set(rng, n, 6) for n in (13, 18, 24)]
     whole = [list(enumerate_empty(s)) for s in sets]
-    # a few rows per block: rows are n - 1 cells wide, so 40 cells is three,
-    # two and one row at these sizes; the angle tables that give the ranks
-    # are built one vertex per block
+    # a few rows per block: rows are at most n - 1 cells long, so 40 cells
+    # is one row or more at these sizes; the angle tables that give the
+    # ranks are built one vertex per block
     monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", 40)
     monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
     for s, expected in zip(sets, whole):
         got = enumerate_empty(s)
         assert list(got) == expected
         assert set(got) == brute_empty_triangles(s.points)
+
+
+def _ray_and_half_plane_rows(s):
+    """Rows (i, j), i < j, with another point on the ray from i through j
+    (j's direction group has more than one point), and rows with no point
+    strictly left of i -> j."""
+    d = s.signs
+    xy = np.array(s.points)
+    on_ray = empty_left = 0
+    for i, j in zip(*np.triu_indices(len(s), 1)):
+        line = np.flatnonzero(d[i, j] == 0)
+        ahead = (xy[line] - xy[i]) @ (xy[j] - xy[i]) > 0
+        on_ray += np.count_nonzero(ahead) > 1
+        empty_left += not (d[i, j] == 1).any()
+    return on_ray, empty_left
+
+
+def test_enumerate_empty_on_rays_and_empty_half_planes_across_blocks(monkeypatch):
+    # Sets with several points on one ray from a vertex, and with rows that
+    # have nothing strictly left of i -> j: a fan of rays from the origin,
+    # collinear grid runs and grid samples.
+    rng = random.Random(19)
+    fan = [(0, 0)] + [(t * dx, t * dy) for dx, dy in ((1, 0), (2, 1), (1, 1),
+                                                     (1, 3), (-1, 2))
+                      for t in range(1, 4)]
+    sets = [LabeledSet.from_coords(fan)]
+    sets += [LabeledSet.from_coords(_collinear_grid_set(rng, n)) for n in (14, 21)]
+    sets += [_grid_set(rng, n, 5) for n in (9, 17)]
+    for s in sets:
+        on_ray, empty_left = _ray_and_half_plane_rows(s)
+        assert on_ray and empty_left, s.points
+    whole = [list(enumerate_empty(s)) for s in sets]
+    # Rows run widest first, 2 to 20 cells wide here: blocks of 24 cells
+    # hold one to three rows, mostly of unequal width, wherever rows are 8
+    # or more cells wide (more of the narrower ones); 1 cell is one row
+    # per block.
+    for cells in (24, 1):
+        monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", cells)
+        for s, expected in zip(sets, whole):
+            got = enumerate_empty(s)
+            assert list(got) == expected
+            assert list(got) == list(scan_empty_triangles(s))
+            assert set(got) == brute_empty_triangles(s.points)
 
 
 def test_paired_empty_across_row_chunk_boundaries(monkeypatch):
