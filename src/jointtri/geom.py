@@ -82,6 +82,16 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return COLLINEAR
 
 
+def check_coords(points: Iterable[Point]) -> None:
+    """Raise ValueError on the first point with a coordinate outside
+    [-COORD_LIMIT, COORD_LIMIT]."""
+    for p in points:
+        if not (-COORD_LIMIT <= p[0] <= COORD_LIMIT
+                and -COORD_LIMIT <= p[1] <= COORD_LIMIT):
+            raise ValueError(
+                f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}")
+
+
 def signed_area2(points: Sequence[Point]) -> int:
     """Doubled signed area of a closed vertex cycle (positive iff CCW)."""
     total = 0
@@ -105,11 +115,7 @@ class LabeledSet:
     def __post_init__(self) -> None:
         if len(self.points) < 3:
             raise ValueError("a labeled set needs at least 3 points")
-        for p in self.points:
-            if not (-COORD_LIMIT <= p[0] <= COORD_LIMIT
-                    and -COORD_LIMIT <= p[1] <= COORD_LIMIT):
-                raise ValueError(
-                    f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}")
+        check_coords(self.points)
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
 

@@ -11,14 +11,15 @@ masks with that test decide every chord.  Small polygons test every
 chord against every edge and vertex.  Larger ones sort the vertices
 around each vertex in the exact angular order of ``geom.angle_order``
 and test a chord u-w only against the edges whose angular span at u
-holds w's direction, so a convex polygon tests none.  A visibility
-graph, and the shared graph, is one read-only [n, n] bool table
-(``EdgeTable``).  A cell (i, q) records whether the chain i..q closed by
-the chord {i, q} admits a joint triangulation; the table keeps each
-row's cells, and each column's, as the bits of one integer, and the
-backtracking that extracts the triangle set splits each true cell at
-the least vertex set in both its row and its column, so no choice is
-stored per cell.
+holds w's direction, so a convex polygon tests none.  The chords a
+polygon is asked about, its diagonals (``Polygon.diagonals``), its
+visibility graph and the shared graph are each one read-only [n, n]
+bool table, i < j; B decides exactly the cells of A's diagonals.  A cell
+(i, q) of the DP records whether the chain i..q closed by the chord
+{i, q} admits a joint triangulation; the table keeps each row's cells,
+and each column's, as the bits of one integer, and the backtracking that
+extracts the triangle set splits each true cell at the least vertex set
+in both its row and its column, so no choice is stored per cell.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import (COORD_LIMIT, Point, SizeGuard, angle_order, hull_edge_set,
+from .geom import (Point, SizeGuard, angle_order, check_coords, hull_edge_set,
                    signed_area2)
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, tri
@@ -87,11 +88,11 @@ class EdgeTable(Set):
 _HIT_BLOCK_CELLS = 1 << 17
 
 # Largest polygon whose visibility is decided.  A convex pair through
-# visibility, the DP and the verifier peaks near 25 * n**2 bytes above the
-# interpreter (55 MB at n = 1500, 139 MB at n = 2500, in ru_maxrss), set
-# by visibility's chord index arrays and angle tables; the DP's bit rows
-# and columns and the verifier's row blocks stay below that.  So a pair
-# stays well under 1 GB, and the int16 angle tables exact, up to here.
+# visibility, the DP and the verifier peaks near 14 * n**2 bytes above the
+# interpreter (32 MB at n = 1500, 85 MB at n = 2500, fresh ru_maxrss), set
+# by visibility's angle tables and bool masks; the DP's bit rows and
+# columns and the verifier's row blocks stay below that.  So a pair stays
+# well under 1 GB, and the int16 angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
 
@@ -111,11 +112,7 @@ class Polygon:
         n = len(self.vertices)
         if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        for p in self.vertices:
-            if not (-COORD_LIMIT <= p[0] <= COORD_LIMIT
-                    and -COORD_LIMIT <= p[1] <= COORD_LIMIT):
-                raise ValueError(
-                    f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}")
+        check_coords(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("polygon vertices must be pairwise distinct")
         if signed_area2(self.vertices) == 0:
@@ -147,6 +144,8 @@ class Polygon:
             if r.size:
                 r += lo
                 first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
+        if n > MAX_POLYGON_VERTICES:
+            del vars(self)["sides"]  # visibility refuses the polygon anyway
         if first < n * n:
             i, j = divmod(first, n)
             if j == i + 1 or (i, j) == (0, n - 1):
@@ -177,8 +176,9 @@ class Polygon:
     def sides(self) -> np.ndarray:
         """Read-only [n, n] int8 table: ``sides[k, v]`` is the sign of
         vertex v against the line of edge k -> k + 1, positive on its left.
-        Construction fills and reads it, as do the cone test and both
-        crossing tests.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
+        Construction fills and reads it, and keeps it only up to
+        MAX_POLYGON_VERTICES vertices; the cone test and both crossing
+        tests read it.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
         xs, ys = np.array(self.vertices, dtype=np.int64).T
         n = len(xs)
         side = np.empty((n, n), dtype=np.int8)
@@ -193,21 +193,24 @@ class Polygon:
         return side
 
     @cached_property
-    def diagonals(self) -> tuple[np.ndarray, np.ndarray]:
-        """The polygon's diagonals (i, j), i < j, in lexicographic order, as
-        two read-only index arrays, decided once and read by
+    def diagonals(self) -> np.ndarray:
+        """Read-only [n, n] bool table of the polygon's diagonals:
+        ``diagonals[i, j]``, i < j, iff (i, j) is one; the diagonal and the
+        lower triangle are False.  Decided once and read by
         ``visibility_graph`` and ``ivg``.  Raises GrazingDiagonal on the
-        first grazing chord in that order, and SizeGuard, before
+        first grazing chord in row-major order, and SizeGuard, before
         allocating, above MAX_POLYGON_VERTICES vertices; either caches
         nothing."""
-        if len(self) > MAX_POLYGON_VERTICES:
+        n = len(self)
+        if n > MAX_POLYGON_VERTICES:
             raise SizeGuard(f"polygon visibility is limited to n <= "
-                            f"{MAX_POLYGON_VERTICES}, got {len(self)}")
-        us, vs = _chords(len(self))
-        seen = _diagonal_mask(self, us, vs)
-        us, vs = us[seen], vs[seen]
-        us.flags.writeable = vs.flags.writeable = False
-        return us, vs
+                            f"{MAX_POLYGON_VERTICES}, got {n}")
+        i = np.arange(n)
+        chords = np.less_equal.outer(i + 2, i)  # no [n, n] int temporary
+        chords[0, n - 1] = False
+        seen = _diagonal_mask(self, chords)
+        seen.flags.writeable = False
+        return seen
 
 
 @dataclass(frozen=True)
@@ -357,9 +360,10 @@ def _boundary_hits(xs: np.ndarray, ys: np.ndarray, side: np.ndarray,
     return proper, inside
 
 
-def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Which chords us[r] -> vs[r], non-adjacent vertex pairs of the
-    polygon, are diagonals of it.
+def _diagonal_mask(poly: Polygon, chords: np.ndarray) -> np.ndarray:
+    """Which of ``chords``, an [n, n] bool table of non-adjacent vertex
+    pairs (i, j), i < j, of the polygon, are diagonals of it: an [n, n]
+    bool table, False off ``chords``.
 
     A chord through a third vertex (``graze``) is never a diagonal; it is
     ambiguous, its visibility hinging on the grazed vertex, unless it also
@@ -368,50 +372,40 @@ def _diagonal_mask(poly: Polygon, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     wholly inside or wholly outside, and the ``cone`` test at its ends
     tells which.  So crossings matter only on chords that pass the cone
     test or graze.  While all the chords fit ``_HIT_BLOCK_CELLS // 4``
-    cells, one ``_boundary_hits`` call tests them all against every
-    edge and vertex; above that, ``angle_order`` gives the graze mask and
-    ``_span_crossings`` tests only those chords, each against the edges
-    that cover its direction.  GrazingDiagonal names the first ambiguous
-    chord in the given order: rather than guess, such instances are
-    refused.
+    cells, they are listed and one ``_boundary_hits`` call tests them all
+    against every edge and vertex; above that, ``angle_order`` gives the
+    graze mask and ``_span_crossings`` tests only those chords, each
+    against the edges that cover its direction.  GrazingDiagonal names the
+    first ambiguous chord in row-major order: rather than guess, such
+    instances are refused.
     """
     xs, ys = np.array(poly.vertices, dtype=np.int64).T
     n = len(xs)
-    cone = _cone(poly.sides, poly.ccw_sign)[us, vs]
-    if len(us) * n <= _HIT_BLOCK_CELLS // 4:
+    cone = _cone(poly.sides, poly.ccw_sign) & chords
+    if np.count_nonzero(chords) * n <= _HIT_BLOCK_CELLS // 4:
+        us, vs = np.nonzero(chords)
         proper, inside = _boundary_hits(xs, ys, poly.sides, us, vs)
-        graze, blocked = inside.any(axis=1), proper.any(axis=1)
+        graze, blocked = np.zeros((2, n, n), dtype=bool)
+        graze[us, vs], blocked[us, vs] = inside.any(axis=1), proper.any(axis=1)
     else:
         order, first, last, graze = angle_order(xs, ys)
-        graze = graze[us, vs]
-        tested = np.zeros((n, n), dtype=bool)
-        tested[us, vs] = cone | graze
-        blocked = _span_crossings(poly.sides, order, first, last, tested)[us, vs]
+        graze &= chords
+        blocked = _span_crossings(poly.sides, order, first, last, cone | graze)
     ambiguous = graze & ~blocked
     if ambiguous.any():
-        r = int(np.argmax(ambiguous))
-        raise GrazingDiagonal(f"diagonal candidate {(int(us[r]), int(vs[r]))} "
-                              f"passes through another vertex")
+        chord = divmod(int(np.argmax(ambiguous)), n)
+        raise GrazingDiagonal(f"diagonal candidate {chord} passes through another vertex")
     return cone & ~graze & ~blocked
 
 
-def _chords(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The non-adjacent vertex pairs (i, j), i < j, of an n-cycle, in
-    lexicographic order, as two index arrays."""
-    i = np.arange(n)
-    chord = i - i[:, None] >= 2
-    chord[0, n - 1] = False
-    return np.divmod(np.flatnonzero(chord), n)
-
-
-def _edge_table(n: int, us: np.ndarray, vs: np.ndarray) -> EdgeTable:
-    """The boundary edges of an n-cycle plus the chords (us[r], vs[r]),
-    us[r] < vs[r], as one table."""
-    table = np.zeros((n, n), dtype=bool)
+def _edge_table(diagonals: np.ndarray) -> EdgeTable:
+    """The boundary edges of the cycle plus ``diagonals``, an [n, n] bool
+    table, i < j, as one table."""
+    n = len(diagonals)
+    table = diagonals.copy()
     i = np.arange(n - 1)
     table[i, i + 1] = True
     table[0, n - 1] = True
-    table[us, vs] = True
     return EdgeTable(table)
 
 
@@ -419,7 +413,7 @@ def visibility_graph(poly: Polygon) -> EdgeTable:
     """Boundary edges plus every diagonal of the polygon (``Polygon.diagonals``),
     deciding every non-adjacent pair (i, j), i < j, in lexicographic order;
     a GrazingDiagonal names the first grazing chord in that order."""
-    return _edge_table(len(poly), *poly.diagonals)
+    return _edge_table(poly.diagonals)
 
 
 def ivg(pair: PolygonPair) -> EdgeTable:
@@ -435,9 +429,7 @@ def ivg(pair: PolygonPair) -> EdgeTable:
     # A's full graph, which raises on a grazing A and is the call the
     # benchmark's tracer reads |E_A| from; its diagonals stay cached on A.
     visibility_graph(pair.a)
-    us, vs = pair.a.diagonals
-    seen = _diagonal_mask(pair.b, us, vs)
-    return _edge_table(len(pair), us[seen], vs[seen])
+    return _edge_table(_diagonal_mask(pair.b, pair.a.diagonals))
 
 
 def _fill_table(table: np.ndarray) -> tuple[list[int], list[int]]:

@@ -160,6 +160,24 @@ def test_check_malformed_exit_1(tmp_path):
     assert code == 1
 
 
+def test_out_of_range_coordinates_exit_1(tmp_path):
+    """Point sets and polygons refuse a coordinate beyond COORD_LIMIT with
+    one message, reported at line 1 of the file."""
+    for cmd, text, point in (
+            ("check", "POINTS 3\n0 0 0 0\n16777217 0 1 0\n0 1 0 1\n",
+             "Point(x=16777217, y=0)"),
+            ("polygon", "POLYGON 3\n0 0 0 0\n1 0 1 0\n0 1 0 -16777217\n",
+             "Point(x=0, y=-16777217)")):
+        path = tmp_path / f"{cmd}.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(cmd, str(path))
+        assert (code, out) == (1, "")
+        assert err.getvalue() == (f"{path}: line 1: coordinate out of range "
+                                  f"[-16777216, 16777216]: {point}\n")
+
+
 def test_triangulate_lex(quad_file):
     code, out = run_cli("triangulate", quad_file, "--policy", "lex")
     assert code == 0

@@ -51,21 +51,43 @@ def test_visibility_convex_is_complete():
 
 def test_visibility_size_guard(monkeypatch):
     """Above MAX_POLYGON_VERTICES visibility raises SizeGuard before any
-    chord is listed, and caches nothing; at the limit it decides."""
+    chord is listed or tested, and caches nothing; at the limit it decides."""
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
     at = Polygon.from_coords(convex_polygon_coords(8))
     assert len(visibility_graph(at)) == math.comb(8, 2)
     over = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(9)),) * 2)
 
-    def no_chords(n):
-        raise AssertionError("chords listed above the size limit")
+    def no_visibility(*args):
+        raise AssertionError("chords tested above the size limit")
 
-    monkeypatch.setattr(polygon, "_chords", no_chords)
+    monkeypatch.setattr(polygon, "_diagonal_mask", no_visibility)
     for call in (visibility_graph, lambda p: ivg(PolygonPair(p, p))):
         with pytest.raises(SizeGuard, match="n <= 8, got 9"):
             call(over.a)
     with pytest.raises(SizeGuard):
         dp_joint_polygon(over)
+
+
+def test_side_table_dropped_above_the_size_limit(monkeypatch):
+    """Above MAX_POLYGON_VERTICES construction reads the side table for the
+    simplicity check and then drops it, since visibility refuses the
+    polygon; a polygon at the limit keeps it.  Verdicts are unchanged."""
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
+    at = Polygon.from_coords(convex_polygon_coords(8))
+    assert "sides" in vars(at)
+    over = Polygon.from_coords(convex_polygon_coords(9))
+    assert "sides" not in vars(over)
+    with pytest.raises(SizeGuard, match="n <= 8, got 9"):
+        visibility_graph(over)
+    assert "sides" not in vars(over) and "diagonals" not in vars(over)
+    # a 9-cycle that is not simple raises as before
+    bowtie = convex_polygon_coords(9)
+    bowtie[3], bowtie[4] = bowtie[4], bowtie[3]
+    with pytest.raises(ValueError, match="edges 2 and 4 intersect"):
+        Polygon.from_coords(bowtie)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="edges 2 and 4 intersect"):
+        Polygon.from_coords(bowtie)
 
 
 def test_visibility_reflex_quad_single_diagonal():
@@ -225,18 +247,24 @@ def test_visibility_on_grid_polygons_matches_brute_force():
         poly = Polygon.from_coords(coords)
         first = _first_grazing_chord(coords)
         if first is not None:
-            with pytest.raises(GrazingDiagonal) as exc:
-                visibility_graph(poly)
-            assert str(exc.value) == \
-                f"diagonal candidate {first} passes through another vertex"
+            for call in (lambda: poly.diagonals, lambda: visibility_graph(poly)):
+                with pytest.raises(GrazingDiagonal) as exc:
+                    call()
+                assert str(exc.value) == \
+                    f"diagonal candidate {first} passes through another vertex"
+                assert "diagonals" not in vars(poly)
             grazed += 1
             continue
         got = visibility_graph(poly)
+        diagonals = poly.diagonals
+        assert diagonals.dtype == bool and not diagonals.flags.writeable
+        assert not np.tril(diagonals).any()
         n = len(coords)
         for i, j in combinations(range(n), 2):
             adjacent = j - i == 1 or (i, j) == (0, n - 1)
-            want = adjacent or brute_diagonal_visible(coords, i, j)
-            assert ((i, j) in got) == want, (coords, i, j)
+            seen = not adjacent and brute_diagonal_visible(coords, i, j)
+            assert ((i, j) in got) == (adjacent or seen), (coords, i, j)
+            assert diagonals[i, j] == seen, (coords, i, j)
         visible += 1
     assert grazed >= 100 and visible >= 100, (grazed, visible)
 
@@ -751,22 +779,28 @@ def _at_the_cap(coords):
 
 
 def _check_mask(coords, chords=None) -> str:
-    """``_diagonal_mask`` on ``chords`` (default all, lexicographic)
-    against the scalar references: it raises on the first grazing chord
-    with no proper crossing, or else decides each chord as
-    ``brute_diagonal_visible`` does.  Returns which of the two happened."""
+    """``_diagonal_mask`` on ``chords`` (default all), given as an [n, n]
+    bool table, against the scalar references: it raises on the first
+    grazing chord in lexicographic order with no proper crossing, or else
+    decides each chord as ``brute_diagonal_visible`` does and is False off
+    the chords.  Returns which of the two happened."""
     n = len(coords)
-    us, vs = polygon._chords(n) if chords is None else np.array(sorted(chords)).T
+    chords = _all_chords(n) if chords is None else chords
+    table = np.zeros((n, n), dtype=bool)
+    for chord in chords:
+        table[chord] = True
     poly = Polygon.from_coords(coords)
-    first = _first_grazing_chord(coords, list(zip(us.tolist(), vs.tolist())))
+    first = _first_grazing_chord(coords, chords)
     if first is not None:
         with pytest.raises(GrazingDiagonal) as exc:
-            polygon._diagonal_mask(poly, us, vs)
+            polygon._diagonal_mask(poly, table)
         assert str(exc.value) == _grazing_message(first), coords
         return "grazing"
-    got = polygon._diagonal_mask(poly, us, vs).tolist()
-    assert got == [brute_diagonal_visible(coords, i, j)
-                   for i, j in zip(us.tolist(), vs.tolist())], coords
+    got = polygon._diagonal_mask(poly, table)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert [got[i, j] for i, j in chords] == [brute_diagonal_visible(coords, i, j)
+                                              for i, j in chords], coords
+    assert not (got & ~table).any(), coords
     return "decided"
 
 
@@ -783,11 +817,17 @@ def _counting_span(monkeypatch) -> list:
     return calls
 
 
+def _all_chords(n: int):
+    """The non-adjacent vertex pairs (i, j), i < j, of an n-cycle, in
+    lexicographic order."""
+    return [(i, j) for i, j in combinations(range(n), 2)
+            if j - i >= 2 and (i, j) != (0, n - 1)]
+
+
 def _chord_sample(rng: random.Random, n: int):
     """About nine tenths of an n-gon's chords, seeded, as ``ivg`` passes
     A's diagonals to B."""
-    return [c for c in zip(*(a.tolist() for a in polygon._chords(n)))
-            if rng.randrange(10)]
+    return [c for c in _all_chords(n) if rng.randrange(10)]
 
 
 def test_span_mask_on_combs_and_spirals(monkeypatch):
