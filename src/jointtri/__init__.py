@@ -13,8 +13,8 @@ from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          check_legal_nonempty, legal_set,
                          necessary_conditions)
 from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
-                   DegenerateInput, LabeledSet, Point, SizeGuard, convex_hull,
-                   hull_edge_set, orient)
+                   DegenerateInput, InputError, LabeledSet, Point, SizeGuard,
+                   convex_hull, hull_edge_set, orient)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
 from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CCW", "COLLINEAR", "COORD_LIMIT", "CW", "Conditions", "DegenerateInput",
-    "GrazingDiagonal", "HullCorrespondence", "HuntReport",
+    "GrazingDiagonal", "HullCorrespondence", "HuntReport", "InputError",
     "JointTriangulation", "LEX", "LabeledSet", "LegalSetResult",
     "MAX_TENSOR_POINTS", "Point",
     "PointSetPair", "Polygon", "PolygonPair", "SEEDED_RANDOM", "SizeGuard",

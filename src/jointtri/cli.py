@@ -1,9 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success / all conditions pass; 1 malformed input; 2 a
-condition or construction failed; 3 a size guard refused the request.
-All randomness is seeded through explicit arguments, and outputs are
-deterministic for identical inputs and flags.
+Exit codes: 0 success / all conditions pass; 1 rejected input; 2 a
+condition or construction failed; 3 a ``SizeGuard`` refused the request.
+Exit 1 comes from an ``InputError`` (``InstanceFormatError``,
+``DegenerateInput``, ``GrazingDiagonal``, or a bad generator or hunt
+argument) or an ``OSError`` on a file read or written, an unwritable
+``render`` output, ``--svg`` or ``--bundle-dir`` included.  ``main`` alone
+maps these errors to exit codes, with one line on stderr; any other
+exception is a bug and propagates.  All randomness is seeded through
+explicit arguments, and outputs are deterministic for identical inputs
+and flags.
 """
 
 from __future__ import annotations
@@ -12,16 +18,17 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .conditions import Conditions, necessary_conditions
+from .conditions import necessary_conditions
 from .files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                     format_instance, format_triangles, parse_instance,
-                    parse_triangles, write_bundle)
-from .geom import DegenerateInput, SizeGuard
+                    parse_triangles)
+from .geom import InputError, SizeGuard
 from .greedy import LEX, SEEDED_RANDOM, greedy_construct
 from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
-                     Counterexample, gen_point_pair, gen_polygon_pair, hunt,
-                     oracle_joint_exists, polygon_oracle_exists)
-from .polygon import GrazingDiagonal, dp_joint_polygon
+                     gen_point_pair, gen_polygon_pair, hunt,
+                     oracle_joint_exists, polygon_oracle_exists,
+                     verification_failure)
+from .polygon import PolygonPair, dp_joint_polygon
 from .svg import render_pair
 
 EXIT_OK = 0
@@ -30,25 +37,20 @@ EXIT_FAIL = 2
 EXIT_GUARD = 3
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+def _read(path: str, parse):
+    """``parse`` of the file's text; its format and decoding errors gain
+    the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (InstanceFormatError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load(path: str, want_kind: Optional[str] = None):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"{path}: {exc.strerror or exc}", EXIT_INPUT)
-    try:
-        kind, pair = parse_instance(text)
-    except InstanceFormatError as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_INPUT)
+    kind, pair = _read(path, parse_instance)
     if want_kind is not None and kind != want_kind:
-        raise _CliError(f"{path}: expected a {want_kind} instance, got {kind}",
-                        EXIT_INPUT)
+        raise InputError(f"{path}: expected a {want_kind} instance, got {kind}")
     return kind, pair
 
 
@@ -56,18 +58,9 @@ def _fmt_edge(e: tuple[int, int]) -> str:
     return f"{e[0] + 1} {e[1] + 1}"
 
 
-def _conditions(pair) -> Conditions:
-    try:
-        return necessary_conditions(pair)
-    except DegenerateInput as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
-    except SizeGuard as exc:
-        raise _CliError(str(exc), EXIT_GUARD)
-
-
 def _cmd_check(args) -> int:
     _, pair = _load(args.file, KIND_POINTS)
-    nc = _conditions(pair)
+    nc = necessary_conditions(pair)
     if not nc.hull.ok:
         print(f"NC1 FAIL witness {_fmt_edge(nc.hull.witness)}")
         return EXIT_FAIL
@@ -83,60 +76,40 @@ def _cmd_check(args) -> int:
 
 def _cmd_triangulate(args) -> int:
     _, pair = _load(args.file, KIND_POINTS)
-    nc = _conditions(pair)
+    nc = necessary_conditions(pair)
     if not nc.ok:
         print("FAIL NC2" if nc.hull.ok else "FAIL NC1")
         return EXIT_FAIL
     jt = greedy_construct(pair, nc.legal.legal, args.policy, args.seed)
-    if not jt.verified:
-        finding = Counterexample(POINTS, args.seed or 0, len(pair),
-                                 f"greedy result failed verification: {jt.violation}")
-        path = write_bundle(args.bundle_dir, pair, finding,
-                            [f"policy {args.policy}"]
-                            + [f"choice {t}" for t in (jt.choices or [])])
-        print(f"FAIL {path}")
-        return EXIT_FAIL
-    sys.stdout.write(format_triangles(jt.triangles))
-    if args.svg:
-        _write_svg_points(args.svg, pair, jt.triangles)
-    return EXIT_OK
+    return _finish(args, pair, jt, args.seed, [f"policy {args.policy}"])
 
 
 def _cmd_polygon(args) -> int:
     _, pair = _load(args.file, KIND_POLYGON)
-    try:
-        jt = dp_joint_polygon(pair)
-    except GrazingDiagonal as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
-    except SizeGuard as exc:
-        raise _CliError(str(exc), EXIT_GUARD)
+    jt = dp_joint_polygon(pair)
     if jt is None:
         print("FAIL none")
         return EXIT_FAIL
+    return _finish(args, pair, jt)
+
+
+def _finish(args, pair, jt, seed: int = 0, trace: Sequence[str] = ()) -> int:
+    """Print a constructed result, and draw it to ``--svg``; one that
+    failed verification is bundled instead, and FAIL names the bundle."""
     if not jt.verified:
-        finding = Counterexample(POLYGONS, 0, len(pair),
-                                 f"dp result failed verification: {jt.violation}")
-        path = write_bundle(args.bundle_dir, pair, finding,
-                            [f"choice {t}" for t in (jt.choices or [])])
-        print(f"FAIL {path}")
+        finding = verification_failure(pair, jt, seed, args.bundle_dir, trace)
+        print(f"FAIL {finding.bundle_path}")
         return EXIT_FAIL
     sys.stdout.write(format_triangles(jt.triangles))
     if args.svg:
-        _write_svg_polygon(args.svg, pair, jt.triangles)
+        _write_svg(args.svg, pair, jt.triangles)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     kind, pair = _load(args.file)
-    try:
-        if kind == KIND_POINTS:
-            witness = oracle_joint_exists(pair)
-        else:
-            witness = polygon_oracle_exists(pair)
-    except SizeGuard as exc:
-        raise _CliError(str(exc), EXIT_GUARD)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
+    exists = oracle_joint_exists if kind == KIND_POINTS else polygon_oracle_exists
+    witness = exists(pair)
     if witness is None:
         print("NO")
     else:
@@ -146,68 +119,41 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        pair = gen_point_pair(args.n, args.range, args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
-    sys.stdout.write(format_instance(KIND_POINTS, pair))
-    return EXIT_OK
-
-
-def _cmd_genpoly(args) -> int:
-    try:
-        pair = gen_polygon_pair(args.n, args.range, args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
-    sys.stdout.write(format_instance(KIND_POLYGON, pair))
+    pair = args.generate(args.n, args.range, args.seed)
+    sys.stdout.write(format_instance(args.kind, pair))
     return EXIT_OK
 
 
 def _cmd_hunt(args) -> int:
-    try:
-        report = hunt(args.mode, (args.nmin, args.nmax), args.trials, args.seed,
-                      coord_range=args.range,
-                      cross_check=not args.no_oracle,
-                      bundle_dir=args.bundle_dir)
-    except SizeGuard as exc:
-        raise _CliError(str(exc), EXIT_GUARD)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_INPUT)
+    report = hunt(args.mode, (args.nmin, args.nmax), args.trials, args.seed,
+                  coord_range=args.range,
+                  cross_check=not args.no_oracle,
+                  bundle_dir=args.bundle_dir)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
-    kind, pair = _load(args.file)
-    try:
-        with open(args.triangles, encoding="utf-8") as fh:
-            tris = parse_triangles(fh.read())
-    except OSError as exc:
-        raise _CliError(f"{args.triangles}: {exc.strerror or exc}", EXIT_INPUT)
-    except InstanceFormatError as exc:
-        raise _CliError(f"{args.triangles}: {exc}", EXIT_INPUT)
+    _, pair = _load(args.file)
+    tris = _read(args.triangles, parse_triangles)
     n = len(pair)
     for t in tris:
         if t[2] >= n:
-            raise _CliError(f"triangle {tuple(v + 1 for v in t)} references "
-                            f"label beyond n={n}", EXIT_INPUT)
-    if kind == KIND_POINTS:
-        _write_svg_points(args.out, pair, tris)
-    else:
-        _write_svg_polygon(args.out, pair, tris)
+            raise InputError(f"triangle {tuple(v + 1 for v in t)} references "
+                             f"label beyond n={n}")
+    _write_svg(args.out, pair, tris)
     return EXIT_OK
 
 
-def _write_svg_points(path: str, pair, triangles) -> None:
+def _write_svg(path: str, pair, triangles) -> None:
+    """Draw both sides, a polygon pair with its boundary cycles."""
+    if isinstance(pair, PolygonPair):
+        a, b, boundary = pair.a.vertices, pair.b.vertices, list(range(len(pair)))
+    else:
+        a, b, boundary = pair.a.points, pair.b.points, None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_pair(pair.a.points, pair.b.points, list(triangles)))
-
-
-def _write_svg_polygon(path: str, pair, triangles) -> None:
-    boundary = list(range(len(pair)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_pair(pair.a.vertices, pair.b.vertices, list(triangles),
+        fh.write(render_pair(a, b, list(triangles),
                              boundary_a=boundary, boundary_b=boundary))
 
 
@@ -245,17 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("gen", help="generate a random point-pair instance")
-    p.add_argument("n", type=int)
-    p.add_argument("range", type=int)
-    p.add_argument("seed", type=int)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("genpoly", help="generate a random simple-polygon pair")
-    p.add_argument("n", type=int)
-    p.add_argument("range", type=int)
-    p.add_argument("seed", type=int)
-    p.set_defaults(func=_cmd_genpoly)
+    for name, what, generate, kind in (
+            ("gen", "point-pair instance", gen_point_pair, KIND_POINTS),
+            ("genpoly", "simple-polygon pair", gen_polygon_pair, KIND_POLYGON)):
+        p = sub.add_parser(name, help=f"generate a random {what}")
+        p.add_argument("n", type=int)
+        p.add_argument("range", type=int)
+        p.add_argument("seed", type=int)
+        p.set_defaults(func=_cmd_gen, generate=generate, kind=kind)
 
     p = sub.add_parser("hunt", help="randomized campaign with oracle cross-checks")
     p.add_argument("mode", choices=(POINTS, POLYGONS))
@@ -279,13 +222,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    except SizeGuard as exc:
+        message, code = str(exc), EXIT_GUARD
+    except InputError as exc:
+        message, code = str(exc), EXIT_INPUT
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        code = EXIT_INPUT
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import os
 from typing import Iterable, Union
 
 from .conditions import PointSetPair
-from .geom import LabeledSet, Point
+from .geom import InputError, LabeledSet, Point
 from .polygon import Polygon, PolygonPair
 from .triangles import Tri, tri
 
@@ -23,7 +23,7 @@ KIND_POLYGON = "POLYGON"
 Instance = Union[PointSetPair, PolygonPair]
 
 
-class InstanceFormatError(ValueError):
+class InstanceFormatError(InputError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no

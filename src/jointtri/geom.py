@@ -37,7 +37,12 @@ class Point(NamedTuple):
     y: int
 
 
-class DegenerateInput(ValueError):
+class InputError(ValueError):
+    """An input or argument from outside the library was rejected (CLI
+    exit 1)."""
+
+
+class DegenerateInput(InputError):
     """Raised for inputs that admit no triangulation (e.g. all collinear)."""
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .conditions import PointSetPair, necessary_conditions
-from .files import write_bundle
-from .geom import (DegenerateInput, LabeledSet, Point, SizeGuard, hull_edge_set,
-                   orient, signed_area2)
-from .greedy import LEX, greedy_construct, verify_joint
+from .files import Instance, write_bundle
+from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
+                   SizeGuard, hull_edge_set, orient, signed_area2)
+from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
 from .triangles import Edge, Tri, edge, tri
@@ -194,12 +194,15 @@ def gen_point_pair(n: int, coord_range: int, seed: int) -> PointSetPair:
 
 
 def _check_size(n: int, coord_range: int) -> None:
-    """Raise ValueError unless n distinct points, n >= 3, fit in
-    [0, coord_range]^2."""
+    """Raise InputError unless n distinct points, n >= 3, fit in
+    [0, coord_range]^2 and coord_range is at most COORD_LIMIT."""
     if n < 3:
-        raise ValueError("n must be at least 3")
-    if (coord_range + 1) ** 2 < n:
-        raise ValueError(
+        raise InputError("n must be at least 3")
+    if coord_range > COORD_LIMIT:
+        raise InputError(
+            f"coordinate range {coord_range} exceeds the limit {COORD_LIMIT}")
+    if coord_range < 0 or (coord_range + 1) ** 2 < n:
+        raise InputError(
             f"coordinate range {coord_range} too small for {n} distinct points")
 
 
@@ -268,10 +271,11 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
 
     Vertices are drawn uniformly, re-drawn until no three are collinear
     (collinear triples make diagonal visibility ambiguous), then a random
-    vertex order is untangled into a simple cycle by 2-opt swaps.
+    vertex order is untangled into a simple cycle by 2-opt swaps.  Raises
+    InputError as ``gen_point_pair`` does, and when no simple polygon turns
+    up within the attempt budget.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_size(n, coord_range)
     rng = random.Random(seed)
 
     def side() -> Polygon:
@@ -298,7 +302,7 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
             if signed_area2(order) < 0:
                 order.reverse()
             return Polygon(tuple(order))
-        raise ValueError(
+        raise InputError(
             f"failed to generate a simple polygon with n={n} in {_POLYGON_TRIES} tries")
 
     return PolygonPair(side(), side())
@@ -369,14 +373,14 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     names it only when it is not zero.  Any verification failure or oracle
     disagreement is recorded as a counterexample (and serialized when
     ``bundle_dir`` is given); these are findings, not errors.  Raises
-    ValueError, before the first instance, on an unknown mode, an empty
-    size range, n < 3, or a range too small for nmax distinct points.
+    InputError, before the first instance, on an unknown mode, an empty
+    size range, or a size or range ``gen_point_pair`` refuses.
     """
     if mode not in (POINTS, POLYGONS):
-        raise ValueError(f"unknown hunt mode: {mode!r}")
+        raise InputError(f"unknown hunt mode: {mode!r}")
     n_lo, n_hi = n_range
     if n_lo > n_hi:
-        raise ValueError(f"empty size range: nmin {n_lo} exceeds nmax {n_hi}")
+        raise InputError(f"empty size range: nmin {n_lo} exceeds nmax {n_hi}")
     _check_size(n_lo, coord_range)
     _check_size(n_hi, coord_range)
     report = HuntReport(mode=mode)
@@ -392,18 +396,33 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
         else:
             try:
                 pair = gen_polygon_pair(n, coord_range, inst_seed)
-            except ValueError:
+            except InputError:  # the sizes passed above: the generator gave up
                 report.instances_skipped += 1
                 continue
             _hunt_polygons(pair, inst_seed, n, report, cross_check, bundle_dir)
     return report
 
 
-def _record(report: HuntReport, ce: Counterexample, pair,
-            bundle_dir: Optional[str], trace: list[str]) -> None:
+def verification_failure(pair: Instance, result: JointTriangulation, seed: int,
+                         bundle_dir: Optional[str],
+                         trace: Sequence[str] = ()) -> Counterexample:
+    """The finding for a greedy (point pair) or DP (polygon pair) result
+    that failed verification, bundled as ``_bundled`` does with ``trace``
+    and then the result's choices as its trace lines."""
+    mode, source = ((POINTS, "greedy") if isinstance(pair, PointSetPair)
+                    else (POLYGONS, "dp"))
+    finding = Counterexample(mode, seed, len(pair),
+                             f"{source} result failed verification: {result.violation}")
+    return _bundled(finding, pair, bundle_dir,
+                    [*trace, *(f"choice {t}" for t in result.choices or [])])
+
+
+def _bundled(finding: Counterexample, pair: Instance, bundle_dir: Optional[str],
+             trace: list[str]) -> Counterexample:
+    """The finding, its bundle written to ``bundle_dir`` when one is given."""
     if bundle_dir is not None:
-        ce.bundle_path = write_bundle(bundle_dir, pair, ce, trace)
-    report.counterexamples.append(ce)
+        finding.bundle_path = write_bundle(bundle_dir, pair, finding, trace)
+    return finding
 
 
 def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
@@ -421,11 +440,8 @@ def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
             report.greedy_success += 1
             fast_yes = True
         else:
-            _record(report,
-                    Counterexample(POINTS, inst_seed, n,
-                                   f"greedy result failed verification: {result.violation}"),
-                    pair, bundle_dir,
-                    [f"choice {t}" for t in (result.choices or [])])
+            report.counterexamples.append(
+                verification_failure(pair, result, inst_seed, bundle_dir))
     if cross_check and n <= 8:
         report.oracle_checked += 1
         witness = oracle_joint_exists(pair)
@@ -433,11 +449,9 @@ def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
             report.oracle_agreements += 1
         else:
             verdict = "joint exists" if witness is not None else "no joint"
-            _record(report,
-                    Counterexample(POINTS, inst_seed, n,
-                                   "oracle disagrees with fast path",
-                                   oracle_verdict=verdict),
-                    pair, bundle_dir, [])
+            report.counterexamples.append(_bundled(
+                Counterexample(POINTS, inst_seed, n, "oracle disagrees with fast path",
+                               oracle_verdict=verdict), pair, bundle_dir, []))
 
 
 def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
@@ -452,11 +466,8 @@ def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
         if result.verified:
             report.greedy_success += 1
         else:
-            _record(report,
-                    Counterexample(POLYGONS, inst_seed, n,
-                                   f"dp result failed verification: {result.violation}"),
-                    pair, bundle_dir,
-                    [f"choice {t}" for t in (result.choices or [])])
+            report.counterexamples.append(
+                verification_failure(pair, result, inst_seed, bundle_dir))
     if cross_check and n <= MAX_ORACLE_POLYGON:
         report.oracle_checked += 1
         witness = polygon_oracle_exists(pair)
@@ -464,8 +475,6 @@ def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
             report.oracle_agreements += 1
         else:
             verdict = "joint exists" if witness is not None else "no joint"
-            _record(report,
-                    Counterexample(POLYGONS, inst_seed, n,
-                                   "polygon oracle disagrees with dp",
-                                   oracle_verdict=verdict),
-                    pair, bundle_dir, [])
+            report.counterexamples.append(_bundled(
+                Counterexample(POLYGONS, inst_seed, n, "polygon oracle disagrees with dp",
+                               oracle_verdict=verdict), pair, bundle_dir, []))

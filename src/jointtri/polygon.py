@@ -31,13 +31,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import (Point, SizeGuard, angle_order, check_coords, hull_edge_set,
-                   signed_area2)
+from .geom import (InputError, Point, SizeGuard, angle_order, check_coords,
+                   hull_edge_set, signed_area2)
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, tri
 
 
-class GrazingDiagonal(ValueError):
+class GrazingDiagonal(InputError):
     """A candidate diagonal passes through a third vertex, making its
     visibility status ambiguous; such instances are rejected outright."""
 

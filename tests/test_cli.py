@@ -7,13 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from jointtri import geom, polygon
+from jointtri import cli, geom, oracle, polygon
 from jointtri.cli import main
 from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             format_instance, format_triangles, parse_instance,
                             parse_triangles)
 from jointtri.geom import LabeledSet
+from jointtri.greedy import JointTriangulation
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
 
@@ -543,3 +544,125 @@ def test_bundle_files_parse_as_instances(tmp_path):
     assert kind == KIND_POINTS
     assert parsed.a.points == pair.a.points
     assert parsed.b.points == pair.b.points
+
+
+def run_cli_err(*argv):
+    """Exit code, stdout and stderr of one ``main`` call."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(*argv)
+    return code, out, err.getvalue()
+
+
+def test_range_beyond_coordinate_limit_exit_1():
+    """A range above COORD_LIMIT stops every generating command before
+    its first instance, with a message that names the range."""
+    message = "coordinate range 100000000 exceeds the limit 16777216\n"
+    for argv in (["gen", "5", "100000000", "1"],
+                 ["genpoly", "5", "100000000", "1"],
+                 ["hunt", "points", "5", "6", "4", "0", "--range", "100000000"],
+                 ["hunt", "polygons", "5", "6", "4", "0", "--range", "100000000"]):
+        assert run_cli_err(*argv) == (1, "", message), argv
+
+
+def _not_a_directory(tmp_path):
+    """A path whose parent is a regular file: no file or directory can be
+    made there."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / "out"
+
+
+def test_unwritable_render_output_exit_1(quad_file, tmp_path):
+    tri_file = tmp_path / "tris.txt"
+    tri_file.write_text("1 2 3\n1 3 4\n")
+    out_svg = tmp_path / "missing" / "render.svg"
+    assert run_cli_err("render", quad_file, str(tri_file), str(out_svg)) == \
+        (1, "", f"{out_svg}: No such file or directory\n")
+
+
+def test_os_error_without_a_file_name_exit_1(quad_file, tmp_path, monkeypatch):
+    """An OSError that names no file, such as a full disk while writing,
+    is still one line and exit 1."""
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    tri_file = tmp_path / "tris.txt"
+    tri_file.write_text("1 2 3\n1 3 4\n")
+    monkeypatch.setattr(cli, "render_pair", full_disk)
+    assert run_cli_err("render", quad_file, str(tri_file), str(tmp_path / "r.svg")) == \
+        (1, "", "[Errno 28] No space left on device\n")
+
+
+def test_unwritable_svg_exit_1(quad_file, tmp_path):
+    """The result is printed, then the drawing fails with one line."""
+    poly = tmp_path / "poly.txt"
+    poly.write_text(POLY_TEXT)
+    out_svg = _not_a_directory(tmp_path)
+    for argv, out in ((["triangulate", quad_file], "1 2 3\n1 3 4\n"),
+                      (["polygon", str(poly)], "1 2 4\n2 3 4\n")):
+        assert run_cli_err(*argv, "--svg", str(out_svg)) == \
+            (1, out, f"{out_svg}: Not a directory\n"), argv
+
+
+def _unverified(*args, **kwargs):
+    return JointTriangulation(frozenset(), False, "synthetic violation", [(0, 1, 2)])
+
+
+def test_failed_verification_bundles(quad_file, tmp_path, monkeypatch):
+    """A constructed result that fails verification is bundled with its
+    trace, and FAIL names the bundle."""
+    poly = tmp_path / "poly.txt"
+    poly.write_text(POLY_TEXT)
+    monkeypatch.setattr(cli, "greedy_construct", _unverified)
+    monkeypatch.setattr(cli, "dp_joint_polygon", _unverified)
+    for argv, name, reason, trace in (
+            (["triangulate", quad_file, "--policy", "random", "--seed", "5"],
+             "counterexample-points-seed5-n4.txt", "greedy",
+             ["# policy random", "# choice (0, 1, 2)"]),
+            (["polygon", str(poly)], "counterexample-polygons-seed0-n4.txt", "dp",
+             ["# choice (0, 1, 2)"])):
+        path = tmp_path / "bundles" / name
+        assert run_cli_err(*argv, "--bundle-dir", str(tmp_path / "bundles")) == \
+            (2, f"FAIL {path}\n", ""), argv
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == f"# counterexample: {reason} result failed verification: " \
+                           "synthetic violation"
+        assert lines[-len(trace) - 1:] == ["# trace:"] + trace, argv
+
+
+def test_unwritable_bundle_dir_exit_1(quad_file, tmp_path, monkeypatch):
+    poly = tmp_path / "poly.txt"
+    poly.write_text(POLY_TEXT)
+    bundles = _not_a_directory(tmp_path)
+    monkeypatch.setattr(cli, "greedy_construct", _unverified)
+    monkeypatch.setattr(cli, "dp_joint_polygon", _unverified)
+    monkeypatch.setattr(oracle, "dp_joint_polygon", _unverified)
+    for argv in (["triangulate", quad_file], ["polygon", str(poly)],
+                 ["hunt", "polygons", "5", "5", "1", "1", "--no-oracle"]):
+        assert run_cli_err(*argv, "--bundle-dir", str(bundles)) == \
+            (1, "", f"{bundles}: Not a directory\n"), argv
+
+
+def test_plain_value_error_propagates(quad_file, monkeypatch):
+    """``main`` maps only typed errors to exit codes: a plain ValueError,
+    as a bug raises it, leaves ``main`` unchanged."""
+    def bug(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "greedy_construct", bug)
+    with pytest.raises(ValueError, match="bug") as err:
+        run_cli("triangulate", quad_file)
+    assert type(err.value) is ValueError
+
+
+def test_non_utf8_file_exit_1(quad_file, tmp_path):
+    """A file that is not UTF-8 text is rejected input, at either path
+    ``render`` reads."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"POINTS 3\n\xff 0 0 0\n")
+    message = (f"{bad}: 'utf-8' codec can't decode byte 0xff in position 9: "
+               "invalid start byte\n")
+    assert run_cli_err("check", str(bad)) == (1, "", message)
+    assert run_cli_err("render", quad_file, str(bad), str(tmp_path / "r.svg")) == \
+        (1, "", message)

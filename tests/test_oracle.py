@@ -6,7 +6,7 @@ import pytest
 
 from jointtri import conditions, oracle, triangles
 from jointtri.conditions import PointSetPair, necessary_conditions
-from jointtri.geom import DegenerateInput, LabeledSet
+from jointtri.geom import COORD_LIMIT, DegenerateInput, InputError, LabeledSet
 from jointtri.greedy import verify_joint
 from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
                              POLYGONS, SizeGuard, enumerate_triangulations,
@@ -369,3 +369,32 @@ def test_hunt_polygons():
     assert report.oracle_checked == report.oracle_agreements
     assert report.counterexamples == []
     assert report.greedy_success == report.nc_pass_count
+
+
+def test_generators_refuse_sizes_with_input_error():
+    """Both generators refuse n < 3, a range too small for n distinct
+    points and a range beyond COORD_LIMIT before drawing anything, with
+    the message naming the range."""
+    for gen in (gen_point_pair, gen_polygon_pair):
+        for n, coord_range, message in (
+                (2, 10, "n must be at least 3"),
+                (5, 1, "coordinate range 1 too small for 5 distinct points"),
+                (3, -5, "coordinate range -5 too small for 3 distinct points"),
+                (5, COORD_LIMIT + 1,
+                 f"coordinate range {COORD_LIMIT + 1} exceeds the limit {COORD_LIMIT}")):
+            with pytest.raises(InputError) as err:
+                gen(n, coord_range, 3)
+            assert str(err.value) == message, (gen, n, coord_range)
+    assert len(gen_point_pair(3, COORD_LIMIT, 3)) == 3
+
+
+def test_hunt_skips_only_the_polygon_generators_give_up(monkeypatch):
+    """A polygon the generator cannot build is a skipped instance; any
+    other ValueError from it is a bug and leaves the hunt."""
+    def bug(n, coord_range, seed):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(oracle, "gen_polygon_pair", bug)
+    with pytest.raises(ValueError, match="bug") as err:
+        hunt(POLYGONS, (5, 5), 2, 1)
+    assert type(err.value) is ValueError
