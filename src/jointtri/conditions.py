@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import LabeledSet, hull_edge_set
+from .geom import InputError, LabeledSet, hull_edge_set
 from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty
 
 
@@ -31,7 +31,7 @@ class PointSetPair:
 
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
-            raise ValueError(
+            raise InputError(
                 f"paired sets must have equal size, got {len(self.a)} and {len(self.b)}")
 
     def __len__(self) -> int:
@@ -100,36 +100,52 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     pair, coded 2 * (A > 0) + (B > 0), so the opposite of code c is 3 - c.
     A resident is doomed iff its code's opposite count is zero, so an edge
     dooms a resident iff some count is nonzero and its opposite's is zero.
+
+    The worklist reads memoryviews of int32 arrays, not lists, so it holds
+    no Python int per entry: ``keys_l``, each incidence's count index,
+    ``by_edge``, the incidences grouped by edge, ``bounds``, each edge's
+    slice of ``by_edge``, and ``removed_at``, the candidate position of
+    each entry of ``removed``.  The counts ``cnt`` stay a list, as they
+    change on every removal.
     """
     live = candidates.copy()
     order = list(live)
     n = len(pair)
-    i, j, k = np.fromiter(chain.from_iterable(order), dtype=np.intp,
+    # int32 is exact throughout: cells are below n^3, keys below 4 n^2 and
+    # incidence positions below 3 |P| <= n^3 / 2, all below 2^31 for
+    # n <= MAX_TENSOR_POINTS, which the sign tensors read below enforce.
+    i, j, k = np.fromiter(chain.from_iterable(order), dtype=np.int32,
                           count=3 * len(order)).reshape(-1, 3).T
-    flips = np.array(FLIPS)
-    side_a = pair.a.signs[i, j, k][:, None] * flips > 0
-    side_b = pair.b.signs[i, j, k][:, None] * flips > 0
+    # Each candidate's cell in an n^3 sign tensor, which sorts as the
+    # triples do; a flat take reads int32 indices faster than [i, j, k].
+    cell = (i * n + j) * n + k
+    flips = np.array(FLIPS, dtype=np.int8)
+    side_a = pair.a.signs.reshape(-1).take(cell)[:, None] * flips > 0
+    side_b = pair.b.signs.reshape(-1).take(cell)[:, None] * flips > 0
     # Incidence 3 p + q is edge q of tri_edges(order[p]); its key is
-    # 4 * edge id + code, the index of the count it belongs to.
-    ids = np.column_stack((i * n + j, j * n + k, i * n + k)).ravel()
-    keys = 4 * ids + (2 * side_a + side_b).ravel()
+    # 4 * edge id + code, the index of the count it belongs to, formed as
+    # (2 * id + (A > 0)) * 2 + (B > 0) so that no step leaves int32.
+    ids = np.column_stack((i * n + j, j * n + k, i * n + k))
+    keys = ((2 * ids + side_a) * 2 + side_b).ravel()
     counts = np.bincount(keys, minlength=4 * n * n)
     totals = counts.reshape(-1, 4).sum(axis=1)
     # Edge e's incidences in candidate order: by_edge[bounds[e]:bounds[e + 1]].
     # The narrowest key type makes the stable argsort a radix sort for n < 256.
-    by_edge = np.argsort(ids.astype(np.min_scalar_type(n * n)),
-                         kind="stable").tolist()
-    bounds = [0] + np.cumsum(totals).tolist()
+    by_edge = memoryview(np.argsort(ids.astype(np.min_scalar_type(n * n)),
+                                    axis=None, kind="stable").astype(np.int32))
+    offsets = np.zeros(n * n + 1, dtype=np.int32)
+    offsets[1:] = np.cumsum(totals)
+    bounds = memoryview(offsets)
     hull = {a * n + b for a, b in hull_edges}
     pending = [e for e in np.flatnonzero(totals).tolist() if e not in hull]
     queued = bytearray(n * n)
     for e in pending:
         queued[e] = 1
     cnt = counts.tolist()
-    keys_l = keys.tolist()
+    keys_l = memoryview(keys)
     rng = random.Random(order_seed) if order_seed is not None else None
     removed: list[tuple[Tri, Edge]] = []
-    removed_at: list[int] = []
+    removed_at = memoryview(np.empty(len(order), dtype=np.int32))
 
     while pending:
         pos = rng.randrange(len(pending)) if rng else 0
@@ -157,22 +173,20 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         witness = divmod(e, n)
         for t, p in doomed:
             live.discard(t)
+            removed_at[len(removed)] = p
             removed.append((t, witness))
-            removed_at.append(p)
             for key in keys_l[3 * p:3 * p + 3]:
                 cnt[key] -= 1
                 f = key >> 2
                 if not queued[f] and f not in hull and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
                     queued[f] = 1
-    if removed_at:
-        # The candidates' sorted rows minus the removed ones, found by code
-        # (i * n + j) * n + k, which sorts as the triples do.
+    if removed:
+        # The candidates' sorted rows minus the removed ones, found by cell.
         arr = candidates.array()
         code = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
-        at = np.array(removed_at)
         keep = np.ones(len(arr), dtype=bool)
-        keep[np.searchsorted(code, (i[at] * n + j[at]) * n + k[at])] = False
+        keep[np.searchsorted(code, cell.take(removed_at[:len(removed)]))] = False
         live._seed_array(arr[keep])
     return LegalSetResult(live, removed)
 

@@ -72,7 +72,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         if kind == KIND_POINTS:
             return kind, PointSetPair(LabeledSet(tuple(a_pts)), LabeledSet(tuple(b_pts)))
         return kind, PolygonPair(Polygon(tuple(a_pts)), Polygon(tuple(b_pts)))
-    except ValueError as exc:
+    except InputError as exc:
         raise InstanceFormatError(1, str(exc))
 
 

@@ -88,12 +88,12 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
 
 def check_coords(points: Iterable[Point]) -> None:
-    """Raise ValueError on the first point with a coordinate outside
+    """Raise InputError on the first point with a coordinate outside
     [-COORD_LIMIT, COORD_LIMIT]."""
     for p in points:
         if not (-COORD_LIMIT <= p[0] <= COORD_LIMIT
                 and -COORD_LIMIT <= p[1] <= COORD_LIMIT):
-            raise ValueError(
+            raise InputError(
                 f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}")
 
 
@@ -119,10 +119,10 @@ class LabeledSet:
 
     def __post_init__(self) -> None:
         if len(self.points) < 3:
-            raise ValueError("a labeled set needs at least 3 points")
+            raise InputError("a labeled set needs at least 3 points")
         check_coords(self.points)
         if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be pairwise distinct")
+            raise InputError("points must be pairwise distinct")
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "LabeledSet":

@@ -111,12 +111,12 @@ class Polygon:
     def __post_init__(self) -> None:
         n = len(self.vertices)
         if n < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
+            raise InputError("a polygon needs at least 3 vertices")
         check_coords(self.vertices)
         if len(set(self.vertices)) != n:
-            raise ValueError("polygon vertices must be pairwise distinct")
+            raise InputError("polygon vertices must be pairwise distinct")
         if signed_area2(self.vertices) == 0:
-            raise ValueError("polygon has zero area")
+            raise InputError("polygon has zero area")
         # With distinct vertices the cycle is simple iff no two edges meet
         # but at a shared endpoint: no edge crosses another properly (each
         # one's ends strictly apart across the other's line) and no vertex
@@ -150,9 +150,9 @@ class Polygon:
             i, j = divmod(first, n)
             if j == i + 1 or (i, j) == (0, n - 1):
                 w = self.vertices[j if j == i + 1 else 0]
-                raise ValueError(
+                raise InputError(
                     f"boundary is not simple: edges at vertex overlap near {w}")
-            raise ValueError(f"boundary is not simple: edges {i} and {j} intersect")
+            raise InputError(f"boundary is not simple: edges {i} and {j} intersect")
 
     @classmethod
     def from_coords(cls, coords) -> "Polygon":
@@ -223,7 +223,7 @@ class PolygonPair:
 
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
-            raise ValueError("paired polygons must have equal vertex counts")
+            raise InputError("paired polygons must have equal vertex counts")
 
     def __len__(self) -> int:
         return len(self.a)

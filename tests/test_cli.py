@@ -13,7 +13,7 @@ from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             format_instance, format_triangles, parse_instance,
                             parse_triangles)
-from jointtri.geom import LabeledSet
+from jointtri.geom import InputError, LabeledSet
 from jointtri.greedy import JointTriangulation
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
@@ -81,6 +81,54 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("")
     with pytest.raises(InstanceFormatError):
         parse_instance("TRIANGLES 3\n")
+
+
+def test_constructor_rejections_are_input_errors():
+    """The constructors reject outside input with InputError, and
+    parse_instance reports each rejection it can reach at line 1."""
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    for build, message in (
+            (lambda: LabeledSet.from_coords([(0, 0), (1, 0)]),
+             "a labeled set needs at least 3 points"),
+            (lambda: Polygon.from_coords([(0, 0), (1, 0)]),
+             "a polygon needs at least 3 vertices"),
+            (lambda: PointSetPair(LabeledSet.from_coords(square),
+                                  LabeledSet.from_coords(square[:3])),
+             "paired sets must have equal size, got 4 and 3"),
+            (lambda: PolygonPair(Polygon.from_coords(square),
+                                 Polygon.from_coords(square[:3])),
+             "paired polygons must have equal vertex counts")):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+    for kind, coords, message in (
+            (KIND_POINTS, [(0, 0), (1, 0), (0, 0)], "points must be pairwise distinct"),
+            (KIND_POINTS, [(0, 0), (1, 0), (0, 1 << 25)],
+             "coordinate out of range [-16777216, 16777216]: Point(x=0, y=33554432)"),
+            (KIND_POLYGON, [(0, 0), (1, 0), (0, 0), (1, 1)],
+             "polygon vertices must be pairwise distinct"),
+            (KIND_POLYGON, [(0, 0), (1, 1), (2, 2)], "polygon has zero area"),
+            (KIND_POLYGON, [(0, 0), (4, 0), (2, 0), (2, 4)],
+             "boundary is not simple: edges at vertex overlap near Point(x=4, y=0)"),
+            (KIND_POLYGON, [(0, 0), (4, 0), (4, 4), (6, 4), (2, 4)],
+             "boundary is not simple: edges 1 and 3 intersect")):
+        text = f"{kind} {len(coords)}\n" + "".join(f"{x} {y} {x} {y}\n" for x, y in coords)
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"line 1: {message}"
+
+
+def test_parse_instance_lets_a_plain_value_error_through(monkeypatch):
+    """Only InputError is a format error: a plain ValueError from the
+    constructors, as a bug raises it, leaves parse_instance unchanged."""
+    def bug(points):
+        raise ValueError("bug")
+
+    for module, text in ((geom, QUAD_TEXT), (polygon, POLY_TEXT)):
+        monkeypatch.setattr(module, "check_coords", bug)
+        with pytest.raises(ValueError, match="bug") as err:
+            parse_instance(text)
+        assert type(err.value) is ValueError
 
 
 def test_triangle_list_roundtrip():

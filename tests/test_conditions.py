@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,34 @@ def test_legal_set_matches_reference_log_and_order():
             assert list(got.legal) == list(want.legal), order_seed
             removals += len(want.removed)
     assert removals > 1000
+
+
+def test_legal_set_memory_on_a_long_cascade():
+    # A hull-locked NO pair whose cascade removes all 23,354 candidates.
+    # With int32 worklist tables legal_set's tracemalloc peak is about 320
+    # bytes per candidate; with a Python int per table entry it was about
+    # 650.  The log, order included, still matches the reference.
+    pair = hull_locked_pair(120, 1000, 3, 2)
+    hull = check_hull_correspondence(pair).hull_edges
+    cands = paired_empty(pair)  # builds both sign tensors and the sorted rows
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = legal_set(pair, cands, hull)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(got.removed) == len(cands) > 20000
+    assert peak < 400 * len(cands), peak / len(cands)
+    for order_seed in (None, 1):
+        got = legal_set(pair, cands, hull, order_seed)
+        want = reference_legal_set(pair, cands, hull, order_seed)
+        assert got.removed == want.removed, order_seed
+        assert list(got.legal) == list(want.legal), order_seed
 
 
 def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):

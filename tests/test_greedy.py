@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
 from jointtri.triangles import TriangleSet
 
-from helpers import (brute_greedy, grid_locked_coords, mutate,
+from helpers import (brute_greedy, grid_locked_coords, hull_locked_pair, mutate,
                      overlap_by_decomposition, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -49,6 +50,24 @@ def test_greedy_seeded_random_reproducible():
     b = _full_run(_pair(pts), SEEDED_RANDOM, seed=5)
     assert a.choices == b.choices
     assert a.verified and b.verified
+
+
+def test_greedy_choice_sequences_pinned():
+    # LEX and seeded-random (seeds 0-2) choice sequences on five hull-locked
+    # pairs, n 40-100, hashed in one sha256 of their reprs; recorded with
+    # the intp survivor table, so a change to its dtype or layout cannot
+    # change a choice.
+    h = hashlib.sha256()
+    for n, s in ((40, 0), (55, 1), (70, 2), (85, 3), (100, 4)):
+        pair = hull_locked_pair(n, 1000, 3, s)
+        nc = necessary_conditions(pair)
+        for policy, seed in ((LEX, None), (SEEDED_RANDOM, 0),
+                             (SEEDED_RANDOM, 1), (SEEDED_RANDOM, 2)):
+            jt = greedy_construct(pair, nc.legal.legal, policy, seed)
+            assert jt.verified, (n, s, policy, seed)
+            h.update(repr(jt.choices).encode())
+    assert h.hexdigest() == \
+        "030fe2d8ec39343331044fcdc5f3f87ceeff986acfdb5bf721f4b5874767b411"
 
 
 def test_greedy_requires_nonempty_legal_set():
