@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geom import InputError, LabeledSet, hull_edge_set
+from .geom import InputError, LabeledSet, hull_edge_set, strictly_left
 from .triangles import FLIPS, Edge, Tri, TriangleSet, paired_empty
 
 
@@ -111,17 +111,20 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     live = candidates.copy()
     order = list(live)
     n = len(pair)
-    # int32 is exact throughout: cells are below n^3, keys below 4 n^2 and
+    # int32 is exact throughout: codes are below n^3, keys below 4 n^2 and
     # incidence positions below 3 |P| <= n^3 / 2, all below 2^31 for
-    # n <= MAX_TENSOR_POINTS, which the sign tensors read below enforce.
+    # n <= MAX_TENSOR_POINTS, which reading the orientation tables below
+    # enforces; their word indices stay below n^2 * ceil(n / 64).
     i, j, k = np.fromiter(chain.from_iterable(order), dtype=np.int32,
                           count=3 * len(order)).reshape(-1, 3).T
-    # Each candidate's cell in an n^3 sign tensor, which sorts as the
-    # triples do; a flat take reads int32 indices faster than [i, j, k].
+    # Each candidate's code, which sorts as the triples do.
     cell = (i * n + j) * n + k
-    flips = np.array(FLIPS, dtype=np.int8)
-    side_a = pair.a.signs.reshape(-1).take(cell)[:, None] * flips > 0
-    side_b = pair.b.signs.reshape(-1).take(cell)[:, None] * flips > 0
+    # A candidate is nondegenerate on both sides, so its apex sign on edge q
+    # is FLIPS[q] if (i, j, k) is counterclockwise there, else -FLIPS[q]:
+    # one bit per candidate per side.
+    flips = np.array(FLIPS) > 0
+    side_a = strictly_left(pair.a.signs, i, j, k)[:, None] == flips
+    side_b = strictly_left(pair.b.signs, i, j, k)[:, None] == flips
     # Incidence 3 p + q is edge q of tri_edges(order[p]); its key is
     # 4 * edge id + code, the index of the count it belongs to, formed as
     # (2 * id + (A > 0)) * 2 + (B > 0) so that no step leaves int32.

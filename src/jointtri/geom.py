@@ -4,9 +4,10 @@ Every combinatorial decision in this package reduces to the sign of a
 2x2 cross-product determinant over integer coordinates; nothing in a
 decision path touches floating point.  Scalar predicates use Python
 integers and are exact for any magnitude.  The vectorized helpers use
-64-bit integers (the sign tensor 32-bit ones where the coordinates allow),
-which is why coordinates are capped at construction time (see
-``COORD_LIMIT``).
+64-bit integers (the orientation table's build 32-bit ones where the
+coordinates allow), which is why coordinates are capped at construction
+time (see ``COORD_LIMIT``).  Orientations of all triples are kept as bits,
+n**3 / 8 bytes per point set (``orient_sign_tensor``).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import numpy as np
 
 # Cap so that any orientation determinant of coordinate differences
 # (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51), and the three-term sum the
-# sign tensor adds (below 3 * 2**49 < 2**51), stay well inside signed
+# orientation table adds (below 3 * 2**49 < 2**51), stay well inside signed
 # 64-bit range on the numpy fast paths, with headroom for summing a few
-# thousand doubled areas.  The sign tensor drops to int32 where every
-# coordinate is within _INT32_COORDS = 2**14 (its sum then stays below
-# 6 * 2**28 < 2**31).  Inputs outside the cap are rejected when a point
-# set or polygon is constructed, never inside a predicate.
+# thousand doubled areas.  The orientation table's build drops to int32
+# where every coordinate is within _INT32_COORDS = 2**14 (its sum then
+# stays below 6 * 2**28 < 2**31).  Inputs outside the cap are rejected
+# when a point set or polygon is constructed, never inside a predicate.
 COORD_LIMIT = 2**24
 
 CCW = 1
@@ -50,15 +51,19 @@ class SizeGuard(ValueError):
     """Raised when a request exceeds a documented size limit (CLI exit 3)."""
 
 
-# Largest point set whose orientation-sign tensor is built: n**3 int8 bytes
-# per side (512 MB at n = 800), so a pair's two tensors stay near 1 GB.
+# Largest point set whose orientation table is built.  The table itself is
+# only n**3 / 8 bytes per side (64 MB at n = 800); the limit stays for the
+# stages downstream of it: the tuple sets of A's empty triangles and of the
+# candidates, Theta(n**2) in expectation (together about 140 MB at n = 500
+# on hull-locked pairs) and up to C(n, 3) in convex position, and the int32
+# triangle codes of enumerate_empty and legal_set, exact while n**3 < 2**31.
 MAX_TENSOR_POINTS = 800
-# Bytes of the widest temporary of one block of the tensor build, its
+# Bytes of the widest temporary of one block of the table build, its
 # [rows, n, n] sums in int32 or int64 (256 KB, or one row where that is
 # larger), so the build's temporaries stay small at any n; at n = 100
 # blocks of 1 MB ran about 20% slower.
 _TENSOR_BLOCK_BYTES = 1 << 18
-# Largest coordinate magnitude at which the tensor build runs in int32:
+# Largest coordinate magnitude at which the table build runs in int32:
 # |C| <= 2 * (2**14)**2 = 2**29, and its three-term sums stay below
 # 6 * 2**28 < 2**31.  Beyond it the build runs in int64, exact up to
 # COORD_LIMIT.
@@ -136,15 +141,14 @@ class LabeledSet:
 
     @cached_property
     def signs(self) -> np.ndarray:
-        """The set's orientation-sign tensor (``orient_sign_tensor``), built
-        once and shared by every stage that reads it; read-only.  Raises
-        SizeGuard, before allocating, above MAX_TENSOR_POINTS points."""
+        """The set's packed orientation table (``orient_sign_tensor``,
+        n**3 / 8 bytes), built once and shared by every stage that reads
+        it; read-only.  Raises SizeGuard, before allocating, above
+        MAX_TENSOR_POINTS points."""
         if len(self) > MAX_TENSOR_POINTS:
             raise SizeGuard(f"orientation tensors are limited to n <= "
                             f"{MAX_TENSOR_POINTS}, got {len(self)}")
-        d = orient_sign_tensor(self.points)
-        d.flags.writeable = False
-        return d
+        return orient_sign_tensor(self.points)
 
     @cached_property
     def hull(self) -> tuple[int, ...]:
@@ -191,7 +195,12 @@ def hull_edge_set(hull: Sequence[int]) -> frozenset[tuple[int, int]]:
 
 
 def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
-    """n x n x n tensor of orientation signs D[i,j,k] = sign(cross(p_i, p_j, p_k)).
+    """The orientation signs D[i,j,k] = sign(cross(p_i, p_j, p_k)) of all
+    triples as bits: a read-only uint64 [n, n, ceil(n / 64)] table whose
+    row (i, j) has bit k (bit k % 64 of word k // 64) set iff D[i,j,k] = +1,
+    that is iff p_k is strictly left of p_i -> p_j.  D[i,j,k] = -1 is bit k
+    of row (j, i), and a collinear triple sets neither; bits past n are
+    zero.  n**3 / 8 bytes, a row per label pair.
 
     cross(p_i, p_j, p_k) = C[i,j] + C[j,k] + C[k,i] with the antisymmetric
     n x n table C[a,b] = x_a * y_b - x_b * y_a, so each entry is two
@@ -199,23 +208,49 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
     ``_INT32_COORDS`` = 2**14: then |C| <= 2**29, and the sum and its
     partial sums stay within 3 * 2**29 = 6 * 2**28 < 2**31.  Otherwise in
     int64, exact for coordinates within COORD_LIMIT: |C| <= 2**49 and the
-    sum stays below 3 * 2**49 < 2**51.  Built in blocks of i into one int8
-    array, each block's widest temporary about ``_TENSOR_BLOCK_BYTES``
-    (at least one row).
+    sum stays below 3 * 2**49 < 2**51.  Built in blocks of i, each block's
+    widest temporary about ``_TENSOR_BLOCK_BYTES`` (at least one row).  A
+    block's signs go into a bool buffer whose rows are padded with False to
+    whole words, so one flat ``packbits`` of it, little-endian, is the
+    block's rows of the table (a ``packbits`` along a row n bits long ran
+    several times slower).
     """
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     narrow = max(map(abs, xs + ys), default=0) <= _INT32_COORDS
     xs, ys = (np.array(v, dtype=np.int32 if narrow else np.int64) for v in (xs, ys))
     n = len(xs)
     c = xs[:, None] * ys[None, :] - xs[None, :] * ys[:, None]
-    out = np.empty((n, n, n), dtype=np.int8)
+    words = -(-n // 64)
+    out = np.empty((n, n, words), dtype="<u8")
+    out_rows = out.view(np.uint8).reshape(n, -1)
     step = max(1, _TENSOR_BLOCK_BYTES // (n * n * c.itemsize))
+    left = np.zeros((min(step, n), n, 64 * words), dtype=bool)
     for i in range(0, n, step):
         # C[k, i] = -C[i, k]
         v = c[i:i + step, :, None] + c[None, :, :]
         v -= c[i:i + step, None, :]
-        np.subtract(v > 0, v < 0, dtype=np.int8, out=out[i:i + step])
+        rows = len(v)
+        np.greater(v, 0, out=left[:rows, :, :n])
+        out_rows[i:i + rows] = np.packbits(left[:rows], bitorder="little").reshape(rows, -1)
+    out.flags.writeable = False
     return out
+
+
+def row_bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """The bits of rows of an ``orient_sign_tensor`` table, ``rows`` a
+    contiguous [..., ceil(n / 64)] array of them, as a [..., n] uint8 array
+    of 0 and 1, bit k at position k."""
+    return np.unpackbits(rows.view(np.uint8), axis=-1, count=n, bitorder="little")
+
+
+def strictly_left(d: np.ndarray, i: np.ndarray, j: np.ndarray,
+                  k: np.ndarray) -> np.ndarray:
+    """Elementwise over label arrays i, j, k: is p_k strictly left of
+    p_i -> p_j, that is D[i,j,k] = +1?  One bit of ``orient_sign_tensor``'s
+    table ``d`` per element."""
+    n, _, w = d.shape
+    word = d.reshape(-1).take((i * n + j) * w + (k >> 6))
+    return (word >> (k & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
 
 
 def angle_keys(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ from typing import Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from .conditions import PointSetPair
-from .geom import DegenerateInput, Point, hull_edge_set, orient, signed_area2
+from .geom import (DegenerateInput, Point, hull_edge_set, orient, row_bits,
+                   signed_area2, strictly_left)
 from .triangles import (FLIPS, Edge, Tri, TriangleSet, apex, edge, tri,
                         tri_edges)
 
@@ -193,18 +194,18 @@ def verify_joint(pair: PointSetPair, triangles: Iterable[Tri]) -> Optional[str]:
 def _edge_cells(d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """[3, m] cells ``a * n + b`` of the edges (c0, c1), (c1, c2), (c2, c0)
     of the label columns ``cols`` ([3, m]), each edge directed so that its
-    triangle lies on its left in the realization whose orientation-sign
-    tensor is d.  The triangles must be nondegenerate there."""
+    triangle lies on its left in the realization whose packed orientation
+    table is d.  The triangles must be nondegenerate there."""
     n = len(d)
     heads = cols[[1, 2, 0]]
     fwd = cols * n + heads
-    ccw = d.reshape(-1).take(fwd[0] * n + cols[2]) > 0
+    ccw = strictly_left(d, *cols)
     return np.where(ccw, fwd, heads * n + cols)
 
 
 def _survivors(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
     """The [9, m] survivor table of label columns ``cols`` ([3, m]) under
-    the two realizations' orientation-sign tensors ``signs``: the labels,
+    the two realizations' packed orientation tables ``signs``: the labels,
     A's directed edge cells (``_edge_cells``) and B's, these offset by n * n
     so that they index B's half of a stacked [2, n, n] table."""
     n = len(signs[0])
@@ -222,37 +223,37 @@ def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
                   pick: int) -> np.ndarray:
     """Per-survivor mask: does the survivor's interior meet that of
     survivor ``pick`` in either realization?  ``signs`` holds A's and B's
-    orientation-sign tensors, ``state`` the survivor table (``_survivors``).
+    packed orientation tables, ``state`` the survivor table (``_survivors``).
 
     Two triangles are interior-disjoint iff some edge of either has the
     other's three vertices on its closed far side, that is off its open
     left side: sign != 1 on an edge with its triangle on the left.  The
     picked triangle's edges become one 6-bit code per point (bit e of a
-    realization: off the left of its edge e, read from the row ``d[a, b]``),
-    so its edges separate a survivor in a realization iff the AND of the
-    survivor's three codes has a bit of that realization.  For its own
-    edges, each realization gets one n x n plane, the elementwise maximum
-    of the picked vertices' planes ``d[v]``: a survivor's edge cell
-    ``a * n + b`` reads ``max_v d[v, a, b] == max_v d[a, b, v]``, since
-    orientation is cyclic, and that edge separates iff the maximum is not 1.
-    Both realizations share one code gather and one plane gather.
+    realization: off the left of its edge e, an unset bit of the row
+    (a, b)), so its edges separate a survivor in a realization iff the AND
+    of the survivor's three codes has a bit of that realization.  For its
+    own edges, each realization gets one n x n plane, the OR of the picked
+    vertices' rows (v, a), unpacked: a survivor's edge cell ``a * n + b``
+    reads whether d[v, a, b] = d[a, b, v] = 1 for some picked v, since
+    orientation is cyclic, and that edge separates iff none is.  Both
+    realizations share one code gather and one plane gather.
     """
-    n = len(signs[0])
+    da, db = signs
+    n, _, w = da.shape
     cols, cells = state[:3], state[3:]
-    # the rows d[a, b] of the picked triangle's edges, A's then B's
-    rows = [d.reshape(n * n, n).take(e, axis=0)
-            for d, e in zip(signs, (cells[:3, pick], cells[3:, pick] - n * n))]
-    code = np.packbits(np.concatenate(rows) != 1, axis=0, bitorder="little")[0]
+    u, v, x = cols[:, pick].tolist()
+    # One unpack of 2 n + 6 rows: the rows (a, b) of the picked triangle's
+    # edges, A's then B's, then A's plane and B's.
+    bits = np.concatenate((da.reshape(n * n, w).take(cells[:3, pick], axis=0),
+                           db.reshape(n * n, w).take(cells[3:, pick] - n * n, axis=0),
+                           da[u] | da[v] | da[x], db[u] | db[v] | db[x]))
+    bits = row_bits(bits, n)
+    code = np.packbits(bits[:6] == 0, axis=0, bitorder="little")[0]
     # [2, m]: no edge of the picked triangle separates, per realization
     meet = (np.bitwise_and.reduce(code.take(cols), axis=0) & _SIDE_BITS) == 0
-    u, v, w = cols[:, pick].tolist()
-    plane = np.empty((2, n, n), dtype=np.int8)
-    for p, d in zip(plane, signs):
-        np.maximum(d[u], d[v], out=p)
-        np.maximum(p, d[w], out=p)
-    reach = plane.reshape(-1).take(cells).reshape(2, 3, -1)
+    reach = bits[6:].reshape(-1).take(cells).reshape(2, 3, -1)
     # ... and no edge of the survivor does
-    meet &= np.minimum.reduce(reach, axis=1) == 1
+    meet &= np.bitwise_and.reduce(reach, axis=1) == 1
     return meet[0] | meet[1]
 
 

@@ -15,10 +15,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .conditions import PointSetPair, necessary_conditions
 from .files import Instance, write_bundle
 from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
-                   SizeGuard, hull_edge_set, orient, signed_area2)
+                   SizeGuard, hull_edge_set, orient, row_bits, signed_area2)
 from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
@@ -26,6 +28,14 @@ from .triangles import Edge, Tri, edge, tri
 
 MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
+
+
+def _sign_lists(s: LabeledSet) -> list[list[list[int]]]:
+    """The set's orientation signs as nested lists, [i][j][k] = orient(i, j, k),
+    unpacked from its orientation table: a small local table for the
+    oracle's sizes, indexed faster than the packed bits."""
+    left = row_bits(s.signs, len(s)).view(np.int8)
+    return (left - left.transpose(1, 0, 2)).tolist()
 
 
 def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
@@ -61,7 +71,7 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
             return
     except DegenerateInput:
         return
-    sa, sb = pair.a.signs.tolist(), pair.b.signs.tolist()
+    sa, sb = _sign_lists(pair.a), _sign_lists(pair.b)
     # Directed edge u -> v to the apexes w of its paired triangles on its
     # left in A, ascending.
     apexes: dict[Edge, list[int]] = {}

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .geom import LabeledSet, angle_order
+from .geom import LabeledSet, angle_order, strictly_left
 
 if TYPE_CHECKING:
     from .conditions import PointSetPair
@@ -129,33 +129,37 @@ class TriangleSet:
         return f"TriangleSet({self.sorted_triangles()!r})"
 
 
-# Cells of one [rows, n] block of _empty_rows' temporaries (256 KB of
-# int8), so pairing stays within about a MB at any n.  At n = 100 such
-# blocks ran about 30% faster than blocks of 2**20 cells, which fall out of
-# cache.
+# Cells of one [rows, n] block of _empty_rows' triangle rows and points,
+# whose temporaries are then 2**18 / 8 bytes of bit rows each (or one row
+# where that is larger), so pairing stays within about a MB at any n.
 _ROW_CHUNK_CELLS = 1 << 18
 
 
 def _empty_rows(d: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """For each label-triple row of ``arr``, whether the triangle is
     nondegenerate and has no point but its vertices in its closed triangle,
-    under orientation-sign tensor ``d``.
+    under packed orientation table ``d`` (``orient_sign_tensor``).
 
-    A point is in closed tri(i, j, k) iff no edge sign opposes the
-    triangle's orientation (zero: on the edge line); the three vertices
-    always are, so the triangle is empty iff exactly three points are.
+    With its vertices counterclockwise as (a, b, c), a point is outside
+    the closed triangle iff it is strictly right of one of its edges, that
+    is strictly left of b -> a, c -> b or a -> c; no vertex is.  So a
+    nondegenerate triangle is empty iff the OR of those three bit rows has
+    n - 3 bits.
     """
-    n = d.shape[0]
+    n, _, w = d.shape
+    rows = d.reshape(n * n, w)
     out = np.empty(len(arr), dtype=bool)
     step = max(1, _ROW_CHUNK_CELLS // n)
     for lo in range(0, len(arr), step):
         i, j, k = arr[lo:lo + step].T
-        s = d[i, j, k]
-        away = -s[:, None]
-        outside = d[i, j] == away
-        outside |= d[j, k] == away
-        outside |= d[k, i] == away
-        out[lo:lo + step] = (s != 0) & (np.count_nonzero(outside, axis=1) == n - 3)
+        # (a, b, k) is (i, j, k) if that is counterclockwise, else (j, i, k)
+        ccw = strictly_left(d, i, j, k)
+        a, b = np.where(ccw, i, j), np.where(ccw, j, i)
+        outside = rows.take(b * n + a, axis=0)
+        outside |= rows.take(k * n + b, axis=0)
+        outside |= rows.take(a * n + k, axis=0)
+        out[lo:lo + step] = (strictly_left(d, a, b, k)
+                             & (np.bitwise_count(outside).sum(axis=1) == n - 3))
     return out
 
 
@@ -193,7 +197,8 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     j among them), then the points strictly left of i -> j, and nothing
     after them can be a candidate or precede one.  So row (i, j) is
     L = g + |{k strictly left of i -> j}| long (g from ``angle_order``'s
-    ``last`` table, the count from the sign tensor's row d[i, j]), a
+    ``last`` table, the count a popcount of the orientation table's row
+    (i, j)), a
     candidate is a position t with g <= t < L, and rows with nothing
     strictly left are skipped.  Rows are sorted by L, longest first, and
     swept in blocks of about ``_SWEEP_BLOCK_CELLS`` cells, each as long as
@@ -255,7 +260,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
         codes.append((a * n + np.minimum(m, c)) * n + np.maximum(m, c))
     # Each triangle is found in exactly one row, so sorting the codes
     # gives lexicographic order.  The codes stay below n**3 < 2**31 within
-    # the tensor's size limit, and int32 divides several times faster.
+    # MAX_TENSOR_POINTS, and int32 divides several times faster.
     code = np.sort(np.concatenate(codes) if codes else np.empty(0, dtype=np.intp))
     arr = np.empty((len(code), 3), dtype=np.intp)
     rest, arr[:, 2] = np.divmod(code.astype(np.int32), n)
@@ -265,13 +270,14 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
 
 def _left_counts(d: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """For each flat cell i * n + j of ``cell``, the number of points
-    strictly left of i -> j under orientation-sign tensor ``d``, read off
-    the tensor's rows in blocks of about ``_SWEEP_BLOCK_CELLS`` bytes."""
-    n = len(d)
-    rows = d.reshape(n * n, n)
-    step = max(1, _SWEEP_BLOCK_CELLS // n)
+    strictly left of i -> j: the popcount of row (i, j) of packed
+    orientation table ``d``, over blocks of about ``_SWEEP_BLOCK_CELLS``
+    bytes of rows."""
+    n, _, w = d.shape
+    rows = d.reshape(n * n, w)
+    step = max(1, _SWEEP_BLOCK_CELLS // (8 * w))
     return np.concatenate([
-        (rows.take(cell[lo:lo + step], axis=0) > 0).sum(axis=1, dtype=np.int16)
+        np.bitwise_count(rows.take(cell[lo:lo + step], axis=0)).sum(axis=1, dtype=np.int16)
         for lo in range(0, len(cell), step)])
 
 
@@ -300,8 +306,8 @@ def paired_empty(pair: "PointSetPair") -> TriangleSet:
 
     Only these can ever appear in a joint triangulation, so this is the
     candidate pool for everything downstream.  A's empty triangles are
-    tested against B's tensor, kept in A's iteration order; the kept rows
-    of A's sorted array become the result's ``array()``.
+    tested against B's orientation table, kept in A's iteration order; the
+    kept rows of A's sorted array become the result's ``array()``.
     """
     in_a = enumerate_empty(pair.a)
     arr = in_a.array()

@@ -2,13 +2,16 @@
 
 Everything here is written directly against coordinate arithmetic, on
 purpose: these functions arbitrate the library's fast paths and must not
-share code with them.  There are two exceptions.  ``count_joint_triangulations``
-checks the interval recurrence, not visibility, and reads the shared chords
-from ``visibility_graph``.  ``reference_legal_set`` checks the order of the
-array worklist's removal log, not its geometry, and reads the sign tensors.
-``scan_empty_triangles`` is the per-label scan that ``enumerate_empty``
-replaced, kept to pin the sweep's triples and their order; it tests rows
-with ``_empty_rows``, which stays as ``paired_empty``'s test on side B.
+share code with them.  The one exception is ``count_joint_triangulations``:
+it checks the interval recurrence, not visibility, and reads the shared
+chords from ``visibility_graph``.  ``reference_sign_tensor`` is the int8
+n^3 orientation tensor, built triple by triple with ``xorient``, against
+which the packed orientation table is pinned; ``reference_legal_set`` and
+``scan_empty_triangles`` read it.  ``reference_legal_set`` checks the order
+of the array worklist's removal log.  ``scan_empty_triangles`` is the
+per-label scan that ``enumerate_empty`` replaced, kept to pin the sweep's
+triples and their order; its row test is the int8 form of ``_empty_rows``,
+``paired_empty``'s test on side B.
 ``hull_locked_pair`` is an instance generator, not a reference: it draws A
 with ``gen_point_pair`` and fixes A's hull from ``convex_hull``.
 """
@@ -25,7 +28,7 @@ from jointtri.conditions import LegalSetResult, PointSetPair
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
 from jointtri.oracle import gen_point_pair
 from jointtri.polygon import visibility_graph
-from jointtri.triangles import FLIPS, TriangleSet, _empty_rows, tri_edges
+from jointtri.triangles import FLIPS, TriangleSet, tri_edges
 
 
 # A point instance that passes NC1 and fails NC2: all 21 of its paired
@@ -77,6 +80,24 @@ def brute_successors(a, b, candidates, t, e) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
+def reference_sign_tensor(points) -> np.ndarray:
+    """The int8 [n, n, n] tensor of ``xorient(p_i, p_j, p_k)``: each triple
+    i < j < k by ``xorient``, copied to its permutations with the
+    permutation's sign."""
+    n = len(points)
+    d = np.zeros((n, n, n), dtype=np.int8)
+    for i, p in enumerate(points):
+        # (j, k), i < j < k, in the row-major order of triu_indices
+        s = np.array([xorient(p, q, r) for j, q in enumerate(points[i + 1:], i + 1)
+                      for r in points[j + 1:]], dtype=np.int8)
+        j, k = np.triu_indices(n - i - 1, 1)
+        j, k = j + i + 1, k + i + 1
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            d[a, b, c] = s
+            d[b, a, c] = -s
+    return d
+
+
 def brute_empty_triangles(points) -> set[tuple[int, int, int]]:
     """All empty triples by the direct all-triples, all-points scan."""
     n = len(points)
@@ -94,13 +115,21 @@ def brute_empty_triangles(points) -> set[tuple[int, int, int]]:
 
 def scan_empty_triangles(s: LabeledSet) -> TriangleSet:
     """Empty triples, added in lexicographic order, by testing for each i
-    all rows (i, j, k), i < j < k, against every point of the set's tensor."""
+    all rows (i, j, k), i < j < k, against every point of the set's
+    ``reference_sign_tensor``.  A point is in closed tri(i, j, k) iff no
+    edge sign opposes the triangle's orientation (zero: on the edge line);
+    the three vertices always are, so the triangle is empty iff exactly
+    three points are."""
     n = len(s)
+    d = reference_sign_tensor(s.points)
     found = []
     for i in range(n - 2):
         j, k = np.triu_indices(n - i - 1, 1)
-        arr = np.column_stack((np.full(len(j), i), j + i + 1, k + i + 1))
-        found.extend(map(tuple, arr[_empty_rows(s.signs, arr)].tolist()))
+        j, k = j + i + 1, k + i + 1
+        away = -d[i, j, k][:, None]
+        outside = (d[i, j] == away) | (d[j, k] == away) | (d[k, i] == away)
+        empty = (away[:, 0] != 0) & (np.count_nonzero(outside, axis=1) == n - 3)
+        found.extend(zip([i] * int(empty.sum()), j[empty].tolist(), k[empty].tolist()))
     return TriangleSet._of_canonical(found)
 
 
@@ -145,7 +174,7 @@ def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalS
     (side A, side B) apex signs; a triangle is supported on an edge iff
     the opposite bucket is nonempty."""
     live = candidates.copy()
-    da, db = pair.a.signs, pair.b.signs
+    da, db = (reference_sign_tensor(s.points) for s in (pair.a, pair.b))
     sides = {}
     buckets = {}
     for t in live:

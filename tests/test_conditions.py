@@ -227,7 +227,7 @@ def test_legal_set_memory_on_a_long_cascade():
     # 650.  The log, order included, still matches the reference.
     pair = hull_locked_pair(120, 1000, 3, 2)
     hull = check_hull_correspondence(pair).hull_edges
-    cands = paired_empty(pair)  # builds both sign tensors and the sorted rows
+    cands = paired_empty(pair)  # builds both orientation tables and the sorted rows
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

@@ -13,7 +13,7 @@ from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                            orient_sign_tensor)
 
 from helpers import (brute_hull_edges, overlap_by_decomposition,
-                     overlap_by_sampling, xorient)
+                     overlap_by_sampling, reference_sign_tensor, xorient)
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point, coords, coords)
@@ -136,13 +136,70 @@ def _unchunked_signs(pts):
     return np.sign(det).astype(np.int8)
 
 
+def _pack(d):
+    """The packed table of sign tensor d: bit k of row (i, j) set iff
+    d[i, j, k] = 1, by shifts and sums, not ``np.packbits``."""
+    n = len(d)
+    words = -(-n // 64)
+    bits = np.zeros((n, n, 64 * words), dtype=np.uint64)
+    bits[:, :, :n] = d == 1
+    shifted = bits.reshape(n, n, words, 64) << np.arange(64, dtype=np.uint64)
+    return shifted.sum(axis=3, dtype=np.uint64)
+
+
+def _signs_of(table):
+    """The int8 sign tensor a packed table holds: bit k of row (i, j) minus
+    bit k of row (j, i), read with shifts."""
+    n = len(table)
+    k = np.arange(n)
+    bits = (table[:, :, k // 64] >> (k % 64).astype(np.uint64)) & np.uint64(1)
+    bits = bits.astype(np.int8)
+    return bits - bits.transpose(1, 0, 2)
+
+
+def test_packed_table_is_the_reference_bit_for_bit(monkeypatch):
+    # Word and padding boundaries (n = 63, 64, 65, 127, 128, 129), one row
+    # per block and the default blocks, grid points with many collinear
+    # triples scaled to within _INT32_COORDS and to far beyond it, plus a
+    # few off-grid points.
+    rng = random.Random(24)
+    cells = [(x, y) for x in range(-10, 11) for y in range(-10, 11)]
+    for n in (3, 63, 64, 65, 127, 128, 129):
+        grid = rng.sample(cells, n - n // 8)
+        for scale in (geom._INT32_COORDS // 10, COORD_LIMIT // 10):
+            pts = [Point(x * scale, y * scale) for x, y in grid]
+            while len(pts) < n:
+                p = Point(rng.randint(-10 * scale, 10 * scale),
+                          rng.randint(-10 * scale, 10 * scale))
+                if p not in pts:
+                    pts.append(p)
+            narrow = max(abs(c) for p in pts for c in p) <= geom._INT32_COORDS
+            assert narrow == (scale < geom._INT32_COORDS), (n, scale)
+            ref = reference_sign_tensor(pts)
+            # collinear triples of distinct points (3 n^2 - 2 n triples
+            # repeat a label)
+            assert n == 3 or (ref == 0).sum() > 3 * n * n - 2 * n, n
+            want = _pack(ref)
+            for block in (geom._TENSOR_BLOCK_BYTES, 1):
+                monkeypatch.setattr(geom, "_TENSOR_BLOCK_BYTES", block)
+                got = orient_sign_tensor(pts)
+                assert got.dtype == np.uint64 and got.shape == (n, n, -(-n // 64))
+                assert np.array_equal(got, want), (n, scale, block)
+                if n % 64:  # padding bits past n are zero
+                    assert not (got[:, :, -1] >> np.uint64(n % 64)).any()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 1, 0] = 1
+            monkeypatch.undo()
+
+
 def test_chunked_sign_tensor_equals_unchunked_formula(monkeypatch):
     rng = random.Random(8)
     small = [Point(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(9)]
     d = orient_sign_tensor(small)
-    assert d.dtype == np.int8
-    assert d.tolist() == [[[xorient(p, q, r) for r in small] for q in small]
-                          for p in small]
+    assert d.dtype == np.uint64
+    assert _signs_of(d).tolist() == [[[xorient(p, q, r) for r in small]
+                                      for q in small] for p in small]
     # blocks in bytes: one row, and three int64 rows at n = 23
     for n, block in ((60, None), (100, None), (37, 1), (23, 3 * 23 * 23 * 8)):
         if block is not None:
@@ -151,8 +208,8 @@ def test_chunked_sign_tensor_equals_unchunked_formula(monkeypatch):
         pts = [Point(rng.randint(-lim, lim), rng.randint(-lim, lim))
                for _ in range(n)]
         got = orient_sign_tensor(pts)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, _unchunked_signs(pts)), (n, block)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, _pack(_unchunked_signs(pts))), (n, block)
 
 
 def test_sign_tensor_is_exact_on_collinear_triples_at_the_cap():
@@ -165,7 +222,7 @@ def test_sign_tensor_is_exact_on_collinear_triples_at_the_cap():
     near = [Point(lim, lim - 1), Point(-lim, lim - 1), Point(lim - 1, -lim),
             Point(-lim + 1, -lim)]
     pts = diag + anti + near
-    d = orient_sign_tensor(pts)
+    d = _signs_of(orient_sign_tensor(pts))
     assert d.tolist() == [[[xorient(p, q, r) for r in pts] for q in pts]
                           for p in pts]
     on_anti = [3] + list(range(len(diag), len(diag) + len(anti)))
@@ -192,12 +249,13 @@ def test_sign_tensor_is_exact_at_the_int32_bound(monkeypatch):
         Point(c + 1, c), Point(c, 2 * c), Point(-2 * c, -c), Point(-c, -c - 1))]
     sets.append([Point(2 * x, 2 * y) for x, y in base])
     for pts in sets:
-        d = orient_sign_tensor(pts)
-        assert d.dtype == np.int8
+        table = orient_sign_tensor(pts)
+        assert table.dtype == np.uint64
+        d = _signs_of(table)
         assert d.tolist() == [[[orient(p, q, r) for r in pts] for q in pts]
                               for p in pts], pts[1]
     # both diagonals pass through the origin; their neighbours do not
-    d = orient_sign_tensor(base)
+    d = _signs_of(orient_sign_tensor(base))
     assert not d[0, 1, 4] and not d[2, 3, 4]
     assert d[0, 1, 5] and d[0, 1, 6] and d[2, 3, 7]
 
@@ -214,7 +272,7 @@ def test_size_guard_one_past_the_tensor_limit(monkeypatch):
     monkeypatch.undo()
     # at the limit the tensor is built (checked here at a smaller limit)
     monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 12)
-    assert LabeledSet.from_coords(coords[:12]).signs.shape == (12, 12, 12)
+    assert LabeledSet.from_coords(coords[:12]).signs.shape == (12, 12, 1)
     with pytest.raises(SizeGuard):
         LabeledSet.from_coords(coords[:13]).signs
 

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
 
 from helpers import (COLLAPSING_TEXT, brute_empty_triangles,
                      convex_position_points, grid_locked_coords,
-                     hull_locked_pair, scan_empty_triangles)
+                     hull_locked_pair, reference_sign_tensor,
+                     scan_empty_triangles)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -153,7 +155,7 @@ def _ray_and_half_plane_rows(s):
     """Rows (i, j), i < j, with another point on the ray from i through j
     (j's direction group has more than one point), and rows with no point
     strictly left of i -> j."""
-    d = s.signs
+    d = reference_sign_tensor(s.points)
     xy = np.array(s.points)
     on_ray = empty_left = 0
     for i, j in zip(*np.triu_indices(len(s), 1)):
@@ -204,6 +206,24 @@ def test_paired_empty_across_row_chunk_boundaries(monkeypatch):
     monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 40)
     for pair, expected in zip(pairs, whole):
         assert list(paired_empty(pair)) == expected
+
+
+def test_empty_rows_on_every_triple_across_words_and_blocks(monkeypatch):
+    # Every triple of grid samples, degenerate ones included (a collinear
+    # triple with no other point on its line must not pass), on both sides
+    # of a word boundary of the packed rows, in one block and in blocks of
+    # 101 triangles.
+    rng = random.Random(24)
+    cells = [(x, y) for x in range(9) for y in range(9)]
+    for n in (12, 63, 65):
+        s = LabeledSet.from_coords(rng.sample(cells, n))
+        arr = np.array(list(combinations(range(n), 3)))
+        want = brute_empty_triangles(s.points) if n == 12 else set(scan_empty_triangles(s))
+        for chunk in (triangles._ROW_CHUNK_CELLS, 101 * n):
+            monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", chunk)
+            got = triangles._empty_rows(s.signs, arr)
+            assert set(map(tuple, arr[got].tolist())) == want, (n, chunk)
+        monkeypatch.undo()
 
 
 def _collinear_grid_set(rng, n):
