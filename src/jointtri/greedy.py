@@ -214,47 +214,111 @@ def _survivors(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
                            _edge_cells(signs[1], cols) + n * n))
 
 
-# Per realization, the bits of the picked triangle's three edges in a
-# point's code: A's in the low three bits, B's in the next three.
+# Per realization, the bits of a triangle's three edges in a point's code:
+# A's in the low three bits, B's in the next three.
 _SIDE_BITS = np.array([[0b111], [0b111000]], dtype=np.uint8)
+_EDGE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
+
+# Survivors a LEX pass resolves at once: the first _HEAD of the sorted
+# survivor table (``greedy_construct``).  Over the points-locked pairs of
+# seeds 0 and 1 (n 40-100, verify excluded, head sizes interleaved in one
+# process on a 2-core VM, Python 3.11, numpy 2.4), heads of 8, 24 and 32
+# took the greedy loop 1.15, 0.97 and 0.96 times as long as heads of 16,
+# which took about 0.57 of the time of one commit per round.  A pass's
+# temporaries grow with its commits: [commits, 6, survivors] bytes.
+_HEAD = 32
+# Cells of one survivor block of the union mask's [picks, 6, survivors]
+# plane gather.  Blocks bound the mask's temporaries whatever the survivor
+# count: 12 picks over the 111,495 survivors of a hull-locked n = 300 pair
+# peaked at 5.2 MB (tracemalloc), 15.1 MB in one block.
+_MASK_BLOCK_CELLS = 1 << 20
+
+
+def _edge_rows(signs: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """[6 L, words]: the packed rows (a, b) of L triangles' directed edge
+    cells (``cells``, [6, L] columns of ``_survivors``), inverted, so that
+    bit k is set iff point k is off the edge's open left side: A's three
+    edges of each triangle, then B's three."""
+    da, db = signs
+    n, _, w = da.shape
+    return ~np.concatenate((da.reshape(n * n, w).take(cells[:3], axis=0),
+                            db.reshape(n * n, w).take(cells[3:] - n * n, axis=0))
+                           ).reshape(-1, w)
+
+
+def _codes(bits: np.ndarray) -> np.ndarray:
+    """[n, L] uint8 codes of L triangles from their unpacked ``_edge_rows``
+    ([6 L, n]): a point's code has bit e (A) or 3 + e (B) set iff it is off
+    the open left side of the triangle's edge e in that realization."""
+    code = np.bitwise_or.reduce(bits.reshape(6, -1, bits.shape[1]) << _EDGE_SHIFTS,
+                                axis=0)
+    return code
+
+
+def _head_overlaps(signs: Sequence[np.ndarray], state: np.ndarray,
+                   k: int) -> np.ndarray:
+    """[k, k] bool: do the interiors of survivors p and q, both among the
+    first k of the survivor table ``state``, meet in either realization?
+
+    Two triangles are interior-disjoint iff an edge of either has the
+    other's three vertices off its open left side (``_overlap_mask``).  The
+    AND of p's codes at q's vertices holds the edges of p that separate q;
+    ORed with its transpose, the edges of either that separate the pair.
+    Every member's codes are at hand, so no bit planes are needed.
+    """
+    n = len(signs[0])
+    code = _codes(row_bits(_edge_rows(signs, state[3:, :k]), n))
+    sep = np.bitwise_and.reduce(code.take(state[:3, :k], axis=1), axis=1)
+    sep |= sep.T
+    return ((sep & _SIDE_BITS[:, :, None]) == 0).any(axis=0)
 
 
 def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
-                  pick: int) -> np.ndarray:
-    """Per-survivor mask: does the survivor's interior meet that of
-    survivor ``pick`` in either realization?  ``signs`` holds A's and B's
-    packed orientation tables, ``state`` the survivor table (``_survivors``).
+                  picks: Sequence[int]) -> np.ndarray:
+    """Per-survivor mask: does the survivor's interior meet that of some
+    pick in either realization?  ``signs`` holds A's and B's packed
+    orientation tables, ``state`` the survivor table (``_survivors``),
+    ``picks`` positions in it.
 
     Two triangles are interior-disjoint iff some edge of either has the
     other's three vertices on its closed far side, that is off its open
-    left side: sign != 1 on an edge with its triangle on the left.  The
-    picked triangle's edges become one 6-bit code per point (bit e of a
-    realization: off the left of its edge e, an unset bit of the row
-    (a, b)), so its edges separate a survivor in a realization iff the AND
-    of the survivor's three codes has a bit of that realization.  For its
-    own edges, each realization gets one n x n plane, the OR of the picked
-    vertices' rows (v, a), unpacked: a survivor's edge cell ``a * n + b``
-    reads whether d[v, a, b] = d[a, b, v] = 1 for some picked v, since
-    orientation is cyclic, and that edge separates iff none is.  Both
-    realizations share one code gather and one plane gather.
+    left side: sign != 1 on an edge with its triangle on the left.  A
+    pick's edges become one 6-bit code per point (``_codes``), so its edges
+    separate a survivor in a realization iff the AND of its codes at the
+    survivor's three vertices has a bit of that realization.  For the
+    survivor's own edges, each pick and realization gets one n x n plane,
+    the OR of the pick's vertices' rows (v, a), unpacked: a survivor's edge
+    cell ``a * n + b`` reads whether d[v, a, b] = d[a, b, v] = 1 for some
+    picked v, since orientation is cyclic, and that edge separates iff none
+    is.  All picks and both realizations share one unpack, one code gather
+    and one plane gather.
     """
     da, db = signs
     n, _, w = da.shape
     cols, cells = state[:3], state[3:]
-    u, v, x = cols[:, pick].tolist()
-    # One unpack of 2 n + 6 rows: the rows (a, b) of the picked triangle's
-    # edges, A's then B's, then A's plane and B's.
-    bits = np.concatenate((da.reshape(n * n, w).take(cells[:3, pick], axis=0),
-                           db.reshape(n * n, w).take(cells[3:, pick] - n * n, axis=0),
-                           da[u] | da[v] | da[x], db[u] | db[v] | db[x]))
-    bits = row_bits(bits, n)
-    code = np.packbits(bits[:6] == 0, axis=0, bitorder="little")[0]
-    # [2, m]: no edge of the picked triangle separates, per realization
-    meet = (np.bitwise_and.reduce(code.take(cols), axis=0) & _SIDE_BITS) == 0
-    reach = bits[6:].reshape(-1).take(cells).reshape(2, 3, -1)
-    # ... and no edge of the survivor does
-    meet &= np.bitwise_and.reduce(reach, axis=1) == 1
-    return meet[0] | meet[1]
+    verts = cols.take(picks, axis=1)
+    picked = len(picks)
+    # [picks, 2 n, words]: the rows of A's plane, then B's, per pick
+    planes = np.concatenate((np.bitwise_or.reduce(da.take(verts, axis=0), axis=0),
+                             np.bitwise_or.reduce(db.take(verts, axis=0), axis=0)),
+                            axis=1)
+    bits = row_bits(np.concatenate((_edge_rows(signs, cells.take(picks, axis=1)),
+                                    planes.reshape(-1, w))), n)
+    code = _codes(bits[:6 * picked])
+    planes = bits[6 * picked:].reshape(picked, -1)
+    gone = np.empty(cols.shape[1], dtype=bool)
+    step = max(1, _MASK_BLOCK_CELLS // (6 * picked))
+    for lo in range(0, len(gone), step):
+        b = slice(lo, lo + step)
+        # [2, picks, survivors]: no edge of the pick separates, per
+        # realization ...
+        meet = (np.bitwise_and.reduce(code.take(cols[:, b], axis=1), axis=1)
+                & _SIDE_BITS[:, :, None]) == 0
+        # ... and no edge of the survivor does
+        reach = planes.take(cells[:, b], axis=1).reshape(picked, 2, 3, -1)
+        meet &= np.bitwise_and.reduce(reach, axis=2).transpose(1, 0, 2) == 1
+        gone[b] = meet.reshape(-1, meet.shape[2]).any(axis=0)
+    return gone
 
 
 def greedy_construct(pair: PointSetPair, legal: TriangleSet,
@@ -262,30 +326,54 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     """Build a triangle set greedily from the legal set and verify it.
 
     Each round commits one surviving triangle (the canonically smallest
-    under LEX, or a seeded-uniform pick under SEEDED_RANDOM) and deletes
-    every survivor overlapping its interior in either realization, and
-    the committed triangle itself, so the loop ends after at most |legal|
-    rounds whatever the overlap mask says.  The survivors start as the
-    legal set's sorted rows (``legal.array()``); their labels and both
-    realizations' edge cells are compacted together after each round, in
-    sorted order.  The result is never trusted: ``verified`` reflects the
-    independent verifier, and a False verdict is returned, not raised.
+    under LEX, or a seeded-uniform pick under SEEDED_RANDOM, which needs an
+    integer ``seed``) and deletes it and every survivor whose interior
+    meets it in either realization.  The survivors start as the legal
+    set's sorted rows (``legal.array()``); their labels and both
+    realizations' edge cells are compacted together after each pass, in
+    sorted order.
+
+    LEX runs its rounds in passes over a head, the first ``_HEAD``
+    survivors.  A pass walks the head in order and commits a member iff it
+    meets no earlier commit of the pass (``_head_overlaps``), then deletes
+    the commits and every survivor meeting one of them with one union mask
+    (``_overlap_mask``).  The choices are those of one round at a time:
+    after some commits, the next round's pick is the smallest survivor
+    meeting none of them.  While that survivor lies in the head, the walk
+    takes it.  Once the head is spent, every member was committed or meets
+    a commit, so the next pick lies past the head, among exactly the
+    survivors the union mask leaves.  SEEDED_RANDOM draws from the
+    survivor count after each deletion, so each of its passes holds one
+    pick.  A pass deletes its commits, at least one, so the loop ends
+    after at most |legal| passes whatever the overlap readers report.  The
+    result is never trusted: ``verified`` reflects the independent
+    verifier, and a False verdict is returned, not raised.
     """
     if len(legal) == 0:
         raise ValueError("greedy_construct requires a nonempty legal set")
     if policy not in (LEX, SEEDED_RANDOM):
         raise ValueError(f"unknown policy: {policy!r}")
+    if policy == SEEDED_RANDOM and seed is None:
+        raise ValueError("the seeded-random policy requires an integer seed")
     signs = (pair.a.signs, pair.b.signs)
     # Labels, then A's and B's edge cells, per survivor: one compaction.
     state = _survivors(signs, legal.array().T)
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
     chosen: list[Tri] = []
     while state.shape[1]:
-        pick = rng.randrange(state.shape[1]) if rng else 0
-        chosen.append(tuple(state[:3, pick].tolist()))  # type: ignore[arg-type]
-        gone = _overlap_mask(signs, state, pick)
-        gone[pick] = True
+        if rng:
+            picks = [rng.randrange(state.shape[1])]
+        else:
+            head = min(_HEAD, state.shape[1])
+            picks = []
+            for p, row in enumerate(_head_overlaps(signs, state, head).tolist()):
+                if not any(map(row.__getitem__, picks)):
+                    picks.append(p)
+        chosen.extend(map(tuple, state[:3].take(picks, axis=1).T.tolist()))
+        gone = _overlap_mask(signs, state, picks)
+        gone[picks] = True
         state = state.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
-    return JointTriangulation(TriangleSet(chosen), violation is None,
+    # the rows of legal.array() are canonical triples
+    return JointTriangulation(TriangleSet._of_canonical(chosen), violation is None,
                               violation, chosen)

@@ -78,6 +78,17 @@ def test_greedy_requires_nonempty_legal_set():
         greedy_construct(pair, TriangleSet([(0, 1, 2)]), "best-first")
 
 
+def test_greedy_seeded_random_requires_a_seed():
+    # Random(None) would seed from the OS, so the choices would not repeat.
+    pair = _pair(SQUARE)
+    legal = necessary_conditions(pair).legal.legal
+    with pytest.raises(ValueError):
+        greedy_construct(pair, legal, SEEDED_RANDOM)
+    with pytest.raises(ValueError):
+        greedy_construct(pair, legal, SEEDED_RANDOM, None)
+    assert greedy_construct(pair, legal, SEEDED_RANDOM, 0).verified
+
+
 def _random_set(rng, n):
     pts = []
     while len(pts) < n:
@@ -191,28 +202,38 @@ MASK_SETS = (SQUARE, [(0, 0), (4, 0), (0, 4), (2, 2)],
              [(0, 0), (6, 0), (0, 6), (1, 1), (2, 1), (1, 2)])
 
 
-def test_vectorized_deletion_mask_matches_scalar_overlap():
+def test_vectorized_deletion_mask_matches_scalar_overlap(monkeypatch):
     import numpy as np
 
+    from jointtri import greedy
     from jointtri.geom import orient_sign_tensor
-    from jointtri.greedy import _overlap_mask, _survivors
+    from jointtri.greedy import _head_overlaps, _overlap_mask, _survivors
     from jointtri.triangles import enumerate_empty
 
     def check(sides, cands, picks):
-        # the mask is the overlap in either realization
+        # the mask is the overlap in either realization, one pick at a time
+        # and for all picks at once, in one block of survivors or in blocks
+        # of one and of a few; the head matrix is the same overlap between
+        # every two candidates
         cols = np.array(cands, dtype=np.intp).T
         signs = tuple(orient_sign_tensor(s.points) for s in sides)
         state = _survivors(signs, cols)
+        overlaps = [[[overlap_by_decomposition(tuple(s[v] for v in t),
+                                               tuple(s[v] for v in u))
+                      for s in sides] for u in cands] for t in cands]
         differ = 0
         for pick in picks:
-            t = cands[pick]
-            mask = _overlap_mask(signs, state, pick)
+            mask = _overlap_mask(signs, state, [pick])
             for row, u in enumerate(cands):
-                overlaps = [overlap_by_decomposition(tuple(s[v] for v in t),
-                                                     tuple(s[v] for v in u))
-                            for s in sides]
-                assert mask[row] == any(overlaps), (t, u)
-                differ += overlaps[0] != overlaps[1]
+                assert mask[row] == any(overlaps[pick][row]), (cands[pick], u)
+                differ += overlaps[pick][row][0] != overlaps[pick][row][1]
+        want = [any(any(overlaps[p][row]) for p in picks) for row in range(len(cands))]
+        for cells in (greedy._MASK_BLOCK_CELLS, 1, 50):
+            monkeypatch.setattr(greedy, "_MASK_BLOCK_CELLS", cells)
+            assert _overlap_mask(signs, state, list(picks)).tolist() == want
+        monkeypatch.undo()
+        head = _head_overlaps(signs, state, len(cands))
+        assert head.tolist() == [[any(o) for o in row] for row in overlaps]
         return differ
 
     for coords in MASK_SETS:
@@ -237,7 +258,7 @@ def test_vectorized_deletion_mask_matches_scalar_overlap():
             other = _random_set(rng, len(s))
             both = [t for t in cands if xorient(*(other[v] for v in t))]
             if len(both) >= 2:
-                differ += check((s, other), both, [rng.randrange(len(both))])
+                differ += check((s, other), both, rng.sample(range(len(both)), 2))
     assert differ > 0
 
 
@@ -259,9 +280,13 @@ def test_every_verified_triple_is_paired_and_legal():
         done += 1
 
 
-def test_greedy_choices_match_brute_reference_on_grid_pairs():
+def test_greedy_choices_match_brute_reference_on_grid_pairs(monkeypatch):
     # The legal set where condition 2 holds, else the paired empty
-    # triangles: there B's overlaps differ more from A's.
+    # triangles: there B's overlaps differ more from A's.  LEX passes
+    # resolve heads of 1, 2 and 3 survivors, the default, and the whole
+    # table at once.
+    from jointtri import greedy
+
     rng = random.Random(2024)
     done = legal = collinear = 0
     while done < 30:
@@ -273,9 +298,12 @@ def test_greedy_choices_match_brute_reference_on_grid_pairs():
         nc = necessary_conditions(pair)
         pool = nc.legal.legal if nc.ok else nc.candidates
         for policy, seed in ((LEX, None), (SEEDED_RANDOM, 3), (SEEDED_RANDOM, 11)):
-            jt = greedy_construct(pair, pool, policy, seed)
-            assert jt.choices == brute_greedy(*coords, pool, seed), \
-                (coords, policy, seed)
+            want = brute_greedy(*coords, pool, seed)
+            for head in (1, 2, 3, greedy._HEAD, len(pool) + 1):
+                monkeypatch.setattr(greedy, "_HEAD", head)
+                jt = greedy_construct(pair, pool, policy, seed)
+                assert jt.choices == want, (coords, policy, seed, head)
+            monkeypatch.undo()
         legal += nc.ok
         collinear += any(xorient(*t) == 0 for t in combinations(coords[0], 3))
         done += 1
@@ -283,10 +311,10 @@ def test_greedy_choices_match_brute_reference_on_grid_pairs():
 
 
 def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
-    # A faulty mask that misses every overlap, even the committed
-    # triangle's with itself: each round still drops its pick, so the
-    # greedy commits every legal triangle once and the verifier rejects
-    # the overlapping result instead of the loop running forever.
+    # Faulty overlap readers that miss every overlap, even a triangle's
+    # with itself: each pass still drops its commits, so the greedy
+    # commits every legal triangle once and the verifier rejects the
+    # overlapping result instead of the loop running forever.
     import numpy as np
 
     from jointtri import greedy
@@ -295,16 +323,29 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
     legal = necessary_conditions(pair).legal.legal
     calls = []
 
-    def blind(signs, state, *_):
+    def blind_mask(signs, state, *_):
         calls.append(state.shape[1])
         assert len(calls) <= 2 * len(legal), "the greedy does not end"
         return np.zeros(state.shape[1], dtype=bool)
 
-    monkeypatch.setattr(greedy, "_overlap_mask", blind)
-    for policy, seed in ((LEX, None), (SEEDED_RANDOM, 5)):
+    def blind_head(signs, state, k):
+        calls.append(-k)
+        return np.zeros((k, k), dtype=bool)
+
+    monkeypatch.setattr(greedy, "_overlap_mask", blind_mask)
+    monkeypatch.setattr(greedy, "_head_overlaps", blind_head)
+    m = len(legal)
+    for policy, seed, head in ((LEX, None, greedy._HEAD), (LEX, None, 1),
+                               (SEEDED_RANDOM, 5, greedy._HEAD)):
+        monkeypatch.setattr(greedy, "_HEAD", head)
         calls.clear()
         jt = greedy_construct(pair, legal, policy, seed)
         assert not jt.verified and jt.violation is not None
         assert sorted(jt.choices) == legal.sorted_triangles()
-        # one mask per round, both realizations at once
-        assert calls == list(range(len(legal), 0, -1))
+        # one mask per pass, both realizations at once: a LEX pass commits
+        # its whole head, a seeded-random pass one pick
+        if policy == LEX:
+            sizes = list(range(m, 0, -head))
+            assert calls == [c for left in sizes for c in (-min(head, left), left)]
+        else:
+            assert calls == list(range(m, 0, -1))
