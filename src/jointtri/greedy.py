@@ -227,11 +227,12 @@ _EDGE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
 # which took about 0.57 of the time of one commit per round.  A pass's
 # temporaries grow with its commits: [commits, 6, survivors] bytes.
 _HEAD = 32
-# Cells of one survivor block of the union mask's [picks, 6, survivors]
-# plane gather.  Blocks bound the mask's temporaries whatever the survivor
-# count: 12 picks over the 111,495 survivors of a hull-locked n = 300 pair
-# peaked at 5.2 MB (tracemalloc), 15.1 MB in one block.
-_MASK_BLOCK_CELLS = 1 << 20
+# Bytes of one survivor block of the union mask: about 14 bytes of
+# temporaries per survivor and pick, and 72 bytes per survivor of index
+# copies (its labels and cells) once the table is cut into blocks.  Over
+# the 111,495 survivors of a hull-locked n = 300 pair, 12 picks peaked at
+# 3.1 MB (tracemalloc, 2.2 MB of it their planes) and 17.5 MB in one block.
+_MASK_BLOCK_BYTES = 1 << 20
 
 
 def _edge_rows(signs: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
@@ -307,7 +308,7 @@ def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
     code = _codes(bits[:6 * picked])
     planes = bits[6 * picked:].reshape(picked, -1)
     gone = np.empty(cols.shape[1], dtype=bool)
-    step = max(1, _MASK_BLOCK_CELLS // (6 * picked))
+    step = max(1, _MASK_BLOCK_BYTES // (72 + 14 * picked))
     for lo in range(0, len(gone), step):
         b = slice(lo, lo + step)
         # [2, picks, survivors]: no edge of the pick separates, per

@@ -228,8 +228,8 @@ def test_vectorized_deletion_mask_matches_scalar_overlap(monkeypatch):
                 assert mask[row] == any(overlaps[pick][row]), (cands[pick], u)
                 differ += overlaps[pick][row][0] != overlaps[pick][row][1]
         want = [any(any(overlaps[p][row]) for p in picks) for row in range(len(cands))]
-        for cells in (greedy._MASK_BLOCK_CELLS, 1, 50):
-            monkeypatch.setattr(greedy, "_MASK_BLOCK_CELLS", cells)
+        for size in (greedy._MASK_BLOCK_BYTES, 1, 300):
+            monkeypatch.setattr(greedy, "_MASK_BLOCK_BYTES", size)
             assert _overlap_mask(signs, state, list(picks)).tolist() == want
         monkeypatch.undo()
         head = _head_overlaps(signs, state, len(cands))
