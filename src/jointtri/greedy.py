@@ -215,8 +215,9 @@ def _survivors(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
 
 
 # Per realization, the bits of a triangle's three edges in a point's code:
-# A's in the low three bits, B's in the next three.
-_SIDE_BITS = np.array([[0b111], [0b111000]], dtype=np.uint8)
+# A's in the low three bits, B's in the next three (bit e for the e-th of
+# the six edge rows, ``_EDGE_SHIFTS``).
+_SIDE_BITS = np.array([0b111, 0b111000], dtype=np.uint8)[:, None, None]
 _EDGE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
 
 # Survivors a LEX pass resolves at once: the first _HEAD of the sorted
@@ -224,8 +225,7 @@ _EDGE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
 # seeds 0 and 1 (n 40-100, verify excluded, head sizes interleaved in one
 # process on a 2-core VM, Python 3.11, numpy 2.4), heads of 8, 24 and 32
 # took the greedy loop 1.15, 0.97 and 0.96 times as long as heads of 16,
-# which took about 0.57 of the time of one commit per round.  A pass's
-# temporaries grow with its commits: [commits, 6, survivors] bytes.
+# which took about 0.57 of the time of one commit per round.
 _HEAD = 32
 # Bytes of one survivor block of the union mask: about 14 bytes of
 # temporaries per survivor and pick, and 72 bytes per survivor of index
@@ -248,12 +248,11 @@ def _edge_rows(signs: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
 
 
 def _codes(bits: np.ndarray) -> np.ndarray:
-    """[n, L] uint8 codes of L triangles from their unpacked ``_edge_rows``
+    """[L, n] uint8 codes of L triangles from their unpacked ``_edge_rows``
     ([6 L, n]): a point's code has bit e (A) or 3 + e (B) set iff it is off
     the open left side of the triangle's edge e in that realization."""
-    code = np.bitwise_or.reduce(bits.reshape(6, -1, bits.shape[1]) << _EDGE_SHIFTS,
+    return np.bitwise_or.reduce(bits.reshape(6, -1, bits.shape[1]) << _EDGE_SHIFTS,
                                 axis=0)
-    return code
 
 
 def _head_overlaps(signs: Sequence[np.ndarray], state: np.ndarray,
@@ -271,7 +270,7 @@ def _head_overlaps(signs: Sequence[np.ndarray], state: np.ndarray,
     code = _codes(row_bits(_edge_rows(signs, state[3:, :k]), n))
     sep = np.bitwise_and.reduce(code.take(state[:3, :k], axis=1), axis=1)
     sep |= sep.T
-    return ((sep & _SIDE_BITS[:, :, None]) == 0).any(axis=0)
+    return ((sep & _SIDE_BITS) == 0).any(axis=0)
 
 
 def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
@@ -314,7 +313,7 @@ def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
         # [2, picks, survivors]: no edge of the pick separates, per
         # realization ...
         meet = (np.bitwise_and.reduce(code.take(cols[:, b], axis=1), axis=1)
-                & _SIDE_BITS[:, :, None]) == 0
+                & _SIDE_BITS) == 0
         # ... and no edge of the survivor does
         reach = planes.take(cells[:, b], axis=1).reshape(picked, 2, 3, -1)
         meet &= np.bitwise_and.reduce(reach, axis=2).transpose(1, 0, 2) == 1
