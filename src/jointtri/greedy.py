@@ -290,8 +290,8 @@ def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
     the OR of the pick's vertices' rows (v, a), unpacked: a survivor's edge
     cell ``a * n + b`` reads whether d[v, a, b] = d[a, b, v] = 1 for some
     picked v, since orientation is cyclic, and that edge separates iff none
-    is.  All picks and both realizations share one unpack, one code gather
-    and one plane gather.
+    is.  All picks and both realizations share one unpack and, per block of
+    survivors (``_MASK_BLOCK_BYTES``), one code gather and one plane gather.
     """
     da, db = signs
     n, _, w = da.shape
