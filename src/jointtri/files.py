@@ -124,10 +124,14 @@ def write_bundle(bundle_dir: str, pair: Instance, finding,
     """Write a counterexample bundle and return its path.
 
     The bundle is itself a valid instance file of the pair's kind; the
-    finding and the execution trace ride along as comment lines.
+    finding and the execution trace ride along as comment lines.  A
+    finding with an oracle verdict, an oracle disagreement, is named with
+    an ``-oracle`` suffix, so it never overwrites the failed-verification
+    bundle of the same instance.
     """
     os.makedirs(bundle_dir, exist_ok=True)
-    name = f"counterexample-{finding.mode}-seed{finding.seed}-n{finding.n}.txt"
+    suffix = "-oracle" if finding.oracle_verdict else ""
+    name = f"counterexample-{finding.mode}-seed{finding.seed}-n{finding.n}{suffix}.txt"
     path = os.path.join(bundle_dir, name)
     kind = KIND_POINTS if isinstance(pair, PointSetPair) else KIND_POLYGON
     parts = [

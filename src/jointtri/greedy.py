@@ -42,46 +42,48 @@ class JointTriangulation:
 Side = tuple[str, Sequence[Point], Sequence[int]]
 
 
-# Cells of one [rows, n] block of ``_scan``'s temporaries.  On polygons of
-# n 150-300, whole [triangles, n] int64 arrays (up to 700 KB each) took
-# about 440 minor page faults per call, fresh pages every time; blocks of
-# 2**15 cells take about 5, their pages reused from the heap, and ran as
-# fast as any size from 2**13 to 2**16.
+# Cells of one [sides, rows, n] block of ``_scan``'s temporaries, counted
+# across sides.  On polygons of n 150-300, whole [triangles, n] int64
+# arrays (up to 700 KB each) took about 440 minor page faults per call,
+# fresh pages every time; blocks of 2**15 cells take about 5, their pages
+# reused from the heap, and ran as fast as any size from 2**13 to 2**16.
 _SCAN_BLOCK_CELLS = 1 << 15
 
 
-def _scan(points: Sequence[Point], arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Doubled signed area of each triangle of ``arr`` (label rows) and the
-    first point in its closed triangle other than its vertices (-1: none).
+def _scan(points: Sequence[Sequence[Point]],
+          arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per side of ``points`` (each side's points by the same labels) and
+    per triangle of ``arr`` (label rows): the doubled signed area, and the
+    first point in its closed triangle other than its vertices (-1: none),
+    as [sides, rows] arrays.
 
     A point lies in the closed triangle iff it is on or left of each edge
     turned to have the triangle on its left; a degenerate triangle's
     turned edges vanish, so it holds every point.  int64 throughout,
-    exact under COORD_LIMIT; triangles go in row blocks of about
-    ``_SCAN_BLOCK_CELLS`` [rows, n] cells.
+    exact under COORD_LIMIT.  All sides share one coordinate array and one
+    gather; triangles go in row blocks of about ``_SCAN_BLOCK_CELLS``
+    [sides, rows, n] cells.
     """
     xy = np.array(points, dtype=np.int64)
-    x, y = xy[:, 0], xy[:, 1]
-    tx, ty = x[arr], y[arr]
-    ex = tx[:, [1, 2, 0]] - tx
-    ey = ty[:, [1, 2, 0]] - ty
-    det = ex[:, 0] * ey[:, 1] - ey[:, 0] * ex[:, 1]
-    s = np.sign(det)[:, None]
-    ex *= s
-    ey *= s
+    sides, n = xy.shape[:2]
+    x, y = xy[:, None, :, 0], xy[:, None, :, 1]
+    corner = xy[:, arr]  # [sides, rows, 3 vertices, 2 coordinates]
+    vec = corner[:, :, [1, 2, 0]] - corner  # edge vectors, turned below
+    ex, ey = vec[..., 0], vec[..., 1]
+    det = ex[..., 0] * ey[..., 1] - ey[..., 0] * ex[..., 1]
+    vec *= np.sign(det)[..., None, None]
     # point p is on or left of turned edge e iff ex * y_p - ey * x_p >= at
-    at = ex * ty - ey * tx
-    hit = np.empty(len(arr), dtype=np.intp)
-    step = max(1, _SCAN_BLOCK_CELLS // len(x))
+    at = ex * corner[..., 1] - ey * corner[..., 0]
+    hit = np.empty(det.shape, dtype=np.intp)
+    step = max(1, _SCAN_BLOCK_CELLS // (sides * n))
     for lo in range(0, len(arr), step):
         b = slice(lo, lo + step)
-        inside = ex[b, 0, None] * y - ey[b, 0, None] * x >= at[b, 0, None]
+        inside = ex[:, b, 0, None] * y - ey[:, b, 0, None] * x >= at[:, b, 0, None]
         for e in (1, 2):
-            inside &= ex[b, e, None] * y - ey[b, e, None] * x >= at[b, e, None]
-        r = np.arange(len(inside))
-        inside[r[:, None], arr[b]] = False
-        first = inside.argmax(axis=1)
-        hit[b] = np.where(inside[r, first], first, -1)
+            inside &= ex[:, b, e, None] * y - ey[:, b, e, None] * x >= at[:, b, e, None]
+        r = np.arange(inside.shape[1])
+        inside[:, r[:, None], arr[b]] = False
+        hit[:, b] = np.where(inside.any(axis=2), inside.argmax(axis=2), -1)
     return det, hit
 
 
@@ -91,8 +93,11 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
 
     Each side is ``(name, points, cycle)``: the realization's name, its
     points by label, and its boundary as a label cycle (a convex hull or a
-    simple polygon).  Returns None when every check passes, else a
-    description of the first failure.  Checks, in order:
+    simple polygon).  All sides share one label set: each lists the same
+    number of points, label i naming corresponding points, and check 2
+    scans every side in one pass (``_scan``).  Returns None when every
+    check passes, else a description of the first failure.  Checks, in
+    order:
 
     1. no duplicate triple, and at least one triple;
     2. each triple nondegenerate and empty (no other point in the closed
@@ -125,11 +130,10 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
     if not tris:
         return "empty triangle set"
 
-    arr = np.array(tris, dtype=np.intp)
-    scans = [_scan(points, arr) for _, points, _ in sides]
-    if any((det == 0).any() or (hit >= 0).any() for det, hit in scans):
+    dets, hits = _scan([points for _, points, _ in sides], np.array(tris, dtype=np.intp))
+    if (dets == 0).any() or (hits >= 0).any():
         for r, t in enumerate(tris):
-            for (name, _, _), (det, hit) in zip(sides, scans):
+            for (name, _, _), det, hit in zip(sides, dets, hits):
                 if det[r] == 0:
                     return f"triangle {t} degenerate in {name}"
                 if hit[r] >= 0:
@@ -137,7 +141,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
                             f"contains point {int(hit[r])}")
 
     windings = []
-    for (name, points, cycle), (det, _) in zip(sides, scans):
+    for (name, points, cycle), det in zip(sides, dets):
         covered = sum(np.abs(det).tolist())
         signed = signed_area2([points[i] for i in cycle])
         if covered != abs(signed):
@@ -157,7 +161,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
             if e not in allowed:
                 return f"edge {e} not shared by both visibility graphs"
 
-    signs = [np.sign(det).tolist() for det, _ in scans]
+    signs = np.sign(dets).tolist()
     seen: dict[tuple[str, Edge, int], int] = {}
     for r, t in enumerate(tris):
         for (name, _, _), sign in zip(sides, signs):
@@ -342,9 +346,12 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     meeting none of them.  While that survivor lies in the head, the walk
     takes it.  Once the head is spent, every member was committed or meets
     a commit, so the next pick lies past the head, among exactly the
-    survivors the union mask leaves.  SEEDED_RANDOM draws from the
-    survivor count after each deletion, so each of its passes holds one
-    pick.  A pass deletes its commits, at least one, so the loop ends
+    survivors the union mask leaves.  A pass whose head held every
+    survivor ends the loop without the mask, since then every survivor was
+    committed or meets a commit: this is the last pass of every LEX run,
+    and the only one when |legal| <= ``_HEAD``.  SEEDED_RANDOM draws from
+    the survivor count after each deletion, so each of its passes holds
+    one pick.  A pass deletes its commits, at least one, so the loop ends
     after at most |legal| passes whatever the overlap readers report.  The
     result is never trusted: ``verified`` reflects the independent
     verifier, and a False verdict is returned, not raised.
@@ -370,6 +377,8 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
                 if not any(map(row.__getitem__, picks)):
                     picks.append(p)
         chosen.extend(map(tuple, state[:3].take(picks, axis=1).T.tolist()))
+        if not rng and state.shape[1] <= _HEAD:
+            break  # the head held every survivor: nothing is left
         gone = _overlap_mask(signs, state, picks)
         gone[picks] = True
         state = state.compress(~gone, axis=1)

@@ -343,9 +343,11 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
         assert not jt.verified and jt.violation is not None
         assert sorted(jt.choices) == legal.sorted_triangles()
         # one mask per pass, both realizations at once: a LEX pass commits
-        # its whole head, a seeded-random pass one pick
+        # its whole head, a seeded-random pass one pick; a LEX pass whose
+        # head held every survivor ends the loop without a mask
         if policy == LEX:
             sizes = list(range(m, 0, -head))
-            assert calls == [c for left in sizes for c in (-min(head, left), left)]
+            assert calls == [c for left in sizes
+                             for c in ((-head, left) if left > head else (-left,))]
         else:
             assert calls == list(range(m, 0, -1))

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +399,42 @@ def test_hunt_skips_only_the_polygon_generators_give_up(monkeypatch):
     with pytest.raises(ValueError, match="bug") as err:
         hunt(POLYGONS, (5, 5), 2, 1)
     assert type(err.value) is ValueError
+
+
+def test_hunt_bundles_each_finding_of_an_instance_in_its_own_file(monkeypatch, tmp_path):
+    """A fast-path result that fails verification and the oracle's
+    disagreement with it are two findings on one instance: each gets its
+    own bundle, and the failed-verification one keeps its choice trace."""
+    from jointtri.greedy import JointTriangulation
+
+    def unverified(*args, **kwargs):
+        return JointTriangulation(frozenset(), False, "synthetic violation", [(0, 1, 2)])
+
+    def perturbed(n, coord_range, seed):
+        # pairs that pass the conditions, so the greedy runs
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "gen_point_pair", gen_point_pair)
+            return gen_perturbed_pair(n, 40, 1, seed)
+
+    monkeypatch.setattr(oracle, "greedy_construct", unverified)
+    monkeypatch.setattr(oracle, "dp_joint_polygon", unverified)
+    monkeypatch.setattr(oracle, "gen_point_pair", perturbed)
+    for mode, n_range, source in ((POINTS, (6, 6), "greedy"),
+                                  (POLYGONS, (6, 7), "dp")):
+        bundles = tmp_path / mode
+        report = hunt(mode, n_range, 5, 1, bundle_dir=str(bundles))
+        failed = {(c.seed, c.n): c for c in report.counterexamples
+                  if c.oracle_verdict is None}
+        disagree = [c for c in report.counterexamples if c.oracle_verdict is not None]
+        assert len(disagree) >= 2, mode
+        paths = [c.bundle_path for c in report.counterexamples]
+        assert len(set(paths)) == len(paths)
+        assert sorted(p.name for p in bundles.iterdir()) == sorted(
+            Path(p).name for p in paths)
+        for d in disagree:
+            c = failed[d.seed, d.n]
+            assert d.bundle_path == c.bundle_path[:-len(".txt")] + "-oracle.txt"
+            lines = Path(c.bundle_path).read_text(encoding="utf-8").splitlines()
+            assert lines[0] == (f"# counterexample: {source} result failed "
+                                "verification: synthetic violation")
+            assert lines[-2:] == ["# trace:", "# choice (0, 1, 2)"], mode

@@ -72,8 +72,19 @@ def test_enumerate_empty_convex_position_count():
         assert len(enumerate_empty(s)) == math.comb(n, 3)
 
 
-def test_enumerate_empty_matches_brute_scan():
+def _both_paths(monkeypatch):
+    """Runs the loop body once as the code stands, then once with the
+    direct test of every triple turned off: no set of 3 or more points
+    fits in a chunk of 2 cells, so every set takes the angular sweep."""
+    yield "direct up to 36 points"
+    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 2)
+    yield "sweep"
+    monkeypatch.undo()
+
+
+def test_enumerate_empty_matches_brute_scan(monkeypatch):
     rng = random.Random(99)
+    sets = []
     for trial in range(60):
         n = rng.randint(4, 12)
         pts = []
@@ -81,8 +92,12 @@ def test_enumerate_empty_matches_brute_scan():
             p = (rng.randint(0, 15), rng.randint(0, 15))
             if p not in pts:
                 pts.append(p)
-        s = LabeledSet.from_coords(pts)
-        assert set(enumerate_empty(s)) == brute_empty_triangles(pts), pts
+        sets.append(pts)
+    want = [brute_empty_triangles(pts) for pts in sets]
+    for path in _both_paths(monkeypatch):
+        for pts, expected in zip(sets, want):
+            s = LabeledSet.from_coords(pts)
+            assert set(enumerate_empty(s)) == expected, (path, pts)
 
 
 def test_point_removal_only_grows_restricted_empty_set():
@@ -126,14 +141,37 @@ def _grid_set(rng, n, side):
     return LabeledSet.from_coords(rng.sample(cells, n))
 
 
-def test_enumerate_empty_matches_brute_scan_on_grids_past_n12():
+def test_enumerate_empty_matches_brute_scan_on_grids_past_n12(monkeypatch):
     rng = random.Random(4)
-    for n in (13, 16, 20, 25, 31, 40):
-        s = _grid_set(rng, n, 7 if n < 25 else 9)
-        got = enumerate_empty(s)
-        assert set(got) == brute_empty_triangles(s.points), s.points
-        # added in lexicographic order
-        assert list(got) == list(TriangleSet(sorted(got)))
+    sets = [_grid_set(rng, n, 7 if n < 25 else 9) for n in (13, 16, 20, 25, 31, 40)]
+    want = [brute_empty_triangles(s.points) for s in sets]
+    for path in _both_paths(monkeypatch):
+        for s, expected in zip(sets, want):
+            got = enumerate_empty(s)
+            assert set(got) == expected, (path, s.points)
+            # added in lexicographic order
+            assert list(got) == list(TriangleSet(sorted(got)))
+
+
+def test_enumerate_empty_on_both_sides_of_the_direct_test(monkeypatch):
+    # 36 points are the most whose triples all fit in one chunk of
+    # _empty_rows, tested directly; 37 take the angular sweep.  Grid
+    # samples and collinear grids on each side, against the row scan.
+    assert (math.comb(36, 3) * 36 <= triangles._ROW_CHUNK_CELLS
+            < math.comb(37, 3) * 37)
+    sweeps = []
+
+    def counted_angle_order(*args):
+        sweeps.append(len(args[0]))
+        return geom.angle_order(*args)
+
+    monkeypatch.setattr(triangles, "angle_order", counted_angle_order)
+    rng = random.Random(36)
+    for n in (36, 37):
+        for s in (_grid_set(rng, n, 9),
+                  LabeledSet.from_coords(_collinear_grid_set(rng, n))):
+            assert list(enumerate_empty(s)) == list(scan_empty_triangles(s)), s.points
+    assert sweeps == [37, 37]
 
 
 def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
@@ -246,13 +284,15 @@ def _collinear_grid_set(rng, n):
     return pts
 
 
-def test_enumerate_empty_matches_brute_scan_on_collinear_runs():
+def test_enumerate_empty_matches_brute_scan_on_collinear_runs(monkeypatch):
     rng = random.Random(12)
-    for trial in range(76):
-        pts = _collinear_grid_set(rng, 3 + trial % 38)
-        got = enumerate_empty(LabeledSet.from_coords(pts))
-        assert set(got) == brute_empty_triangles(pts), pts
-        assert list(got) == list(TriangleSet(sorted(got)))
+    sets = [_collinear_grid_set(rng, 3 + trial % 38) for trial in range(76)]
+    want = [brute_empty_triangles(pts) for pts in sets]
+    for path in _both_paths(monkeypatch):
+        for pts, expected in zip(sets, want):
+            got = enumerate_empty(LabeledSet.from_coords(pts))
+            assert set(got) == expected, (path, pts)
+            assert list(got) == list(TriangleSet(sorted(got)))
 
 
 def test_enumerate_empty_matches_per_label_scan_at_large_n():

@@ -124,8 +124,9 @@ def test_verifier_messages_hold_across_scan_blocks(monkeypatch):
              + [(verify_polygon_joint, c)
                 for c in islice(_polygon_cases(random.Random(2027)), 200)])
     whole = [verify(pair, tris) for verify, (pair, tris) in cases]
-    # n is 4 to 9: 1 cell is one row per block, 20 cells two to five rows
-    for cells in (1, 20):
+    # n is 4 to 9 and a block's cells count both sides: 1 cell is one row
+    # per block, 40 cells two to five rows
+    for cells in (1, 40):
         monkeypatch.setattr(greedy, "_SCAN_BLOCK_CELLS", cells)
         assert [verify(pair, tris) for verify, (pair, tris) in cases] == whole
     messages = [m for m in whole if m is not None]
