@@ -82,6 +82,19 @@ def _both_paths(monkeypatch):
     monkeypatch.undo()
 
 
+def _count_sweeps(monkeypatch):
+    """The sizes of the sets that ``enumerate_empty`` sends through the
+    angular sweep from here on, one entry per ``angle_order`` call."""
+    sweeps = []
+
+    def counted_angle_order(*args):
+        sweeps.append(len(args[0]))
+        return geom.angle_order(*args)
+
+    monkeypatch.setattr(triangles, "angle_order", counted_angle_order)
+    return sweeps
+
+
 def test_enumerate_empty_matches_brute_scan(monkeypatch):
     rng = random.Random(99)
     sets = []
@@ -159,13 +172,7 @@ def test_enumerate_empty_on_both_sides_of_the_direct_test(monkeypatch):
     # samples and collinear grids on each side, against the row scan.
     assert (math.comb(36, 3) * 36 <= triangles._ROW_CHUNK_CELLS
             < math.comb(37, 3) * 37)
-    sweeps = []
-
-    def counted_angle_order(*args):
-        sweeps.append(len(args[0]))
-        return geom.angle_order(*args)
-
-    monkeypatch.setattr(triangles, "angle_order", counted_angle_order)
+    sweeps = _count_sweeps(monkeypatch)
     rng = random.Random(36)
     for n in (36, 37):
         for s in (_grid_set(rng, n, 9),
@@ -178,15 +185,19 @@ def test_enumerate_empty_across_row_chunk_boundaries(monkeypatch):
     rng = random.Random(5)
     sets = [_grid_set(rng, n, 6) for n in (13, 18, 24)]
     whole = [list(enumerate_empty(s)) for s in sets]
-    # a few rows per block: rows are at most n - 1 cells long, so 40 cells
-    # is one row or more at these sizes; the angle tables that give the
-    # ranks are built one vertex per block
+    # Sets this small are tested directly; a 2-cell chunk holds no triple,
+    # so they take the angular sweep.  A few rows per block: rows are at
+    # most n - 1 cells long, so 40 cells is one row or more at these sizes;
+    # the angle tables that give the ranks are built one vertex per block.
+    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 2)
     monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", 40)
     monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
+    sweeps = _count_sweeps(monkeypatch)
     for s, expected in zip(sets, whole):
         got = enumerate_empty(s)
         assert list(got) == expected
         assert set(got) == brute_empty_triangles(s.points)
+    assert sweeps == [len(s) for s in sets]
 
 
 def _ray_and_half_plane_rows(s):
@@ -219,10 +230,13 @@ def test_enumerate_empty_on_rays_and_empty_half_planes_across_blocks(monkeypatch
         on_ray, empty_left = _ray_and_half_plane_rows(s)
         assert on_ray and empty_left, s.points
     whole = [list(enumerate_empty(s)) for s in sets]
-    # Rows run widest first, 2 to 20 cells wide here: blocks of 24 cells
-    # hold one to three rows, mostly of unequal width, wherever rows are 8
-    # or more cells wide (more of the narrower ones); 1 cell is one row
-    # per block.
+    # Sets this small are tested directly; a 2-cell chunk holds no triple,
+    # so they take the angular sweep.  Its rows run widest first, 2 to 20
+    # cells wide here: blocks of 24 cells hold one to three rows, mostly of
+    # unequal width, wherever rows are 8 or more cells wide (more of the
+    # narrower ones); 1 cell is one row per block.
+    monkeypatch.setattr(triangles, "_ROW_CHUNK_CELLS", 2)
+    sweeps = _count_sweeps(monkeypatch)
     for cells in (24, 1):
         monkeypatch.setattr(triangles, "_SWEEP_BLOCK_CELLS", cells)
         for s, expected in zip(sets, whole):
@@ -230,6 +244,7 @@ def test_enumerate_empty_on_rays_and_empty_half_planes_across_blocks(monkeypatch
             assert list(got) == expected
             assert list(got) == list(scan_empty_triangles(s))
             assert set(got) == brute_empty_triangles(s.points)
+    assert sweeps == [len(s) for s in sets] * 2
 
 
 def test_paired_empty_across_row_chunk_boundaries(monkeypatch):
