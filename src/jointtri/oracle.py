@@ -336,7 +336,11 @@ class Counterexample:
 
 @dataclass
 class HuntReport:
-    """Aggregate results of a randomized campaign."""
+    """Aggregate results of a randomized campaign.
+
+    ``greedy_success`` counts the verified constructions of either kind,
+    LEX greedy or interval DP, which is why the summary prints it as
+    ``construct_success``."""
 
     mode: str
     instances_tried: int = 0
@@ -373,16 +377,20 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
          bundle_dir: Optional[str] = None) -> HuntReport:
     """Randomized campaign over generated instances.
 
-    POINTS: run both necessary conditions; where they pass, construct
-    greedily (LEX) and verify; where n <= 8 also compare the combined
-    fast-path verdict against the exhaustive oracle.  POLYGONS: run the
-    interval DP and verify; where n <= 10 compare existence against the
-    polygon oracle.  ``nc_pass_count`` counts condition passes (POINTS)
-    or DP successes (POLYGONS); ``instances_skipped`` counts the tried
-    polygon instances ``gen_polygon_pair`` could not build, and the summary
-    names it only when it is not zero.  Any verification failure or oracle
-    disagreement is recorded as a counterexample (and serialized when
-    ``bundle_dir`` is given); these are findings, not errors.  Raises
+    Each instance takes one step, of either kind: generate the pair, run
+    the fast path, tally its result, cross-check it against the oracle.
+    The fast path is the LEX greedy where both necessary conditions hold
+    (POINTS; a collinear side fails them) or the interval DP (POLYGONS);
+    ``nc_pass_count`` counts its results, ``greedy_success`` the verified
+    ones.  With ``cross_check`` the oracle runs at n <= 8 (POINTS, though
+    the ``oracle`` command takes 9) or n <= MAX_ORACLE_POLYGON, collinear
+    point sets included; a polygon pair with a grazing diagonal leaves
+    before it.  ``instances_skipped`` counts the tried instances
+    ``gen_polygon_pair`` could not build, and the summary names it only
+    when it is not zero.  A verification failure or an oracle
+    disagreement is a counterexample, bundled when ``bundle_dir`` is
+    given; a disagreement's bundle name ends in ``-oracle``, so one
+    instance may have two.  These are findings, not errors.  Raises
     InputError, before the first instance, on an unknown mode, an empty
     size range, or a size or range ``gen_point_pair`` refuses.
     """
@@ -395,22 +403,56 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     _check_size(n_hi, coord_range)
     report = HuntReport(mode=mode)
     master = random.Random(seed)
+    if mode == POINTS:
+        generate, fast_path, oracle_exists, max_oracle, disagrees = (
+            gen_point_pair, _lex_where_conditions_hold, oracle_joint_exists, 8,
+            "oracle disagrees with fast path")
+    else:
+        generate, fast_path, oracle_exists, max_oracle, disagrees = (
+            gen_polygon_pair, dp_joint_polygon, polygon_oracle_exists,
+            MAX_ORACLE_POLYGON, "polygon oracle disagrees with dp")
 
     for _ in range(trials):
         inst_seed = master.randrange(2 ** 31)
         n = master.randint(n_lo, n_hi)
         report.instances_tried += 1
-        if mode == POINTS:
-            pair = gen_point_pair(n, coord_range, inst_seed)
-            _hunt_points(pair, inst_seed, n, report, cross_check, bundle_dir)
-        else:
-            try:
-                pair = gen_polygon_pair(n, coord_range, inst_seed)
-            except InputError:  # the sizes passed above: the generator gave up
-                report.instances_skipped += 1
-                continue
-            _hunt_polygons(pair, inst_seed, n, report, cross_check, bundle_dir)
+        try:
+            pair = generate(n, coord_range, inst_seed)
+        except InputError:  # the sizes passed above: the generator gave up
+            report.instances_skipped += 1
+            continue
+        try:
+            result = fast_path(pair)
+        except GrazingDiagonal:  # neither the DP nor the oracle decides it
+            continue
+        if result is not None:
+            report.nc_pass_count += 1
+            if result.verified:
+                report.greedy_success += 1
+            else:
+                report.counterexamples.append(
+                    verification_failure(pair, result, inst_seed, bundle_dir))
+        if cross_check and n <= max_oracle:
+            report.oracle_checked += 1
+            witness = oracle_exists(pair)
+            if (witness is not None) == (result is not None and result.verified):
+                report.oracle_agreements += 1
+            else:
+                verdict = "joint exists" if witness is not None else "no joint"
+                report.counterexamples.append(_bundled(
+                    Counterexample(mode, inst_seed, n, disagrees, oracle_verdict=verdict),
+                    pair, bundle_dir, []))
     return report
+
+
+def _lex_where_conditions_hold(pair: PointSetPair) -> Optional[JointTriangulation]:
+    """The LEX greedy construction where both necessary conditions hold,
+    else None; a collinear side (``DegenerateInput``) fails them."""
+    try:
+        nc = necessary_conditions(pair)
+    except DegenerateInput:
+        return None
+    return greedy_construct(pair, nc.legal.legal, LEX) if nc.ok else None
 
 
 def verification_failure(pair: Instance, result: JointTriangulation, seed: int,
@@ -433,58 +475,3 @@ def _bundled(finding: Counterexample, pair: Instance, bundle_dir: Optional[str],
     if bundle_dir is not None:
         finding.bundle_path = write_bundle(bundle_dir, pair, finding, trace)
     return finding
-
-
-def _hunt_points(pair: PointSetPair, inst_seed: int, n: int,
-                 report: HuntReport, cross_check: bool,
-                 bundle_dir: Optional[str]) -> None:
-    try:
-        nc = necessary_conditions(pair)
-    except DegenerateInput:
-        nc = None
-    fast_yes = False
-    if nc is not None and nc.ok:
-        report.nc_pass_count += 1
-        result = greedy_construct(pair, nc.legal.legal, LEX)
-        if result.verified:
-            report.greedy_success += 1
-            fast_yes = True
-        else:
-            report.counterexamples.append(
-                verification_failure(pair, result, inst_seed, bundle_dir))
-    if cross_check and n <= 8:
-        report.oracle_checked += 1
-        witness = oracle_joint_exists(pair)
-        if (witness is not None) == fast_yes:
-            report.oracle_agreements += 1
-        else:
-            verdict = "joint exists" if witness is not None else "no joint"
-            report.counterexamples.append(_bundled(
-                Counterexample(POINTS, inst_seed, n, "oracle disagrees with fast path",
-                               oracle_verdict=verdict), pair, bundle_dir, []))
-
-
-def _hunt_polygons(pair: PolygonPair, inst_seed: int, n: int,
-                   report: HuntReport, cross_check: bool,
-                   bundle_dir: Optional[str]) -> None:
-    try:
-        result = dp_joint_polygon(pair)
-    except GrazingDiagonal:
-        return
-    if result is not None:
-        report.nc_pass_count += 1
-        if result.verified:
-            report.greedy_success += 1
-        else:
-            report.counterexamples.append(
-                verification_failure(pair, result, inst_seed, bundle_dir))
-    if cross_check and n <= MAX_ORACLE_POLYGON:
-        report.oracle_checked += 1
-        witness = polygon_oracle_exists(pair)
-        if (witness is not None) == (result is not None and result.verified):
-            report.oracle_agreements += 1
-        else:
-            verdict = "joint exists" if witness is not None else "no joint"
-            report.counterexamples.append(_bundled(
-                Counterexample(POLYGONS, inst_seed, n, "polygon oracle disagrees with dp",
-                               oracle_verdict=verdict), pair, bundle_dir, []))

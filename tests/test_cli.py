@@ -413,13 +413,23 @@ def test_oracle_bytes_pinned(tmp_path):
     assert answers.count("YES") >= 20 and answers.count("NO") >= 20
 
 
-# sha256 of the stdout of two seeded `hunt` campaigns, with the oracle
+# sha256 of the stdout of seeded `hunt` campaigns, with the oracle
 # cross-check on: every count of the report is pinned.
 HUNT_SHA256 = {
     ("points", "4", "8", "200", "7"):
         "fba39a08a1f5f1a6a9536b5f690872508c3d0f8ce51fdf6e43fe73d08e4dc74f",
     ("polygons", "4", "10", "60", "3"):
         "2bd39a4861d9cf9609d3d9c74a4946b193888f1e9ff9d9a1d42a76fb8f33fdb3",
+    # 8 pairs with a collinear side: the fast path says no, the oracle still runs
+    ("points", "3", "9", "400", "5", "--range", "6"):
+        "ad2237ee044833a424fcb8cf24dbbd3add5d2d922c8ce68232d16bb9ef0d4465",
+    # the hunts ROADMAP.md tracks
+    ("points", "7", "7", "300", "1"):
+        "d63b13437dd89842f5bb6fd58e5925464e7697cc5580525864dc04fa1e9ace0f",
+    ("points", "6", "8", "300", "1", "--range", "10"):
+        "3d51ead7558216a7b8b903638782c671f3ecc27a3e4a84f893a21242e711348b",
+    ("polygons", "8", "10", "100", "1"):
+        "c9477fb8ff371c1e365cdf884648c7b9280cb9f3ce300ba87055247c892f7fb6",
 }
 
 
