@@ -33,6 +33,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
     """Parse instance text into (kind, pair); kind is POINTS or POLYGON."""
     header: tuple[str, int] | None = None
     rows: list[tuple[int, int, int, int]] = []
+    row_lines: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -60,6 +61,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             rows.append(tuple(int(v) for v in parts))  # type: ignore[arg-type]
         except ValueError:
             raise InstanceFormatError(line_no, f"non-integer coordinate in {body!r}")
+        row_lines.append(line_no)
     if header is None:
         raise InstanceFormatError(1, "empty instance file")
     kind, count = header
@@ -73,7 +75,8 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             return kind, PointSetPair(LabeledSet(tuple(a_pts)), LabeledSet(tuple(b_pts)))
         return kind, PolygonPair(Polygon(tuple(a_pts)), Polygon(tuple(b_pts)))
     except InputError as exc:
-        raise InstanceFormatError(1, str(exc))
+        # a rejection that names one point is reported at that point's row
+        raise InstanceFormatError(1 if exc.label is None else row_lines[exc.label], str(exc))
 
 
 def format_instance(kind: str, pair: Instance) -> str:

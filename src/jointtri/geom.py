@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,12 @@ class Point(NamedTuple):
 
 class InputError(ValueError):
     """An input or argument from outside the library was rejected (CLI
-    exit 1)."""
+    exit 1).  ``label`` is the 0-based label of the one point the
+    rejection names, or None."""
+
+    def __init__(self, message: str = "", label: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.label = label
 
 
 class DegenerateInput(InputError):
@@ -93,13 +98,23 @@ def orient(p: Point, q: Point, r: Point) -> int:
 
 
 def check_coords(points: Iterable[Point]) -> None:
-    """Raise InputError on the first point with a coordinate outside
-    [-COORD_LIMIT, COORD_LIMIT]."""
-    for p in points:
+    """Raise InputError, with its label, on the first point with a
+    coordinate outside [-COORD_LIMIT, COORD_LIMIT]."""
+    for label, p in enumerate(points):
         if not (-COORD_LIMIT <= p[0] <= COORD_LIMIT
                 and -COORD_LIMIT <= p[1] <= COORD_LIMIT):
             raise InputError(
-                f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}")
+                f"coordinate out of range [-{COORD_LIMIT}, {COORD_LIMIT}]: {p}", label)
+
+
+def check_distinct(points: Sequence[Point], message: str) -> None:
+    """Raise InputError(message), with the label of the first point that
+    repeats an earlier one, unless the points are pairwise distinct."""
+    seen: set[Point] = set()
+    for label, p in enumerate(points):
+        if p in seen:
+            raise InputError(message, label)
+        seen.add(p)
 
 
 def signed_area2(points: Sequence[Point]) -> int:
@@ -126,8 +141,7 @@ class LabeledSet:
         if len(self.points) < 3:
             raise InputError("a labeled set needs at least 3 points")
         check_coords(self.points)
-        if len(set(self.points)) != len(self.points):
-            raise InputError("points must be pairwise distinct")
+        check_distinct(self.points, "points must be pairwise distinct")
 
     @classmethod
     def from_coords(cls, coords: Iterable[tuple[int, int]]) -> "LabeledSet":

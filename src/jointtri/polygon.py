@@ -2,9 +2,11 @@
 
 Pipeline: per-polygon visibility graphs, their label-wise intersection,
 then an interval dynamic program over boundary indices.  Each polygon
-holds one exact [n, n] table of the side of every vertex against every
-edge's line (``Polygon.sides``): construction fills it and checks
-simplicity on it, and visibility reads it.  Two [n, n] masks (does a
+converts its vertices once, to one int64 [n, 2] array
+(``Polygon.coords``), and holds one exact [n, n] table of the side of
+every vertex against every edge's line (``Polygon.sides``), built from
+that array: construction fills the table and checks simplicity on it,
+and visibility reads both.  Two [n, n] masks (does a
 chord leave both ends into the interior angle, does it pass through a
 third vertex) pick the chords worth a boundary crossing test, and the
 masks with that test decide every chord.  Small polygons test every
@@ -25,14 +27,15 @@ in both its row and its column, so no choice is stored per cell.
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .geom import (InputError, Point, SizeGuard, angle_order, check_coords,
-                   hull_edge_set, signed_area2)
+                   check_distinct, hull_edge_set, signed_area2)
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, tri
 
@@ -103,43 +106,50 @@ class Polygon:
     Construction validates simplicity exactly: non-adjacent edges must
     not touch at all, adjacent edges must share only their common
     endpoint.  The given vertex order is preserved (it defines the
-    labels); ``ccw_sign`` says which way it winds.
+    labels); ``ccw_sign`` says which way it winds (+1 counterclockwise,
+    -1 clockwise).  ``coords`` is the vertices as one read-only int64
+    [n, 2] array, built once by construction: the side table, the
+    simplicity check and visibility read the vertices from it alone.
     """
 
     vertices: tuple[Point, ...]
+    ccw_sign: int = field(init=False, repr=False, compare=False)
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
         if n < 3:
             raise InputError("a polygon needs at least 3 vertices")
         check_coords(self.vertices)
-        if len(set(self.vertices)) != n:
-            raise InputError("polygon vertices must be pairwise distinct")
-        if signed_area2(self.vertices) == 0:
+        check_distinct(self.vertices, "polygon vertices must be pairwise distinct")
+        if (area := signed_area2(self.vertices)) == 0:
             raise InputError("polygon has zero area")
+        object.__setattr__(self, "ccw_sign", 1 if area > 0 else -1)
+        coords = np.fromiter(chain.from_iterable(self.vertices), np.int64).reshape(n, 2)
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
         # With distinct vertices the cycle is simple iff no two edges meet
         # but at a shared endpoint: no edge crosses another properly (each
         # one's ends strictly apart across the other's line) and no vertex
         # lies strictly inside an edge (on its line, seeing its ends in
         # opposite directions).  ``sides`` is read in row blocks; the first
         # offending pair (i, j), i < j, in row-major order is reported.
-        side = self.sides
-        xs, ys = np.array(self.vertices, dtype=np.int64).T
+        side, p = self.sides, self.coords
+        nxt = np.arange(1 - n, 1)  # k + 1, mod n, as an index
         first = n * n
         step = max(1, _HIT_BLOCK_CELLS // n)
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             s = side[lo:hi]
-            # t[c, r - lo]: vertex r against edge c, for r = lo .. hi (mod n)
-            t = np.concatenate((side[:, lo:hi], side[:, hi % n, None]), axis=1)
-            proper = (s * np.roll(s, -1, axis=1) < 0) & (t[:, :-1] * t[:, 1:] < 0).T
-            r, c = np.divmod(np.flatnonzero(s == 0), n)
-            u, v = r + lo, (r + lo + 1) % n
-            inside = np.zeros_like(proper)
-            inside[r, c] = ((xs[c] - xs[u]) * (xs[c] - xs[v])
-                            + (ys[c] - ys[u]) * (ys[c] - ys[v]) < 0)
-            # edge r crosses edge c, or vertex c or c + 1 lies inside edge r
-            hits = proper | inside | np.roll(inside, -1, axis=1)
+            t = side[:, lo:hi]  # edge r's ends against edge c's line
+            hits = (s * s.take(nxt, axis=1) < 0) & (t * side.take(nxt[lo:hi], axis=1) < 0).T
+            # a vertex c on edge r's line besides its ends may lie inside it
+            if np.count_nonzero(s == 0) > 2 * (hi - lo):
+                r, c = np.divmod(np.flatnonzero(s == 0), n)
+                inside = np.zeros(hits.shape, dtype=bool)
+                inside[r, c] = np.add.reduce(
+                    (p[c] - p[r + lo]) * (p[c] - p[r + (lo + 1 - n)]), axis=1) < 0
+                hits |= inside | inside[:, nxt]
             r, c = np.divmod(np.flatnonzero(hits), n)
             if r.size:
                 r += lo
@@ -164,11 +174,6 @@ class Polygon:
     def __getitem__(self, label: int) -> Point:
         return self.vertices[label]
 
-    @cached_property
-    def ccw_sign(self) -> int:
-        """+1 if the vertex cycle winds counterclockwise, -1 if clockwise."""
-        return 1 if signed_area2(self.vertices) > 0 else -1
-
     def boundary_edges(self) -> frozenset[Edge]:
         return hull_edge_set(range(len(self.vertices)))
 
@@ -179,16 +184,16 @@ class Polygon:
         Construction fills and reads it, and keeps it only up to
         MAX_POLYGON_VERTICES vertices; the cone test and both crossing
         tests read it.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
-        xs, ys = np.array(self.vertices, dtype=np.int64).T
-        n = len(xs)
+        p = self.coords
+        n = len(p)
+        # edge k cross v - p[k]: (ex, -ey) against (y, x) of v, less of p[k]
+        e = p.take(np.arange(1 - n, 1), axis=0) - p
+        e[:, 1] *= -1
         side = np.empty((n, n), dtype=np.int8)
         step = max(1, _HIT_BLOCK_CELLS // (4 * n))
         for lo in range(0, n, step):
-            k = np.arange(lo, min(n, lo + step))
-            k1 = (k + 1) % n
-            ex, ey = (xs[k1] - xs[k])[:, None], (ys[k1] - ys[k])[:, None]
-            v, at_k = ex * ys - ey * xs, ex * ys[k, None] - ey * xs[k, None]
-            np.subtract(v > at_k, v < at_k, dtype=np.int8, out=side[lo:lo + step])
+            cross = e[lo:lo + step] @ p[:, ::-1].T
+            side[lo:lo + step] = np.sign(cross - cross.diagonal(lo)[:, None])
         side.flags.writeable = False
         return side
 
@@ -246,12 +251,14 @@ def _cone(side: np.ndarray, ccw_sign: int) -> np.ndarray:
     convex u (interior angle at most pi: u + 1 is not right of the edge
     u - 1 -> u) needs v strictly left of both the edge into u and the edge
     out of u, a reflex u needs either.  Adjacent vertices never qualify.
+    The edge into u is row u - 1 of the table, read for every u by one
+    gather through the "previous" index (u - 1 mod n).
     """
-    out = ccw_sign * side > 0
-    into = np.roll(out, 1, axis=0)
-    u = np.arange(len(side))
-    convex = (ccw_sign * side[u - 1, (u + 1) % len(u)] >= 0)[:, None]
-    cone = np.where(convex, into & out, into | out)
+    prev = np.arange(-1, len(side) - 1)  # u - 1, mod n, as an index
+    out = side == ccw_sign
+    into = out.take(prev, axis=0)
+    convex = side[prev, prev + (2 - len(side))] != -ccw_sign
+    cone = np.where(convex[:, None], into & out, into | out)
     return cone & cone.T
 
 
@@ -326,37 +333,40 @@ def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
     return blocked
 
 
-def _boundary_hits(xs: np.ndarray, ys: np.ndarray, side: np.ndarray,
-                   us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_hits(coords: np.ndarray, side: np.ndarray, us: np.ndarray,
+                   vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact tests of the segments us[r] -> vs[r], between vertices of the
-    cycle (xs, ys) with edge-side table ``side`` (``Polygon.sides``),
-    against its boundary.  Returns two [len(us), n] masks: ``proper[r, k]``
-    iff the segment and edge k -> k+1 cross at a point interior to both,
-    and ``inside[r, w]`` iff vertex w lies strictly inside the segment.
+    cycle ``coords`` (``Polygon.coords``) with edge-side table ``side``
+    (``Polygon.sides``), against its boundary.  Returns two [len(us), n]
+    masks: ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a
+    point interior to both, and ``inside[r, w]`` iff vertex w lies strictly
+    inside the segment.
 
     The segment crosses edge k properly iff the edge's ends lie strictly
     on opposite sides of the segment's line, computed here, and the
     segment's ends strictly on opposite sides of the edge's, read off
-    ``side``.  A vertex on the segment's line lies strictly inside it iff
-    it sees its ends in opposite directions (a negative dot product).
+    ``side``.  Each vertex's side of each segment's line is one [len(us),
+    n] table; edge k's far end is its column k + 1, read for every k by
+    one gather through the "next" index (k + 1 mod n).  A vertex on the
+    segment's line lies strictly inside it iff it sees its ends in
+    opposite directions (a negative dot product); that test runs only if
+    some line holds a vertex besides the segment's own ends.
     Int64 is exact for coordinates within COORD_LIMIT; ``_diagonal_mask``
     passes at most ``_HIT_BLOCK_CELLS // (4 * n)`` segments.
     """
-    dx, dy = xs[vs] - xs[us], ys[vs] - ys[us]
-    # vertex w is left of segment r iff cross > 0, with cross =
-    # dx * (y_w - y_u) - dy * (x_w - x_u), split into [r, w] and [r] terms;
-    # column n repeats vertex 0, so column k + 1 is edge k's far end
-    ring = np.arange(-len(xs), 1)
-    cross = dx[:, None] * ys[ring] - dy[:, None] * xs[ring]
-    offset = (dx * ys[us] - dy * xs[us])[:, None]
-    left, right = cross > offset, cross < offset
-    proper = (left[:, :-1] & right[:, 1:]) | (right[:, :-1] & left[:, 1:])
-    proper &= (side[:, us] * side[:, vs] < 0).T
-    inside = ~(left[:, :-1] | right[:, :-1])
-    r, w = np.nonzero(inside)
-    u, v = us[r], vs[r]
-    inside[r, w] = ((xs[w] - xs[u]) * (xs[w] - xs[v])
-                    + (ys[w] - ys[u]) * (ys[w] - ys[v]) < 0)
+    pu = coords.take(us, axis=0)
+    # d = p[v] - p[u] cross p[w] - p[u]: (dx, -dy) against (y, x) of w, less of p[u]
+    d = coords.take(vs, axis=0) - pu
+    d[:, 1] *= -1
+    cross = d @ coords[:, ::-1].T
+    sign = np.sign(cross - cross[np.arange(len(us)), us][:, None])
+    proper = sign * sign.take(np.arange(1 - len(coords), 1), axis=1) < 0
+    proper &= (side.take(us, axis=1) * side.take(vs, axis=1) < 0).T
+    inside = np.zeros(proper.shape, dtype=bool)
+    if np.count_nonzero(sign == 0) > 2 * len(us):
+        r, w = np.nonzero(sign == 0)
+        inside[r, w] = np.add.reduce((coords[w] - pu[r]) * (coords[w] - coords[vs[r]]),
+                                     axis=1) < 0
     return proper, inside
 
 
@@ -379,23 +389,23 @@ def _diagonal_mask(poly: Polygon, chords: np.ndarray) -> np.ndarray:
     first ambiguous chord in row-major order: rather than guess, such
     instances are refused.
     """
-    xs, ys = np.array(poly.vertices, dtype=np.int64).T
-    n = len(xs)
+    p = poly.coords
+    n = len(p)
     cone = _cone(poly.sides, poly.ccw_sign) & chords
     if np.count_nonzero(chords) * n <= _HIT_BLOCK_CELLS // 4:
         us, vs = np.nonzero(chords)
-        proper, inside = _boundary_hits(xs, ys, poly.sides, us, vs)
+        proper, inside = _boundary_hits(p, poly.sides, us, vs)
         graze, blocked = np.zeros((2, n, n), dtype=bool)
         graze[us, vs], blocked[us, vs] = inside.any(axis=1), proper.any(axis=1)
     else:
-        order, first, last, graze = angle_order(xs, ys)
+        order, first, last, graze = angle_order(*p.T)
         graze &= chords
         blocked = _span_crossings(poly.sides, order, first, last, cone | graze)
     ambiguous = graze & ~blocked
-    if ambiguous.any():
+    if np.count_nonzero(ambiguous):
         chord = divmod(int(np.argmax(ambiguous)), n)
         raise GrazingDiagonal(f"diagonal candidate {chord} passes through another vertex")
-    return cone & ~graze & ~blocked
+    return cone & ~blocked  # graze lies within blocked here
 
 
 def _edge_table(diagonals: np.ndarray) -> EdgeTable:

@@ -85,7 +85,8 @@ def test_parse_errors_carry_line_numbers():
 
 def test_constructor_rejections_are_input_errors():
     """The constructors reject outside input with InputError, and
-    parse_instance reports each rejection it can reach at line 1."""
+    parse_instance reports a rejection that names one point at that
+    point's row, and any other at line 1."""
     square = [(0, 0), (2, 0), (2, 2), (0, 2)]
     for build, message in (
             (lambda: LabeledSet.from_coords([(0, 0), (1, 0)]),
@@ -101,21 +102,28 @@ def test_constructor_rejections_are_input_errors():
         with pytest.raises(InputError) as err:
             build()
         assert str(err.value) == message
-    for kind, coords, message in (
-            (KIND_POINTS, [(0, 0), (1, 0), (0, 0)], "points must be pairwise distinct"),
-            (KIND_POINTS, [(0, 0), (1, 0), (0, 1 << 25)],
+    # the header is line 1, so label k is on line k + 2
+    for kind, coords, line, message in (
+            (KIND_POINTS, [(0, 0), (1, 0), (0, 0)], 4, "points must be pairwise distinct"),
+            (KIND_POINTS, [(0, 0), (1, 0), (0, 1 << 25)], 4,
              "coordinate out of range [-16777216, 16777216]: Point(x=0, y=33554432)"),
-            (KIND_POLYGON, [(0, 0), (1, 0), (0, 0), (1, 1)],
+            (KIND_POLYGON, [(0, 0), (1, 0), (0, 0), (1, 1)], 4,
              "polygon vertices must be pairwise distinct"),
-            (KIND_POLYGON, [(0, 0), (1, 1), (2, 2)], "polygon has zero area"),
-            (KIND_POLYGON, [(0, 0), (4, 0), (2, 0), (2, 4)],
+            (KIND_POLYGON, [(0, 0), (1 << 25, 0), (0, 1)], 3,
+             "coordinate out of range [-16777216, 16777216]: Point(x=33554432, y=0)"),
+            (KIND_POLYGON, [(0, 0), (1, 1), (2, 2)], 1, "polygon has zero area"),
+            (KIND_POLYGON, [(0, 0), (4, 0), (2, 0), (2, 4)], 1,
              "boundary is not simple: edges at vertex overlap near Point(x=4, y=0)"),
-            (KIND_POLYGON, [(0, 0), (4, 0), (4, 4), (6, 4), (2, 4)],
+            (KIND_POLYGON, [(0, 0), (4, 0), (4, 4), (6, 4), (2, 4)], 1,
              "boundary is not simple: edges 1 and 3 intersect")):
         text = f"{kind} {len(coords)}\n" + "".join(f"{x} {y} {x} {y}\n" for x, y in coords)
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(text)
-        assert str(err.value) == f"line 1: {message}"
+        assert str(err.value) == f"line {line}: {message}"
+        build = LabeledSet if kind == KIND_POINTS else Polygon
+        with pytest.raises(InputError) as err:
+            build.from_coords(coords)
+        assert err.value.label == (None if line == 1 else line - 2)
 
 
 def test_parse_instance_lets_a_plain_value_error_through(monkeypatch):
@@ -211,11 +219,11 @@ def test_check_malformed_exit_1(tmp_path):
 
 def test_out_of_range_coordinates_exit_1(tmp_path):
     """Point sets and polygons refuse a coordinate beyond COORD_LIMIT with
-    one message, reported at line 1 of the file."""
-    for cmd, text, point in (
-            ("check", "POINTS 3\n0 0 0 0\n16777217 0 1 0\n0 1 0 1\n",
+    one message, reported at the file line of the row that holds it."""
+    for cmd, text, line, point in (
+            ("check", "POINTS 3\n0 0 0 0\n16777217 0 1 0\n0 1 0 1\n", 3,
              "Point(x=16777217, y=0)"),
-            ("polygon", "POLYGON 3\n0 0 0 0\n1 0 1 0\n0 1 0 -16777217\n",
+            ("polygon", "POLYGON 3\n0 0 0 0\n1 0 1 0\n0 1 0 -16777217\n", 4,
              "Point(x=0, y=-16777217)")):
         path = tmp_path / f"{cmd}.txt"
         path.write_text(text)
@@ -223,8 +231,25 @@ def test_out_of_range_coordinates_exit_1(tmp_path):
         with redirect_stderr(err):
             code, out = run_cli(cmd, str(path))
         assert (code, out) == (1, "")
-        assert err.getvalue() == (f"{path}: line 1: coordinate out of range "
+        assert err.getvalue() == (f"{path}: line {line}: coordinate out of range "
                                   f"[-16777216, 16777216]: {point}\n")
+
+
+def test_repeated_points_exit_1_at_the_later_copy(tmp_path):
+    """A repeated point or vertex is reported at the file line of its
+    later copy, past comment lines, on either side of the pair."""
+    for cmd, text, line, message in (
+            ("check", "# four points\nPOINTS 4\n0 0 0 0\n1 0 1 0\n\n# a repeat\n"
+             "0 1 0 1\n1 0 2 2\n", 8, "points must be pairwise distinct"),
+            ("polygon", "POLYGON 4\n0 0 0 0\n2 0 2 0\n2 2 0 0\n0 2 0 2\n", 4,
+             "polygon vertices must be pairwise distinct")):
+        path = tmp_path / f"{cmd}.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(cmd, str(path))
+        assert (code, out) == (1, "")
+        assert err.getvalue() == f"{path}: line {line}: {message}\n"
 
 
 def test_triangulate_lex(quad_file):

@@ -269,6 +269,56 @@ def test_visibility_on_grid_polygons_matches_brute_force():
     assert grazed >= 100 and visible >= 100, (grazed, visible)
 
 
+def test_coords_is_one_read_only_int64_array():
+    """``Polygon.coords`` is the vertices as one read-only int64 [n, 2]
+    array, built by construction and the same object on every read."""
+    for coords in (CONVEX_QUAD, DART[::-1],
+                   [(-COORD_LIMIT, -COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT),
+                    (COORD_LIMIT, COORD_LIMIT)]):
+        poly = Polygon.from_coords(coords)
+        assert "coords" in vars(poly)
+        got = poly.coords
+        assert got.dtype == np.int64 and got.shape == (len(coords), 2)
+        assert got.tolist() == [list(v) for v in poly.vertices]
+        assert not got.flags.writeable and poly.coords is got
+        with pytest.raises(ValueError):
+            got[0, 0] = 1
+
+
+@pytest.mark.parametrize("one_or_two_rows", (False, True))
+def test_visibility_on_hunt_polygons_matches_brute_force(monkeypatch, one_or_two_rows):
+    """Both polygons of every ``gen_polygon_pair`` the hunt draws at
+    n = 3-10, ranges 12 and 50, seeds 0-199: each is simple, its diagonal
+    table equals ``brute_diagonal_visible`` and it raises GrazingDiagonal
+    exactly on ``_first_grazing_chord``.  With ``one_or_two_rows`` each
+    construction block holds two rows of the side table (one in the last
+    block at odd n), the table is built a row per block and visibility
+    takes the span path wherever there is a chord."""
+    checked = 0
+    for n in range(3, 11):
+        if one_or_two_rows:
+            monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 2 * n)
+        for coord_range in (12, 50):
+            for seed in range(200):
+                pair = gen_polygon_pair(n, coord_range, seed)
+                for poly in (pair.a, pair.b):
+                    coords = poly.vertices
+                    assert brute_is_simple(coords), coords
+                    checked += 1
+                    first = _first_grazing_chord(coords)
+                    if first is not None:
+                        with pytest.raises(GrazingDiagonal) as exc:
+                            poly.diagonals
+                        assert str(exc.value) == _grazing_message(first)
+                        continue
+                    diagonals = poly.diagonals
+                    for i, j in combinations(range(n), 2):
+                        adjacent = j - i == 1 or (i, j) == (0, n - 1)
+                        seen = not adjacent and brute_diagonal_visible(coords, i, j)
+                        assert diagonals[i, j] == seen, (coords, i, j)
+    assert checked == 8 * 2 * 200 * 2
+
+
 def _mask_polygons():
     """Simple grid cycles, stars and convex polygons, each in both windings."""
     out = [c for c in _grid_cycles(11, 1200) if brute_is_simple(c)]
@@ -311,7 +361,7 @@ def test_cone_and_graze_match_scalar_references():
         poly = Polygon.from_coords(coords)
         cone = polygon._cone(poly.sides, poly.ccw_sign)
         us, vs = np.divmod(np.arange(n * n), n)
-        graze = polygon._boundary_hits(xs, ys, poly.sides, us, vs)[1]
+        graze = polygon._boundary_hits(poly.coords, poly.sides, us, vs)[1]
         graze = graze.any(axis=1).reshape(n, n)
         span_graze = angle_order(xs, ys)[3]
         for u in range(n):
