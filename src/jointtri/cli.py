@@ -153,8 +153,7 @@ def _write_svg(path: str, pair, triangles) -> None:
     else:
         a, b, boundary = pair.a.points, pair.b.points, None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_pair(a, b, list(triangles),
-                             boundary_a=boundary, boundary_b=boundary))
+        fh.write(render_pair(a, b, list(triangles), boundary))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,10 +17,9 @@ from typing import Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from .conditions import PointSetPair
-from .geom import (DegenerateInput, Point, hull_edge_set, orient, row_bits,
+from .geom import (DegenerateInput, Point, hull_edge_set, row_bits,
                    signed_area2, strictly_left)
-from .triangles import (FLIPS, Edge, Tri, TriangleSet, apex, edge, tri,
-                        tri_edges)
+from .triangles import Edge, Tri, TriangleSet, edge, tri
 
 LEX = "lex"
 SEEDED_RANDOM = "random"
@@ -105,20 +104,22 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
     3. doubled areas summing to each cycle's doubled area (redundant);
     4. the same boundary edges on every side;
     5. every used edge in ``allowed``, when given;
-    6. on every side, at most one triangle on each side of each used edge;
-    7. each boundary edge used once, its triangle on the interior side of
-       the cycle's winding;
-    8. every other edge used twice.
+    6. on every side, with each triangle's edges directed to have it on
+       their left: no directed edge twice, and the directed edges whose
+       reverse is missing are exactly the cycle, directed to have its
+       interior on their left (the half-edge invariant of a planar
+       subdivision: every half-edge has a twin except on the boundary).
 
     The checks are local and linear in size, yet they rule out overlap.  In
     one realization let deg(x) count the triangles containing a point x on
     no edge.  By 2, two distinct edges share at most one point (a collinear
     overlap would put a vertex on an edge), so deg changes only across an
     edge, by the triangles on that edge on the side entered minus those on
-    the side left.  By 6 and 8 an interior edge has one triangle on each
-    side, so deg does not change across it; by 7 deg changes across a
-    boundary edge exactly as the indicator of the cycle's interior does.
-    So deg minus the indicator is constant, and zero far away: the
+    the side left.  By 6 each side of an edge holds at most one triangle;
+    an edge off the cycle has one on each side, so deg does not change
+    across it, and a cycle edge has one on its interior side only, so deg
+    changes across it exactly as the indicator of the cycle's interior
+    does.  So deg minus the indicator is constant, and zero far away: the
     triangles cover the cycle's interior exactly once and nothing outside
     it, and by 2 every point is a vertex.  This forces the triangle count
     (n - 2 for a polygon, 2n - h - 2 for n points with h on the hull).
@@ -152,35 +153,28 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
     if any(hull_edge_set(cycle) != boundary for _, _, cycle in sides[1:]):
         return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
 
-    uses: dict[Edge, list[int]] = {}
-    for r, t in enumerate(tris):
-        for e in tri_edges(t):
-            uses.setdefault(e, []).append(r)
     if allowed is not None:
-        for e in sorted(uses):
+        used = {e for i, j, k in tris for e in ((i, j), (j, k), (i, k))}
+        for e in sorted(used):
             if e not in allowed:
                 return f"edge {e} not shared by both visibility graphs"
 
-    signs = np.sign(dets).tolist()
-    seen: dict[tuple[str, Edge, int], int] = {}
-    for r, t in enumerate(tris):
-        for (name, _, _), sign in zip(sides, signs):
-            for e, flip in zip(tri_edges(t), FLIPS):
-                u = seen.setdefault((name, e, flip * sign[r]), r)
+    for (name, _, cycle), det, winding in zip(sides, dets.tolist(), windings):
+        half: dict[Edge, int] = {}  # directed edge -> the triangle on its left
+        for r, (i, j, k) in enumerate(tris):
+            for h in ((i, j), (j, k), (k, i)) if det[r] > 0 else ((j, i), (k, j), (i, k)):
+                u = half.setdefault(h, r)
                 if u != r:
-                    return f"triangles {tris[u]} and {t} overlap in {name}"
-
-    for e in sorted(boundary):
-        if len(uses.get(e, ())) != 1:
-            return f"boundary edge {e} used {len(uses.get(e, ()))} times (want 1)"
-    for (name, points, cycle), winding in zip(sides, windings):
-        for a, b in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-            t = tris[uses[edge(a, b)][0]]
-            if orient(points[a], points[b], points[apex(t, (a, b))]) != winding:
-                return f"triangle {t} outside boundary edge {edge(a, b)} in {name}"
-    for e in sorted(uses):
-        if e not in boundary and len(uses[e]) != 2:
-            return f"interior edge {e} used {len(uses[e])} times (want 2)"
+                    return f"triangles {tris[u]} and {tris[r]} overlap in {name}"
+        rim = set(zip(cycle, [*cycle[1:], cycle[0]]))
+        if winding < 0:
+            rim = {(b, a) for a, b in rim}
+        loose = {(a, b) for a, b in half if (b, a) not in half}
+        if loose != rim:
+            e = min(edge(*h) for h in loose ^ rim)
+            if e in boundary:
+                return f"boundary edge {e} not covered once from inside in {name}"
+            return f"interior edge {e} has a triangle on one side only in {name}"
     return None
 
 

@@ -48,9 +48,9 @@ class _Panel:
 
 def render_pair(points_a: Sequence[Point], points_b: Sequence[Point],
                 triangles: Sequence[Tri],
-                boundary_a: Optional[Sequence[int]] = None,
-                boundary_b: Optional[Sequence[int]] = None) -> str:
-    """Render both realizations of a triangle set as one SVG document."""
+                boundary: Optional[Sequence[int]] = None) -> str:
+    """Render both realizations of a triangle set as one SVG document,
+    with the label cycle ``boundary``, when given, outlined on both."""
     tris = sorted(tri(*t) for t in triangles)
 
     def panel_scale(pts: Sequence[Point]) -> float:
@@ -82,7 +82,6 @@ def render_pair(points_a: Sequence[Point], points_b: Sequence[Point],
             parts.append(
                 f'<polygon points="{coords}" fill="{fill}" fill-opacity="0.55" '
                 f'stroke="#333333" stroke-width="1"/>')
-        boundary = boundary_a if caption == "A" else boundary_b
         if boundary:
             coords = " ".join("%.2f,%.2f" % panel.map(pts[v]) for v in boundary)
             coords += " %.2f,%.2f" % panel.map(pts[boundary[0]])

@@ -46,14 +46,6 @@ def tri_edges(t: Tri) -> tuple[Edge, Edge, Edge]:
 FLIPS = (1, 1, -1)
 
 
-def apex(t: Tri, e: Edge) -> int:
-    """The vertex of t opposite to edge e."""
-    for v in t:
-        if v not in e:
-            return v
-    raise ValueError(f"edge {e} not in triangle {t}")
-
-
 class TriangleSet:
     """A set of canonical label triples.
 
@@ -207,12 +199,10 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     after them can be a candidate or precede one.  So row (i, j) is
     L = g + |{k strictly left of i -> j}| long (g from ``angle_order``'s
     ``last`` table, the count a popcount of the orientation table's row
-    (i, j)), a
-    candidate is a position t with g <= t < L, and rows with nothing
-    strictly left are skipped.  Rows are sorted by L, longest first, and
-    swept in blocks of about ``_SWEEP_BLOCK_CELLS`` cells, each as long as
-    its longest row; when one block holds every row they are neither
-    sorted nor split.
+    (i, j)), a candidate is a position t with g <= t < L, and rows with
+    nothing strictly left are skipped.  Rows are sorted by L, longest
+    first, and swept in blocks of about ``_SWEEP_BLOCK_CELLS`` cells, each
+    as long as its longest row.
     """
     n = len(s)
     if math.comb(n, 3) * n <= _ROW_CHUNK_CELLS:
@@ -237,11 +227,9 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     base = flat_r[cell]
     group = last.reshape(-1)[cell] + 1 - base
     length = group + left
-    widest = int(length.max(initial=0))
-    if len(cell) * widest > _SWEEP_BLOCK_CELLS:
-        wide = np.argsort(-length, kind="stable")
-        cell, base, group, left, length = (
-            a[wide] for a in (cell, base, group, left, length))
+    wide = np.argsort(-length, kind="stable")
+    cell, base, group, left, length = (
+        a[wide] for a in (cell, base, group, left, length))
     ii, jj = np.divmod(cell, n)
     # The first point in j's direction from i has index R[i, j] in i's
     # sorted list, since exactly R[i, j] points precede that direction.
@@ -254,7 +242,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     lo = 0
     while lo < len(cell):
         # a block of rows is [positions, rows], as long as its first row
-        w = widest if lo == 0 else int(length[lo])
+        w = int(length[lo])
         b = slice(lo, lo + max(1, _SWEEP_BLOCK_CELLS // w))
         lo = b.stop
         k = np.ascontiguousarray(around[start[b], :w].T)

@@ -5,10 +5,10 @@ from itertools import combinations, islice
 
 from jointtri import greedy
 from jointtri.conditions import PointSetPair, necessary_conditions
-from jointtri.geom import DegenerateInput, LabeledSet, convex_hull
-from jointtri.greedy import LEX, greedy_construct, verify_joint
+from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
+from jointtri.greedy import LEX, greedy_construct, verify_joint, verify_tiling
 from jointtri.oracle import gen_perturbed_pair, gen_point_pair, gen_polygon_pair
-from jointtri.polygon import PolygonPair, dp_joint_polygon, verify_polygon_joint
+from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
 from helpers import (grid_locked_coords, mutate, pairwise_verify_points,
@@ -53,25 +53,29 @@ def _point_cases(rng):
 def _polygon_cases(rng):
     """Seeded (pair, triangles) cases: DP results on random pairs and on
     self pairs, each self-pair result also on the random pair, and
-    mutations of all of them."""
+    mutations of all of them.  Each random pair (A, B) comes with
+    (A, M) and the self pair (M, M), where M is A's mirror image
+    (x, -y), so that M winds clockwise."""
     seed = 0
     while True:
         seed += 1
         n = rng.randint(4, 9)
         try:
-            pair = gen_polygon_pair(n, 30, 6000 + seed)
+            drawn = gen_polygon_pair(n, 30, 6000 + seed)
         except ValueError:
             continue
-        selfpair = PolygonPair(pair.a, pair.a)
-        found = [(p, dp_joint_polygon(p)) for p in (pair, selfpair)]
-        for p, jt in found:
-            if jt is None:
-                continue
-            tris = jt.triangles.sorted_triangles()
-            targets = (p, pair) if p is selfpair else (p,)
-            for q in targets:
-                yield q, tris
-                yield q, mutate(rng, tris, n)
+        mirror = Polygon.from_coords((x, -y) for x, y in drawn.a.vertices)
+        for pair, selfpair in ((drawn, PolygonPair(drawn.a, drawn.a)),
+                               (PolygonPair(drawn.a, mirror), PolygonPair(mirror, mirror))):
+            found = [(p, dp_joint_polygon(p)) for p in (pair, selfpair)]
+            for p, jt in found:
+                if jt is None:
+                    continue
+                tris = jt.triangles.sorted_triangles()
+                targets = (p, pair) if p is selfpair else (p,)
+                for q in targets:
+                    yield q, tris
+                    yield q, mutate(rng, tris, n)
 
 
 def _differential(cases, count, library, reference):
@@ -93,12 +97,16 @@ def test_point_verifier_matches_pairwise_reference():
 
 
 def test_polygon_verifier_matches_pairwise_reference():
+    cases = list(islice(_polygon_cases(random.Random(2025)), 600))
     verdicts = _differential(
-        _polygon_cases(random.Random(2025)), 300, verify_polygon_joint,
+        cases, 600, verify_polygon_joint,
         lambda pair, tris: pairwise_verify_polygons(pair.a.vertices,
                                                     pair.b.vertices, tris))
-    assert len(verdicts) == 300
+    assert len(verdicts) == 600
     assert sum(verdicts) >= 50 and verdicts.count(False) >= 50
+    # the verifier reads a clockwise B's boundary in reverse, both ways
+    clockwise = [v for (pair, _), v in zip(cases, verdicts) if pair.b.ccw_sign < 0]
+    assert sum(clockwise) >= 50 and clockwise.count(False) >= 50
 
 
 def _grid_triple_cases(rng):
@@ -133,3 +141,35 @@ def test_verifier_messages_hold_across_scan_blocks(monkeypatch):
     for kind in ("not empty in A", "not empty in B", "degenerate in A"):
         assert sum(kind in m for m in messages) >= 10, kind
     assert whole.count(None) >= 50
+
+
+# Hand-built triple sets that pass checks 1-5 and fail only the half-edge
+# check, each on a vertex cycle that winds counterclockwise as given:
+# (coordinates, triangles, message).
+_HALF_EDGE_FAILURES = [
+    # two halves of a square on the same side of edge (0, 1): the areas
+    # add up to the square's
+    ([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2), (0, 1, 3)],
+     "triangles (0, 1, 2) and (0, 1, 3) overlap in A"),
+    # four triangles of a hexagon whose edges cross but share no directed
+    # edge: the overlap and the gap have equal area
+    ([(1, 0), (3, 0), (4, 2), (3, 4), (1, 4), (0, 2)],
+     [(0, 1, 2), (0, 2, 5), (1, 4, 5), (2, 3, 4)],
+     "interior edge (1, 4) has a triangle on one side only in A"),
+    # a polygon with a reflex vertex 1, triangulated with (0, 1, 4) moved
+    # across boundary edge (0, 1) to the notch (0, 1, 2), of equal area
+    ([(4, 4), (2, 2), (0, 4), (0, 0), (4, 0)], [(0, 1, 2), (1, 2, 3), (1, 3, 4)],
+     "boundary edge (0, 1) not covered once from inside in A"),
+]
+
+
+def test_half_edge_failures_are_named_on_both_windings():
+    """Each hand-built failure gives its message on the counterclockwise
+    cycle and on its mirror image (x, -y), which winds clockwise; the
+    notch polygon's true triangulation passes on both."""
+    notch = (_HALF_EDGE_FAILURES[2][0], [(0, 1, 4), (1, 2, 3), (1, 3, 4)], None)
+    for coords, tris, message in _HALF_EDGE_FAILURES + [notch]:
+        for flip in (1, -1):
+            points = [Point(x, flip * y) for x, y in coords]
+            cycle = range(len(points))
+            assert verify_tiling((("A", points, cycle), ("B", points, cycle)), tris) == message
