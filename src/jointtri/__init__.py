@@ -17,8 +17,7 @@ from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                    convex_hull, hull_edge_set, orient)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
-from .oracle import (HuntReport, enumerate_triangulations, gen_point_pair,
-                     gen_polygon_pair, gen_perturbed_pair, hunt,
+from .oracle import (HuntReport, gen_point_pair, gen_polygon_pair, hunt,
                      iter_triangulations, oracle_joint_exists,
                      polygon_oracle_exists)
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
@@ -35,8 +34,7 @@ __all__ = [
     "PointSetPair", "Polygon", "PolygonPair", "SEEDED_RANDOM", "SizeGuard",
     "TriangleSet", "check_hull_correspondence", "check_legal_nonempty",
     "convex_hull", "dp_joint_polygon",
-    "enumerate_empty", "enumerate_triangulations", "gen_perturbed_pair",
-    "gen_point_pair", "gen_polygon_pair", "greedy_construct",
+    "enumerate_empty", "gen_point_pair", "gen_polygon_pair", "greedy_construct",
     "hull_edge_set", "hunt", "iter_triangulations",
     "ivg", "legal_set", "necessary_conditions", "oracle_joint_exists",
     "orient", "paired_empty", "polygon_oracle_exists",

@@ -120,7 +120,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_gen(args) -> int:
     pair = args.generate(args.n, args.range, args.seed)
-    sys.stdout.write(format_instance(args.kind, pair))
+    sys.stdout.write(format_instance(pair))
     return EXIT_OK
 
 
@@ -190,14 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
-    for name, what, generate, kind in (
-            ("gen", "point-pair instance", gen_point_pair, KIND_POINTS),
-            ("genpoly", "simple-polygon pair", gen_polygon_pair, KIND_POLYGON)):
+    for name, what, generate in (
+            ("gen", "point-pair instance", gen_point_pair),
+            ("genpoly", "simple-polygon pair", gen_polygon_pair)):
         p = sub.add_parser(name, help=f"generate a random {what}")
         p.add_argument("n", type=int)
         p.add_argument("range", type=int)
         p.add_argument("seed", type=int)
-        p.set_defaults(func=_cmd_gen, generate=generate, kind=kind)
+        p.set_defaults(func=_cmd_gen, generate=generate)
 
     p = sub.add_parser("hunt", help="randomized campaign with oracle cross-checks")
     p.add_argument("mode", choices=(POINTS, POLYGONS))

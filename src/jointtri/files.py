@@ -79,14 +79,12 @@ def parse_instance(text: str) -> tuple[str, Instance]:
         raise InstanceFormatError(1 if exc.label is None else row_lines[exc.label], str(exc))
 
 
-def format_instance(kind: str, pair: Instance) -> str:
+def format_instance(pair: Instance) -> str:
     """Serialize a pair back to instance text (inverse of parse_instance)."""
-    if kind == KIND_POINTS:
-        a_pts, b_pts = pair.a.points, pair.b.points  # type: ignore[union-attr]
-    elif kind == KIND_POLYGON:
-        a_pts, b_pts = pair.a.vertices, pair.b.vertices  # type: ignore[union-attr]
+    if isinstance(pair, PointSetPair):
+        kind, a_pts, b_pts = KIND_POINTS, pair.a.points, pair.b.points
     else:
-        raise ValueError(f"unknown instance kind: {kind!r}")
+        kind, a_pts, b_pts = KIND_POLYGON, pair.a.vertices, pair.b.vertices
     lines = [f"{kind} {len(a_pts)}"]
     for pa, pb in zip(a_pts, b_pts):
         lines.append(f"{pa[0]} {pa[1]} {pb[0]} {pb[1]}")
@@ -136,13 +134,12 @@ def write_bundle(bundle_dir: str, pair: Instance, finding,
     suffix = "-oracle" if finding.oracle_verdict else ""
     name = f"counterexample-{finding.mode}-seed{finding.seed}-n{finding.n}{suffix}.txt"
     path = os.path.join(bundle_dir, name)
-    kind = KIND_POINTS if isinstance(pair, PointSetPair) else KIND_POLYGON
     parts = [
         f"# counterexample: {finding.reason}",
     ]
     if finding.oracle_verdict:
         parts.append(f"# oracle verdict: {finding.oracle_verdict}")
-    parts.append(format_instance(kind, pair).rstrip("\n"))
+    parts.append(format_instance(pair).rstrip("\n"))
     if trace_lines:
         parts.append("# trace:")
         parts.extend(f"# {line}" for line in trace_lines)

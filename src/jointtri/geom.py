@@ -172,7 +172,7 @@ class LabeledSet:
         return tuple(convex_hull(self))
 
 
-def convex_hull(s: LabeledSet | Sequence[Point]) -> list[int]:
+def convex_hull(s: LabeledSet) -> list[int]:
     """Counterclockwise label sequence of the convex hull boundary.
 
     Andrew's monotone chain, popping only on a strict right turn, so
@@ -182,7 +182,7 @@ def convex_hull(s: LabeledSet | Sequence[Point]) -> list[int]:
     DegenerateInput if all points are collinear (the two chains then
     trace the same line and repeat a label).
     """
-    pts = s.points if isinstance(s, LabeledSet) else tuple(s)
+    pts = s.points
     order = sorted(range(len(pts)), key=lambda i: pts[i])
 
     def chain(indices: list[int]) -> list[int]:

@@ -125,12 +125,6 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     yield from expand()
 
 
-def enumerate_triangulations(s: LabeledSet) -> list[frozenset[Tri]]:
-    """All triangulations of the set: the frontier search on the pair of
-    the set with itself."""
-    return list(iter_triangulations(PointSetPair(s, s)))
-
-
 def oracle_joint_exists(pair: PointSetPair) -> Optional[frozenset[Tri]]:
     """Exact decision of joint-triangulation existence (n <= 9).
 
@@ -214,28 +208,6 @@ def _check_size(n: int, coord_range: int) -> None:
     if coord_range < 0 or (coord_range + 1) ** 2 < n:
         raise InputError(
             f"coordinate range {coord_range} too small for {n} distinct points")
-
-
-def gen_perturbed_pair(n: int, coord_range: int, jitter: int,
-                       seed: int) -> PointSetPair:
-    """A pair where B is A with a bounded integer offset per point.
-
-    Useful for producing nontrivial instances that still share hull
-    structure; offsets re-draw on collisions or range violations.
-    """
-    rng = random.Random(seed)
-    base = gen_point_pair(n, coord_range, rng.randrange(2 ** 30)).a
-    pts: list[Point] = []
-    seen: set[Point] = set()
-    for p in base.points:
-        while True:
-            q = Point(p[0] + rng.randint(-jitter, jitter),
-                      p[1] + rng.randint(-jitter, jitter))
-            if q not in seen and 0 <= q[0] <= coord_range and 0 <= q[1] <= coord_range:
-                seen.add(q)
-                pts.append(q)
-                break
-    return PointSetPair(base, LabeledSet(tuple(pts)))
 
 
 # Budgets of the random polygon generator: 2-opt sweeps per untangling,
@@ -336,17 +308,13 @@ class Counterexample:
 
 @dataclass
 class HuntReport:
-    """Aggregate results of a randomized campaign.
-
-    ``greedy_success`` counts the verified constructions of either kind,
-    LEX greedy or interval DP, which is why the summary prints it as
-    ``construct_success``."""
+    """Aggregate results of a randomized campaign."""
 
     mode: str
     instances_tried: int = 0
     instances_skipped: int = 0
     nc_pass_count: int = 0
-    greedy_success: int = 0
+    construct_success: int = 0
     oracle_checked: int = 0
     oracle_agreements: int = 0
     counterexamples: list[Counterexample] = field(default_factory=list)
@@ -360,7 +328,7 @@ class HuntReport:
             lines.append(f"instances_skipped {self.instances_skipped}")
         lines += [
             f"nc_pass {self.nc_pass_count}",
-            f"construct_success {self.greedy_success}",
+            f"construct_success {self.construct_success}",
             f"oracle_checked {self.oracle_checked}",
             f"oracle_agreements {self.oracle_agreements}",
             f"counterexamples {len(self.counterexamples)}",
@@ -381,7 +349,7 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     the fast path, tally its result, cross-check it against the oracle.
     The fast path is the LEX greedy where both necessary conditions hold
     (POINTS; a collinear side fails them) or the interval DP (POLYGONS);
-    ``nc_pass_count`` counts its results, ``greedy_success`` the verified
+    ``nc_pass_count`` counts its results, ``construct_success`` the verified
     ones.  With ``cross_check`` the oracle runs at n <= 8 (POINTS, though
     the ``oracle`` command takes 9) or n <= MAX_ORACLE_POLYGON, collinear
     point sets included; a polygon pair with a grazing diagonal leaves
@@ -428,7 +396,7 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
         if result is not None:
             report.nc_pass_count += 1
             if result.verified:
-                report.greedy_success += 1
+                report.construct_success += 1
             else:
                 report.counterexamples.append(
                     verification_failure(pair, result, inst_seed, bundle_dir))

@@ -12,8 +12,12 @@ of the array worklist's removal log.  ``scan_empty_triangles`` is the
 per-label scan that ``enumerate_empty`` replaced, kept to pin the sweep's
 triples and their order; its row test is the int8 form of ``_empty_rows``,
 ``paired_empty``'s test on side B.
-``hull_locked_pair`` is an instance generator, not a reference: it draws A
-with ``gen_point_pair`` and fixes A's hull from ``convex_hull``.
+Three helpers are not references and call the library.
+``hull_locked_pair`` and ``gen_perturbed_pair`` are instance generators:
+each draws A with ``gen_point_pair``, and ``hull_locked_pair`` fixes A's
+hull from ``convex_hull``.  ``enumerate_triangulations`` lists the
+library's own frontier search (``iter_triangulations``) on a set paired
+with itself.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import numpy as np
 
 from jointtri.conditions import LegalSetResult, PointSetPair
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
-from jointtri.oracle import gen_point_pair
+from jointtri.oracle import gen_point_pair, iter_triangulations
 from jointtri.polygon import visibility_graph
-from jointtri.triangles import FLIPS, TriangleSet, tri_edges
+from jointtri.triangles import FLIPS, Tri, TriangleSet, tri_edges
 
 
 # A point instance that passes NC1 and fails NC2: all 21 of its paired
@@ -489,6 +493,34 @@ def grid_locked_coords(rng: random.Random, n: int, side: int):
         if moves:
             b[i] = rng.choice(moves)
     return a, b
+
+
+def enumerate_triangulations(s: LabeledSet) -> list[frozenset[Tri]]:
+    """All triangulations of the set: the frontier search on the pair of
+    the set with itself."""
+    return list(iter_triangulations(PointSetPair(s, s)))
+
+
+def gen_perturbed_pair(n: int, coord_range: int, jitter: int,
+                       seed: int) -> PointSetPair:
+    """A pair where B is A with a bounded integer offset per point.
+
+    Useful for producing nontrivial instances that still share hull
+    structure; offsets re-draw on collisions or range violations.
+    """
+    rng = random.Random(seed)
+    base = gen_point_pair(n, coord_range, rng.randrange(2 ** 30)).a
+    pts: list[Point] = []
+    seen: set[Point] = set()
+    for p in base.points:
+        while True:
+            q = Point(p[0] + rng.randint(-jitter, jitter),
+                      p[1] + rng.randint(-jitter, jitter))
+            if q not in seen and 0 <= q[0] <= coord_range and 0 <= q[1] <= coord_range:
+                seen.add(q)
+                pts.append(q)
+                break
+    return PointSetPair(base, LabeledSet(tuple(pts)))
 
 
 def hull_locked_pair(n, coord_range, jitter, seed):

@@ -12,19 +12,19 @@ import subprocess
 import sys
 import time
 
-from jointtri.conditions import (PointSetPair, check_hull_correspondence,
-                                 legal_set, necessary_conditions)
+from jointtri.conditions import (check_hull_correspondence, legal_set,
+                                 necessary_conditions)
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.files import write_bundle
-from jointtri.oracle import (Counterexample, POINTS, enumerate_triangulations,
-                             gen_perturbed_pair, gen_point_pair,
+from jointtri.oracle import (Counterexample, POINTS, gen_point_pair,
                              gen_polygon_pair, oracle_joint_exists,
                              polygon_oracle_exists)
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import enumerate_empty, paired_empty
 
 from helpers import (brute_empty_triangles, convex_polygon_coords,
+                     enumerate_triangulations, gen_perturbed_pair,
                      hull_locked_pair, mutate)
 
 N_RANGE = (4, 8)

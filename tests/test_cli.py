@@ -64,10 +64,10 @@ def quad_file(tmp_path):
 def test_parse_format_roundtrip():
     kind, pair = parse_instance(QUAD_TEXT)
     assert kind == KIND_POINTS
-    assert format_instance(kind, pair) == "\n".join(QUAD_TEXT.splitlines()[1:]) + "\n"
+    assert format_instance(pair) == "\n".join(QUAD_TEXT.splitlines()[1:]) + "\n"
     kind2, poly_pair = parse_instance(POLY_TEXT)
     assert kind2 == KIND_POLYGON
-    assert format_instance(kind2, poly_pair) == POLY_TEXT
+    assert format_instance(poly_pair) == POLY_TEXT
 
 
 def test_parse_errors_carry_line_numbers():
@@ -147,12 +147,12 @@ def test_triangle_list_roundtrip():
 
 def test_gen_roundtrip_identity():
     pair = gen_point_pair(6, 50, 11)
-    text = format_instance(KIND_POINTS, pair)
+    text = format_instance(pair)
     kind, parsed = parse_instance(text)
     assert parsed.a.points == pair.a.points
     assert parsed.b.points == pair.b.points
     poly_pair = gen_polygon_pair(6, 50, 11)
-    text = format_instance(KIND_POLYGON, poly_pair)
+    text = format_instance(poly_pair)
     _, parsed = parse_instance(text)
     assert parsed.a.vertices == poly_pair.a.vertices
 
@@ -311,7 +311,7 @@ def test_oracle_command(quad_file, tmp_path):
 def test_oracle_size_guard_exit_3(tmp_path):
     pair = gen_point_pair(10, 60, 5)
     p = tmp_path / "big.txt"
-    p.write_text(format_instance(KIND_POINTS, pair))
+    p.write_text(format_instance(pair))
     code, _ = run_cli("oracle", str(p))
     assert code == 3
 
@@ -334,7 +334,7 @@ def test_oracle_refuses_grazing_pair_as_polygon_does(tmp_path):
 def test_tensor_size_guard_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 9)
     p = tmp_path / "big.txt"
-    p.write_text(format_instance(KIND_POINTS, hull_locked_pair(10, 60, 2, 1)))
+    p.write_text(format_instance(hull_locked_pair(10, 60, 2, 1)))
     for argv in (["check", str(p)], ["check", str(p), "--explain"],
                  ["triangulate", str(p)]):
         code, out = run_cli(*argv)
@@ -355,7 +355,7 @@ EXPLAIN_SHA256 = {
 def test_check_explain_bytes_pinned(tmp_path):
     for args, (code, digest) in EXPLAIN_SHA256.items():
         p = tmp_path / "locked.txt"
-        p.write_text(format_instance(KIND_POINTS, hull_locked_pair(*args)))
+        p.write_text(format_instance(hull_locked_pair(*args)))
         got, out = run_cli("check", str(p), "--explain")
         assert got == code and out.count("\nremoved ") >= 70, args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
@@ -387,7 +387,7 @@ TRIANGULATE_SHA256 = {
 def test_triangulate_bytes_pinned(tmp_path):
     p = tmp_path / "locked.txt"
     for args, runs in TRIANGULATE_SHA256.items():
-        p.write_text(format_instance(KIND_POINTS, hull_locked_pair(*args)))
+        p.write_text(format_instance(hull_locked_pair(*args)))
         for flags, (code, digest) in runs.items():
             got, out = run_cli("triangulate", str(p), *flags)
             assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), \
@@ -430,7 +430,7 @@ def test_oracle_bytes_pinned(tmp_path):
     for family, pairs in _oracle_instances().items():
         h = hashlib.sha256()
         for pair in pairs:
-            p.write_text(format_instance(KIND_POINTS, pair))
+            p.write_text(format_instance(pair))
             code, out = run_cli("oracle", str(p))
             answers.append(out.split("\n")[0])
             h.update(f"{code}\n{out}".encode())
@@ -461,6 +461,25 @@ HUNT_SHA256 = {
 def test_hunt_bytes_pinned():
     for args, digest in HUNT_SHA256.items():
         code, out = run_cli("hunt", *args)
+        assert code == 0, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, out)
+
+
+GEN_SHA256 = {
+    ("gen", "9", "50", "3"):
+        "4d35cbf276ca8ad68ac16b87afbe55546d28ad8f1ca66e9130181b568db7c253",
+    ("genpoly", "9", "50", "3"):
+        "596b43574019a85f64cdfe7dd43d862bff60e7d8c8a840d65f80f9b85e4152ed",
+    ("gen", "40", "1000", "7"):
+        "1444ead2be68a0b8a33194c6cbeb98dd5abeed6d00c9d77b708b8de4646042c2",
+    ("genpoly", "12", "100", "2"):
+        "77597dc01fd23169be66ffd0508389205f48dd2bfb56c3e50fb318ca166ae4d5",
+}
+
+
+def test_gen_bytes_pinned():
+    for args, digest in GEN_SHA256.items():
+        code, out = run_cli(*args)
         assert code == 0, args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (args, out)
 
@@ -502,7 +521,7 @@ def test_polygon_bytes_pinned(tmp_path):
     h = hashlib.sha256()
     codes = []
     for pair in _polygon_instances():
-        p.write_text(format_instance(KIND_POLYGON, pair))
+        p.write_text(format_instance(pair))
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run_cli("polygon", str(p))
@@ -559,7 +578,7 @@ def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 5)
     p = tmp_path / "hexagons.txt"
     hexagon = Polygon.from_coords(convex_polygon_coords(6))
-    p.write_text(format_instance(KIND_POLYGON, PolygonPair(hexagon, hexagon)))
+    p.write_text(format_instance(PolygonPair(hexagon, hexagon)))
     for argv in (["polygon", str(p)], ["hunt", "polygons", "6", "6", "1", "1"]):
         err = io.StringIO()
         with redirect_stderr(err):

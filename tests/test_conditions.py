@@ -11,11 +11,11 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
 from jointtri.files import parse_instance
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct, verify_joint
-from jointtri.oracle import gen_perturbed_pair, iter_triangulations, oracle_joint_exists
+from jointtri.oracle import iter_triangulations, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty, tri_edges
 
-from helpers import (COLLAPSING_TEXT, brute_successors, grid_locked_coords,
-                     hull_locked_pair, reference_legal_set)
+from helpers import (COLLAPSING_TEXT, brute_successors, gen_perturbed_pair,
+                     grid_locked_coords, hull_locked_pair, reference_legal_set)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 

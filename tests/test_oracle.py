@@ -10,14 +10,14 @@ from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import COORD_LIMIT, DegenerateInput, InputError, LabeledSet
 from jointtri.greedy import verify_joint
 from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
-                             POLYGONS, SizeGuard, enumerate_triangulations,
-                             gen_perturbed_pair, gen_point_pair,
+                             POLYGONS, SizeGuard, gen_point_pair,
                              gen_polygon_pair, hunt, iter_triangulations,
                              oracle_joint_exists, polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
 
 from helpers import (brute_hull_edges, brute_joint_exists,
                      brute_joint_triangulations, convex_position_points,
+                     enumerate_triangulations, gen_perturbed_pair,
                      grid_locked_coords, hull_locked_pair,
                      overlap_by_decomposition, pairwise_verify_points, xorient)
 
@@ -326,7 +326,7 @@ def test_hunt_points_reproducible_and_consistent():
     r2 = hunt(POINTS, (4, 7), 60, 123)
     assert r1.summary_lines() == r2.summary_lines()
     assert r1.instances_tried == 60
-    assert r1.greedy_success + sum(
+    assert r1.construct_success + sum(
         1 for c in r1.counterexamples if "verification" in c.reason
     ) == r1.nc_pass_count
     assert r1.oracle_checked == r1.oracle_agreements  # no disagreements
@@ -360,7 +360,7 @@ def test_hunt_points_builds_candidates_once_per_nc1_pass(monkeypatch):
 def test_hunt_points_without_oracle():
     report = hunt(POINTS, (4, 6), 30, 77, cross_check=False)
     assert report.oracle_checked == 0
-    assert report.greedy_success + len(report.counterexamples) == report.nc_pass_count
+    assert report.construct_success + len(report.counterexamples) == report.nc_pass_count
 
 
 def test_hunt_polygons():
@@ -369,7 +369,7 @@ def test_hunt_polygons():
     assert report.oracle_checked > 0
     assert report.oracle_checked == report.oracle_agreements
     assert report.counterexamples == []
-    assert report.greedy_success == report.nc_pass_count
+    assert report.construct_success == report.nc_pass_count
 
 
 def test_generators_refuse_sizes_with_input_error():

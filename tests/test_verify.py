@@ -7,12 +7,12 @@ from jointtri import greedy
 from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint, verify_tiling
-from jointtri.oracle import gen_perturbed_pair, gen_point_pair, gen_polygon_pair
+from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
-from helpers import (grid_locked_coords, mutate, pairwise_verify_points,
-                     pairwise_verify_polygons)
+from helpers import (gen_perturbed_pair, grid_locked_coords, mutate,
+                     pairwise_verify_points, pairwise_verify_polygons)
 
 
 def _point_cases(rng):
