@@ -41,7 +41,7 @@ class PointSetPair:
     def candidates(self) -> TriangleSet:
         """The pair's paired empty triangles (``paired_empty``), computed
         once and read by the necessary-condition chain and the oracle's
-        search; shared, so callers must not modify it."""
+        search."""
         return paired_empty(self)
 
 
@@ -108,7 +108,7 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     each entry of ``removed``.  The counts ``cnt`` stay a list, as they
     change on every removal.
     """
-    live = candidates.copy()
+    live = set(candidates)
     order = list(live)
     n = len(pair)
     # int32 is exact throughout: codes are below n^3, keys below 4 n^2 and
@@ -184,14 +184,14 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
                 if not queued[f] and f not in hull and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
                     queued[f] = 1
+    arr = candidates.array()
     if removed:
         # The candidates' sorted rows minus the removed ones, found by cell.
-        arr = candidates.array()
         code = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
         keep = np.ones(len(arr), dtype=bool)
         keep[np.searchsorted(code, cell.take(removed_at[:len(removed)]))] = False
-        live._seed_array(arr[keep])
-    return LegalSetResult(live, removed)
+        arr = arr[keep]
+    return LegalSetResult(TriangleSet._of_canonical(live, arr), removed)
 
 
 def check_legal_nonempty(result: LegalSetResult) -> bool:

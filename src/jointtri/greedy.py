@@ -378,5 +378,5 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
         state = state.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
     # the rows of legal.array() are canonical triples
-    return JointTriangulation(TriangleSet._of_canonical(chosen), violation is None,
+    return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation is None,
                               violation, chosen)

@@ -17,10 +17,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .conditions import PointSetPair, necessary_conditions
+from .conditions import PointSetPair, check_hull_correspondence, necessary_conditions
 from .files import Instance, write_bundle
 from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
-                   SizeGuard, hull_edge_set, orient, row_bits, signed_area2)
+                   SizeGuard, orient, row_bits, signed_area2)
 from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
@@ -66,11 +66,11 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
         raise SizeGuard(
             f"exhaustive enumeration is limited to n <= {MAX_ORACLE_POINTS}, got {n}")
     try:
-        hull = pair.a.hull
-        if hull_edge_set(hull) != hull_edge_set(pair.b.hull):
+        if not check_hull_correspondence(pair).ok:
             return
     except DegenerateInput:
         return
+    hull = pair.a.hull
     sa, sb = _sign_lists(pair.a), _sign_lists(pair.b)
     # Directed edge u -> v to the apexes w of its paired triangles on its
     # left in A, ascending.

@@ -90,12 +90,13 @@ class EdgeTable(Set):
 # where the span test becomes the faster one.
 _HIT_BLOCK_CELLS = 1 << 17
 
-# Largest polygon whose visibility is decided.  A convex pair through
-# visibility, the DP and the verifier peaks near 14 * n**2 bytes above the
-# interpreter (32 MB at n = 1500, 85 MB at n = 2500, fresh ru_maxrss), set
-# by visibility's angle tables and bool masks; the DP's bit rows and
-# columns and the verifier's row blocks stay below that.  So a pair stays
-# well under 1 GB, and the int16 angle tables exact, up to here.
+# Largest polygon constructed, and so the largest whose visibility is
+# decided.  A convex pair through visibility, the DP and the verifier
+# peaks near 14 * n**2 bytes above the interpreter (32 MB at n = 1500,
+# 85 MB at n = 2500, fresh ru_maxrss), set by visibility's angle tables
+# and bool masks; the DP's bit rows and columns and the verifier's row
+# blocks stay below that.  So a pair stays well under 1 GB, and the int16
+# angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
 
@@ -110,6 +111,8 @@ class Polygon:
     -1 clockwise).  ``coords`` is the vertices as one read-only int64
     [n, 2] array, built once by construction: the side table, the
     simplicity check and visibility read the vertices from it alone.
+    Above MAX_POLYGON_VERTICES vertices construction raises SizeGuard
+    after its O(n) checks, before any [n, n] table is built.
     """
 
     vertices: tuple[Point, ...]
@@ -124,6 +127,9 @@ class Polygon:
         check_distinct(self.vertices, "polygon vertices must be pairwise distinct")
         if (area := signed_area2(self.vertices)) == 0:
             raise InputError("polygon has zero area")
+        if n > MAX_POLYGON_VERTICES:
+            raise SizeGuard(f"polygon visibility is limited to n <= "
+                            f"{MAX_POLYGON_VERTICES}, got {n}")
         object.__setattr__(self, "ccw_sign", 1 if area > 0 else -1)
         coords = np.fromiter(chain.from_iterable(self.vertices), np.int64).reshape(n, 2)
         coords.flags.writeable = False
@@ -154,8 +160,6 @@ class Polygon:
             if r.size:
                 r += lo
                 first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
-        if n > MAX_POLYGON_VERTICES:
-            del vars(self)["sides"]  # visibility refuses the polygon anyway
         if first < n * n:
             i, j = divmod(first, n)
             if j == i + 1 or (i, j) == (0, n - 1):
@@ -181,8 +185,7 @@ class Polygon:
     def sides(self) -> np.ndarray:
         """Read-only [n, n] int8 table: ``sides[k, v]`` is the sign of
         vertex v against the line of edge k -> k + 1, positive on its left.
-        Construction fills and reads it, and keeps it only up to
-        MAX_POLYGON_VERTICES vertices; the cone test and both crossing
+        Construction fills and reads it; the cone test and both crossing
         tests read it.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
         p = self.coords
         n = len(p)
@@ -203,13 +206,8 @@ class Polygon:
         ``diagonals[i, j]``, i < j, iff (i, j) is one; the diagonal and the
         lower triangle are False.  Decided once and read by
         ``visibility_graph`` and ``ivg``.  Raises GrazingDiagonal on the
-        first grazing chord in row-major order, and SizeGuard, before
-        allocating, above MAX_POLYGON_VERTICES vertices; either caches
-        nothing."""
+        first grazing chord in row-major order, and then caches nothing."""
         n = len(self)
-        if n > MAX_POLYGON_VERTICES:
-            raise SizeGuard(f"polygon visibility is limited to n <= "
-                            f"{MAX_POLYGON_VERTICES}, got {n}")
         i = np.arange(n)
         chords = np.less_equal.outer(i + 2, i)  # no [n, n] int temporary
         chords[0, n - 1] = False
@@ -519,7 +517,8 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
         tris.append(tri(i, k, q))
         stack += ((k, q), (i, k))
     violation = verify_polygon_joint(pair, tris)
-    return JointTriangulation(TriangleSet(tris), violation is None, violation, tris)
+    return JointTriangulation(TriangleSet._of_canonical(set(tris)), violation is None,
+                              violation, tris)
 
 
 def verify_polygon_joint(pair: PolygonPair, triangles) -> Optional[str]:

@@ -47,46 +47,32 @@ FLIPS = (1, 1, -1)
 
 
 class TriangleSet:
-    """A set of canonical label triples.
+    """An immutable set of canonical label triples, built from any triples
+    (each canonicalized) or, by a producer, from a set of canonical ones
+    (``_of_canonical``).
 
     ``array()`` gives the same triples as a sorted label array, built on
-    first use and dropped by ``add`` and ``discard``; producers that hold
-    it already pass it in (``_of_canonical``, ``_seed_array``).
+    first use unless the producer passed it in; nothing changes the set
+    afterwards, so the array cannot go stale.
     """
 
     def __init__(self, triangles: Iterable[Tri] = ()):
-        self._tris: set[Tri] = set()
+        self._tris: set[Tri] = {tri(*t) for t in triangles}
         self._arr: Optional[np.ndarray] = None
-        for t in triangles:
-            self.add(t)
 
     @classmethod
-    def _of_canonical(cls, triangles: Iterable[Tri],
+    def _of_canonical(cls, tris: set[Tri],
                       arr: Optional[np.ndarray] = None) -> "TriangleSet":
-        """A set of triples already in canonical form, added in the given
-        order, so it iterates exactly as one built by ``add``.  (``iter``
-        keeps a set argument from being copied table to table.)  ``arr``,
-        when given, must be the triples' sorted rows (``_seed_array``)."""
+        """A set over ``tris``, canonical triples the caller hands over and
+        no longer changes: it is kept uncopied, so the result iterates as
+        ``tris`` does.  ``arr``, when given, must hold the same triples as
+        rows in lexicographic order; it becomes ``array()``."""
         out = cls.__new__(cls)
-        out._tris = set(iter(triangles))
-        out._arr = None
+        out._tris = tris
+        out._arr = arr
         if arr is not None:
-            out._seed_array(arr)
+            arr.flags.writeable = False
         return out
-
-    def _seed_array(self, arr: np.ndarray) -> None:
-        """Cache ``arr``, which the caller guarantees holds this set's
-        triples as rows in lexicographic order, as ``array()``."""
-        arr.flags.writeable = False
-        self._arr = arr
-
-    def add(self, t: Tri) -> None:
-        self._tris.add(tri(*t))
-        self._arr = None
-
-    def discard(self, t: Tri) -> None:
-        self._tris.discard(t)
-        self._arr = None
 
     def sorted_triangles(self) -> list[Tri]:
         return sorted(self._tris)
@@ -95,12 +81,9 @@ class TriangleSet:
         """The triples as a read-only [m, 3] intp array of rows in
         lexicographic order, the rows of ``sorted_triangles()``."""
         if self._arr is None:
-            self._seed_array(np.array(self.sorted_triangles(),
-                                      dtype=np.intp).reshape(-1, 3))
+            self._arr = np.array(self.sorted_triangles(), dtype=np.intp).reshape(-1, 3)
+            self._arr.flags.writeable = False
         return self._arr
-
-    def copy(self) -> "TriangleSet":
-        return TriangleSet._of_canonical(self._tris, self._arr)
 
     def __contains__(self, t: object) -> bool:
         return t in self._tris
@@ -205,11 +188,12 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     as long as its longest row.
     """
     n = len(s)
+    d = s.signs  # raises SizeGuard above MAX_TENSOR_POINTS, before any [n, n] table
     if math.comb(n, 3) * n <= _ROW_CHUNK_CELLS:
         r = np.arange(n)
         arr = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-        arr = arr[_empty_rows(s.signs, arr)]
-        return TriangleSet._of_canonical(_tuples(arr), arr)
+        arr = arr[_empty_rows(d, arr)]
+        return TriangleSet._of_canonical(set(_tuples(arr)), arr)
     order, ranks, last, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
     # i itself, last in its own list, is dropped and ranked -n, below every
     # other point; the list is doubled so every rotation is one window.
@@ -222,7 +206,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     flat_r = ranks.reshape(-1)
     pos = np.arange(n)
     cell = np.flatnonzero(pos[:, None] < pos)
-    left = _left_counts(s.signs, cell)
+    left = _left_counts(d, cell)
     cell, left = cell[left > 0], left[left > 0]
     base = flat_r[cell]
     group = last.reshape(-1)[cell] + 1 - base
@@ -267,7 +251,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     arr = np.empty((len(code), 3), dtype=np.intp)
     rest, arr[:, 2] = np.divmod(code.astype(np.int32), n)
     arr[:, 0], arr[:, 1] = np.divmod(rest, n)
-    return TriangleSet._of_canonical(_tuples(arr), arr)
+    return TriangleSet._of_canonical(set(_tuples(arr)), arr)
 
 
 def _left_counts(d: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -315,4 +299,4 @@ def paired_empty(pair: "PointSetPair") -> TriangleSet:
     arr = in_a.array()
     keep = _empty_rows(pair.b.signs, arr)
     drop = set(_tuples(arr[~keep]))
-    return TriangleSet._of_canonical((t for t in in_a if t not in drop), arr[keep])
+    return TriangleSet._of_canonical({t for t in in_a if t not in drop}, arr[keep])

@@ -134,7 +134,7 @@ def scan_empty_triangles(s: LabeledSet) -> TriangleSet:
         outside = (d[i, j] == away) | (d[j, k] == away) | (d[k, i] == away)
         empty = (away[:, 0] != 0) & (np.count_nonzero(outside, axis=1) == n - 3)
         found.extend(zip([i] * int(empty.sum()), j[empty].tolist(), k[empty].tolist()))
-    return TriangleSet._of_canonical(found)
+    return TriangleSet._of_canonical(set(found))
 
 
 def _proper_cross(a, b, c, d) -> bool:
@@ -177,7 +177,7 @@ def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalS
     iteration order.  Triangles are bucketed on each edge by their
     (side A, side B) apex signs; a triangle is supported on an edge iff
     the opposite bucket is nonempty."""
-    live = candidates.copy()
+    live = set(candidates)
     da, db = (reference_sign_tensor(s.points) for s in (pair.a, pair.b))
     sides = {}
     buckets = {}
@@ -217,7 +217,7 @@ def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalS
                 if f not in hull_edges and f not in pending_set and buckets[f]:
                     pending.append(f)
                     pending_set.add(f)
-    return LegalSetResult(live, removed)
+    return LegalSetResult(TriangleSet._of_canonical(live), removed)
 
 
 def brute_greedy(a, b, legal, seed=None) -> list[tuple[int, int, int]]:

@@ -575,11 +575,14 @@ def test_hunt_bad_arguments_exit_1():
 
 
 def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 5)
     p = tmp_path / "hexagons.txt"
     hexagon = Polygon.from_coords(convex_polygon_coords(6))
     p.write_text(format_instance(PolygonPair(hexagon, hexagon)))
-    for argv in (["polygon", str(p)], ["hunt", "polygons", "6", "6", "1", "1"]):
+    tris = tmp_path / "tris.txt"
+    tris.write_text("1 2 3\n")
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 5)
+    for argv in (["polygon", str(p)], ["hunt", "polygons", "6", "6", "1", "1"],
+                 ["render", str(p), str(tris), str(tmp_path / "out.svg")]):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run_cli(*argv)

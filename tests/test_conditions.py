@@ -172,7 +172,7 @@ def test_removal_log_is_a_valid_cascade():
         if not res.removed:
             continue
         audited += 1
-        live = cands.copy()
+        live = set(cands)
         for t, witness in res.removed:
             assert witness in tri_edges(t)
             assert witness not in hc.hull_edges

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jointtri import geom
+from jointtri import geom, triangles
+from jointtri.conditions import PointSetPair
 from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                            DegenerateInput, LabeledSet, Point, SizeGuard,
                            convex_hull, hull_edge_set, orient,
@@ -261,7 +262,7 @@ def test_sign_tensor_is_exact_at_the_int32_bound(monkeypatch):
 
 
 def test_size_guard_one_past_the_tensor_limit(monkeypatch):
-    def refuse(pts):
+    def refuse(*args):
         raise AssertionError("tensor built past the size guard")
 
     coords = [(i, i * i % 1009) for i in range(MAX_TENSOR_POINTS + 1)]
@@ -269,6 +270,10 @@ def test_size_guard_one_past_the_tensor_limit(monkeypatch):
     monkeypatch.setattr(geom, "orient_sign_tensor", refuse)
     with pytest.raises(SizeGuard, match=f"n <= {MAX_TENSOR_POINTS}"):
         big.signs
+    # the chain's first reader refuses before the sweep's [n, n] angle tables
+    monkeypatch.setattr(triangles, "angle_order", refuse)
+    with pytest.raises(SizeGuard, match=f"n <= {MAX_TENSOR_POINTS}"):
+        PointSetPair(big, big).candidates
     monkeypatch.undo()
     # at the limit the tensor is built (checked here at a smaller limit)
     monkeypatch.setattr(geom, "MAX_TENSOR_POINTS", 12)

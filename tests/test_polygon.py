@@ -50,40 +50,49 @@ def test_visibility_convex_is_complete():
 
 
 def test_visibility_size_guard(monkeypatch):
-    """Above MAX_POLYGON_VERTICES visibility raises SizeGuard before any
-    chord is listed or tested, and caches nothing; at the limit it decides."""
+    """Above MAX_POLYGON_VERTICES no polygon is built, so none reaches
+    visibility: construction raises SizeGuard before the side table or
+    any chord mask is made.  At the limit visibility decides."""
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
     at = Polygon.from_coords(convex_polygon_coords(8))
     assert len(visibility_graph(at)) == math.comb(8, 2)
-    over = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(9)),) * 2)
 
-    def no_visibility(*args):
-        raise AssertionError("chords tested above the size limit")
+    def no_table(*args):
+        raise AssertionError("[n, n] table built above the size limit")
 
-    monkeypatch.setattr(polygon, "_diagonal_mask", no_visibility)
-    for call in (visibility_graph, lambda p: ivg(PolygonPair(p, p))):
-        with pytest.raises(SizeGuard, match="n <= 8, got 9"):
-            call(over.a)
-    with pytest.raises(SizeGuard):
-        dp_joint_polygon(over)
-
-
-def test_side_table_dropped_above_the_size_limit(monkeypatch):
-    """Above MAX_POLYGON_VERTICES construction reads the side table for the
-    simplicity check and then drops it, since visibility refuses the
-    polygon; a polygon at the limit keeps it.  Verdicts are unchanged."""
-    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
-    at = Polygon.from_coords(convex_polygon_coords(8))
-    assert "sides" in vars(at)
-    over = Polygon.from_coords(convex_polygon_coords(9))
-    assert "sides" not in vars(over)
+    monkeypatch.setattr(Polygon, "sides", property(no_table))
+    monkeypatch.setattr(polygon, "_diagonal_mask", no_table)
     with pytest.raises(SizeGuard, match="n <= 8, got 9"):
-        visibility_graph(over)
-    assert "sides" not in vars(over) and "diagonals" not in vars(over)
-    # a 9-cycle that is not simple raises as before
+        Polygon.from_coords(convex_polygon_coords(9))
+
+
+def test_construction_refuses_above_the_size_limit(monkeypatch):
+    """Construction raises SizeGuard right after its O(n) checks, so above
+    MAX_POLYGON_VERTICES the simplicity check never runs and no [n, n]
+    table is built: at n = 16,000, where the side table alone is 256 MB,
+    the refusal's tracemalloc peak stays under 4 MB.  The O(n) checks'
+    input errors still come first."""
+    n = 16000
+    vertices = tuple(geom.Point(k, k * k % 9973) for k in range(n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(SizeGuard, match=f"n <= {polygon.MAX_POLYGON_VERTICES}, got {n}"):
+            Polygon(vertices)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Polygon.from_coords([(0, 0)] * 2 + convex_polygon_coords(8)[1:])
+    with pytest.raises(ValueError, match="zero area"):
+        Polygon.from_coords([(k, 0) for k in range(9)])
+    # a 9-cycle that is not simple is refused by size at a limit of 8,
+    # and as not simple at the real limit
     bowtie = convex_polygon_coords(9)
     bowtie[3], bowtie[4] = bowtie[4], bowtie[3]
-    with pytest.raises(ValueError, match="edges 2 and 4 intersect"):
+    with pytest.raises(SizeGuard, match="n <= 8, got 9"):
         Polygon.from_coords(bowtie)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="edges 2 and 4 intersect"):

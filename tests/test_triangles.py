@@ -10,13 +10,15 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  legal_set)
 from jointtri.files import parse_instance
 from jointtri.geom import LabeledSet
+from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct
+from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
                                 paired_empty, tri, tri_edges)
 
 from helpers import (COLLAPSING_TEXT, brute_empty_triangles,
-                     convex_position_points, grid_locked_coords,
-                     hull_locked_pair, reference_sign_tensor,
-                     scan_empty_triangles)
+                     convex_polygon_coords, convex_position_points,
+                     grid_locked_coords, hull_locked_pair,
+                     reference_sign_tensor, scan_empty_triangles)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -34,15 +36,13 @@ def test_triangle_set_edge_index_invariant():
     tris = {tri(*rng.sample(range(10), 3)) for _ in range(40)}
     ts = TriangleSet(tris)
     assert set(ts) == tris
-    # members are stored canonically, whatever order they are added in
+    # members are stored canonically, whatever order they are given in
     extra = TriangleSet([(9, 2, 5), (5, 9, 2)])
     assert extra.sorted_triangles() == [(2, 5, 9)]
     assert (2, 5, 9) in extra and len(extra) == 1
-    # removal drops exactly the one member
-    victim = next(iter(tris))
-    ts.discard(victim)
-    assert victim not in ts
-    assert set(ts) == tris - {victim}
+    # a set of canonical triples is kept as given, so it iterates as given
+    kept = TriangleSet._of_canonical(tris)
+    assert kept == ts and list(kept) == list(tris)
 
 
 def test_enumerate_empty_square():
@@ -346,10 +346,14 @@ def _check_array(ts):
 def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
     # enumerate_empty, paired_empty and legal_set each hand over the sorted
     # rows they already hold; legal_set's must drop exactly the removed rows
-    # whatever order the worklist ran in.
-    removals = 0
+    # whatever order the worklist ran in, and are the candidates' own when
+    # it removed none.  The greedy's and the DP's results sort on first use.
+    removals = whole = 0
     pairs = [hull_locked_pair(n, 1000, 3, seed)
              for n, seed in ((20, 0), (24, 3), (30, 2))]
+    # a set paired with itself: every edge a triangle has inside the hull
+    # has an empty triangle across it, so nothing is removed
+    pairs.append(PointSetPair(pairs[0].a, pairs[0].a))
     pairs.append(parse_instance(COLLAPSING_TEXT)[1])
     for pair in pairs:
         _check_array(enumerate_empty(pair.a))
@@ -360,28 +364,34 @@ def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
             res = legal_set(pair, cands, hull, order_seed)
             _check_array(res.legal)
             removals += len(res.removed)
+            if not res.removed:
+                whole += 1
+                assert res.legal.array() is cands.array()
         _check_array(cands)
-    assert removals > 0
+        if len(res.legal):
+            for policy, seed in ((LEX, None), (SEEDED_RANDOM, 0)):
+                jt = greedy_construct(pair, res.legal, policy, seed)
+                assert jt.verified
+                _check_array(jt.triangles)
+    assert removals > 0 and whole > 0
     assert len(legal_set(pairs[-1], paired_empty(pairs[-1]), hull).legal) == 0
-
-
-def test_triangle_set_array_follows_add_discard_and_copy():
-    ts = paired_empty(hull_locked_pair(20, 1000, 3, 1))
-    _check_array(ts)
-    t = ts.sorted_triangles()[len(ts) // 2]
-    ts.discard(t)
-    assert t not in {tuple(r) for r in ts.array().tolist()}
-    _check_array(ts)
-    ts.add(t)
-    _check_array(ts)
-    dup = ts.copy()
-    _check_array(dup)
-    dup.discard(t)
-    _check_array(dup)
-    _check_array(ts)
-    assert len(ts.array()) == len(dup.array()) + 1
-    fresh = TriangleSet([(4, 2, 0), (1, 2, 3)])
-    _check_array(fresh)
-    fresh.add((0, 1, 2))
-    assert fresh.array().tolist() == [[0, 1, 2], [0, 2, 4], [1, 2, 3]]
+    for n in (5, 12):
+        poly = Polygon.from_coords(convex_polygon_coords(n))
+        jt = dp_joint_polygon(PolygonPair(poly, poly))
+        assert jt.verified and len(jt.triangles) == n - 2
+        _check_array(jt.triangles)
     _check_array(TriangleSet())
+
+
+def test_triangle_set_has_no_mutator():
+    """A TriangleSet cannot change once built, so neither can its array:
+    it has no method that adds or drops a member, and the array a set
+    builds on first use is its sorted rows and is kept."""
+    for name in ("add", "discard", "remove", "update", "clear", "pop",
+                 "copy", "_seed_array"):
+        assert not hasattr(TriangleSet, name), name
+    fresh = TriangleSet([(4, 2, 0), (1, 2, 3), (2, 1, 0)])
+    _check_array(fresh)
+    assert fresh.array().tolist() == [[0, 1, 2], [0, 2, 4], [1, 2, 3]]
+    assert fresh.array() is fresh.array()
+    _check_array(TriangleSet._of_canonical({(1, 3, 4), (0, 1, 2)}))
