@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all conditions pass; 1 rejected input; 2 a
-condition or construction failed; 3 a ``SizeGuard`` refused the request.
+condition or construction failed; 3 a ``SizeGuard`` refused the request
+(its message names the instance file, on a command that reads one).
 Exit 1 comes from an ``InputError`` (``InstanceFormatError``,
 ``DegenerateInput``, ``GrazingDiagonal``, or a bad generator or hunt
 argument) or an ``OSError`` on a file read or written, an unwritable
@@ -225,7 +226,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except SizeGuard as exc:
-        message, code = str(exc), EXIT_GUARD
+        # on a command that reads an instance file, name the file
+        path = getattr(args, "file", None)
+        message = f"{path}: {exc}" if path is not None else str(exc)
+        code = EXIT_GUARD
     except InputError as exc:
         message, code = str(exc), EXIT_INPUT
     except OSError as exc:

@@ -325,19 +325,20 @@ def angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
         key[own] = 1 << 62  # u itself sorts last
         o = np.argsort(key, axis=1)
         order[lo:lo + step] = o
-        ranked = np.take_along_axis(key, o, axis=1)
-        # with distinct keys each point is its own direction group
         cell = rows[:, None] * n + o
+        ranked = key.reshape(-1).take(cell - lo * n)
+        # with distinct keys each point is its own direction group
         flat_first[cell] = pos
         last[lo:lo + step] = first[lo:lo + step]
         tie = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
         if tie.size:  # rows with close or collinear points: exact keys
             x, y = x[tie], y[tie]
             key = angle_keys(x, y)
-            key[np.arange(len(tie)), rows[tie]] = 1 << 62
+            at = np.arange(0, key.size, n)[:, None]  # each row's offset in key
+            key.reshape(-1)[at[:, 0] + rows[tie]] = 1 << 62
             o = np.lexsort((x * x + y * y, key))
             order[rows[tie]] = o
-            ranked = np.take_along_axis(key, o, axis=1)
+            ranked = key.reshape(-1).take(o + at)
             same = ranked[:, 1:] == ranked[:, :-1]
             cell = rows[tie, None] * n + o
             flat_graze[cell[:, 1:]] = same

@@ -18,10 +18,12 @@ polygon is asked about, its diagonals (``Polygon.diagonals``), its
 visibility graph and the shared graph are each one read-only [n, n]
 bool table, i < j; B decides exactly the cells of A's diagonals.  A cell
 (i, q) of the DP records whether the chain i..q closed by the chord
-{i, q} admits a joint triangulation; the table keeps each row's cells,
-and each column's, as the bits of one integer, and the backtracking that
-extracts the triangle set splits each true cell at the least vertex set
-in both its row and its column, so no choice is stored per cell.
+{i, q} admits a joint triangulation; the table keeps each column's cells
+as the bits of one integer, filled as the rows reachable from the
+column's first cell through shared chords, and the backtracking that
+extracts the triangle set splits each true cell (i, q) at the least k
+above i in column q whose own column holds i, so no choice is stored per
+cell.
 """
 
 from __future__ import annotations
@@ -81,20 +83,21 @@ class EdgeTable(Set):
 
 
 # Cells of ``Polygon.sides`` that construction reads per block, so it and
-# visibility stay within a few MB at any n.  Building that table, the span
-# test and ``_boundary_hits`` hold int64 temporaries, so their blocks take a
-# quarter of this.  Span blocks of an eighth cut the span test's minor page
-# faults on polygons of n 150-300 from about 130 to 40 per call, but not
-# its time, so they stay at a quarter.  Visibility tests all chords densely
-# only while they fit a quarter too (n <= 41 for a whole polygon), about
-# where the span test becomes the faster one.
+# visibility stay within a few MB at any n.  Building that table and
+# ``_boundary_hits`` hold int64 temporaries, so their blocks take a quarter
+# of this.  The span test's blocks take an eighth: its flat index arrays
+# are int64 too, and at a quarter they took 300 to 360 minor page faults
+# per polygon pair of n 150-300, at an eighth 33 to 36, in the same time.
+# Visibility tests all chords densely only while they fit a quarter (n <=
+# 41 for a whole polygon), about where the span test becomes the faster
+# one.
 _HIT_BLOCK_CELLS = 1 << 17
 
 # Largest polygon constructed, and so the largest whose visibility is
 # decided.  A convex pair through visibility, the DP and the verifier
 # peaks near 14 * n**2 bytes above the interpreter (32 MB at n = 1500,
 # 85 MB at n = 2500, fresh ru_maxrss), set by visibility's angle tables
-# and bool masks; the DP's bit rows and columns and the verifier's row
+# and bool masks; the DP's bit columns and the verifier's row
 # blocks stay below that.  So a pair stays well under 1 GB, and the int16
 # angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
@@ -277,48 +280,59 @@ def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
     in angular order, twice over so no run wraps, a prefix count per
     position says which of them fall in each edge's run, and only those
     (vertex, edge, chord) triples are tested.  Rows, and then triples, go
-    in blocks of about a quarter of ``_HIT_BLOCK_CELLS`` cells.
+    in blocks of about an eighth of ``_HIT_BLOCK_CELLS`` cells, and cells
+    of the [n, n] tables are read by ``take`` on their flat views, each
+    row's offset added to its column indices.
     """
     n = len(side)
     flat_side = side.reshape(-1)
+    side_rows = np.ascontiguousarray(side.T)  # row u: u's side of every edge
+    flat_tested, flat_first, flat_last = (a.reshape(-1) for a in (tested, first, last))
     blocked = np.zeros((n, n), dtype=bool)
+    flat_blocked = blocked.reshape(-1)
     k = np.arange(n, dtype=np.int16)
     k1 = (k + 1) % n
     rows = np.flatnonzero(tested.any(axis=1))
-    cells = max(1, _HIT_BLOCK_CELLS // 4)
+    cells = max(1, _HIT_BLOCK_CELLS // 8)
     step = max(1, cells // n)
     for lo in range(0, len(rows), step):
         u = rows[lo:lo + step]
+        at = u[:, None] * n  # row u's offset into the [n, n] tables
         around = order[u]
-        listed = tested[u[:, None], around]
+        listed = flat_tested.take(around + at)
         # count[r, p]: u's tested vertices before position p.  Column n
         # is there for the incident edges, whose ends include u itself at
         # position n - 1; their runs are zeroed below.
         count = np.zeros((len(u), n + 1), dtype=np.int32)
         np.cumsum(listed, axis=1, out=count[:, 1:])
         total = count[:, -1:]
+        flat_count = count.reshape(-1)
+        at_count = np.arange(0, count.size, n + 1)[:, None]
         # each row's tested vertices in angular order, twice, row after row
         targets = np.tile(around, 2)[np.tile(listed, 2)]
         base = 2 * (np.cumsum(total) - total[:, 0])
         # Edge k's run starts past its clockwise end's group and stops
         # before its counterclockwise end's; starting after it stops, it
         # wraps round through the row's end.
-        s = side[:, u].T
+        s = side_rows[u]
         ccw = s > 0
-        start = np.take_along_axis(last[u], np.where(ccw, k, k1), axis=1) + 1
-        stop = np.take_along_axis(first[u], np.where(ccw, k1, k), axis=1)
-        begin = np.take_along_axis(count, start, axis=1)
-        size = np.take_along_axis(count, stop, axis=1) - begin
-        size += (start > stop) * total
-        size[s == 0] = 0
-        r, e = np.divmod(np.flatnonzero(size), n)
-        size = size[r, e]
+        start = flat_last.take(np.where(ccw, k, k1) + at) + 1
+        stop = flat_first.take(np.where(ccw, k1, k) + at)
+        begin = flat_count.take(start + at_count)
+        live = s != 0
+        size = np.zeros(s.shape, dtype=np.int32)
+        np.subtract(flat_count.take(stop + at_count), begin, out=size, where=live)
+        np.add(size, total, out=size, where=live & (start > stop))
+        cell = np.flatnonzero(size)
+        r, e = np.divmod(cell, n)
+        size = size.reshape(-1).take(cell)
         ends = np.cumsum(size)
         # Triple t, counted over the block's pairs, reads its vertex w at
         # targets[head + t]; it crosses iff side[e, w] is opposite u's.
-        head = base[r] + begin[r, e] - (ends - size)
+        head = base[r] + begin.reshape(-1).take(cell) - (ends - size)
         edge = e * n
-        away = -s[r, e]
+        away = -s.reshape(-1).take(cell)
+        owner = at[:, 0].take(r)
         i = 0
         while i < len(ends):
             j = max(i + 1, int(np.searchsorted(ends, ends[i] - size[i] + cells,
@@ -326,7 +340,7 @@ def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
             pick = np.repeat(np.arange(i, j), size[i:j])
             w = targets[head[pick] + np.arange(ends[i] - size[i], ends[j - 1])]
             hit = flat_side[edge[pick] + w] == away[pick]
-            blocked[u[r[pick[hit]]], w[hit]] = True
+            flat_blocked[owner[pick[hit]] + w[hit]] = True
             i = j
     return blocked
 
@@ -440,19 +454,21 @@ def ivg(pair: PolygonPair) -> EdgeTable:
     return _edge_table(_diagonal_mask(pair.b, pair.a.diagonals))
 
 
-def _fill_table(table: np.ndarray) -> tuple[list[int], list[int]]:
+def _fill_table(table: np.ndarray) -> list[int]:
     """The interval table over the shared edges ``table`` (an [n, n] bool
-    table, i < j), as bit rows and bit columns: bit q of ``row[i]``, and
-    bit i of ``col[q]``, says whether cell (i, q) is true.
+    table, i < j), as bit columns: bit i of ``col[q]`` says whether cell
+    (i, q) is true.
 
     Cell (i, q), i + 1 < q, is true iff {i, q} is shared and some k in
     (i, q) has both cells (i, k) and (k, q) true.  Cells (i, i + 1) are
-    true.  Columns q go in ascending order and rows i in descending order,
-    so when cell (i, q) is filled, ``row[i] & col[q]`` has exactly the
-    qualifying split vertices.  Row i has bits only above i and column q
-    only below q, and those between i and q are final by then, so the
-    finished tables give the same split vertices: the backtracking reads
-    them there instead of from a stored choice per cell.
+    true.  So column q is the set of rows reachable from q - 1 through
+    shared chords: a true cell (k, q) makes every shared row i of column
+    k's cells true in column q, and every true cell is reached so, since
+    its witness k lies nearer q.  Columns go in ascending order, each from
+    {q - 1}; each step ORs the columns of the rows it just added, keeps
+    the shared rows not yet in the column, and stops once none is new or
+    no shared row is missing.  A convex pair's column q - 1 already holds
+    every row below it, so each of its columns takes one step.
 
     No coordinate is read, because the triangle (i, k, q) of every such
     split lies on the interior side of both polygons.  Lemma: if i < k < q
@@ -471,21 +487,53 @@ def _fill_table(table: np.ndarray) -> tuple[list[int], list[int]]:
     result.
     """
     n = len(table)
-    row = [1 << (i + 1) for i in range(n)]
+    # every column of the shared table as the bytes of one little-endian int
+    packed = np.packbits(table.T, axis=1, bitorder="little")
+    width = packed.shape[1]
+    packed = packed.tobytes()
     cols = [0] * n
     for q in range(1, n):
-        # one column at a time, so no list of n**2 items is held
-        shared = table[:, q].tolist()
+        shared = int.from_bytes(packed[q * width:(q + 1) * width], "little")
         if q == n - 1:
-            shared[0] = True  # the goal cell, never a sub-cell: tried regardless
-        col = 1 << (q - 1)
-        bit = 1 << q
-        for i in range(q - 2, -1, -1):
-            if shared[i] and row[i] & col:
-                row[i] |= bit
-                col |= 1 << i
+            shared |= 1  # the goal cell, never a sub-cell: tried regardless
+        col = fresh = 1 << (q - 1)
+        missing = shared & ~col
+        while fresh and missing:
+            reach = 0
+            while fresh:
+                low = fresh & -fresh
+                reach |= cols[low.bit_length() - 1]
+                fresh ^= low
+            fresh = reach & missing
+            col |= fresh
+            missing ^= fresh
         cols[q] = col
-    return row, cols
+    return cols
+
+
+def _split_triangles(col: list[int]) -> list[Tri]:
+    """The triangles of the true goal cell (0, n - 1) of the interval table
+    ``col`` (``_fill_table``), in preorder: each true cell (i, q) splits
+    at the least k in (i, q) with both sub-cells true, found by scanning
+    column q's bits above i for the first k whose column holds bit i."""
+    # An explicit stack, cell (i, k) before (k, q): a fan's chain of cells
+    # is n - 2 deep.
+    tris: list[Tri] = []
+    stack = [(0, len(col) - 1)]
+    while stack:
+        i, q = stack.pop()
+        if q - i < 2:
+            continue
+        rest = col[q] >> (i + 1) << (i + 1)
+        while True:
+            low = rest & -rest
+            k = low.bit_length() - 1
+            if col[k] >> i & 1:
+                break
+            rest ^= low
+        tris.append(tri(i, k, q))
+        stack += ((k, q), (i, k))
+    return tris
 
 
 def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
@@ -494,28 +542,17 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     Cell (i, q) is true iff {i, q} is a shared visibility edge and some
     split vertex k strictly between them has both sub-cells true, so the
     chords {i, k} and {k, q} are shared too; the triangle (i, k, q) then
-    lies on the interior side in both realizations (``_fill_table``).  The
-    backtracking splits each true cell at its least such k, the lowest bit
-    of ``row[i] & col[q]``.  On success the triangle set is re-checked by
-    the polygon verifier; None means no joint triangulation exists.
+    lies on the interior side in both realizations.  ``_fill_table``
+    builds each column of cells as the rows reachable from its first
+    cell, and the backtracking (``_split_triangles``) splits each true
+    cell at its least such k, scanning the column's cells above i.  On
+    success the triangle set is re-checked by the polygon verifier; None
+    means no joint triangulation exists.
     """
-    n = len(pair)
-    row, col = _fill_table(pair.shared.table)
-    if not row[0] >> (n - 1) & 1:
+    col = _fill_table(pair.shared.table)
+    if not col[-1] & 1:
         return None
-
-    # Backtrack in preorder, cell (i, k) before (k, q), on an explicit
-    # stack: a fan's chain of cells is n - 2 deep.
-    tris: list[Tri] = []
-    stack = [(0, n - 1)]
-    while stack:
-        i, q = stack.pop()
-        if q - i < 2:
-            continue
-        split = row[i] & col[q]
-        k = (split & -split).bit_length() - 1
-        tris.append(tri(i, k, q))
-        stack += ((k, q), (i, k))
+    tris = _split_triangles(col)
     violation = verify_polygon_joint(pair, tris)
     return JointTriangulation(TriangleSet._of_canonical(set(tris)), violation is None,
                               violation, tris)

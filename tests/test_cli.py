@@ -312,8 +312,11 @@ def test_oracle_size_guard_exit_3(tmp_path):
     pair = gen_point_pair(10, 60, 5)
     p = tmp_path / "big.txt"
     p.write_text(format_instance(pair))
-    code, _ = run_cli("oracle", str(p))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("oracle", str(p))
     assert code == 3
+    assert err.getvalue().startswith(f"{p}: "), err.getvalue()
 
 
 def test_oracle_refuses_grazing_pair_as_polygon_does(tmp_path):
@@ -337,8 +340,12 @@ def test_tensor_size_guard_exit_3(tmp_path, monkeypatch):
     p.write_text(format_instance(hull_locked_pair(10, 60, 2, 1)))
     for argv in (["check", str(p)], ["check", str(p), "--explain"],
                  ["triangulate", str(p)]):
-        code, out = run_cli(*argv)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(*argv)
         assert (code, out) == (3, ""), argv
+        assert err.getvalue() == \
+            f"{p}: orientation tensors are limited to n <= 9, got 10\n", argv
 
 
 # Exit code and sha256 of `check --explain` stdout for seeded hull-locked
@@ -581,13 +588,16 @@ def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
     tris = tmp_path / "tris.txt"
     tris.write_text("1 2 3\n")
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 5)
-    for argv in (["polygon", str(p)], ["hunt", "polygons", "6", "6", "1", "1"],
-                 ["render", str(p), str(tris), str(tmp_path / "out.svg")]):
+    refusal = "polygon visibility is limited to n <= 5, got 6\n"
+    for argv, message in (
+            (["polygon", str(p)], f"{p}: {refusal}"),
+            (["hunt", "polygons", "6", "6", "1", "1"], refusal),
+            (["render", str(p), str(tris), str(tmp_path / "out.svg")], f"{p}: {refusal}")):
         err = io.StringIO()
         with redirect_stderr(err):
             code, out = run_cli(*argv)
         assert (code, out) == (3, ""), argv
-        assert err.getvalue() == "polygon visibility is limited to n <= 5, got 6\n"
+        assert err.getvalue() == message, argv
 
 
 def test_genpoly_output_parses():

@@ -14,8 +14,8 @@ from jointtri.greedy import verify_tiling
 from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
                              polygon_oracle_exists)
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
-                              dp_joint_polygon, ivg, verify_polygon_joint,
-                              visibility_graph)
+                              _split_triangles, dp_joint_polygon, ivg,
+                              verify_polygon_joint, visibility_graph)
 
 from helpers import (_diagonal_inside_slow, _interior_split, _on_open_segment,
                      _proper_cross, _winding, brute_diagonal_visible, brute_fill_table,
@@ -222,7 +222,7 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     graphs = [_visibility_or_grazing(p) for p in polys]
     # 20 cells is two to six rows of the side table per construction block
     # at these sizes, and the table is built one row per block; visibility
-    # then takes the span path, in blocks of one row and five triples, on
+    # then takes the span path, in blocks of one row and two triples, on
     # angle tables built one row per block
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 20)
     monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
@@ -591,18 +591,17 @@ def _bool_table(n: int, edges) -> np.ndarray:
 
 def _fill_cells(edges, n: int):
     """``_fill_table`` over the given edges, unpacked into the [n][n] cell
-    and choice lists of ``brute_fill_table``: each true cell (i, q),
-    i + 1 < q, chooses the lowest bit of ``row[i] & col[q]``, as the
-    backtracking does.  The columns must hold the rows' cells."""
-    row, col = _fill_table(_bool_table(n, edges))
-    cells = [[bool(r >> q & 1) for q in range(n)] for r in row]
-    assert [[bool(c >> i & 1) for c in col] for i in range(n)] == cells
+    and choice lists of ``brute_fill_table``: cell (i, q) is bit i of
+    column q, and each true cell (i, q), i + 1 < q, chooses the least k
+    with both sub-cells true."""
+    col = _fill_table(_bool_table(n, edges))
+    cells = [[bool(col[q] >> i & 1) for q in range(n)] for i in range(n)]
     choice = [[-1] * n for _ in range(n)]
     for i in range(n):
         for q in range(i + 2, n):
             if cells[i][q]:
-                split = row[i] & col[q]
-                choice[i][q] = (split & -split).bit_length() - 1
+                choice[i][q] = next(k for k in range(i + 1, q)
+                                    if cells[i][k] and cells[k][q])
     return cells, choice
 
 
@@ -654,6 +653,34 @@ def test_fill_table_matches_brute_reference():
                 fewer = shared - {diagonals[len(diagonals) // 2]}
                 assert _fill_cells(fewer, n) == brute_fill_table(pair, fewer)
     assert found >= 100 and failed >= 40, (found, failed)
+
+
+def test_fill_table_all_shared_convex():
+    """Every chord of a convex pair is shared, so every cell is true, each
+    column q is (1 << q) - 1, and every cell splits at k = i + 1: the
+    backtracking gives the fan from vertex n - 1."""
+    n = 64
+    pair = PolygonPair(*(Polygon.from_coords(convex_polygon_coords(n)),) * 2)
+    shared = pair.shared
+    assert len(shared) == n * (n - 1) // 2
+    assert _fill_table(shared.table) == [(1 << q) - 1 for q in range(n)]
+    cells, choice = _fill_cells(shared, n)
+    assert (cells, choice) == brute_fill_table(pair, shared)
+    assert all(choice[i][q] == i + 1 for i in range(n) for q in range(i + 2, n))
+    assert _split_triangles(_fill_table(shared.table)) == \
+        [(i, i + 1, n - 1) for i in range(n - 2)]
+
+
+def test_split_skips_k_without_its_left_cell():
+    """The backtracking of cell (0, 5) passes over k = 2, whose cell (2, 5)
+    is true but whose cell (0, 2) is not, and splits at k = 3."""
+    n = 6
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, 5), (1, 3), (0, 3), (3, 5), (2, 5)]
+    col = _fill_table(_bool_table(n, edges))
+    cells, choice = _fill_cells(edges, n)
+    assert cells[2][5] and not cells[0][2] and cells[0][3] and cells[3][5]
+    assert choice[0][5] == 3
+    assert _split_triangles(col) == [(0, 3, 5), (0, 1, 3), (1, 2, 3), (3, 4, 5)]
 
 
 def test_dp_convex_sizes():
