@@ -125,9 +125,10 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     flips = np.array(FLIPS) > 0
     side_a = strictly_left(pair.a.signs, i, j, k)[:, None] == flips
     side_b = strictly_left(pair.b.signs, i, j, k)[:, None] == flips
-    # Incidence 3 p + q is edge q of tri_edges(order[p]); its key is
-    # 4 * edge id + code, the index of the count it belongs to, formed as
-    # (2 * id + (A > 0)) * 2 + (B > 0) so that no step leaves int32.
+    # Incidence 3 p + q is edge q of order[p], in the order (i, j), (j, k),
+    # (i, k); its key is 4 * edge id + code, the index of the count it
+    # belongs to, formed as (2 * id + (A > 0)) * 2 + (B > 0) so that no step
+    # leaves int32.
     ids = np.column_stack((i * n + j, j * n + k, i * n + k))
     keys = ((2 * ids + side_a) * 2 + side_b).ravel()
     counts = np.bincount(keys, minlength=4 * n * n)

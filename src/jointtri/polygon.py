@@ -5,25 +5,28 @@ then an interval dynamic program over boundary indices.  Each polygon
 converts its vertices once, to one int64 [n, 2] array
 (``Polygon.coords``), and holds one exact [n, n] table of the side of
 every vertex against every edge's line (``Polygon.sides``), built from
-that array: construction fills the table and checks simplicity on it,
-and visibility reads both.  Two [n, n] masks (does a
-chord leave both ends into the interior angle, does it pass through a
-third vertex) pick the chords worth a boundary crossing test, and the
-masks with that test decide every chord.  Small polygons test every
-chord against every edge and vertex.  Larger ones sort the vertices
-around each vertex in the exact angular order of ``geom.angle_order``
-and test a chord u-w only against the edges whose angular span at u
-holds w's direction, so a convex polygon tests none.  The chords a
-polygon is asked about, its diagonals (``Polygon.diagonals``), its
-visibility graph and the shared graph are each one read-only [n, n]
-bool table, i < j; B decides exactly the cells of A's diagonals.  A cell
-(i, q) of the DP records whether the chain i..q closed by the chord
-{i, q} admits a joint triangulation; the table keeps each column's cells
-as the bits of one integer, filled as the rows reachable from the
-column's first cell through shared chords, and the backtracking that
-extracts the triangle set splits each true cell (i, q) at the least k
-above i in column q whose own column holds i, so no choice is stored per
-cell.
+that array.  One kernel, ``_line_sides``, gives every line side: the
+table's rows and the dense test's chord lines.  One segment test,
+``_boundary_hits``, says whether segments cross an edge properly or pass
+through a vertex: construction runs it on the polygon's own edges, whose
+line sides are the table's rows, to check simplicity, and visibility
+runs it on chords.  Two [n, n] masks (does a chord leave both ends into
+the interior angle, does it pass through a third vertex) pick the chords
+worth a boundary crossing test, and the masks with that test decide
+every chord.  Small polygons run the segment test on every chord at
+once.  Larger ones sort the vertices around each vertex in the exact
+angular order of ``geom.angle_order`` and test a chord u-w only against
+the edges whose angular span at u holds w's direction, so a convex
+polygon tests none.  The chords a polygon is asked about, its diagonals
+(``Polygon.diagonals``), its visibility graph and the shared graph are
+each one read-only [n, n] bool table, i < j; B decides exactly the cells
+of A's diagonals.  A cell (i, q) of the DP records whether the chain
+i..q closed by the chord {i, q} admits a joint triangulation; the table
+keeps each column's cells as the bits of one integer, filled as the rows
+reachable from the column's first cell through shared chords, and the
+backtracking that extracts the triangle set splits each true cell (i, q)
+at the least k above i in column q whose own column holds i, so no
+choice is stored per cell.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .geom import (InputError, Point, SizeGuard, angle_order, check_coords,
-                   check_distinct, hull_edge_set, signed_area2)
+                   check_distinct, signed_area2)
 from .greedy import JointTriangulation, verify_tiling
 from .triangles import Edge, Tri, TriangleSet, tri
 
@@ -82,15 +85,16 @@ class EdgeTable(Set):
         return zip(us.tolist(), vs.tolist())
 
 
-# Cells of ``Polygon.sides`` that construction reads per block, so it and
-# visibility stay within a few MB at any n.  Building that table and
-# ``_boundary_hits`` hold int64 temporaries, so their blocks take a quarter
-# of this.  The span test's blocks take an eighth: its flat index arrays
-# are int64 too, and at a quarter they took 300 to 360 minor page faults
-# per polygon pair of n 150-300, at an eighth 33 to 36, in the same time.
-# Visibility tests all chords densely only while they fit a quarter (n <=
-# 41 for a whole polygon), about where the span test becomes the faster
-# one.
+# Cells of ``Polygon.sides`` per block of construction's segment test,
+# which runs ``_boundary_hits`` on the edges, so it and visibility stay
+# within a few MB at any n.  ``_line_sides`` holds int64 temporaries, so
+# its blocks, the table's rows at construction and the dense test's
+# chords, take a quarter of this.  The span test's blocks take an eighth:
+# its flat index arrays are int64 too, and at a quarter they took 300 to
+# 360 minor page faults per polygon pair of n 150-300, at an eighth 33 to
+# 36, in the same time.  Visibility tests all chords densely only while
+# they fit a quarter (n <= 41 for a whole polygon), about where the span
+# test becomes the faster one.
 _HIT_BLOCK_CELLS = 1 << 17
 
 # Largest polygon constructed, and so the largest whose visibility is
@@ -111,9 +115,15 @@ class Polygon:
     not touch at all, adjacent edges must share only their common
     endpoint.  The given vertex order is preserved (it defines the
     labels); ``ccw_sign`` says which way it winds (+1 counterclockwise,
-    -1 clockwise).  ``coords`` is the vertices as one read-only int64
-    [n, 2] array, built once by construction: the side table, the
-    simplicity check and visibility read the vertices from it alone.
+    -1 clockwise).  Construction builds two read-only arrays once.
+    ``coords`` is the vertices as one int64 [n, 2] array: the side table,
+    the simplicity check and visibility read the vertices from it alone.
+    ``sides`` is an [n, n] int8 table, ``sides[k, v]`` the sign of vertex
+    v against the line of edge k -> k + 1, positive on its left: each row
+    is ``_line_sides`` of its edge, the table built in blocks of
+    ``_HIT_BLOCK_CELLS // 4`` cells.  Construction's segment test reads its
+    rows as the edges' own line sides and its columns as their ends'
+    sides; the cone test and both crossing tests read it too.
     Above MAX_POLYGON_VERTICES vertices construction raises SizeGuard
     after its O(n) checks, before any [n, n] table is built.
     """
@@ -121,6 +131,7 @@ class Polygon:
     vertices: tuple[Point, ...]
     ccw_sign: int = field(init=False, repr=False, compare=False)
     coords: np.ndarray = field(init=False, repr=False, compare=False)
+    sides: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -135,32 +146,30 @@ class Polygon:
                             f"{MAX_POLYGON_VERTICES}, got {n}")
         object.__setattr__(self, "ccw_sign", 1 if area > 0 else -1)
         coords = np.fromiter(chain.from_iterable(self.vertices), np.int64).reshape(n, 2)
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-        # With distinct vertices the cycle is simple iff no two edges meet
-        # but at a shared endpoint: no edge crosses another properly (each
-        # one's ends strictly apart across the other's line) and no vertex
-        # lies strictly inside an edge (on its line, seeing its ends in
-        # opposite directions).  ``sides`` is read in row blocks; the first
-        # offending pair (i, j), i < j, in row-major order is reported.
-        side, p = self.sides, self.coords
+        edges = np.arange(n)
         nxt = np.arange(1 - n, 1)  # k + 1, mod n, as an index
+        side = np.empty((n, n), dtype=np.int8)
+        step = max(1, _HIT_BLOCK_CELLS // (4 * n))
+        for lo in range(0, n, step):  # edge k's row: every vertex's side of its line
+            side[lo:lo + step] = _line_sides(coords, edges[lo:lo + step], nxt[lo:lo + step])
+        coords.flags.writeable = side.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "sides", side)
+        # With distinct vertices the cycle is simple iff no two edges meet
+        # but at a shared endpoint: the segment test of visibility, run on
+        # the edges themselves, whose lines are the rows of ``sides``.
+        # Edges go in row blocks; the first offending pair (i, j), i < j,
+        # in row-major order is reported.
+        side_rows = np.ascontiguousarray(side.T)
         first = n * n
         step = max(1, _HIT_BLOCK_CELLS // n)
         for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            s = side[lo:hi]
-            t = side[:, lo:hi]  # edge r's ends against edge c's line
-            hits = (s * s.take(nxt, axis=1) < 0) & (t * side.take(nxt[lo:hi], axis=1) < 0).T
-            # a vertex c on edge r's line besides its ends may lie inside it
-            if np.count_nonzero(s == 0) > 2 * (hi - lo):
-                r, c = np.divmod(np.flatnonzero(s == 0), n)
-                inside = np.zeros(hits.shape, dtype=bool)
-                inside[r, c] = np.add.reduce(
-                    (p[c] - p[r + lo]) * (p[c] - p[r + (lo + 1 - n)]), axis=1) < 0
-                hits |= inside | inside[:, nxt]
-            r, c = np.divmod(np.flatnonzero(hits), n)
-            if r.size:
+            b = slice(lo, lo + step)
+            hits, inside = _boundary_hits(coords, side_rows, side[b], edges[b], nxt[b])
+            if np.count_nonzero(inside):  # vertex c or c + 1 inside edge r
+                hits |= inside | inside.take(nxt, axis=1)
+            if np.count_nonzero(hits):
+                r, c = np.divmod(np.flatnonzero(hits), n)
                 r += lo
                 first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
         if first < n * n:
@@ -180,28 +189,6 @@ class Polygon:
 
     def __getitem__(self, label: int) -> Point:
         return self.vertices[label]
-
-    def boundary_edges(self) -> frozenset[Edge]:
-        return hull_edge_set(range(len(self.vertices)))
-
-    @cached_property
-    def sides(self) -> np.ndarray:
-        """Read-only [n, n] int8 table: ``sides[k, v]`` is the sign of
-        vertex v against the line of edge k -> k + 1, positive on its left.
-        Construction fills and reads it; the cone test and both crossing
-        tests read it.  Edges go in blocks of ``_HIT_BLOCK_CELLS // 4`` cells."""
-        p = self.coords
-        n = len(p)
-        # edge k cross v - p[k]: (ex, -ey) against (y, x) of v, less of p[k]
-        e = p.take(np.arange(1 - n, 1), axis=0) - p
-        e[:, 1] *= -1
-        side = np.empty((n, n), dtype=np.int8)
-        step = max(1, _HIT_BLOCK_CELLS // (4 * n))
-        for lo in range(0, n, step):
-            cross = e[lo:lo + step] @ p[:, ::-1].T
-            side[lo:lo + step] = np.sign(cross - cross.diagonal(lo)[:, None])
-        side.flags.writeable = False
-        return side
 
     @cached_property
     def diagonals(self) -> np.ndarray:
@@ -345,40 +332,54 @@ def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
     return blocked
 
 
-def _boundary_hits(coords: np.ndarray, side: np.ndarray, us: np.ndarray,
-                   vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact tests of the segments us[r] -> vs[r], between vertices of the
-    cycle ``coords`` (``Polygon.coords``) with edge-side table ``side``
-    (``Polygon.sides``), against its boundary.  Returns two [len(us), n]
-    masks: ``proper[r, k]`` iff the segment and edge k -> k+1 cross at a
-    point interior to both, and ``inside[r, w]`` iff vertex w lies strictly
-    inside the segment.
-
-    The segment crosses edge k properly iff the edge's ends lie strictly
-    on opposite sides of the segment's line, computed here, and the
-    segment's ends strictly on opposite sides of the edge's, read off
-    ``side``.  Each vertex's side of each segment's line is one [len(us),
-    n] table; edge k's far end is its column k + 1, read for every k by
-    one gather through the "next" index (k + 1 mod n).  A vertex on the
-    segment's line lies strictly inside it iff it sees its ends in
-    opposite directions (a negative dot product); that test runs only if
-    some line holds a vertex besides the segment's own ends.
-    Int64 is exact for coordinates within COORD_LIMIT; ``_diagonal_mask``
-    passes at most ``_HIT_BLOCK_CELLS // (4 * n)`` segments.
-    """
+def _line_sides(coords: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """[len(us), n] int64 table: the sign of every vertex of ``coords``
+    (``Polygon.coords``) against the line us[r] -> vs[r], positive on its
+    left.  The one place the polygon code computes a line side: both
+    ``Polygon.sides`` and the dense crossing test read their signs from it.
+    Int64 is exact for coordinates within COORD_LIMIT; callers pass at most
+    ``_HIT_BLOCK_CELLS // (4 * n)`` lines, for the int64 products."""
     pu = coords.take(us, axis=0)
-    # d = p[v] - p[u] cross p[w] - p[u]: (dx, -dy) against (y, x) of w, less of p[u]
+    # (v - u) cross (w - u): (dx, -dy) against (y, x) of w, less of u
     d = coords.take(vs, axis=0) - pu
     d[:, 1] *= -1
     cross = d @ coords[:, ::-1].T
-    sign = np.sign(cross - cross[np.arange(len(us)), us][:, None])
-    proper = sign * sign.take(np.arange(1 - len(coords), 1), axis=1) < 0
-    proper &= (side.take(us, axis=1) * side.take(vs, axis=1) < 0).T
+    cross -= np.vecdot(d, pu[:, ::-1])[:, None]
+    return np.sign(cross, out=cross)
+
+
+def _boundary_hits(coords: np.ndarray, side_rows: np.ndarray, sign: np.ndarray,
+                   us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tests of the segments us[r] -> vs[r], between vertices of the
+    cycle ``coords`` (``Polygon.coords``), against its boundary: the one
+    segment test, run by construction on the edges and by the dense
+    visibility path on chords.  ``side_rows`` is ``Polygon.sides``
+    transposed (row v: v's side of every edge's line), and ``sign`` the
+    [len(us), n] table of every vertex's side of each segment's line
+    (``_line_sides``; an edge's is its row of ``Polygon.sides``).  Returns
+    two [len(us), n] masks: ``proper[r, k]`` iff the segment and edge
+    k -> k+1 cross at a point interior to both, and ``inside[r, w]`` iff
+    vertex w lies strictly inside the segment.
+
+    The segment crosses edge k properly iff the edge's ends lie strictly
+    on opposite sides of the segment's line, columns k and k + 1 of
+    ``sign``, and the segment's ends strictly on opposite sides of the
+    edge's, rows us[r] and vs[r] of ``side_rows``.  A vertex on the
+    segment's line lies strictly inside it iff it sees its ends in
+    opposite directions (a negative dot product); that test runs only if
+    some line holds a vertex besides the segment's own ends.
+    """
+    # column k + 1 for every k, as two slices: a gather through the "next"
+    # index reads the table a byte at a time, about ten times slower at n = 300
+    far = np.concatenate((sign[:, 1:], sign[:, :1]), axis=1)
+    proper = sign * far < 0
+    proper &= side_rows.take(us, axis=0) * side_rows.take(vs, axis=0) < 0
     inside = np.zeros(proper.shape, dtype=bool)
-    if np.count_nonzero(sign == 0) > 2 * len(us):
-        r, w = np.nonzero(sign == 0)
-        inside[r, w] = np.add.reduce((coords[w] - pu[r]) * (coords[w] - coords[vs[r]]),
-                                     axis=1) < 0
+    on_line = sign == 0
+    if np.count_nonzero(on_line) > 2 * len(us):
+        r, w = np.nonzero(on_line)
+        pw = coords[w]
+        inside[r, w] = np.add.reduce((pw - coords[us[r]]) * (pw - coords[vs[r]]), axis=1) < 0
     return proper, inside
 
 
@@ -406,7 +407,7 @@ def _diagonal_mask(poly: Polygon, chords: np.ndarray) -> np.ndarray:
     cone = _cone(poly.sides, poly.ccw_sign) & chords
     if np.count_nonzero(chords) * n <= _HIT_BLOCK_CELLS // 4:
         us, vs = np.nonzero(chords)
-        proper, inside = _boundary_hits(p, poly.sides, us, vs)
+        proper, inside = _boundary_hits(p, poly.sides.T, _line_sides(p, us, vs), us, vs)
         graze, blocked = np.zeros((2, n, n), dtype=bool)
         graze[us, vs], blocked[us, vs] = inside.any(axis=1), proper.any(axis=1)
     else:

@@ -17,7 +17,8 @@ Three helpers are not references and call the library.
 each draws A with ``gen_point_pair``, and ``hull_locked_pair`` fixes A's
 hull from ``convex_hull``.  ``enumerate_triangulations`` lists the
 library's own frontier search (``iter_triangulations``) on a set paired
-with itself.
+with itself.  ``tri_edges`` and ``boundary_edges`` only list label pairs,
+a triple's edges and a polygon's boundary edges, for the tests' sets.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from jointtri.conditions import LegalSetResult, PointSetPair
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
 from jointtri.oracle import gen_point_pair, iter_triangulations
 from jointtri.polygon import visibility_graph
-from jointtri.triangles import FLIPS, Tri, TriangleSet, tri_edges
+from jointtri.triangles import FLIPS, Tri, TriangleSet
 
 
 # A point instance that passes NC1 and fails NC2: all 21 of its paired
@@ -48,6 +49,20 @@ POINTS 8
 4 15 6 0
 16 14 16 6
 """
+
+
+def tri_edges(t) -> tuple[tuple[int, int], ...]:
+    """The edges of a canonical triple (i, j, k), in the order
+    (i, j), (j, k), (i, k) that ``triangles.FLIPS`` follows."""
+    i, j, k = t
+    return ((i, j), (j, k), (i, k))
+
+
+def boundary_edges(poly) -> frozenset[tuple[int, int]]:
+    """The label pairs of a polygon's boundary edges, (i, i + 1) and
+    (0, n - 1)."""
+    n = len(poly)
+    return frozenset((i, i + 1) for i in range(n - 1)) | {(0, n - 1)}
 
 
 def xorient(p, q, r) -> int:

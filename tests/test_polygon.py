@@ -18,8 +18,8 @@ from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table
                               verify_polygon_joint, visibility_graph)
 
 from helpers import (_diagonal_inside_slow, _interior_split, _on_open_segment,
-                     _proper_cross, _winding, brute_diagonal_visible, brute_fill_table,
-                     brute_is_simple, convex_polygon_coords,
+                     _proper_cross, _winding, boundary_edges, brute_diagonal_visible,
+                     brute_fill_table, brute_is_simple, convex_polygon_coords,
                      count_joint_triangulations, in_cone, star_polygon_coords,
                      xorient)
 
@@ -60,7 +60,7 @@ def test_visibility_size_guard(monkeypatch):
     def no_table(*args):
         raise AssertionError("[n, n] table built above the size limit")
 
-    monkeypatch.setattr(Polygon, "sides", property(no_table))
+    monkeypatch.setattr(polygon, "_line_sides", no_table)
     monkeypatch.setattr(polygon, "_diagonal_mask", no_table)
     with pytest.raises(SizeGuard, match="n <= 8, got 9"):
         Polygon.from_coords(convex_polygon_coords(9))
@@ -121,8 +121,8 @@ def test_edge_table_contract():
         assert (np.int64(0), np.int64(2)) in got
         assert type(got & {(0, 2), (1, 3)}) is frozenset
         assert got & {(0, 2), (1, 3)} == {(0, 2)}
-        assert type(got - dart.boundary_edges()) is frozenset
-        assert got - dart.boundary_edges() == {(0, 2)}
+        assert type(got - boundary_edges(dart)) is frozenset
+        assert got - boundary_edges(dart) == {(0, 2)}
         assert list(got) == sorted(want)
         assert all(type(v) is int for e in got for v in e)
         assert not got.table.flags.writeable
@@ -229,6 +229,28 @@ def test_construction_and_visibility_across_block_boundaries(monkeypatch):
     assert _construction_verdicts(cycles) == verdicts
     # fresh polygons, since each caches its diagonals
     assert [_visibility_or_grazing(Polygon(p.vertices)) for p in polys] == graphs
+
+
+def test_construction_refusals_at_full_block_size():
+    """At n = 1,000 construction checks 131 edges per block, in 8 blocks,
+    and names the first offending edge pair from the block that finds it:
+    a convex cycle on the parabola (i, i^2), with two vertices of the last
+    block swapped so that edges 949 and 951 cross, and with vertex 5 lifted
+    onto the closing edge 999 -> 0, which puts it strictly inside that
+    edge."""
+    n = 1000
+    assert -(-n // (polygon._HIT_BLOCK_CELLS // n)) == 8
+    convex = [(i, i * i) for i in range(n)]
+    Polygon.from_coords(convex)
+    swapped = convex[:950] + [convex[951], convex[950]] + convex[952:]
+    with pytest.raises(ValueError) as exc:
+        Polygon.from_coords(swapped)
+    assert str(exc.value) == "boundary is not simple: edges 949 and 951 intersect"
+    # the closing edge is the line y = 999 x
+    lifted = convex[:5] + [(5, 999 * 5)] + convex[6:]
+    with pytest.raises(ValueError) as exc:
+        Polygon.from_coords(lifted)
+    assert str(exc.value) == "boundary is not simple: edges 4 and 999 intersect"
 
 
 def _first_grazing_chord(vertices, chords=None):
@@ -362,7 +384,9 @@ def test_sides_table_matches_scalar_reference(monkeypatch):
 def test_cone_and_graze_match_scalar_references():
     """``_cone``, and the graze masks of both visibility paths: the dense
     path's ``inside`` from ``_boundary_hits`` on every ordered pair, and
-    the span path's from ``angle_order``."""
+    the span path's from ``angle_order``.  On the same pairs,
+    ``_line_sides`` matches scalar ``geom.orient``, and ``Polygon.sides``
+    is its table over the edges."""
     grazing = reflex = 0
     for coords in _mask_polygons():
         xs, ys = np.array(coords, dtype=np.int64).T
@@ -370,9 +394,12 @@ def test_cone_and_graze_match_scalar_references():
         poly = Polygon.from_coords(coords)
         cone = polygon._cone(poly.sides, poly.ccw_sign)
         us, vs = np.divmod(np.arange(n * n), n)
-        graze = polygon._boundary_hits(poly.coords, poly.sides, us, vs)[1]
+        line_sides = polygon._line_sides(poly.coords, us, vs)
+        graze = polygon._boundary_hits(poly.coords, poly.sides.T, line_sides, us, vs)[1]
         graze = graze.any(axis=1).reshape(n, n)
         span_graze = angle_order(xs, ys)[3]
+        k = np.arange(n)
+        assert np.array_equal(poly.sides, polygon._line_sides(poly.coords, k, (k + 1) % n))
         for u in range(n):
             for v in range(n):
                 a, b = coords[u], coords[v]
@@ -381,6 +408,8 @@ def test_cone_and_graze_match_scalar_references():
                 assert span_graze[u, v] == grazes, (coords, u, v)
                 assert cone[u, v] == (in_cone(coords, u, v) and in_cone(coords, v, u)), \
                     (coords, u, v)
+                assert line_sides[u * n + v].tolist() == \
+                    [geom.orient(a, b, w) for w in coords], (coords, u, v)
         grazing += bool(graze.any())
         s = _winding(coords)
         reflex += any(s * xorient(coords[u], coords[(u + 1) % n], coords[u - 1]) < 0
@@ -547,7 +576,7 @@ def test_ivg_grazing_on_b_off_a_diagonals_is_decided():
     with pytest.raises(GrazingDiagonal):
         visibility_graph(b)
     want = {e for e in visibility_graph(a)
-            if e in a.boundary_edges() or brute_diagonal_visible(FLAT_BOTTOM, *e)}
+            if e in boundary_edges(a) or brute_diagonal_visible(FLAT_BOTTOM, *e)}
     assert ivg(PolygonPair(a, b)) == want == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
                                               (0, 3), (1, 3), (1, 4), (2, 4)}
 
@@ -575,7 +604,7 @@ def test_ivg_on_grid_pairs_follows_the_grazing_rule():
             counts["b"] += 1
             continue
         want = {e for e in seen_a
-                if e in pair.a.boundary_edges() or brute_diagonal_visible(b, *e)}
+                if e in boundary_edges(pair.a) or brute_diagonal_visible(b, *e)}
         assert ivg(pair) == want, (pair.a.vertices, b)
         counts["decided"] += 1
     assert min(counts.values()) >= 30, counts
@@ -648,7 +677,7 @@ def test_fill_table_matches_brute_reference():
             assert (m, choice) == brute_fill_table(pair, shared), pair.a.vertices
             found += m[0][-1]
             failed += not m[0][-1]
-            diagonals = sorted(shared - pair.a.boundary_edges())
+            diagonals = sorted(shared - boundary_edges(pair.a))
             if diagonals:
                 fewer = shared - {diagonals[len(diagonals) // 2]}
                 assert _fill_cells(fewer, n) == brute_fill_table(pair, fewer)
@@ -751,7 +780,7 @@ def test_verify_polygon_rejects_edge_outside_shared_graph():
     cycle = range(len(quad))
     sides = (("A", quad.vertices, cycle), ("B", quad.vertices, cycle))
     violation = verify_tiling(sides, [(0, 1, 2), (0, 2, 3)],
-                              allowed=quad.boundary_edges())
+                              allowed=boundary_edges(quad))
     assert violation == "edge (0, 2) not shared by both visibility graphs"
 
 
@@ -763,7 +792,7 @@ def test_table_monotone_under_shared_edge_removal():
     for trial in range(30):
         pair = gen_polygon_pair(rng.randint(5, 9), 30, 8300 + trial)
         shared = ivg(pair)
-        boundary = pair.a.boundary_edges()
+        boundary = boundary_edges(pair.a)
         diagonals = sorted(shared - boundary)
         if not diagonals:
             continue

@@ -13,12 +13,12 @@ from jointtri.geom import LabeledSet
 from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import (TriangleSet, edge, enumerate_empty,
-                                paired_empty, tri, tri_edges)
+                                paired_empty, tri)
 
 from helpers import (COLLAPSING_TEXT, brute_empty_triangles,
                      convex_polygon_coords, convex_position_points,
                      grid_locked_coords, hull_locked_pair,
-                     reference_sign_tensor, scan_empty_triangles)
+                     reference_sign_tensor, scan_empty_triangles, tri_edges)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
