@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def _scan(points: Sequence[Sequence[Point]],
     return det, hit
 
 
-def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
-                  allowed: Optional[Collection[Edge]] = None) -> Optional[str]:
+def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[str]:
     """Exact check that one triple set triangulates every side.
 
     Each side is ``(name, points, cycle)``: the realization's name, its
@@ -103,8 +102,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
        triangle) on every side;
     3. doubled areas summing to each cycle's doubled area (redundant);
     4. the same boundary edges on every side;
-    5. every used edge in ``allowed``, when given;
-    6. on every side, with each triangle's edges directed to have it on
+    5. on every side, with each triangle's edges directed to have it on
        their left: no directed edge twice, and the directed edges whose
        reverse is missing are exactly the cycle, directed to have its
        interior on their left (the half-edge invariant of a planar
@@ -115,7 +113,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
     no edge.  By 2, two distinct edges share at most one point (a collinear
     overlap would put a vertex on an edge), so deg changes only across an
     edge, by the triangles on that edge on the side entered minus those on
-    the side left.  By 6 each side of an edge holds at most one triangle;
+    the side left.  By 5 each side of an edge holds at most one triangle;
     an edge off the cycle has one on each side, so deg does not change
     across it, and a cycle edge has one on its interior side only, so deg
     changes across it exactly as the indicator of the cycle's interior
@@ -152,12 +150,6 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri],
     boundary = hull_edge_set(sides[0][2])
     if any(hull_edge_set(cycle) != boundary for _, _, cycle in sides[1:]):
         return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
-
-    if allowed is not None:
-        used = {e for i, j, k in tris for e in ((i, j), (j, k), (i, k))}
-        for e in sorted(used):
-            if e not in allowed:
-                return f"edge {e} not shared by both visibility graphs"
 
     for (name, _, cycle), det, winding in zip(sides, dets.tolist(), windings):
         half: dict[Edge, int] = {}  # directed edge -> the triangle on its left

@@ -224,7 +224,7 @@ class PolygonPair:
     @cached_property
     def shared(self) -> EdgeTable:
         """The pair's shared visibility edges (``ivg``), computed once and
-        read by the interval DP, the verifier and the polygon oracle.
+        read by the interval DP and the polygon oracle.
         Raises GrazingDiagonal as ``ivg`` does, and then caches nothing."""
         return ivg(self)
 
@@ -561,10 +561,14 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
 
 def verify_polygon_joint(pair: PolygonPair, triangles) -> Optional[str]:
     """Exact check that a triple set jointly triangulates both polygons:
-    ``verify_tiling`` with each polygon's vertex cycle as its boundary and
-    the pair's shared visibility edges (``PolygonPair.shared``) as the
-    allowed edges.
+    ``verify_tiling`` with each polygon's vertex cycle as its boundary.
+
+    It reads coordinates and cycles only, never visibility: a set that
+    tiles a polygon uses no edge that leaves it or passes through a third
+    vertex, so every edge is a boundary edge or a diagonal of both
+    polygons, which is what a shared visibility edge is.  So it raises no
+    GrazingDiagonal, and judges the DP without reading the DP's input.
     """
     cycle = range(len(pair))
     return verify_tiling((("A", pair.a.vertices, cycle),
-                          ("B", pair.b.vertices, cycle)), triangles, pair.shared)
+                          ("B", pair.b.vertices, cycle)), triangles)

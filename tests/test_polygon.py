@@ -10,7 +10,6 @@ import pytest
 
 from jointtri import geom, polygon
 from jointtri.geom import COORD_LIMIT, SizeGuard, angle_order
-from jointtri.greedy import verify_tiling
 from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
                              polygon_oracle_exists)
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
@@ -20,8 +19,8 @@ from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table
 from helpers import (_diagonal_inside_slow, _interior_split, _on_open_segment,
                      _proper_cross, _winding, boundary_edges, brute_diagonal_visible,
                      brute_fill_table, brute_is_simple, convex_polygon_coords,
-                     count_joint_triangulations, in_cone, star_polygon_coords,
-                     xorient)
+                     count_joint_triangulations, in_cone, pairwise_verify_polygons,
+                     star_polygon_coords, xorient)
 
 CONVEX_QUAD = [(0, 0), (2, 0), (2, 2), (0, 2)]
 DART = [(0, 0), (4, 0), (1, 1), (0, 4)]  # reflex at index 2
@@ -774,14 +773,30 @@ def test_verify_polygon_joint_quad():
         "duplicate triangle (0, 1, 2)"
 
 
-def test_verify_polygon_rejects_edge_outside_shared_graph():
-    # With only boundary edges allowed, the tiling's diagonal is flagged.
-    quad = Polygon.from_coords(CONVEX_QUAD)
-    cycle = range(len(quad))
-    sides = (("A", quad.vertices, cycle), ("B", quad.vertices, cycle))
-    violation = verify_tiling(sides, [(0, 1, 2), (0, 2, 3)],
-                              allowed=boundary_edges(quad))
-    assert violation == "edge (0, 2) not shared by both visibility graphs"
+NOTCH_A = [(4, 4), (2, 5), (0, 4), (0, 0), (4, 0)]  # convex
+
+
+@pytest.mark.parametrize("apex", [(2, 3), (2, 2)])
+def test_verify_polygon_rejects_chord_outside_polygon_without_visibility(apex):
+    """B is A with vertex 1 pushed in to a reflex notch, so the fan's chord
+    (0, 2) lies outside B; at (2, 2) B's chord (0, 3) also passes through
+    vertex 1, which makes the DP refuse the pair.  The verifier rejects
+    the fan by emptiness and accepts the triangulation around the notch,
+    as the pairwise reference does, reading neither polygon's visibility."""
+    b = Polygon.from_coords([NOTCH_A[0], apex, *NOTCH_A[2:]])
+    pair = PolygonPair(Polygon.from_coords(NOTCH_A), b)
+    fan, notch = [(0, 1, 2), (0, 2, 3), (0, 3, 4)], [(0, 1, 4), (1, 2, 3), (1, 3, 4)]
+    assert verify_polygon_joint(pair, fan) == \
+        "corresponding triangle (0, 2, 3) not empty in B: contains point 1"
+    assert verify_polygon_joint(pair, notch) is None
+    assert not pairwise_verify_polygons(pair.a.vertices, b.vertices, fan)
+    assert pairwise_verify_polygons(pair.a.vertices, b.vertices, notch)
+    assert "shared" not in vars(pair)
+    assert "diagonals" not in vars(pair.a) and "diagonals" not in vars(b)
+    if apex == (2, 2):
+        with pytest.raises(GrazingDiagonal) as exc:
+            dp_joint_polygon(pair)
+        assert str(exc.value) == "diagonal candidate (0, 3) passes through another vertex"
 
 
 def test_table_monotone_under_shared_edge_removal():

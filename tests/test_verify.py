@@ -109,6 +109,43 @@ def test_polygon_verifier_matches_pairwise_reference():
     assert sum(clockwise) >= 50 and clockwise.count(False) >= 50
 
 
+def _interval_triangulations(i, q):
+    """Every triangulation of the convex chain i..q closed by {i, q}, as
+    triple lists: each picks the apex k of the triangle on {i, q}."""
+    if q - i < 2:
+        return [[]]
+    return [[(i, k, q), *left, *right] for k in range(i + 1, q)
+            for left in _interval_triangulations(i, k)
+            for right in _interval_triangulations(k, q)]
+
+
+def _every_triangulation_cases():
+    """Every triangulation of the n-gon, n 5-8, on 25 seeded polygon pairs
+    per n, each with B as drawn and mirrored (x, -y), so clockwise."""
+    for n in range(5, 9):
+        every = _interval_triangulations(0, n - 1)
+        for seed in range(25):
+            drawn = gen_polygon_pair(n, 30, 9100 + 100 * n + seed)
+            mirror = Polygon.from_coords((x, -y) for x, y in drawn.b.vertices)
+            for pair in (drawn, PolygonPair(drawn.a, mirror)):
+                for tris in every:
+                    yield pair, tris
+
+
+def test_polygon_verifier_matches_pairwise_reference_on_every_triangulation():
+    """The verifier reads no visibility, yet accepts exactly the sets whose
+    every edge the reference finds a boundary edge or a diagonal of both
+    polygons and which tile both."""
+    cases = list(_every_triangulation_cases())
+    verdicts = _differential(
+        cases, len(cases), verify_polygon_joint,
+        lambda pair, tris: pairwise_verify_polygons(pair.a.vertices,
+                                                    pair.b.vertices, tris))
+    assert len(verdicts) == 25 * 2 * (5 + 14 + 42 + 132)
+    clockwise = [v for (pair, _), v in zip(cases, verdicts) if pair.b.ccw_sign < 0]
+    assert sum(verdicts) >= 300 and sum(clockwise) >= 150
+
+
 def _grid_triple_cases(rng):
     """Seeded (pair, triangles) cases on grid pairs, where collinear
     triples are common: random label triples, so triangles are often
@@ -143,7 +180,7 @@ def test_verifier_messages_hold_across_scan_blocks(monkeypatch):
     assert whole.count(None) >= 50
 
 
-# Hand-built triple sets that pass checks 1-5 and fail only the half-edge
+# Hand-built triple sets that pass checks 1-4 and fail only the half-edge
 # check, each on a vertex cycle that winds counterclockwise as given:
 # (coordinates, triangles, message).
 _HALF_EDGE_FAILURES = [
