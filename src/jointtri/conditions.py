@@ -95,6 +95,13 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     the fixpoint is unique and the processing order (shuffled via
     ``order_seed``) cannot change the result.
 
+    Every legal triangle turns in B, relative to A, as the hulls do.  One
+    that turns the other way uses no hull edge, and its successors turn as
+    it does, so such legal triangles would be a closed set of their own.
+    Take their lowest, then leftmost vertex v in A and, of their edges at
+    v, the one of smallest angle: its triangle lies on the side of larger
+    angles, so the successor across it has an edge at v of smaller angle.
+
     Edge (i, j) has the id i * n + j, so ids sort as the label pairs do.
     Each edge counts its live residents per (side A, side B) apex sign
     pair, coded 2 * (A > 0) + (B > 0), so the opposite of code c is 3 - c.

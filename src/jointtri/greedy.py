@@ -97,7 +97,8 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
     check passes, else a description of the first failure.  Checks, in
     order:
 
-    1. no duplicate triple, and at least one triple;
+    1. no duplicate triple, at least one triple, and every label in
+       0..n-1;
     2. each triple nondegenerate and empty (no other point in the closed
        triangle) on every side;
     3. doubled areas summing to each cycle's doubled area (redundant);
@@ -128,6 +129,10 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
             return f"duplicate triangle {t}"
     if not tris:
         return "empty triangle set"
+    n = len(sides[0][1])
+    for t in tris:
+        if t[0] < 0 or t[2] >= n:
+            return f"triangle {t} has a label outside 0..{n - 1}"
 
     dets, hits = _scan([points for _, points, _ in sides], np.array(tris, dtype=np.intp))
     if (dets == 0).any() or (hits >= 0).any():

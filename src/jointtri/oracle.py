@@ -2,8 +2,9 @@
 conjecture-hunting harness.
 
 The point-set oracle enumerates, by frontier expansion over the paired
-empty triangles, the joint triangulations of a pair whose two hulls
-carry the same edges, and returns the first one after verifying it.
+empty triangles that turn in B as the hulls do, the joint triangulations
+of a pair whose two hulls carry the same edges, and returns the first
+one after verifying it.
 The polygon oracle recursively enumerates candidate triangle sets over
 the chords both polygons see and fully verifies each.  Both are
 deliberately simple so they can arbitrate the fast paths.
@@ -15,12 +16,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .conditions import PointSetPair, check_hull_correspondence, necessary_conditions
 from .files import Instance, write_bundle
 from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
-                   SizeGuard, orient, row_bits, signed_area2)
+                   SizeGuard, orient, signed_area2, strictly_left)
 from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       verify_polygon_joint)
@@ -30,36 +29,32 @@ MAX_ORACLE_POINTS = 9
 MAX_ORACLE_POLYGON = 10
 
 
-def _sign_lists(s: LabeledSet) -> list[list[list[int]]]:
-    """The set's orientation signs as nested lists, [i][j][k] = orient(i, j, k),
-    unpacked from its orientation table: a small local table for the
-    oracle's sizes, indexed faster than the packed bits."""
-    left = row_bits(s.signs, len(s)).view(np.int8)
-    return (left - left.transpose(1, 0, 2)).tolist()
-
-
 def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     """Yield, each exactly once, every joint triangulation of the pair:
     none unless both hulls carry the same edges (condition 1), and then
-    every triangulation of side A built from paired empty triangles
-    (``pair.candidates``) whose two triangles at each interior edge lie on
-    opposite sides of it in B as well.
+    every triangulation of side A built from the paired empty triangles
+    (``pair.candidates``) that turn in B, relative to A, as the hulls do.
+    Both hulls run counterclockwise from the smallest label over the same
+    edges, so they are one label sequence iff B's hull turns as A's does.
+    Nothing else in the search reads B.
+
+    These are exactly the joint triangulations.  A triangle on a hull edge
+    has its apex inside both hulls, so it turns as the hulls do.  Two
+    triangles on opposite sides of an edge in A lie on opposite sides in B
+    iff they turn alike.  A triangulation is connected through its
+    interior edges, so a joint one uses only triangles that turn as the
+    hulls do.  Conversely, a triangulation of A built from those has on
+    each interior edge two triangles on opposite sides in both
+    realizations, and on each hull edge one, inside; by the degree
+    argument of ``verify_tiling`` it tiles B's hull as well.
 
     Frontier search: the open directed edges of the untriangulated region
     (the region on their left in A) start as A's hull edges, and the
     smallest is always expanded, trying apexes w in ascending order, so
-    each triangulation is reached along exactly one branch.  Each open
-    edge keeps the B orientation its next apex must have, opposite the
-    triangle already there (none on a hull edge).  A placement is
-    rejected when it lies on the wrong side in B of the expanded edge or
-    of an edge it closes, when one of its new edges is already open in
-    the same direction (two triangles on one side in A), or when it
-    reopens a closed edge.  A completed branch
-    uses every interior edge twice, from opposite sides in both
-    realizations, and every hull edge once from inside A, so by the
-    degree argument of ``verify_tiling`` it tiles A's hull, and B's,
-    whose hull edges are the same.  Raises SizeGuard above
-    MAX_ORACLE_POINTS.
+    each triangulation is reached along exactly one branch.  A placement is
+    rejected when one of its new edges is already open in the same
+    direction (two triangles on one side in A) or when it reopens a closed
+    edge.  Raises SizeGuard above MAX_ORACLE_POINTS.
     """
     n = len(pair)
     if n > MAX_ORACLE_POINTS:
@@ -71,17 +66,16 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     except DegenerateInput:
         return
     hull = pair.a.hull
-    sa, sb = _sign_lists(pair.a), _sign_lists(pair.b)
-    # Directed edge u -> v to the apexes w of its paired triangles on its
-    # left in A, ascending.
+    rows = pair.candidates.array()
+    ccw = strictly_left(pair.a.signs, *rows.T)
+    keep = (ccw == strictly_left(pair.b.signs, *rows.T)) == (pair.b.hull == hull)
+    # Directed edge u -> v to the apexes w of its kept triangles on its left
+    # in A, ascending since the rows are sorted.
     apexes: dict[Edge, list[int]] = {}
-    for i, j, k in pair.candidates:
+    for (i, j, k), left in zip(rows[keep].tolist(), ccw[keep].tolist()):
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            apexes.setdefault((u, v) if sa[u][v][w] == 1 else (v, u), []).append(w)
-    for ws in apexes.values():
-        ws.sort()
-    frontier: dict[Edge, int] = {
-        (hull[i], hull[(i + 1) % len(hull)]): 0 for i in range(len(hull))}
+            apexes.setdefault((u, v) if left else (v, u), []).append(w)
+    frontier: set[Edge] = set(zip(hull, hull[1:] + hull[:1]))
     closed: set[Edge] = set()
     placed: list[Tri] = []
 
@@ -90,37 +84,26 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
             yield frozenset(placed)
             return
         u, v = min(frontier)
-        want = frontier.pop((u, v))
+        frontier.remove((u, v))
         closed.add(edge(u, v))
         for w in apexes.get((u, v), ()):
-            if want and sb[u][v][w] != want:
+            # The triangle lies right of u -> w and of w -> v.
+            sides = ((u, w), (w, v))
+            if any(e in frontier or edge(*e) in closed for e in sides):
                 continue
-            # The triangle lies right of u -> w and of w -> v, opposite its
-            # third vertex on each.
-            sides = (((u, w), v), ((w, v), u))
-            if any((a, b) in frontier or edge(a, b) in closed
-                   or frontier.get((b, a), 0) not in (0, sb[b][a][c])
-                   for (a, b), c in sides):
-                continue
-            shut: dict[Edge, int] = {}
-            opened: list[Edge] = []
-            for (a, b), c in sides:
-                if (b, a) in frontier:
-                    shut[(b, a)] = frontier.pop((b, a))
-                    closed.add(edge(a, b))
-                else:
-                    frontier[(a, b)] = -sb[a][b][c]
-                    opened.append((a, b))
+            shut = [(b, a) for a, b in sides if (b, a) in frontier]
+            opened = [(a, b) for a, b in sides if (b, a) not in frontier]
+            frontier.difference_update(shut)
+            frontier.update(opened)
+            closed.update(edge(*e) for e in shut)
             placed.append(tri(u, v, w))
             yield from expand()
             placed.pop()
-            for e in opened:
-                del frontier[e]
-            for e in shut:
-                closed.discard(edge(*e))
+            frontier.difference_update(opened)
             frontier.update(shut)
+            closed.difference_update(edge(*e) for e in shut)
         closed.discard(edge(u, v))
-        frontier[(u, v)] = want
+        frontier.add((u, v))
 
     yield from expand()
 

@@ -571,6 +571,12 @@ def hull_locked_pair(n, coord_range, jitter, seed):
     return PointSetPair(base, LabeledSet(tuple(pts)))
 
 
+def mirror(s: LabeledSet) -> LabeledSet:
+    """The set's mirror image (x, y) -> (-x, y), which reverses the turn
+    of every triangle and of the hull."""
+    return LabeledSet(tuple(Point(-p.x, p.y) for p in s.points))
+
+
 def _pairwise_tiles(sides, tris, empty: bool) -> bool:
     """Each side is (points, directed boundary edges of the region)."""
     if not tris or len(set(tris)) != len(tris):

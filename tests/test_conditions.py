@@ -9,14 +9,14 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set,
                                  necessary_conditions)
 from jointtri.files import parse_instance
-from jointtri.geom import DegenerateInput, LabeledSet
+from jointtri.geom import DegenerateInput, LabeledSet, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.oracle import iter_triangulations, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty
 
 from helpers import (COLLAPSING_TEXT, brute_successors, gen_perturbed_pair,
-                     grid_locked_coords, hull_locked_pair, reference_legal_set,
-                     tri_edges)
+                     grid_locked_coords, hull_locked_pair, mirror,
+                     reference_legal_set, tri_edges, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -272,3 +272,34 @@ def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):
     assert calls == [7, 7]
     assert np.array_equal(pair.a.signs, build(pair.a.points))
     assert np.array_equal(pair.b.signs, build(pair.b.points))
+
+
+def test_legal_and_joint_triangles_turn_as_the_hulls_do():
+    """Every legal triangle turns in B, relative to A, as the hulls do
+    (``legal_set``'s lemma), and so does every triangle of every joint
+    triangulation (n <= 8), on hull-locked pairs with B as drawn and
+    mirrored.  Turns are read off coordinates: B's hull turns as A's iff
+    B's points in the order of A's hull enclose a positive area."""
+    other_pairs = passed = 0
+    for n in range(6, 17):
+        for seed in range(10):
+            drawn = hull_locked_pair(n, 1000, 60, seed)
+            for pair in (drawn, PointSetPair(drawn.a, mirror(drawn.b))):
+                a, b = pair.a.points, pair.b.points
+                hull = convex_hull(pair.a)
+                hulls = 1 if sum(b[i].x * b[j].y - b[j].x * b[i].y for i, j in
+                                 zip(hull, hull[1:] + hull[:1])) > 0 else -1
+
+                def other_way(t):
+                    i, j, k = t
+                    return xorient(a[i], a[j], a[k]) * xorient(b[i], b[j], b[k]) != hulls
+
+                nc = necessary_conditions(pair)
+                assert not any(map(other_way, nc.legal.legal)), (n, seed)
+                other_pairs += any(map(other_way, pair.candidates))
+                passed += nc.ok
+                if n <= 8:
+                    for t_set in iter_triangulations(pair):
+                        assert not any(map(other_way, t_set)), (n, seed)
+    # measured: 196 and 220 of the 220 pairs
+    assert other_pairs >= 180 and passed >= 200

@@ -18,7 +18,7 @@ from jointtri.polygon import dp_joint_polygon
 from helpers import (brute_hull_edges, brute_joint_exists,
                      brute_joint_triangulations, convex_position_points,
                      enumerate_triangulations, gen_perturbed_pair,
-                     grid_locked_coords, hull_locked_pair,
+                     grid_locked_coords, hull_locked_pair, mirror,
                      overlap_by_decomposition, pairwise_verify_points, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -244,6 +244,22 @@ def test_frontier_search_yields_exactly_the_joint_triangulations():
         assert sorted(got) == sorted(brute_joint_triangulations(a, b)), (a, b)
         total += len(got)
     assert total >= 600 and differ >= 80
+
+
+def test_frontier_search_is_blind_to_mirroring_b():
+    # Mirroring B reverses every triangle and B's hull, so a triangle turns
+    # as the hulls do exactly when it did before: the search yields the
+    # same sets in the same order.  A filter that kept the triangles turning
+    # alike in A and B without comparing the hulls would yield nothing on
+    # the mirrored pairs.
+    yes = 0
+    for seed in range(200):
+        n = 4 + seed % 5
+        for pair in (hull_locked_pair(n, 40, 6, seed), gen_perturbed_pair(n, 20, 3, seed)):
+            got = list(iter_triangulations(pair))
+            assert list(iter_triangulations(PointSetPair(pair.a, mirror(pair.b)))) == got, seed
+            yes += bool(got)
+    assert yes >= 240  # 252 of the 400 pairs
 
 
 def test_gen_point_pair_determinism_and_distinctness():

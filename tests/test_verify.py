@@ -210,3 +210,16 @@ def test_half_edge_failures_are_named_on_both_windings():
             points = [Point(x, flip * y) for x, y in coords]
             cycle = range(len(points))
             assert verify_tiling((("A", points, cycle), ("B", points, cycle)), tris) == message
+
+
+def test_verifiers_reject_labels_out_of_range():
+    """A label past n - 1 or below 0 is named by check 1 of both
+    verifiers: neither raises IndexError, nor wraps -1 round to n - 1."""
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    s, poly = LabeledSet.from_coords(square), Polygon.from_coords(square)
+    for verify, pair in ((verify_joint, PointSetPair(s, s)),
+                         (verify_polygon_joint, PolygonPair(poly, poly))):
+        assert verify(pair, [(0, 1, 9)]) == "triangle (0, 1, 9) has a label outside 0..3"
+        assert verify(pair, [(0, 1, 2), (-1, 0, 2)]) == (
+            "triangle (-1, 0, 2) has a label outside 0..3")
+        assert verify(pair, [(0, 1, 2), (0, 2, 3)]) is None
