@@ -300,9 +300,14 @@ def angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
       strictly inside the segment u-v.
 
     The first three are int16, exact below 32,768 points.  Rows are sorted
-    on a coarse key, ``angle_keys``'s key shifted right by 26 bits: the
-    half-plane bit, then the diamond angle times 2**26, floored, which
-    takes one division per cell.  It orders directions as the full key
+    on a coarse key, ``angle_keys``'s key shifted right by 26 bits, plus
+    2**26: the diamond angle times 2**26, floored, which takes one
+    division per cell, shifted into [0, 2**27], plus 2**28 in the lower
+    half-plane; u itself gets 2**29, so it sorts last.  Each cell packs
+    its coarse key above its column, ``(key << 15) | column``, and one
+    in-place sort per row orders both: the low 15 bits are then ``order``
+    and the rest the coarse keys in that order (columns fit 15 bits below
+    32,768 points).  The coarse key orders directions as the full key
     does, only coarser, so a row whose coarse keys are distinct is in
     exact order with every direction group one point; only a row with two
     equal coarse keys is sorted again on the full keys, nearest first
@@ -321,16 +326,19 @@ def angle_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
         x[own] = 1  # a stand-in direction for u itself, so no zero divisor
         lower = (y < 0) | ((y == 0) & (x < 0))
         key = (np.where(lower, x, -x) << 26) // (np.abs(x) + np.abs(y))
-        key[lower] += 1 << 28
-        key[own] = 1 << 62  # u itself sorts last
-        o = np.argsort(key, axis=1)
+        key += (lower << 28) + (1 << 26)
+        key[own] = 1 << 29  # u itself sorts last
+        key <<= 15
+        key |= pos  # the column, below the coarse key
+        key.sort(axis=1)
+        o = key & 0x7FFF
         order[lo:lo + step] = o
         cell = rows[:, None] * n + o
-        ranked = key.reshape(-1).take(cell - lo * n)
+        key >>= 15  # the coarse keys, in row order
         # with distinct keys each point is its own direction group
         flat_first[cell] = pos
         last[lo:lo + step] = first[lo:lo + step]
-        tie = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+        tie = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
         if tie.size:  # rows with close or collinear points: exact keys
             x, y = x[tie], y[tie]
             key = angle_keys(x, y)

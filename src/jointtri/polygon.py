@@ -14,19 +14,21 @@ runs it on chords.  Two [n, n] masks (does a chord leave both ends into
 the interior angle, does it pass through a third vertex) pick the chords
 worth a boundary crossing test, and the masks with that test decide
 every chord.  Small polygons run the segment test on every chord at
-once.  Larger ones sort the vertices around each vertex in the exact
-angular order of ``geom.angle_order`` and test a chord u-w only against
-the edges whose angular span at u holds w's direction, so a convex
-polygon tests none.  The chords a polygon is asked about, its diagonals
-(``Polygon.diagonals``), its visibility graph and the shared graph are
-each one read-only [n, n] bool table, i < j; B decides exactly the cells
-of A's diagonals.  A cell (i, q) of the DP records whether the chain
-i..q closed by the chord {i, q} admits a joint triangulation; the table
-keeps each column's cells as the bits of one integer, filled as the rows
-reachable from the column's first cell through shared chords, and the
-backtracking that extracts the triangle set splits each true cell (i, q)
-at the least k above i in column q whose own column holds i, so no
-choice is stored per cell.
+once.  In a larger strictly convex one (every vertex turns strictly
+toward the interior) every chord is a diagonal, and the cone mask alone
+decides.  Other larger ones sort the vertices around each vertex in the
+exact angular order of ``geom.angle_order`` and test a chord u-w only
+against the edges whose angular span at u holds w's direction.  The
+chords a polygon is asked about, its diagonals (``Polygon.diagonals``),
+its visibility graph and the shared graph are each one read-only [n, n]
+bool table, i < j; B decides exactly the cells of A's diagonals.  A
+cell (i, q) of the DP records whether the chain i..q closed by the chord
+{i, q} admits a joint triangulation; the table keeps each column's cells
+as the bits of one integer, filled as the rows reachable from the
+column's first cell through shared chords, and the backtracking that
+extracts the triangle set splits each true cell (i, q) at the least k
+above i in column q whose own column holds i, so no choice is stored per
+cell.
 """
 
 from __future__ import annotations
@@ -98,12 +100,14 @@ class EdgeTable(Set):
 _HIT_BLOCK_CELLS = 1 << 17
 
 # Largest polygon constructed, and so the largest whose visibility is
-# decided.  A convex pair through visibility, the DP and the verifier
-# peaks near 14 * n**2 bytes above the interpreter (32 MB at n = 1500,
-# 85 MB at n = 2500, fresh ru_maxrss), set by visibility's angle tables
-# and bool masks; the DP's bit columns and the verifier's row
-# blocks stay below that.  So a pair stays well under 1 GB, and the int16
-# angle tables exact, up to here.
+# decided.  A notched parabola pair (the vertices (i, i**2), the middle one
+# raised into the interior, so one is reflex; B mirrored) through
+# visibility, the DP and the verifier peaks near 14 * n**2 bytes above the
+# interpreter (31 MB at n = 1500, 83 MB at n = 2500, fresh ru_maxrss), set
+# by visibility's angle tables and bool masks; a strictly convex pair
+# builds no angle tables and peaks lower (18 and 49 MB), and the DP's bit
+# columns and the verifier's row blocks stay below either.  So a pair
+# stays well under 1 GB, and the int16 angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
 
@@ -229,11 +233,13 @@ class PolygonPair:
         return ivg(self)
 
 
-def _cone(side: np.ndarray, ccw_sign: int) -> np.ndarray:
+def _cone(side: np.ndarray, ccw_sign: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact [n, n] mask over the ordered vertex pairs (u, v) of a cycle
     with edge-side table ``side`` (``Polygon.sides``) that winds as
     ``ccw_sign`` says: the segment leaves both of its ends strictly inside
-    the interior angle there (O'Rourke's InCone, at u and at v).
+    the interior angle there (O'Rourke's InCone, at u and at v).  Also
+    returns each vertex u's turn, the side of u + 1 against the edge
+    u - 1 -> u.
 
     Relative to the winding the interior lies left of every edge.  A
     convex u (interior angle at most pi: u + 1 is not right of the edge
@@ -245,9 +251,9 @@ def _cone(side: np.ndarray, ccw_sign: int) -> np.ndarray:
     prev = np.arange(-1, len(side) - 1)  # u - 1, mod n, as an index
     out = side == ccw_sign
     into = out.take(prev, axis=0)
-    convex = side[prev, prev + (2 - len(side))] != -ccw_sign
-    cone = np.where(convex[:, None], into & out, into | out)
-    return cone & cone.T
+    turn = side[prev, prev + (2 - len(side))]
+    cone = np.where((turn != -ccw_sign)[:, None], into & out, into | out)
+    return cone & cone.T, turn
 
 
 def _span_crossings(side: np.ndarray, order: np.ndarray, first: np.ndarray,
@@ -401,15 +407,27 @@ def _diagonal_mask(poly: Polygon, chords: np.ndarray) -> np.ndarray:
     against the edges that cover its direction.  GrazingDiagonal names the
     first ambiguous chord in row-major order: rather than guess, such
     instances are refused.
+
+    A strictly convex polygon, every vertex turning strictly toward the
+    interior, skips the span path and builds no angle table: every chord
+    is a diagonal, so ``cone`` is the answer.  A simple polygon whose
+    every interior angle is below pi is convex, and each of its vertices
+    is an extreme point, so no vertex lies on a chord (nothing grazes) and
+    every chord meets the boundary only at its ends (nothing crosses).  A
+    vertex of angle pi fails the strict test, so the span path still
+    finds the chords that graze it.
     """
     p = poly.coords
     n = len(p)
-    cone = _cone(poly.sides, poly.ccw_sign) & chords
+    cone, turn = _cone(poly.sides, poly.ccw_sign)
+    cone &= chords
     if np.count_nonzero(chords) * n <= _HIT_BLOCK_CELLS // 4:
         us, vs = np.nonzero(chords)
         proper, inside = _boundary_hits(p, poly.sides.T, _line_sides(p, us, vs), us, vs)
         graze, blocked = np.zeros((2, n, n), dtype=bool)
         graze[us, vs], blocked[us, vs] = inside.any(axis=1), proper.any(axis=1)
+    elif (turn == poly.ccw_sign).all():  # strictly convex
+        return cone
     else:
         order, first, last, graze = angle_order(*p.T)
         graze &= chords

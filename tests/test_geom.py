@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,8 @@ from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                            orient_sign_tensor)
 
 from helpers import (brute_hull_edges, overlap_by_decomposition,
-                     overlap_by_sampling, reference_sign_tensor, xorient)
+                     overlap_by_sampling, reference_sign_tensor,
+                     star_polygon_coords, xorient)
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(Point, coords, coords)
@@ -317,6 +319,44 @@ def _direction_cmp(d, e) -> int:
     return -xorient((0, 0), d, e)
 
 
+def _scalar_angle_tables(pts):
+    """``angle_order``'s four tables from the scalar order: row u lists the
+    other points by ``_direction_cmp``, nearest first within a direction,
+    then u; ``first`` and ``last`` are the ends of each direction's run
+    (u's own, at n - 1, alone), and ``graze`` says a nearer point shares
+    the direction."""
+    n = len(pts)
+    order, first, last = (np.empty((n, n), dtype=np.int16) for _ in range(3))
+    graze = np.zeros((n, n), dtype=bool)
+    for u, (ux, uy) in enumerate(pts):
+        d = {v: (x - ux, y - uy) for v, (x, y) in enumerate(pts) if v != u}
+
+        def cmp(v, w):
+            return _direction_cmp(d[v], d[w]) or \
+                abs(d[v][0]) + abs(d[v][1]) - abs(d[w][0]) - abs(d[w][1])
+
+        row = sorted(d, key=cmp_to_key(cmp)) + [u]
+        order[u] = row
+        start = 0
+        for p in range(n):
+            if p == n - 1 or p and _direction_cmp(d[row[p - 1]], d[row[p]]):
+                first[u, row[start:p]] = start
+                last[u, row[start:p]] = p - 1
+                start = p
+            graze[u, row[p]] = p > start
+        first[u, u] = last[u, u] = n - 1
+    return order, first, last, graze
+
+
+def _check_angle_order(pts):
+    """``angle_order`` on ``pts``, asserted equal to the scalar tables."""
+    xs, ys = np.array(pts, dtype=np.int64).T
+    got = geom.angle_order(xs, ys)
+    for name, g, w in zip(("order", "first", "last", "graze"), got, _scalar_angle_tables(pts)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), (name, pts)
+    return got
+
+
 def _cap_directions():
     """Directions at the coordinate cap (differences up to 2 * COORD_LIMIT),
     in every octant: pairs one step apart, whose cross product is +-1, the
@@ -354,20 +394,7 @@ def test_angle_order_matches_scalar_sort_at_the_cap(monkeypatch):
            (c, -c), (c // 2, c // 2), (1, 0), (c, 0), (-c, 1), (2, 1),
            (c - 2, c // 2 - 1), (-c + 1, -c + 2), (0, c), (0, -c)]
     xs, ys = np.array(pts, dtype=np.int64).T
-    order, first, last, graze = geom.angle_order(xs, ys)
-    n = len(pts)
-    for u in range(n):
-        row = order[u].tolist()
-        assert row[-1] == u and sorted(row) == list(range(n))
-        d = [(pts[v][0] - pts[u][0], pts[v][1] - pts[u][1]) for v in row[:-1]]
-        for p in range(n - 2):
-            cmp = _direction_cmp(d[p], d[p + 1])
-            assert cmp < 0 or (cmp == 0 and abs(d[p][0]) + abs(d[p][1])
-                               < abs(d[p + 1][0]) + abs(d[p + 1][1])), (u, row)
-        for p, v in enumerate(row[:-1]):
-            run = [q for q in range(n - 1) if _direction_cmp(d[q], d[p]) == 0]
-            assert (first[u, v], last[u, v]) == (run[0], run[-1]), (u, v)
-            assert graze[u, v] == (p > run[0])
+    order, first, last, graze = _check_angle_order(pts)
     assert graze.any()
     # Two distinct directions from (-c, -c), to (c, c - 1) and to
     # (c - 1, c - 2), whose cross product is -1: their coarse keys, the
@@ -382,3 +409,24 @@ def test_angle_order_matches_scalar_sort_at_the_cap(monkeypatch):
     monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 16 * 3)
     for got, want in zip(geom.angle_order(xs, ys), (order, first, last, graze)):
         assert np.array_equal(got, want)
+
+
+def test_angle_order_matches_scalar_sort(monkeypatch):
+    """``angle_order`` against the scalar reference tables: on tie-heavy
+    grids, where collinear points send rows to the exact sort, in one
+    block, in blocks of seven rows (the last of four) and of one row; and
+    on a star of 300 points, in blocks of 27 rows (the last of three)."""
+    rng = random.Random(311)
+    cells = [(x, y) for x in range(10) for y in range(10)]
+    grids = [rng.sample(cells, 60) for _ in range(20)]
+    tables = [_check_angle_order(pts) for pts in grids]
+    for block in (60 * 7, 1):
+        monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", block)
+        for pts, want in zip(grids, tables):
+            got = geom.angle_order(*np.array(pts, dtype=np.int64).T)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), pts
+    monkeypatch.undo()
+    assert all(t[3].any() for t in tables)
+    star = star_polygon_coords(rng, 300, 2**20)
+    assert len(set(star)) == 300 and geom._ANGLE_BLOCK_CELLS // 300 == 27
+    _check_angle_order(star)

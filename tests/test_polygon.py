@@ -381,17 +381,19 @@ def test_sides_table_matches_scalar_reference(monkeypatch):
 
 
 def test_cone_and_graze_match_scalar_references():
-    """``_cone``, and the graze masks of both visibility paths: the dense
-    path's ``inside`` from ``_boundary_hits`` on every ordered pair, and
-    the span path's from ``angle_order``.  On the same pairs,
-    ``_line_sides`` matches scalar ``geom.orient``, and ``Polygon.sides``
-    is its table over the edges."""
+    """``_cone`` and its turn row, and the graze masks of both visibility
+    paths: the dense path's ``inside`` from ``_boundary_hits`` on every
+    ordered pair, and the span path's from ``angle_order``.  On the same
+    pairs, ``_line_sides`` matches scalar ``geom.orient``, and
+    ``Polygon.sides`` is its table over the edges."""
     grazing = reflex = 0
     for coords in _mask_polygons():
         xs, ys = np.array(coords, dtype=np.int64).T
         n = len(coords)
         poly = Polygon.from_coords(coords)
-        cone = polygon._cone(poly.sides, poly.ccw_sign)
+        cone, turn = polygon._cone(poly.sides, poly.ccw_sign)
+        assert turn.tolist() == [xorient(coords[u - 1], coords[u], coords[(u + 1) % n])
+                                 for u in range(n)], coords
         us, vs = np.divmod(np.arange(n * n), n)
         line_sides = polygon._line_sides(poly.coords, us, vs)
         graze = polygon._boundary_hits(poly.coords, poly.sides.T, line_sides, us, vs)[1]
@@ -934,6 +936,13 @@ def _check_mask(coords, chords=None) -> str:
     return "decided"
 
 
+def _strictly_convex(coords) -> bool:
+    """Every vertex of the cycle turns strictly the way the cycle winds."""
+    n, s = len(coords), _winding(coords)
+    return all(xorient(coords[u - 1], coords[u], coords[(u + 1) % n]) == s
+               for u in range(n))
+
+
 def _counting_span(monkeypatch) -> list:
     """Count calls of ``_span_crossings``, the span path's crossing test."""
     calls = []
@@ -981,17 +990,20 @@ def test_span_mask_on_combs_and_spirals(monkeypatch):
 def test_span_mask_on_grid_polygons(monkeypatch):
     """Grid cycles, where collinear vertices and grazing chords are common,
     on the span path: 8 cells is less than one chord per block, and the
-    angle tables are built one row per block."""
+    angle tables are built one row per block.  A strictly convex cycle
+    decides on its cone mask alone and runs no span test."""
     monkeypatch.setattr(polygon, "_HIT_BLOCK_CELLS", 8)
     monkeypatch.setattr(geom, "_ANGLE_BLOCK_CELLS", 1)
     calls = _counting_span(monkeypatch)
     rng = random.Random(173)
     seen = []
+    spanned = 0
     for coords in _grid_cycles(173, 5000):
         if len(coords) >= 5 and brute_is_simple(coords):
             seen.append(_check_mask(coords))
             seen.append(_check_mask(coords, _chord_sample(rng, len(coords))))
-    assert len(calls) == len(seen)
+            spanned += 2 * (not _strictly_convex(coords))
+    assert len(calls) == spanned < len(seen)
     assert seen.count("grazing") >= 100 and seen.count("decided") >= 100
 
 
@@ -1011,7 +1023,8 @@ def test_span_mask_across_row_and_triple_blocks(monkeypatch):
 def test_dense_and_span_paths_agree_at_the_selection(monkeypatch):
     """``_diagonal_mask`` tests densely exactly when all chords fit a
     quarter of a ``_boundary_hits`` block of ``_HIT_BLOCK_CELLS`` cells,
-    and both sides of that selection decide as the scalar references do."""
+    and both sides of that selection decide as the scalar references do.
+    Past it, a strictly convex polygon runs no span test."""
     rng = random.Random(181)
     polys = [c for c in _grid_cycles(181, 1000) if len(c) >= 5 and brute_is_simple(c)]
     polys += [_comb_coords(rng, 6), _spiral_coords(12, 2)]
@@ -1027,6 +1040,42 @@ def test_dense_and_span_paths_agree_at_the_selection(monkeypatch):
             before = len(calls)
             verdict = _check_mask(coords)
             sides[path].append(verdict)
-            assert len(calls) - before == (path == "span")
+            assert len(calls) - before == (path == "span" and not _strictly_convex(coords))
     assert sides["dense"] == sides["span"]
     assert sides["span"].count("grazing") >= 10 and sides["span"].count("decided") >= 20
+
+
+def test_strictly_convex_polygons_build_no_angle_tables(monkeypatch):
+    """Past the dense size a strictly convex polygon, either winding, sees
+    every chord asked about, all of them or about nine tenths as ``ivg``
+    asks B, with neither ``angle_order`` nor the span test called.  A
+    convex cycle with one vertex of angle pi is not strictly convex: it
+    takes the span path, and raises on the chord through that vertex."""
+    def refuse(*args):
+        raise AssertionError("strictly convex polygon built angle tables")
+
+    rng = random.Random(191)
+    xs = sorted(rng.sample(range(-3000, 3000), 55))
+    convex = [convex_polygon_coords(60), convex_polygon_coords(48, 5),
+              [(x, x * x) for x in xs], _at_the_cap(convex_polygon_coords(52))]
+    monkeypatch.setattr(polygon, "angle_order", refuse)
+    monkeypatch.setattr(polygon, "_span_crossings", refuse)
+    for coords in convex + [c[::-1] for c in convex]:
+        n = len(coords)
+        sample = _chord_sample(rng, n)
+        assert _strictly_convex(coords) and len(sample) * n > polygon._HIT_BLOCK_CELLS // 4
+        assert _check_mask(coords) == _check_mask(coords, sample) == "decided"
+    monkeypatch.undo()
+    # The parabola arc 0..60 closed through (30, 1800), the midpoint of its
+    # closing chord: vertex 61 has angle pi, and chord (0, 60) passes
+    # through it.  Without that chord every other is decided.
+    notched = convex_polygon_coords(61) + [(30, 1800)]
+    calls = _counting_span(monkeypatch)
+    for coords in (notched, notched[::-1]):
+        n = len(coords)
+        grazed = _first_grazing_chord(coords)
+        assert not _strictly_convex(coords) and grazed in ((0, 60), (1, 61))
+        assert _check_mask(coords) == "grazing"
+        rest = [c for c in _all_chords(n) if c != grazed]
+        assert _check_mask(coords, rest) == "decided"
+    assert len(calls) == 4
