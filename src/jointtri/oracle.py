@@ -21,8 +21,8 @@ from .files import Instance, write_bundle
 from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
                    SizeGuard, orient, signed_area2, strictly_left)
 from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
-from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
-                      verify_polygon_joint)
+from .polygon import (GrazingDiagonal, Polygon, PolygonPair, check_polygon_size,
+                      dp_joint_polygon, sides_and_first_meet, verify_polygon_joint)
 from .triangles import Edge, Tri, edge, tri
 
 MAX_ORACLE_POINTS = 9
@@ -200,33 +200,20 @@ _POLYGON_TRIES = 50
 
 
 def _untangle(pts: list[Point]) -> Optional[list[Point]]:
-    """Remove boundary crossings by repeated 2-opt segment reversal.
-
-    Each applied swap strictly shortens the tour, so the loop terminates;
-    None when the sweep budget runs out.
+    """Remove boundary crossings by 2-opt: while construction's segment
+    test (``sides_and_first_meet``) names a pair of edges (i, j), reverse
+    order[i + 1..j].  The caller draws no three points collinear, so each
+    pair named crosses properly.  Each swap strictly shortens the tour, so
+    the loop terminates; None when the budget, one swap a sweep, runs out.
+    The caller raises SizeGuard above MAX_POLYGON_VERTICES before drawing.
     """
     order = pts[:]
-    n = len(order)
     for _ in range(_UNTANGLE_SWEEPS):
-        crossed = False
-        for i in range(n - 1):
-            a, b = order[i], order[i + 1]
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue
-                c, d = order[j], order[(j + 1) % n]
-                d1 = orient(a, b, c)
-                d2 = orient(a, b, d)
-                d3 = orient(c, d, a)
-                d4 = orient(c, d, b)
-                if d1 * d2 < 0 and d3 * d4 < 0:
-                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
-                    crossed = True
-                    break
-            if crossed:
-                break
-        if not crossed:
+        meet = sides_and_first_meet(order)[1]
+        if meet is None:
             return order
+        i, j = meet
+        order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
     return None
 
 
@@ -238,9 +225,11 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
     (collinear triples make diagonal visibility ambiguous), then a random
     vertex order is untangled into a simple cycle by 2-opt swaps.  Raises
     InputError as ``gen_point_pair`` does, and when no simple polygon turns
-    up within the attempt budget.
+    up within the attempt budget.  Above MAX_POLYGON_VERTICES, where no
+    polygon is constructed, it raises SizeGuard before drawing anything.
     """
     _check_size(n, coord_range)
+    check_polygon_size(n)
     rng = random.Random(seed)
 
     def side() -> Polygon:
@@ -343,7 +332,8 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     given; a disagreement's bundle name ends in ``-oracle``, so one
     instance may have two.  These are findings, not errors.  Raises
     InputError, before the first instance, on an unknown mode, an empty
-    size range, or a size or range ``gen_point_pair`` refuses.
+    size range, or a size or range ``gen_point_pair`` refuses; then
+    SizeGuard in POLYGONS mode when nmax is above MAX_POLYGON_VERTICES.
     """
     if mode not in (POINTS, POLYGONS):
         raise InputError(f"unknown hunt mode: {mode!r}")
@@ -352,6 +342,8 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
         raise InputError(f"empty size range: nmin {n_lo} exceeds nmax {n_hi}")
     _check_size(n_lo, coord_range)
     _check_size(n_hi, coord_range)
+    if mode == POLYGONS:
+        check_polygon_size(n_hi)
     report = HuntReport(mode=mode)
     master = random.Random(seed)
     if mode == POINTS:

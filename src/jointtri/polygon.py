@@ -8,8 +8,9 @@ every vertex against every edge's line (``Polygon.sides``), built from
 that array.  One kernel, ``_line_sides``, gives every line side: the
 table's rows and the dense test's chord lines.  One segment test,
 ``_boundary_hits``, says whether segments cross an edge properly or pass
-through a vertex: construction runs it on the polygon's own edges, whose
-line sides are the table's rows, to check simplicity, and visibility
+through a vertex.  It has three callers: construction and the polygon
+generator's 2-opt untangling run it on a cycle's own edges, whose line
+sides are the table's rows (``sides_and_first_meet``), and visibility
 runs it on chords.  Two [n, n] masks (does a chord leave both ends into
 the interior angle, does it pass through a third vertex) pick the chords
 worth a boundary crossing test, and the masks with that test decide
@@ -111,6 +112,13 @@ _HIT_BLOCK_CELLS = 1 << 17
 MAX_POLYGON_VERTICES = 2500
 
 
+def check_polygon_size(n: int) -> None:
+    """Raise SizeGuard above MAX_POLYGON_VERTICES vertices."""
+    if n > MAX_POLYGON_VERTICES:
+        raise SizeGuard(f"polygon visibility is limited to n <= "
+                        f"{MAX_POLYGON_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Polygon:
     """A simple polygon given as its boundary vertex cycle.
@@ -125,9 +133,10 @@ class Polygon:
     ``sides`` is an [n, n] int8 table, ``sides[k, v]`` the sign of vertex
     v against the line of edge k -> k + 1, positive on its left: each row
     is ``_line_sides`` of its edge, the table built in blocks of
-    ``_HIT_BLOCK_CELLS // 4`` cells.  Construction's segment test reads its
-    rows as the edges' own line sides and its columns as their ends'
-    sides; the cone test and both crossing tests read it too.
+    ``_HIT_BLOCK_CELLS // 4`` cells.  Construction's segment test
+    (``sides_and_first_meet``) reads its rows as the edges' own line sides
+    and its columns as their ends' sides; the cone test and both crossing
+    tests read it too.
     Above MAX_POLYGON_VERTICES vertices construction raises SizeGuard
     after its O(n) checks, before any [n, n] table is built.
     """
@@ -145,44 +154,20 @@ class Polygon:
         check_distinct(self.vertices, "polygon vertices must be pairwise distinct")
         if (area := signed_area2(self.vertices)) == 0:
             raise InputError("polygon has zero area")
-        if n > MAX_POLYGON_VERTICES:
-            raise SizeGuard(f"polygon visibility is limited to n <= "
-                            f"{MAX_POLYGON_VERTICES}, got {n}")
+        check_polygon_size(n)
         object.__setattr__(self, "ccw_sign", 1 if area > 0 else -1)
         coords = np.fromiter(chain.from_iterable(self.vertices), np.int64).reshape(n, 2)
-        edges = np.arange(n)
-        nxt = np.arange(1 - n, 1)  # k + 1, mod n, as an index
-        side = np.empty((n, n), dtype=np.int8)
-        step = max(1, _HIT_BLOCK_CELLS // (4 * n))
-        for lo in range(0, n, step):  # edge k's row: every vertex's side of its line
-            side[lo:lo + step] = _line_sides(coords, edges[lo:lo + step], nxt[lo:lo + step])
-        coords.flags.writeable = side.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "sides", side)
-        # With distinct vertices the cycle is simple iff no two edges meet
-        # but at a shared endpoint: the segment test of visibility, run on
-        # the edges themselves, whose lines are the rows of ``sides``.
-        # Edges go in row blocks; the first offending pair (i, j), i < j,
-        # in row-major order is reported.
-        side_rows = np.ascontiguousarray(side.T)
-        first = n * n
-        step = max(1, _HIT_BLOCK_CELLS // n)
-        for lo in range(0, n, step):
-            b = slice(lo, lo + step)
-            hits, inside = _boundary_hits(coords, side_rows, side[b], edges[b], nxt[b])
-            if np.count_nonzero(inside):  # vertex c or c + 1 inside edge r
-                hits |= inside | inside.take(nxt, axis=1)
-            if np.count_nonzero(hits):
-                r, c = np.divmod(np.flatnonzero(hits), n)
-                r += lo
-                first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
-        if first < n * n:
-            i, j = divmod(first, n)
+        side, meet = sides_and_first_meet(coords)
+        if meet is not None:
+            i, j = meet
             if j == i + 1 or (i, j) == (0, n - 1):
                 w = self.vertices[j if j == i + 1 else 0]
                 raise InputError(
                     f"boundary is not simple: edges at vertex overlap near {w}")
             raise InputError(f"boundary is not simple: edges {i} and {j} intersect")
+        coords.flags.writeable = side.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "sides", side)
 
     @classmethod
     def from_coords(cls, coords) -> "Polygon":
@@ -387,6 +372,36 @@ def _boundary_hits(coords: np.ndarray, side_rows: np.ndarray, sign: np.ndarray,
         pw = coords[w]
         inside[r, w] = np.add.reduce((pw - coords[us[r]]) * (pw - coords[vs[r]]), axis=1) < 0
     return proper, inside
+
+
+def sides_and_first_meet(coords) -> tuple[np.ndarray, Optional[Edge]]:
+    """``Polygon.sides`` of the cycle ``coords`` of distinct vertices (an
+    int64 [n, 2] array, or a sequence of integer points), and the first
+    pair of its edges (i, j), i < j, in row-major order, that meet but at a
+    shared endpoint, None if the cycle is simple: the segment test
+    ``_boundary_hits`` run on the edges, whose lines are the table's rows,
+    in row blocks."""
+    coords = np.asarray(coords, dtype=np.int64)
+    n = len(coords)
+    edges = np.arange(n)
+    nxt = np.arange(1 - n, 1)  # k + 1, mod n, as an index
+    side = np.empty((n, n), dtype=np.int8)
+    step = max(1, _HIT_BLOCK_CELLS // (4 * n))
+    for lo in range(0, n, step):  # edge k's row: every vertex's side of its line
+        side[lo:lo + step] = _line_sides(coords, edges[lo:lo + step], nxt[lo:lo + step])
+    side_rows = np.ascontiguousarray(side.T)
+    first = n * n
+    step = max(1, _HIT_BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        b = slice(lo, lo + step)
+        hits, inside = _boundary_hits(coords, side_rows, side[b], edges[b], nxt[b])
+        if np.count_nonzero(inside):  # vertex c or c + 1 inside edge r
+            hits |= inside | inside.take(nxt, axis=1)
+        if np.count_nonzero(hits):
+            r, c = np.divmod(np.flatnonzero(hits), n)
+            r += lo
+            first = min(first, int((np.minimum(r, c) * n + np.maximum(r, c)).min()))
+    return side, (divmod(first, n) if first < n * n else None)
 
 
 def _diagonal_mask(poly: Polygon, chords: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ which the packed orientation table is pinned; ``reference_legal_set`` and
 of the array worklist's removal log.  ``scan_empty_triangles`` is the
 per-label scan that ``enumerate_empty`` replaced, kept to pin the sweep's
 triples and their order; its row test is the int8 form of ``_empty_rows``,
-``paired_empty``'s test on side B.
+``paired_empty``'s test on side B.  ``reference_untangle`` is the
+scalar 2-opt sweep the polygon generator ran before it searched for
+crossings with the polygon module's segment test.
 Three helpers are not references and call the library.
 ``hull_locked_pair`` and ``gen_perturbed_pair`` are instance generators:
 each draws A with ``gen_point_pair``, and ``hull_locked_pair`` fixes A's
@@ -29,6 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
+from jointtri import oracle
 from jointtri.conditions import LegalSetResult, PointSetPair
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
 from jointtri.oracle import gen_point_pair, iter_triangulations
@@ -356,6 +359,36 @@ def brute_is_simple(vertices) -> bool:
                 or on(c, d, a) or on(c, d, b):
             return False
     return True
+
+
+def reference_untangle(pts):
+    """The random polygon generator's 2-opt untangling as a scalar sweep,
+    the reference for ``oracle._untangle``: reverse the path between the
+    first pair of edges, in row-major order, that cross properly, at most
+    ``oracle._UNTANGLE_SWEEPS`` times; None when that budget runs out."""
+    order = pts[:]
+    n = len(order)
+    for _ in range(oracle._UNTANGLE_SWEEPS):
+        crossed = False
+        for i in range(n - 1):
+            a, b = order[i], order[i + 1]
+            for j in range(i + 2, n):
+                if i == 0 and j == n - 1:
+                    continue
+                c, d = order[j], order[(j + 1) % n]
+                d1 = orient(a, b, c)
+                d2 = orient(a, b, d)
+                d3 = orient(c, d, a)
+                d4 = orient(c, d, b)
+                if d1 * d2 < 0 and d3 * d4 < 0:
+                    order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+                    crossed = True
+                    break
+            if crossed:
+                break
+        if not crossed:
+            return order
+    return None
 
 
 def convex_position_points(n: int, spread: int = 1):

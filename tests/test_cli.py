@@ -13,7 +13,7 @@ from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             format_instance, format_triangles, parse_instance,
                             parse_triangles)
-from jointtri.geom import InputError, LabeledSet
+from jointtri.geom import InputError, LabeledSet, SizeGuard
 from jointtri.greedy import JointTriangulation
 from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
@@ -598,6 +598,41 @@ def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
             code, out = run_cli(*argv)
         assert (code, out) == (3, ""), argv
         assert err.getvalue() == message, argv
+
+
+def test_polygon_generation_refuses_above_the_size_limit(monkeypatch):
+    """No polygon above MAX_POLYGON_VERTICES is ever constructed, so the
+    polygon generator, ``genpoly`` and ``hunt polygons`` refuse such an n
+    with SizeGuard (exit 3) before drawing a point: with ``orient``, which
+    the draw's collinearity test calls, patched to raise, any draw fails at
+    once.  At a patched limit of 8 the generator still builds 8-gons.
+    ``gen`` for point pairs has no such limit."""
+    monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
+    assert len(gen_polygon_pair(8, 50, 1)) == 8
+    with pytest.raises(SizeGuard, match="n <= 8, got 9"):
+        gen_polygon_pair(9, 50, 1)
+    monkeypatch.undo()
+
+    def drawn(*args):
+        raise AssertionError("a polygon vertex was drawn")
+
+    monkeypatch.setattr(oracle, "orient", drawn)
+    n = polygon.MAX_POLYGON_VERTICES + 1
+    refusal = f"polygon visibility is limited to n <= {polygon.MAX_POLYGON_VERTICES}, got {n}"
+    with pytest.raises(SizeGuard) as exc:
+        gen_polygon_pair(n, 100000, 1)
+    assert str(exc.value) == refusal
+    with pytest.raises(SizeGuard) as exc:
+        oracle.hunt("polygons", (10, n), 5, 1, coord_range=100000)
+    assert str(exc.value) == refusal
+    for argv in (("genpoly", str(n), "100000", "1"),
+                 ("hunt", "polygons", "10", str(n), "5", "1", "--range", "100000")):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(*argv)
+        assert (code, out, err.getvalue()) == (3, "", refusal + "\n"), argv
+    code, out = run_cli("gen", str(n), "100000", "1")
+    assert code == 0 and len(parse_instance(out)[1]) == n
 
 
 def test_genpoly_output_parses():

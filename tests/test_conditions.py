@@ -10,9 +10,9 @@ from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  necessary_conditions)
 from jointtri.files import parse_instance
 from jointtri.geom import DegenerateInput, LabeledSet, convex_hull
-from jointtri.greedy import LEX, greedy_construct, verify_joint
+from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct, verify_joint
 from jointtri.oracle import iter_triangulations, oracle_joint_exists
-from jointtri.triangles import TriangleSet, paired_empty
+from jointtri.triangles import TriangleSet, paired_empty, tri
 
 from helpers import (COLLAPSING_TEXT, brute_successors, gen_perturbed_pair,
                      grid_locked_coords, hull_locked_pair, mirror,
@@ -303,3 +303,44 @@ def test_legal_and_joint_triangles_turn_as_the_hulls_do():
                         assert not any(map(other_way, t_set)), (n, seed)
     # measured: 196 and 220 of the 220 pairs
     assert other_pairs >= 180 and passed >= 200
+
+
+def test_point_path_verdicts_invariant_under_swap_relabel_and_mirror():
+    """The legal set is symmetric in A and B, maps by pi under a relabeling
+    pi of both sides, and is unchanged by mirroring both sides; NC1's
+    verdict and the verdicts of the LEX and seeded-random greedy runs do
+    not change either, though their choices may.  The removal log depends
+    on processing order, so only the sets are compared.  Hull-locked pairs
+    at jitters 3 and 60, n 20-100, both NC-pass and NC-fail."""
+    def outcome(pair):
+        nc = necessary_conditions(pair)
+        greedy = None
+        if nc.ok:
+            greedy = tuple(greedy_construct(pair, nc.legal.legal, *policy).verified
+                           for policy in ((LEX,), (SEEDED_RANDOM, 0), (SEEDED_RANDOM, 1)))
+        legal = set(nc.legal.legal) if nc.legal is not None else set()
+        return nc.hull.ok, legal, greedy
+
+    def relabeled(s, pi):
+        points = [None] * len(s)
+        for i, p in enumerate(s.points):
+            points[pi[i]] = p
+        return LabeledSet(tuple(points))
+
+    rng = random.Random(11)
+    verdicts = []
+    for jitter in (3, 60):
+        for n in (20, 40, 70, 100):
+            for seed in range(2):
+                pair = hull_locked_pair(n, 1000, jitter, seed)
+                nc1, legal, greedy = outcome(pair)
+                pi = rng.sample(range(n), n)
+                moved = {tri(*(pi[v] for v in t)) for t in legal}
+                for image, want in (
+                        (PointSetPair(pair.b, pair.a), legal),
+                        (PointSetPair(relabeled(pair.a, pi), relabeled(pair.b, pi)), moved),
+                        (PointSetPair(mirror(pair.a), mirror(pair.b)), legal)):
+                    assert outcome(image) == (nc1, want, greedy), (jitter, n, seed)
+                verdicts.append(greedy)
+    # measured: 12 NC-pass pairs, every greedy run verified, and 4 NC-fail
+    assert verdicts.count((True, True, True)) >= 10 and verdicts.count(None) >= 4
