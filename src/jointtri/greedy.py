@@ -41,67 +41,21 @@ class JointTriangulation:
 Side = tuple[str, Sequence[Point], Sequence[int]]
 
 
-# Cells of one [sides, rows, n] block of ``_scan``'s temporaries, counted
-# across sides.  On polygons of n 150-300, whole [triangles, n] int64
-# arrays (up to 700 KB each) took about 440 minor page faults per call,
-# fresh pages every time; blocks of 2**15 cells take about 5, their pages
-# reused from the heap, and ran as fast as any size from 2**13 to 2**16.
-_SCAN_BLOCK_CELLS = 1 << 15
-
-
-def _scan(points: Sequence[Sequence[Point]],
-          arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per side of ``points`` (each side's points by the same labels) and
-    per triangle of ``arr`` (label rows): the doubled signed area, and the
-    first point in its closed triangle other than its vertices (-1: none),
-    as [sides, rows] arrays.
-
-    A point lies in the closed triangle iff it is on or left of each edge
-    turned to have the triangle on its left; a degenerate triangle's
-    turned edges vanish, so it holds every point.  int64 throughout,
-    exact under COORD_LIMIT.  All sides share one coordinate array and one
-    gather; triangles go in row blocks of about ``_SCAN_BLOCK_CELLS``
-    [sides, rows, n] cells.
-    """
-    xy = np.array(points, dtype=np.int64)
-    sides, n = xy.shape[:2]
-    x, y = xy[:, None, :, 0], xy[:, None, :, 1]
-    corner = xy[:, arr]  # [sides, rows, 3 vertices, 2 coordinates]
-    vec = corner[:, :, [1, 2, 0]] - corner  # edge vectors, turned below
-    ex, ey = vec[..., 0], vec[..., 1]
-    det = ex[..., 0] * ey[..., 1] - ey[..., 0] * ex[..., 1]
-    vec *= np.sign(det)[..., None, None]
-    # point p is on or left of turned edge e iff ex * y_p - ey * x_p >= at
-    at = ex * corner[..., 1] - ey * corner[..., 0]
-    hit = np.empty(det.shape, dtype=np.intp)
-    step = max(1, _SCAN_BLOCK_CELLS // (sides * n))
-    for lo in range(0, len(arr), step):
-        b = slice(lo, lo + step)
-        inside = ex[:, b, 0, None] * y - ey[:, b, 0, None] * x >= at[:, b, 0, None]
-        for e in (1, 2):
-            inside &= ex[:, b, e, None] * y - ey[:, b, e, None] * x >= at[:, b, e, None]
-        r = np.arange(inside.shape[1])
-        inside[:, r[:, None], arr[b]] = False
-        hit[:, b] = np.where(inside.any(axis=2), inside.argmax(axis=2), -1)
-    return det, hit
-
-
 def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[str]:
     """Exact check that one triple set triangulates every side.
 
     Each side is ``(name, points, cycle)``: the realization's name, its
     points by label, and its boundary as a label cycle (a convex hull or a
     simple polygon).  All sides share one label set: each lists the same
-    number of points, label i naming corresponding points, and check 2
-    scans every side in one pass (``_scan``).  Returns None when every
-    check passes, else a description of the first failure.  Checks, in
-    order:
+    number of points, label i naming corresponding points.  Returns None
+    when every check passes, else a description of the first failure.
+    Checks, in order:
 
     1. no duplicate triple, at least one triple, and every label in
        0..n-1;
-    2. each triple nondegenerate and empty (no other point in the closed
-       triangle) on every side;
-    3. doubled areas summing to each cycle's doubled area (redundant);
+    2. each triple nondegenerate on every side: one doubled signed area
+       per side and triple, whose sign also directs its edges in 5;
+    3. every label 0..n-1 a vertex of some triple;
     4. the same boundary edges on every side;
     5. on every side, with each triangle's edges directed to have it on
        their left: no directed edge twice, and the directed edges whose
@@ -109,19 +63,30 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
        interior on their left (the half-edge invariant of a planar
        subdivision: every half-edge has a twin except on the boundary).
 
-    The checks are local and linear in size, yet they rule out overlap.  In
-    one realization let deg(x) count the triangles containing a point x on
-    no edge.  By 2, two distinct edges share at most one point (a collinear
-    overlap would put a vertex on an edge), so deg changes only across an
-    edge, by the triangles on that edge on the side entered minus those on
-    the side left.  By 5 each side of an edge holds at most one triangle;
-    an edge off the cycle has one on each side, so deg does not change
-    across it, and a cycle edge has one on its interior side only, so deg
-    changes across it exactly as the indicator of the cycle's interior
-    does.  So deg minus the indicator is constant, and zero far away: the
-    triangles cover the cycle's interior exactly once and nothing outside
-    it, and by 2 every point is a vertex.  This forces the triangle count
-    (n - 2 for a polygon, 2n - h - 2 for n points with h on the hull).
+    The checks are local and linear in size, yet they rule out overlap and
+    any point inside a triangle.  In one realization let deg(x) count the
+    triangles containing a point x on no edge.  Crossing an edge at a point
+    that is no vertex and on no edge of another direction, deg changes by
+    the triangles with an edge through it on the side entered minus those
+    on the side left; group them by their edge's label pair, however many
+    such segments overlap collinearly.  By 5 an edge off the cycle has one
+    triangle on each side, so it adds nothing, and a cycle edge has one on
+    its interior side only; edges of a simple cycle never overlap.  So deg
+    minus the indicator of the cycle's interior is constant, and zero far
+    away: the triangles cover the interior once and nothing outside it.
+
+    Suppose a point p lies in a closed triangle s but is not its vertex.
+    By 3, p is a vertex of another triangle t, which by 2 has a wedge of
+    positive angle at p; near p, the wedge meets the open half-disc on one
+    side or the other of any line through p.  If p is inside s, the wedge
+    meets s, and deg is 2 there.  Else p is inside an edge of s.  Off the
+    cycle, the edge's partner s' beyond it (nondegenerate, so p is not its
+    vertex either) and s cover both half-discs near p, so again deg is 2
+    in the wedge.  On the cycle, p is inside an edge of a simple cycle, so
+    the half-disc beyond lies outside it, where the wedge makes deg 1.
+    So every triangle is empty and every point a vertex: the set is a
+    triangulation, which forces the triangle count (n - 2 for a polygon,
+    2n - h - 2 for n points with h on the hull).
     """
     tris = sorted(tri(*t) for t in triangles)
     for u, t in zip(tris, tris[1:]):
@@ -134,29 +99,22 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
         if t[0] < 0 or t[2] >= n:
             return f"triangle {t} has a label outside 0..{n - 1}"
 
-    dets, hits = _scan([points for _, points, _ in sides], np.array(tris, dtype=np.intp))
-    if (dets == 0).any() or (hits >= 0).any():
-        for r, t in enumerate(tris):
-            for (name, _, _), det, hit in zip(sides, dets, hits):
-                if det[r] == 0:
-                    return f"triangle {t} degenerate in {name}"
-                if hit[r] >= 0:
-                    return (f"corresponding triangle {t} not empty in {name}: "
-                            f"contains point {int(hit[r])}")
-
-    windings = []
-    for (name, points, cycle), det in zip(sides, dets):
-        covered = sum(np.abs(det).tolist())
-        signed = signed_area2([points[i] for i in cycle])
-        if covered != abs(signed):
-            return f"area mismatch in {name}: covered {covered} of {abs(signed)}"
-        windings.append(1 if signed > 0 else -1)
+    # [sides, triangles, 3 vertices, 2 coordinates], int64: exact under COORD_LIMIT
+    corner = np.array([points for _, points, _ in sides], dtype=np.int64)[:, tris]
+    ab, ac = corner[:, :, 1] - corner[:, :, 0], corner[:, :, 2] - corner[:, :, 0]
+    dets = ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0]
+    flat = (dets == 0).T  # [triangles, sides]: the first in row-major order is named
+    if flat.any():
+        r, side = divmod(int(flat.argmax()), len(sides))
+        return f"triangle {tris[r]} degenerate in {sides[side][0]}"
+    if unused := set(range(n)).difference(*tris):
+        return f"label {min(unused)} is a vertex of no triangle"
 
     boundary = hull_edge_set(sides[0][2])
     if any(hull_edge_set(cycle) != boundary for _, _, cycle in sides[1:]):
         return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
 
-    for (name, _, cycle), det, winding in zip(sides, dets.tolist(), windings):
+    for (name, points, cycle), det in zip(sides, dets.tolist()):
         half: dict[Edge, int] = {}  # directed edge -> the triangle on its left
         for r, (i, j, k) in enumerate(tris):
             for h in ((i, j), (j, k), (k, i)) if det[r] > 0 else ((j, i), (k, j), (i, k)):
@@ -164,7 +122,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
                 if u != r:
                     return f"triangles {tris[u]} and {tris[r]} overlap in {name}"
         rim = set(zip(cycle, [*cycle[1:], cycle[0]]))
-        if winding < 0:
+        if signed_area2([points[i] for i in cycle]) < 0:
             rim = {(b, a) for a, b in rim}
         loose = {(a, b) for a, b in half if (b, a) not in half}
         if loose != rim:

@@ -12,14 +12,17 @@ deliberately simple so they can arbitrate the fast paths.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .conditions import PointSetPair, check_hull_correspondence, necessary_conditions
 from .files import Instance, write_bundle
 from .geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
-                   SizeGuard, orient, signed_area2, strictly_left)
+                   SizeGuard, signed_area2, strictly_left)
 from .greedy import LEX, JointTriangulation, greedy_construct, verify_joint
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, check_polygon_size,
                       dp_joint_polygon, sides_and_first_meet, verify_polygon_joint)
@@ -45,8 +48,9 @@ def iter_triangulations(pair: PointSetPair) -> Iterator[frozenset[Tri]]:
     interior edges, so a joint one uses only triangles that turn as the
     hulls do.  Conversely, a triangulation of A built from those has on
     each interior edge two triangles on opposite sides in both
-    realizations, and on each hull edge one, inside; by the degree
-    argument of ``verify_tiling`` it tiles B's hull as well.
+    realizations, and on each hull edge one, inside; its triangles are
+    nondegenerate in B and use every label, so by the proof in
+    ``verify_tiling`` it triangulates B as well.
 
     Frontier search: the open directed edges of the untriangulated region
     (the region on their left in A) start as A's hull edges, and the
@@ -205,16 +209,48 @@ def _untangle(pts: list[Point]) -> Optional[list[Point]]:
     order[i + 1..j].  The caller draws no three points collinear, so each
     pair named crosses properly.  Each swap strictly shortens the tour, so
     the loop terminates; None when the budget, one swap a sweep, runs out.
+    The order is one int64 [n, 2] array throughout, points only at the end.
     The caller raises SizeGuard above MAX_POLYGON_VERTICES before drawing.
     """
-    order = pts[:]
+    order = np.array(pts, dtype=np.int64)
     for _ in range(_UNTANGLE_SWEEPS):
         meet = sides_and_first_meet(order)[1]
         if meet is None:
-            return order
+            return [Point(x, y) for x, y in order.tolist()]
         i, j = meet
-        order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
+        order[i + 1:j + 1] = order[i + 1:j + 1][::-1]
     return None
+
+
+def _direction(p: Point, q: Point) -> tuple[int, int]:
+    """The direction from p to q != p, gcd-reduced and turned to point
+    right or straight up: equal for q and r iff p, q, r are collinear."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    return (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
+
+
+def _draw_points(rng: random.Random, n: int, coord_range: int) -> list[Point]:
+    """Up to n distinct points drawn uniformly in [0, coord_range]^2, each
+    kept only if no two kept points are collinear with it, within
+    50 n + 1000 draws.  Each kept point q holds its directions to the
+    others (``_direction``); a draw p is collinear with q and some r iff
+    its direction from q is among them, so each draw costs O(kept)."""
+    lines: dict[Point, set[tuple[int, int]]] = {}  # kept point -> its directions
+    guard = 0
+    while len(lines) < n and guard < 50 * n + 1000:
+        guard += 1
+        p = Point(rng.randint(0, coord_range), rng.randint(0, coord_range))
+        if p in lines:
+            continue
+        heading = {q: _direction(q, p) for q in lines}
+        if any(h in lines[q] for q, h in heading.items()):
+            continue
+        for q, h in heading.items():
+            lines[q].add(h)
+        lines[p] = set(heading.values())
+    return list(lines)
 
 
 def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
@@ -234,19 +270,7 @@ def gen_polygon_pair(n: int, coord_range: int, seed: int) -> PolygonPair:
 
     def side() -> Polygon:
         for _ in range(_POLYGON_TRIES):
-            pts: list[Point] = []
-            seen: set[Point] = set()
-            guard = 0
-            while len(pts) < n and guard < 50 * n + 1000:
-                guard += 1
-                p = Point(rng.randint(0, coord_range), rng.randint(0, coord_range))
-                if p in seen:
-                    continue
-                if any(orient(q, r, p) == 0
-                       for qi, q in enumerate(pts) for r in pts[qi + 1:]):
-                    continue
-                seen.add(p)
-                pts.append(p)
+            pts = _draw_points(rng, n, coord_range)
             if len(pts) < n:
                 continue
             rng.shuffle(pts)

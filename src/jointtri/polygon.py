@@ -107,7 +107,7 @@ _HIT_BLOCK_CELLS = 1 << 17
 # interpreter (31 MB at n = 1500, 83 MB at n = 2500, fresh ru_maxrss), set
 # by visibility's angle tables and bool masks; a strictly convex pair
 # builds no angle tables and peaks lower (18 and 49 MB), and the DP's bit
-# columns and the verifier's row blocks stay below either.  So a pair
+# columns and the verifier's per-triangle arrays stay below either.  So a pair
 # stays well under 1 GB, and the int16 angle tables exact, up to here.
 MAX_POLYGON_VERTICES = 2500
 
@@ -582,6 +582,22 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
     cell at its least such k, scanning the column's cells above i.  On
     success the triangle set is re-checked by the polygon verifier; None
     means no joint triangulation exists.
+
+    For polygon pairs the paper's necessary conditions are sufficient.
+    Call a triangle legal when its three sides are shared edges; the legal
+    closure keeps a legal triangle while each of its diagonals has a kept
+    triangle on its other side.  It is nonempty iff a joint triangulation
+    exists.  A diagonal {u, v} of both polygons cuts each into the
+    sub-polygon u, u + 1, ..., v and the rest.  The triangles of a joint
+    triangulation are legal and each has its neighbour across each
+    diagonal in the set, so none is ever the first to lose a partner: the
+    closure keeps them.  Conversely, across each diagonal of a kept
+    triangle a kept partner lies in the sub-polygon beyond, inside both
+    polygons (``_fill_table``'s lemma), and across each of the partner's
+    other diagonals a smaller sub-polygon within that one, again with a
+    kept partner.  The sub-polygons are disjoint and shrink, so this ends
+    in a tiling of both polygons with shared edges: a joint triangulation.
+    ``tests/helpers.legal_closure`` is the reference for this DP's verdict.
     """
     col = _fill_table(pair.shared.table)
     if not col[-1] & 1:

@@ -2,9 +2,11 @@
 
 Everything here is written directly against coordinate arithmetic, on
 purpose: these functions arbitrate the library's fast paths and must not
-share code with them.  The one exception is ``count_joint_triangulations``:
-it checks the interval recurrence, not visibility, and reads the shared
-chords from ``visibility_graph``.  ``reference_sign_tensor`` is the int8
+share code with them.  Two exceptions check the interval recurrence, not
+visibility, so they read the shared chords from the library:
+``count_joint_triangulations`` from ``visibility_graph``, and
+``legal_closure``, the reference for the DP's verdict, from
+``PolygonPair.shared``.  ``reference_sign_tensor`` is the int8
 n^3 orientation tensor, built triple by triple with ``xorient``, against
 which the packed orientation table is pinned; ``reference_legal_set`` and
 ``scan_empty_triangles`` read it.  ``reference_legal_set`` checks the order
@@ -13,13 +15,17 @@ per-label scan that ``enumerate_empty`` replaced, kept to pin the sweep's
 triples and their order; its row test is the int8 form of ``_empty_rows``,
 ``paired_empty``'s test on side B.  ``reference_untangle`` is the
 scalar 2-opt sweep the polygon generator ran before it searched for
-crossings with the polygon module's segment test.
-Three helpers are not references and call the library.
+crossings with the polygon module's segment test, and
+``reference_draw_points`` its vertex draw with the scalar collinearity
+test it ran before it kept directions per point.
+Some helpers are not references and call the library.
 ``hull_locked_pair`` and ``gen_perturbed_pair`` are instance generators:
 each draws A with ``gen_point_pair``, and ``hull_locked_pair`` fixes A's
-hull from ``convex_hull``.  ``enumerate_triangulations`` lists the
-library's own frontier search (``iter_triangulations``) on a set paired
-with itself.  ``tri_edges`` and ``boundary_edges`` only list label pairs,
+hull from ``convex_hull``.  ``invariance_failures`` runs the point path
+(``point_path_outcome``) on a pair and on its swapped, relabeled and
+mirrored images, for tier-1 and for CI's run at n = 300.
+``enumerate_triangulations`` lists the library's own frontier search
+(``iter_triangulations``) on a set paired with itself.  ``tri_edges`` and ``boundary_edges`` only list label pairs,
 a triple's edges and a polygon's boundary edges, for the tests' sets.
 """
 
@@ -32,11 +38,12 @@ from itertools import combinations
 import numpy as np
 
 from jointtri import oracle
-from jointtri.conditions import LegalSetResult, PointSetPair
+from jointtri.conditions import LegalSetResult, PointSetPair, necessary_conditions
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
+from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct
 from jointtri.oracle import gen_point_pair, iter_triangulations
 from jointtri.polygon import visibility_graph
-from jointtri.triangles import FLIPS, Tri, TriangleSet
+from jointtri.triangles import FLIPS, Tri, TriangleSet, tri
 
 
 # A point instance that passes NC1 and fails NC2: all 21 of its paired
@@ -391,6 +398,30 @@ def reference_untangle(pts):
     return None
 
 
+def reference_draw_points(rng: random.Random, n: int, coord_range: int):
+    """The polygon generator's vertex draw with the scalar collinearity
+    test it ran before it kept directions per point, the reference for
+    ``oracle._draw_points``: up to n distinct uniform points, each kept
+    only if ``orient`` finds it on no line through two kept ones, within
+    50 n + 1000 draws.  Returns the kept points and the number of draws
+    refused as collinear."""
+    pts: list[Point] = []
+    seen: set[Point] = set()
+    guard = refused = 0
+    while len(pts) < n and guard < 50 * n + 1000:
+        guard += 1
+        p = Point(rng.randint(0, coord_range), rng.randint(0, coord_range))
+        if p in seen:
+            continue
+        if any(orient(q, r, p) == 0
+               for qi, q in enumerate(pts) for r in pts[qi + 1:]):
+            refused += 1
+            continue
+        seen.add(p)
+        pts.append(p)
+    return pts, refused
+
+
 def convex_position_points(n: int, spread: int = 1):
     """n integer points in strictly convex position (on a parabola)."""
     return [(k, spread * k * k) for k in range(n)]
@@ -413,6 +444,22 @@ def star_polygon_coords(rng: random.Random, n: int, radius: int = 1000):
         r = rng.uniform(radius / 3, radius)
         out.append((round(r * math.cos(angle)), round(r * math.sin(angle))))
     return out
+
+
+def radially_jittered_star(rng: random.Random, n: int, jitter: float,
+                           radius: int = 10**6):
+    """A star pair's coordinates: A is ``star_polygon_coords``, and B moves
+    each vertex of A along its ray from the origin, to the mix, at weight
+    ``jitter`` (0 to 1), of its distance and a fresh uniform one in
+    [radius / 3, radius].  The rays keep their order, so B is star-shaped
+    unless rounding breaks it; callers must still validate both."""
+    a = star_polygon_coords(rng, n, radius)
+    b = []
+    for x, y in a:
+        r = math.hypot(x, y)
+        f = 1 - jitter + jitter * rng.uniform(radius / 3, radius) / r
+        b.append((round(x * f), round(y * f)))
+    return a, b
 
 
 def _winding(vertices) -> int:
@@ -477,6 +524,52 @@ def count_joint_triangulations(pair) -> int:
                 if (i, k) in shared and (k, q) in shared
                 and _interior_split(a, b, i, k, q))
     return counts[0][n - 1]
+
+
+def _chord_sides(t):
+    """The chords of a canonical triple (i, j, k), each with whether the
+    triangle lies on its inner side, the side of the labels between its
+    ends: outer for (i, j) and (j, k), inner for (i, k)."""
+    i, j, k = t
+    return (((i, j), False), ((j, k), False), ((i, k), True))
+
+
+def legal_closure(pair) -> set[tuple[int, int, int]]:
+    """The legal closure of a polygon pair, the reference for whether
+    ``dp_joint_polygon`` finds a joint triangulation.  A triple is legal
+    when its three sides are shared edges (``pair.shared``, the DP's own
+    input: this checks the recurrence, not visibility).  The closure keeps
+    a legal triple while each of its diagonals has a kept triple on its
+    other side, labels between the chord's ends against labels outside
+    them; a boundary edge needs none.  A worklist removes the triples that
+    lose their last partner across some diagonal."""
+    n = len(pair)
+    shared = set(pair.shared)
+    boundary = boundary_edges(pair.a)
+    around = [set() for _ in range(n)]
+    for i, j in shared:
+        around[i].add(j)
+    kept = {(i, j, k) for i, j in shared for k in around[j] if k in around[i]}
+    on = {}  # (chord, inner) -> the kept triples on that side of the chord
+    for t in kept:
+        for side in _chord_sides(t):
+            on.setdefault(side, set()).add(t)
+
+    def lonely(t):
+        return any(chord not in boundary and not on.get((chord, not inner))
+                   for chord, inner in _chord_sides(t))
+
+    doomed = [t for t in kept if lonely(t)]
+    while doomed:
+        t = doomed.pop()
+        if t not in kept:
+            continue
+        kept.remove(t)
+        for chord, inner in _chord_sides(t):
+            on[chord, inner].remove(t)
+            if not on[chord, inner] and chord not in boundary:
+                doomed.extend(on.get((chord, not inner), ()))
+    return kept
 
 
 def mutate(rng: random.Random, tris, n: int):
@@ -608,6 +701,44 @@ def mirror(s: LabeledSet) -> LabeledSet:
     """The set's mirror image (x, y) -> (-x, y), which reverses the turn
     of every triangle and of the hull."""
     return LabeledSet(tuple(Point(-p.x, p.y) for p in s.points))
+
+
+def point_path_outcome(pair):
+    """NC1's verdict, the legal set as a set of triples, and the verdicts
+    of the LEX and seeded-random (seeds 0 and 1) greedy runs, None where
+    the necessary conditions fail."""
+    nc = necessary_conditions(pair)
+    greedy = None
+    if nc.ok:
+        greedy = tuple(greedy_construct(pair, nc.legal.legal, *policy).verified
+                       for policy in ((LEX,), (SEEDED_RANDOM, 0), (SEEDED_RANDOM, 1)))
+    legal = set(nc.legal.legal) if nc.legal is not None else set()
+    return nc.hull.ok, legal, greedy
+
+
+def relabeled(s: LabeledSet, pi) -> LabeledSet:
+    """The set with each label i renamed pi[i]."""
+    points = [None] * len(s)
+    for i, p in enumerate(s.points):
+        points[pi[i]] = p
+    return LabeledSet(tuple(points))
+
+
+def invariance_failures(pair, pi):
+    """The point path's outcome on the pair (``point_path_outcome``), and
+    the names of the images of the pair whose outcome is not the one it
+    predicts: the A <-> B swap ("swap") and the mirror image of both sides
+    ("mirror") keep it, and relabeling both sides by the permutation pi
+    ("relabel") maps the legal set by pi and keeps the verdicts.  Legal
+    sets are compared as sets, since the removal log depends on the order
+    of work and the greedy choices may change."""
+    nc1, legal, greedy = outcome = point_path_outcome(pair)
+    moved = {tri(*(pi[v] for v in t)) for t in legal}
+    images = (("swap", PointSetPair(pair.b, pair.a), legal),
+              ("relabel", PointSetPair(relabeled(pair.a, pi), relabeled(pair.b, pi)), moved),
+              ("mirror", PointSetPair(mirror(pair.a), mirror(pair.b)), legal))
+    return outcome, [name for name, image, want in images
+                     if point_path_outcome(image) != (nc1, want, greedy)]
 
 
 def _pairwise_tiles(sides, tris, empty: bool) -> bool:

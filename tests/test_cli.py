@@ -603,9 +603,8 @@ def test_polygon_size_guard_exit_3(tmp_path, monkeypatch):
 def test_polygon_generation_refuses_above_the_size_limit(monkeypatch):
     """No polygon above MAX_POLYGON_VERTICES is ever constructed, so the
     polygon generator, ``genpoly`` and ``hunt polygons`` refuse such an n
-    with SizeGuard (exit 3) before drawing a point: with ``orient``, which
-    the draw's collinearity test calls, patched to raise, any draw fails at
-    once.  At a patched limit of 8 the generator still builds 8-gons.
+    with SizeGuard (exit 3) before drawing a point: with the vertex draw,
+    ``oracle._draw_points``, patched to raise, any draw fails at once.  At a patched limit of 8 the generator still builds 8-gons.
     ``gen`` for point pairs has no such limit."""
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
     assert len(gen_polygon_pair(8, 50, 1)) == 8
@@ -616,7 +615,7 @@ def test_polygon_generation_refuses_above_the_size_limit(monkeypatch):
     def drawn(*args):
         raise AssertionError("a polygon vertex was drawn")
 
-    monkeypatch.setattr(oracle, "orient", drawn)
+    monkeypatch.setattr(oracle, "_draw_points", drawn)
     n = polygon.MAX_POLYGON_VERTICES + 1
     refusal = f"polygon visibility is limited to n <= {polygon.MAX_POLYGON_VERTICES}, got {n}"
     with pytest.raises(SizeGuard) as exc:

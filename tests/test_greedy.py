@@ -11,7 +11,7 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
 from jointtri.triangles import TriangleSet
 
 from helpers import (brute_greedy, grid_locked_coords, hull_locked_pair, mutate,
-                     overlap_by_decomposition, xorient)
+                     overlap_by_decomposition, pairwise_verify_points, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -135,7 +135,28 @@ def test_verify_square_pair():
     pair = _pair(SQUARE)
     assert verify_joint(pair, [(0, 1, 2), (0, 2, 3)]) is None
     violation = verify_joint(pair, [(0, 1, 2)])
-    assert violation == "area mismatch in A: covered 4 of 8"
+    assert violation == "label 3 is a vertex of no triangle"
+
+
+def test_verify_rejects_a_tiling_that_skips_a_point():
+    """Two triangles tile the square and pass every other check, yet the
+    square's center, point 4, lies on their shared edge: only "every label
+    is a vertex" rejects them, as the pairwise reference does."""
+    pair = _pair(SQUARE + [(1, 1)])
+    tris = [(0, 1, 2), (0, 2, 3)]
+    assert verify_joint(pair, tris) == "label 4 is a vertex of no triangle"
+    assert not pairwise_verify_points(pair.a.points, pair.b.points, tris)
+
+
+def test_verify_rejects_a_flat_triangle_that_pairs_the_half_edges():
+    """With the square's center, point 4, on the diagonal (0, 2), the flat
+    triangle (0, 2, 4) gives every half-edge of (0, 1, 4), (1, 2, 4) and
+    (0, 2, 3) its twin, and every label is used: only nondegeneracy
+    rejects the set, as the pairwise reference does."""
+    pair = _pair(SQUARE + [(1, 1)])
+    tris = [(0, 1, 4), (1, 2, 4), (0, 2, 4), (0, 2, 3)]
+    assert verify_joint(pair, tris) == "triangle (0, 2, 4) degenerate in A"
+    assert not pairwise_verify_points(pair.a.points, pair.b.points, tris)
 
 
 def test_verify_rejects_duplicates():
@@ -160,14 +181,29 @@ MISMATCH_A = [(10, 10), (12, 0), (-5, -5), (0, 0), (4, 0), (2, 3), (-8, 4), (8, 
 MISMATCH_B = [(2, 1), (12, 0), (-5, -5), (0, 0), (4, 0), (2, 3), (-8, 4), (8, -6)]
 
 
+# A square with two interior points; B moves point 5 into A's triangle
+# (0, 1, 4), which A's triangulations below and around it leave empty.
+LOCKED_A = [(0, 0), (12, 0), (12, 12), (0, 12), (4, 6), (8, 6)]
+LOCKED_B = [(0, 0), (12, 0), (12, 12), (0, 12), (4, 6), (9, 2)]
+
+
 def test_verify_reports_one_sided_emptiness():
+    """The verifier tests no triangle for emptiness: a triangle that holds
+    a point of B fails by another check.  Alone it leaves that point's
+    label unused; in a triangulation of A with B's hull, the triangle on
+    the point's other side overlaps it in B."""
     pair = _pair(MISMATCH_A, MISMATCH_B)
     from jointtri.triangles import enumerate_empty
 
     assert (3, 4, 5) in enumerate_empty(pair.a)
     assert (3, 4, 5) not in enumerate_empty(pair.b)
     violation = verify_joint(pair, [(3, 4, 5)])
-    assert violation == "corresponding triangle (3, 4, 5) not empty in B: contains point 0"
+    assert violation == "label 0 is a vertex of no triangle"
+    locked = _pair(LOCKED_A, LOCKED_B)
+    tris = [(0, 1, 4), (0, 3, 4), (1, 2, 5), (1, 4, 5), (2, 3, 4), (2, 4, 5)]
+    assert verify_joint(_pair(LOCKED_A), tris) is None
+    assert (0, 1, 4) not in enumerate_empty(locked.b)
+    assert verify_joint(locked, tris) == "triangles (0, 1, 4) and (1, 4, 5) overlap in B"
 
 
 def test_verify_degenerate_triple():

@@ -20,7 +20,7 @@ from helpers import (brute_hull_edges, brute_joint_exists,
                      enumerate_triangulations, gen_perturbed_pair,
                      grid_locked_coords, hull_locked_pair, mirror,
                      overlap_by_decomposition, pairwise_verify_points,
-                     reference_untangle, xorient)
+                     reference_draw_points, reference_untangle, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -320,6 +320,26 @@ def test_untangle_matches_scalar_reference(monkeypatch):
     assert cut == [reference_untangle(pts) for pts in inputs]
     # measured: 1,038 shuffles changed, 790 out of budget at 2 sweeps
     assert 600 <= cut.count(None) <= 1000
+
+
+def test_draw_points_matches_scalar_collinearity_test():
+    """The generator's per-point direction sets refuse exactly the draws
+    the scalar ``orient`` test over every kept pair refuses, so the kept
+    points, and the stream the draw leaves behind, are the same.  Small
+    ranges make collinear draws common, and some runs stop at the draw
+    budget short of n."""
+    refused = short = 0
+    for seed in range(200):
+        n, coord_range = (4 + seed % 20, (3, 6, 12, 40)[seed % 4])
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = oracle._draw_points(rng, n, coord_range)
+        want, collinear = reference_draw_points(ref, n, coord_range)
+        assert got == want, (seed, n, coord_range)
+        assert rng.random() == ref.random()
+        refused += collinear
+        short += len(got) < n
+    # measured: 100,763 draws refused as collinear, 79 runs short
+    assert refused >= 50_000 and short >= 40, (refused, short)
 
 
 def test_gen_polygon_pair_triangles_always_work():

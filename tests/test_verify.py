@@ -1,18 +1,21 @@
 """The linear-size verifier against the pairwise reference verifiers."""
 
 import random
+import re
+from collections import Counter
 from itertools import combinations, islice
 
-from jointtri import greedy
 from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint, verify_tiling
-from jointtri.oracle import gen_point_pair, gen_polygon_pair
+from jointtri.oracle import gen_point_pair, gen_polygon_pair, iter_triangulations
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
-from helpers import (gen_perturbed_pair, grid_locked_coords, mutate,
-                     pairwise_verify_points, pairwise_verify_polygons)
+from helpers import (boundary_edges, brute_hull_edges, gen_perturbed_pair,
+                     grid_locked_coords, hull_locked_pair, mutate,
+                     overlap_by_decomposition, pairwise_verify_points,
+                     pairwise_verify_polygons, point_in_closed_triangle, xorient)
 
 
 def _point_cases(rng):
@@ -109,6 +112,40 @@ def test_polygon_verifier_matches_pairwise_reference():
     assert sum(clockwise) >= 50 and clockwise.count(False) >= 50
 
 
+def _triangulations_of_a():
+    """Seeded (pair, triangles) cases: up to 60 triangulations of A per
+    pair, by the frontier search on A paired with itself, each to be judged
+    against B, on hull-locked, perturbed and independent pairs at n 5-9."""
+    seed = 0
+    while True:
+        seed += 1
+        n, kind = 5 + seed % 5, seed % 3
+        if kind == 0:
+            pair = hull_locked_pair(n, 40, 8, 7000 + seed)
+        elif kind == 1:
+            pair = gen_perturbed_pair(n, 30, 3, 7000 + seed)
+        else:
+            pair = gen_point_pair(n, 30, 7000 + seed)
+        for tris in islice(iter_triangulations(PointSetPair(pair.a, pair.a)), 60):
+            yield pair, sorted(tris)
+
+
+def test_point_verifier_matches_pairwise_reference_on_triangulations_of_a():
+    """The verifier tests no triangle for emptiness, yet it agrees with the
+    pairwise reference, which does, on triangulations of A judged against
+    B, most of which have a triangle holding another point of B."""
+    cases = list(islice(_triangulations_of_a(), 4200))
+    verdicts = _differential(
+        cases, len(cases), verify_joint,
+        lambda pair, tris: pairwise_verify_points(pair.a.points, pair.b.points, tris))
+    held = sum(any(point_in_closed_triangle(*(pair.b.points[v] for v in t), p)
+                   for t in tris for w, p in enumerate(pair.b.points) if w not in t)
+               for pair, tris in cases)
+    # measured: 3,018 of the 4,200 sets, from 138 pairs, hold a point of B;
+    # 620 verify
+    assert len(verdicts) == 4200 and held >= 2000 and sum(verdicts) >= 300
+
+
 def _interval_triangulations(i, q):
     """Every triangulation of the convex chain i..q closed by {i, q}, as
     triple lists: each picks the apex k of the triangle on {i, q}."""
@@ -159,25 +196,59 @@ def _grid_triple_cases(rng):
         yield pair, rng.sample(list(combinations(range(n), 3)), rng.randint(1, n))
 
 
-def test_verifier_messages_hold_across_scan_blocks(monkeypatch):
-    """Each verdict's message, not only its verdict, is the same when
-    ``_scan`` runs in row blocks of one to a few triangles, on mutated
-    point and polygon triangulations and on grid triples: the first
-    degenerate or non-empty triangle is still the one named."""
+def _realizations(pair):
+    """Each side's coordinates by name, and the boundary edges of A as
+    label pairs (i, j), i < j, of a point or polygon pair."""
+    if isinstance(pair, PointSetPair):
+        return ({"A": pair.a.points, "B": pair.b.points},
+                {tuple(sorted(e)) for e in brute_hull_edges(pair.a.points)})
+    return {"A": pair.a.vertices, "B": pair.b.vertices}, boundary_edges(pair.a)
+
+
+def test_verifier_messages_name_their_witnesses():
+    """On mutated point and polygon triangulations and on grid triples,
+    each rejection of the four kinds after check 1 names a witness that a
+    direct coordinate test confirms: the degenerate triangle named is the
+    first whose corners are collinear, an unused label is in no triple, two overlapping triangles
+    meet (``overlap_by_decomposition``), and a one-sided edge is a boundary
+    edge or an interior edge of a triple, as the message says.  Each kind
+    turns up at least ten times, and B's side at least ten times."""
     cases = ([(verify_joint, c) for c in islice(_point_cases(random.Random(2026)), 300)]
              + [(verify_joint, c) for c in islice(_grid_triple_cases(random.Random(2028)), 100)]
              + [(verify_polygon_joint, c)
                 for c in islice(_polygon_cases(random.Random(2027)), 200)])
-    whole = [verify(pair, tris) for verify, (pair, tris) in cases]
-    # n is 4 to 9 and a block's cells count both sides: 1 cell is one row
-    # per block, 40 cells two to five rows
-    for cells in (1, 40):
-        monkeypatch.setattr(greedy, "_SCAN_BLOCK_CELLS", cells)
-        assert [verify(pair, tris) for verify, (pair, tris) in cases] == whole
-    messages = [m for m in whole if m is not None]
-    for kind in ("not empty in A", "not empty in B", "degenerate in A"):
-        assert sum(kind in m for m in messages) >= 10, kind
-    assert whole.count(None) >= 50
+    kinds = Counter()
+    for verify, (pair, tris) in cases:
+        message = verify(pair, tris)
+        if message is None:
+            kinds["verified"] += 1
+            continue
+        sides, boundary = _realizations(pair)
+        named = [tuple(map(int, g.split(", "))) for g in re.findall(r"\(([\d, ]+)\)", message)]
+        side = sides.get(message[-1])
+        if "degenerate" in message:  # the first, by triple and then side
+            flat = [(t, name) for t in sorted(tuple(sorted(t)) for t in tris)
+                    for name, points in sides.items() if xorient(*(points[v] for v in t)) == 0]
+            kind, ok = "degenerate", flat[0] == (named[0], message[-1])
+        elif message.endswith("is a vertex of no triangle"):
+            label = int(message.split()[1])
+            kind, ok = "unused label", all(label not in t for t in tris)
+        elif "overlap" in message:
+            kind, ok = "overlap", overlap_by_decomposition(
+                *(tuple(side[v] for v in t) for t in named))
+        elif message.startswith("boundary edge ("):
+            kind, ok = "one-sided edge", named[0] in boundary
+        elif message.startswith("interior edge ("):
+            kind, ok = "one-sided edge", named[0] not in boundary and any(
+                set(named[0]) <= set(t) for t in tris)
+        else:  # check 1 or 4, which name no geometric witness
+            continue
+        assert ok, (message, pair, tris)
+        kinds[kind] += 1
+        kinds["in B"] += message.endswith(" in B")
+    assert kinds["verified"] >= 50, kinds
+    for kind in ("degenerate", "unused label", "overlap", "one-sided edge", "in B"):
+        assert kinds[kind] >= 10, (kind, kinds)
 
 
 # Hand-built triple sets that pass checks 1-4 and fail only the half-edge
