@@ -8,6 +8,7 @@ ships an exhaustive small-instance oracle for validation and for hunting
 counterexamples to the sufficiency conjecture.
 """
 
+from .campaign import HuntReport, gen_point_pair, gen_polygon_pair, hunt
 from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          PointSetPair, check_hull_correspondence,
                          check_legal_nonempty, legal_set,
@@ -17,9 +18,7 @@ from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
                    convex_hull, hull_edge_set, orient)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
-from .oracle import (HuntReport, gen_point_pair, gen_polygon_pair, hunt,
-                     iter_triangulations, oracle_joint_exists,
-                     polygon_oracle_exists)
+from .oracle import iter_triangulations, oracle_joint_exists, polygon_oracle_exists
 from .polygon import (GrazingDiagonal, Polygon, PolygonPair, dp_joint_polygon,
                       ivg, verify_polygon_joint, visibility_graph)
 from .triangles import TriangleSet, enumerate_empty, paired_empty

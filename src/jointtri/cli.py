@@ -19,16 +19,16 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .campaign import (POINTS, POLYGONS, gen_point_pair, gen_polygon_pair, hunt,
+                       verification_failure)
 from .conditions import necessary_conditions
 from .files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                     format_instance, format_triangles, parse_instance,
                     parse_triangles)
 from .geom import InputError, SizeGuard
 from .greedy import LEX, SEEDED_RANDOM, greedy_construct
-from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS, POLYGONS,
-                     gen_point_pair, gen_polygon_pair, hunt,
-                     oracle_joint_exists, polygon_oracle_exists,
-                     verification_failure)
+from .oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, oracle_joint_exists,
+                     polygon_oracle_exists)
 from .polygon import PolygonPair, dp_joint_polygon
 from .svg import render_pair
 

@@ -4,12 +4,13 @@ An instance file is plain whitespace text: an optional run of ``#``
 comment lines, a header ``POINTS n`` or ``POLYGON n``, then exactly n
 rows of four integers ``ax ay bx by`` (row order is label order, and
 boundary order for polygons).  Labels are 1-based in every file and in
-all CLI output; the library is 0-based.
+all CLI output; the library is 0-based.  A triangle-list file holds one
+1-based ``i j k`` per line.  Counterexample bundles are instance files
+whose comment lines carry the finding; ``jointtri.campaign`` writes them.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Union
 
 from .conditions import PointSetPair
@@ -58,7 +59,7 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             raise InstanceFormatError(
                 line_no, "expected four integers 'ax ay bx by'")
         try:
-            rows.append(tuple(int(v) for v in parts))  # type: ignore[arg-type]
+            rows.append(tuple(map(int, parts)))  # type: ignore[arg-type]
         except ValueError:
             raise InstanceFormatError(line_no, f"non-integer coordinate in {body!r}")
         row_lines.append(line_no)
@@ -118,31 +119,3 @@ def format_triangles(triangles: Iterable[Tri]) -> str:
     lines = [f"{t[0] + 1} {t[1] + 1} {t[2] + 1}"
              for t in sorted(tri(*t) for t in triangles)]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_bundle(bundle_dir: str, pair: Instance, finding,
-                 trace_lines: list[str]) -> str:
-    """Write a counterexample bundle and return its path.
-
-    The bundle is itself a valid instance file of the pair's kind; the
-    finding and the execution trace ride along as comment lines.  A
-    finding with an oracle verdict, an oracle disagreement, is named with
-    an ``-oracle`` suffix, so it never overwrites the failed-verification
-    bundle of the same instance.
-    """
-    os.makedirs(bundle_dir, exist_ok=True)
-    suffix = "-oracle" if finding.oracle_verdict else ""
-    name = f"counterexample-{finding.mode}-seed{finding.seed}-n{finding.n}{suffix}.txt"
-    path = os.path.join(bundle_dir, name)
-    parts = [
-        f"# counterexample: {finding.reason}",
-    ]
-    if finding.oracle_verdict:
-        parts.append(f"# oracle verdict: {finding.oracle_verdict}")
-    parts.append(format_instance(pair).rstrip("\n"))
-    if trace_lines:
-        parts.append("# trace:")
-        parts.extend(f"# {line}" for line in trace_lines)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path

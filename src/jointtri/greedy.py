@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .conditions import PointSetPair
-from .geom import (DegenerateInput, Point, hull_edge_set, row_bits,
+from .geom import (DegenerateInput, Point, cross, hull_edge_set, row_bits,
                    signed_area2, strictly_left)
 from .triangles import Edge, Tri, TriangleSet, edge, tri
 
@@ -99,22 +99,22 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
         if t[0] < 0 or t[2] >= n:
             return f"triangle {t} has a label outside 0..{n - 1}"
 
-    # [sides, triangles, 3 vertices, 2 coordinates], int64: exact under COORD_LIMIT
-    corner = np.array([points for _, points, _ in sides], dtype=np.int64)[:, tris]
-    ab, ac = corner[:, :, 1] - corner[:, :, 0], corner[:, :, 2] - corner[:, :, 0]
-    dets = ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0]
-    flat = (dets == 0).T  # [triangles, sides]: the first in row-major order is named
-    if flat.any():
-        r, side = divmod(int(flat.argmax()), len(sides))
-        return f"triangle {tris[r]} degenerate in {sides[side][0]}"
+    # [sides][triangles] doubled areas, Python integers: exact at any magnitude
+    dets = [[cross(points[i], points[j], points[k]) for i, j, k in tris]
+            for _, points, _ in sides]
+    for t, areas in zip(tris, zip(*dets)):  # the first triangle, then side, is named
+        if 0 in areas:
+            return f"triangle {t} degenerate in {sides[areas.index(0)][0]}"
     if unused := set(range(n)).difference(*tris):
         return f"label {min(unused)} is a vertex of no triangle"
 
-    boundary = hull_edge_set(sides[0][2])
-    if any(hull_edge_set(cycle) != boundary for _, _, cycle in sides[1:]):
+    first = sides[0][2]
+    boundary = hull_edge_set(first)
+    if any(cycle != first and hull_edge_set(cycle) != boundary
+           for _, _, cycle in sides[1:]):
         return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
 
-    for (name, points, cycle), det in zip(sides, dets.tolist()):
+    for (name, points, cycle), det in zip(sides, dets):
         half: dict[Edge, int] = {}  # directed edge -> the triangle on its left
         for r, (i, j, k) in enumerate(tris):
             for h in ((i, j), (j, k), (k, i)) if det[r] > 0 else ((j, i), (k, j), (i, k)):

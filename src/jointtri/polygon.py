@@ -9,8 +9,8 @@ that array.  One kernel, ``_line_sides``, gives every line side: the
 table's rows and the dense test's chord lines.  One segment test,
 ``_boundary_hits``, says whether segments cross an edge properly or pass
 through a vertex.  It has three callers: construction and the polygon
-generator's 2-opt untangling run it on a cycle's own edges, whose line
-sides are the table's rows (``sides_and_first_meet``), and visibility
+generator's 2-opt (``campaign._untangle``) run it on a cycle's edges, whose
+line sides are the table's rows (``sides_and_first_meet``), and visibility
 runs it on chords.  Two [n, n] masks (does a chord leave both ends into
 the interior angle, does it pass through a third vertex) pick the chords
 worth a boundary crossing test, and the masks with that test decide

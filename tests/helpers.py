@@ -37,11 +37,12 @@ from itertools import combinations
 
 import numpy as np
 
-from jointtri import oracle
+from jointtri import campaign
+from jointtri.campaign import gen_point_pair
 from jointtri.conditions import LegalSetResult, PointSetPair, necessary_conditions
 from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
 from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct
-from jointtri.oracle import gen_point_pair, iter_triangulations
+from jointtri.oracle import iter_triangulations
 from jointtri.polygon import visibility_graph
 from jointtri.triangles import FLIPS, Tri, TriangleSet, tri
 
@@ -370,12 +371,12 @@ def brute_is_simple(vertices) -> bool:
 
 def reference_untangle(pts):
     """The random polygon generator's 2-opt untangling as a scalar sweep,
-    the reference for ``oracle._untangle``: reverse the path between the
+    the reference for ``campaign._untangle``: reverse the path between the
     first pair of edges, in row-major order, that cross properly, at most
-    ``oracle._UNTANGLE_SWEEPS`` times; None when that budget runs out."""
+    ``campaign._UNTANGLE_SWEEPS`` times; None when that budget runs out."""
     order = pts[:]
     n = len(order)
-    for _ in range(oracle._UNTANGLE_SWEEPS):
+    for _ in range(campaign._UNTANGLE_SWEEPS):
         crossed = False
         for i in range(n - 1):
             a, b = order[i], order[i + 1]
@@ -401,7 +402,7 @@ def reference_untangle(pts):
 def reference_draw_points(rng: random.Random, n: int, coord_range: int):
     """The polygon generator's vertex draw with the scalar collinearity
     test it ran before it kept directions per point, the reference for
-    ``oracle._draw_points``: up to n distinct uniform points, each kept
+    ``campaign._draw_points``: up to n distinct uniform points, each kept
     only if ``orient`` finds it on no line through two kept ones, within
     50 n + 1000 draws.  Returns the kept points and the number of draws
     refused as collinear."""

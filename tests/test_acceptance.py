@@ -12,14 +12,13 @@ import subprocess
 import sys
 import time
 
+from jointtri.campaign import (Counterexample, POINTS, gen_point_pair,
+                               gen_polygon_pair, write_bundle)
 from jointtri.conditions import (check_hull_correspondence, legal_set,
                                  necessary_conditions)
 from jointtri.geom import DegenerateInput, LabeledSet
 from jointtri.greedy import LEX, greedy_construct, verify_joint
-from jointtri.files import write_bundle
-from jointtri.oracle import (Counterexample, POINTS, gen_point_pair,
-                             gen_polygon_pair, oracle_joint_exists,
-                             polygon_oracle_exists)
+from jointtri.oracle import oracle_joint_exists, polygon_oracle_exists
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon
 from jointtri.triangles import enumerate_empty, paired_empty
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from jointtri import cli, geom, oracle, polygon
+from jointtri import campaign, cli, geom, polygon
+from jointtri.campaign import gen_point_pair, gen_polygon_pair
 from jointtri.cli import main
 from jointtri.conditions import PointSetPair
 from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
@@ -15,7 +16,6 @@ from jointtri.files import (KIND_POINTS, KIND_POLYGON, InstanceFormatError,
                             parse_triangles)
 from jointtri.geom import InputError, LabeledSet, SizeGuard
 from jointtri.greedy import JointTriangulation
-from jointtri.oracle import gen_point_pair, gen_polygon_pair
 from jointtri.polygon import Polygon, PolygonPair
 
 from helpers import (COLLAPSING_TEXT, convex_polygon_coords, grid_locked_coords,
@@ -604,7 +604,7 @@ def test_polygon_generation_refuses_above_the_size_limit(monkeypatch):
     """No polygon above MAX_POLYGON_VERTICES is ever constructed, so the
     polygon generator, ``genpoly`` and ``hunt polygons`` refuse such an n
     with SizeGuard (exit 3) before drawing a point: with the vertex draw,
-    ``oracle._draw_points``, patched to raise, any draw fails at once.  At a patched limit of 8 the generator still builds 8-gons.
+    ``campaign._draw_points``, patched to raise, any draw fails at once.  At a patched limit of 8 the generator still builds 8-gons.
     ``gen`` for point pairs has no such limit."""
     monkeypatch.setattr(polygon, "MAX_POLYGON_VERTICES", 8)
     assert len(gen_polygon_pair(8, 50, 1)) == 8
@@ -615,14 +615,14 @@ def test_polygon_generation_refuses_above_the_size_limit(monkeypatch):
     def drawn(*args):
         raise AssertionError("a polygon vertex was drawn")
 
-    monkeypatch.setattr(oracle, "_draw_points", drawn)
+    monkeypatch.setattr(campaign, "_draw_points", drawn)
     n = polygon.MAX_POLYGON_VERTICES + 1
     refusal = f"polygon visibility is limited to n <= {polygon.MAX_POLYGON_VERTICES}, got {n}"
     with pytest.raises(SizeGuard) as exc:
         gen_polygon_pair(n, 100000, 1)
     assert str(exc.value) == refusal
     with pytest.raises(SizeGuard) as exc:
-        oracle.hunt("polygons", (10, n), 5, 1, coord_range=100000)
+        campaign.hunt("polygons", (10, n), 5, 1, coord_range=100000)
     assert str(exc.value) == refusal
     for argv in (("genpoly", str(n), "100000", "1"),
                  ("hunt", "polygons", "10", str(n), "5", "1", "--range", "100000")):
@@ -680,8 +680,7 @@ def test_render_rejects_repeated_labels(quad_file, tmp_path):
 
 
 def test_bundle_files_parse_as_instances(tmp_path):
-    from jointtri.files import write_bundle
-    from jointtri.oracle import Counterexample, POINTS
+    from jointtri.campaign import POINTS, Counterexample, write_bundle
 
     pair = gen_point_pair(5, 30, 8)
     finding = Counterexample(POINTS, 8, 5, "synthetic finding",
@@ -786,7 +785,7 @@ def test_unwritable_bundle_dir_exit_1(quad_file, tmp_path, monkeypatch):
     bundles = _not_a_directory(tmp_path)
     monkeypatch.setattr(cli, "greedy_construct", _unverified)
     monkeypatch.setattr(cli, "dp_joint_polygon", _unverified)
-    monkeypatch.setattr(oracle, "dp_joint_polygon", _unverified)
+    monkeypatch.setattr(campaign, "dp_joint_polygon", _unverified)
     for argv in (["triangulate", quad_file], ["polygon", str(poly)],
                  ["hunt", "polygons", "5", "5", "1", "1", "--no-oracle"]):
         assert run_cli_err(*argv, "--bundle-dir", str(bundles)) == \

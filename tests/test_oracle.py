@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from itertools import combinations, islice
@@ -5,14 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from jointtri import conditions, oracle, triangles
+from jointtri import campaign, conditions, oracle, triangles
+from jointtri.campaign import (POINTS, POLYGONS, gen_point_pair, gen_polygon_pair,
+                               hunt)
 from jointtri.conditions import PointSetPair, necessary_conditions
-from jointtri.geom import COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point
+from jointtri.geom import (COORD_LIMIT, DegenerateInput, InputError, LabeledSet, Point,
+                           SizeGuard)
 from jointtri.greedy import verify_joint
-from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON, POINTS,
-                             POLYGONS, SizeGuard, gen_point_pair,
-                             gen_polygon_pair, hunt, iter_triangulations,
-                             oracle_joint_exists, polygon_oracle_exists)
+from jointtri.oracle import (MAX_ORACLE_POINTS, MAX_ORACLE_POLYGON,
+                             iter_triangulations, oracle_joint_exists,
+                             polygon_oracle_exists)
 from jointtri.polygon import dp_joint_polygon
 
 from helpers import (brute_hull_edges, brute_joint_exists,
@@ -312,11 +315,11 @@ def test_untangle_matches_scalar_reference(monkeypatch):
         for _ in range(4):
             rng.shuffle(pts)
             inputs.append(pts[:])
-    got = [oracle._untangle(pts) for pts in inputs]
+    got = [campaign._untangle(pts) for pts in inputs]
     assert got == [reference_untangle(pts) for pts in inputs]
     assert None not in got and sum(g != pts for g, pts in zip(got, inputs)) >= 900
-    monkeypatch.setattr(oracle, "_UNTANGLE_SWEEPS", 2)
-    cut = [oracle._untangle(pts) for pts in inputs]
+    monkeypatch.setattr(campaign, "_UNTANGLE_SWEEPS", 2)
+    cut = [campaign._untangle(pts) for pts in inputs]
     assert cut == [reference_untangle(pts) for pts in inputs]
     # measured: 1,038 shuffles changed, 790 out of budget at 2 sweeps
     assert 600 <= cut.count(None) <= 1000
@@ -332,7 +335,7 @@ def test_draw_points_matches_scalar_collinearity_test():
     for seed in range(200):
         n, coord_range = (4 + seed % 20, (3, 6, 12, 40)[seed % 4])
         rng, ref = random.Random(seed), random.Random(seed)
-        got = oracle._draw_points(rng, n, coord_range)
+        got = campaign._draw_points(rng, n, coord_range)
         want, collinear = reference_draw_points(ref, n, coord_range)
         assert got == want, (seed, n, coord_range)
         assert rng.random() == ref.random()
@@ -379,6 +382,20 @@ def test_size_guards_raise_size_guard_one_past_the_limit():
         next(iter_triangulations(PointSetPair(big, big)))
     with pytest.raises(SizeGuard):
         polygon_oracle_exists(gen_polygon_pair(MAX_ORACLE_POLYGON + 1, 60, 7))
+
+
+def test_oracle_module_holds_only_the_judges():
+    """``jointtri.oracle`` defines the three exact judges and no other
+    function, and binds no numpy, ``random``, file-format or campaign
+    module: the generators and the hunt that drive the judges live in
+    ``jointtri.campaign``, which imports the oracle, never the reverse."""
+    defined = {name for name, value in vars(oracle).items()
+               if inspect.isfunction(value) and value.__module__ == oracle.__name__}
+    assert defined == {"iter_triangulations", "oracle_joint_exists",
+                       "polygon_oracle_exists"}
+    modules = {value.__name__ for value in vars(oracle).values()
+               if inspect.ismodule(value)}
+    assert not modules & {"numpy", "random", "jointtri.files", "jointtri.campaign"}
 
 
 def test_hunt_zero_trials():
@@ -462,7 +479,7 @@ def test_hunt_skips_only_the_polygon_generators_give_up(monkeypatch):
     def bug(n, coord_range, seed):
         raise ValueError("bug")
 
-    monkeypatch.setattr(oracle, "gen_polygon_pair", bug)
+    monkeypatch.setattr(campaign, "gen_polygon_pair", bug)
     with pytest.raises(ValueError, match="bug") as err:
         hunt(POLYGONS, (5, 5), 2, 1)
     assert type(err.value) is ValueError
@@ -480,12 +497,12 @@ def test_hunt_bundles_each_finding_of_an_instance_in_its_own_file(monkeypatch, t
     def perturbed(n, coord_range, seed):
         # pairs that pass the conditions, so the greedy runs
         with monkeypatch.context() as m:
-            m.setattr(oracle, "gen_point_pair", gen_point_pair)
+            m.setattr(campaign, "gen_point_pair", gen_point_pair)
             return gen_perturbed_pair(n, 40, 1, seed)
 
-    monkeypatch.setattr(oracle, "greedy_construct", unverified)
-    monkeypatch.setattr(oracle, "dp_joint_polygon", unverified)
-    monkeypatch.setattr(oracle, "gen_point_pair", perturbed)
+    monkeypatch.setattr(campaign, "greedy_construct", unverified)
+    monkeypatch.setattr(campaign, "dp_joint_polygon", unverified)
+    monkeypatch.setattr(campaign, "gen_point_pair", perturbed)
     for mode, n_range, source in ((POINTS, (6, 6), "greedy"),
                                   (POLYGONS, (6, 7), "dp")):
         bundles = tmp_path / mode

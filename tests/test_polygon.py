@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from jointtri import geom, polygon
+from jointtri.campaign import gen_polygon_pair
 from jointtri.geom import COORD_LIMIT, SizeGuard, angle_order
-from jointtri.oracle import (MAX_ORACLE_POLYGON, gen_polygon_pair,
-                             polygon_oracle_exists)
+from jointtri.oracle import MAX_ORACLE_POLYGON, polygon_oracle_exists
 from jointtri.polygon import (GrazingDiagonal, Polygon, PolygonPair, _fill_table,
                               _split_triangles, dp_joint_polygon, ivg,
                               verify_polygon_joint, visibility_graph)

@@ -5,10 +5,11 @@ import re
 from collections import Counter
 from itertools import combinations, islice
 
+from jointtri.campaign import gen_point_pair, gen_polygon_pair
 from jointtri.conditions import PointSetPair, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint, verify_tiling
-from jointtri.oracle import gen_point_pair, gen_polygon_pair, iter_triangulations
+from jointtri.oracle import iter_triangulations
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
