@@ -19,7 +19,7 @@ import numpy as np
 from .conditions import PointSetPair
 from .geom import (DegenerateInput, Point, cross, hull_edge_set, row_bits,
                    signed_area2, strictly_left)
-from .triangles import Edge, Tri, TriangleSet, edge, tri
+from .triangles import Edge, Tri, TriangleSet, edge
 
 LEX = "lex"
 SEEDED_RANDOM = "random"
@@ -30,9 +30,12 @@ class JointTriangulation:
     """A claimed joint triangulation plus its verification verdict."""
 
     triangles: TriangleSet
-    verified: bool
     violation: Optional[str] = None
     choices: list[Tri] | None = None
+
+    @property
+    def verified(self) -> bool:
+        return self.violation is None
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -51,13 +54,11 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
     when every check passes, else a description of the first failure.
     Checks, in order:
 
-    1. no duplicate triple, at least one triple, and every label in
-       0..n-1;
+    1. every label in 0..n-1;
     2. each triple nondegenerate on every side: one doubled signed area
-       per side and triple, whose sign also directs its edges in 5;
+       per side and triple, whose sign also directs its edges in 4;
     3. every label 0..n-1 a vertex of some triple;
-    4. the same boundary edges on every side;
-    5. on every side, with each triangle's edges directed to have it on
+    4. on every side, with each triangle's edges directed to have it on
        their left: no directed edge twice, and the directed edges whose
        reverse is missing are exactly the cycle, directed to have its
        interior on their left (the half-edge invariant of a planar
@@ -69,7 +70,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
     that is no vertex and on no edge of another direction, deg changes by
     the triangles with an edge through it on the side entered minus those
     on the side left; group them by their edge's label pair, however many
-    such segments overlap collinearly.  By 5 an edge off the cycle has one
+    such segments overlap collinearly.  By 4 an edge off the cycle has one
     triangle on each side, so it adds nothing, and a cycle edge has one on
     its interior side only; edges of a simple cycle never overlap.  So deg
     minus the indicator of the cycle's interior is constant, and zero far
@@ -87,13 +88,17 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
     So every triangle is empty and every point a vertex: the set is a
     triangulation, which forces the triangle count (n - 2 for a polygon,
     2n - h - 2 for n points with h on the hull).
+
+    No check compares the boundaries.  Where 4 passes on a side, the
+    loose half-edges, undirected, are the edges of exactly one triangle
+    (an edge of two has both half-edges, one of three repeats one), a set
+    fixed by the triples, and 4 equates it with that side's cycle.
+
+    Nor is there a duplicate or empty-set check: a repeated triple repeats
+    its half-edges, which 4 reports as an overlap, an empty set leaves
+    label 0 unused (3), and a triple with a repeated label is flat (2).
     """
-    tris = sorted(tri(*t) for t in triangles)
-    for u, t in zip(tris, tris[1:]):
-        if u == t:
-            return f"duplicate triangle {t}"
-    if not tris:
-        return "empty triangle set"
+    tris = sorted(tuple(sorted(t)) for t in triangles)
     n = len(sides[0][1])
     for t in tris:
         if t[0] < 0 or t[2] >= n:
@@ -108,12 +113,6 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
     if unused := set(range(n)).difference(*tris):
         return f"label {min(unused)} is a vertex of no triangle"
 
-    first = sides[0][2]
-    boundary = hull_edge_set(first)
-    if any(cycle != first and hull_edge_set(cycle) != boundary
-           for _, _, cycle in sides[1:]):
-        return "boundary edge sets of " + " and ".join(s[0] for s in sides) + " differ"
-
     for (name, points, cycle), det in zip(sides, dets):
         half: dict[Edge, int] = {}  # directed edge -> the triangle on its left
         for r, (i, j, k) in enumerate(tris):
@@ -127,7 +126,7 @@ def verify_tiling(sides: Sequence[Side], triangles: Iterable[Tri]) -> Optional[s
         loose = {(a, b) for a, b in half if (b, a) not in half}
         if loose != rim:
             e = min(edge(*h) for h in loose ^ rim)
-            if e in boundary:
+            if e in hull_edge_set(cycle):
                 return f"boundary edge {e} not covered once from inside in {name}"
             return f"interior edge {e} has a triangle on one side only in {name}"
     return None
@@ -333,5 +332,4 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
         state = state.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
     # the rows of legal.array() are canonical triples
-    return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation is None,
-                              violation, chosen)
+    return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation, chosen)

@@ -604,8 +604,7 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
         return None
     tris = _split_triangles(col)
     violation = verify_polygon_joint(pair, tris)
-    return JointTriangulation(TriangleSet._of_canonical(set(tris)), violation is None,
-                              violation, tris)
+    return JointTriangulation(TriangleSet._of_canonical(set(tris)), violation, tris)
 
 
 def verify_polygon_joint(pair: PolygonPair, triangles) -> Optional[str]:

@@ -754,7 +754,7 @@ def test_unwritable_svg_exit_1(quad_file, tmp_path):
 
 
 def _unverified(*args, **kwargs):
-    return JointTriangulation(frozenset(), False, "synthetic violation", [(0, 1, 2)])
+    return JointTriangulation(frozenset(), "synthetic violation", [(0, 1, 2)])
 
 
 def test_failed_verification_bundles(quad_file, tmp_path, monkeypatch):

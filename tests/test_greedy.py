@@ -162,7 +162,7 @@ def test_verify_rejects_a_flat_triangle_that_pairs_the_half_edges():
 def test_verify_rejects_duplicates():
     pair = _pair(SQUARE)
     violation = verify_joint(pair, [(0, 1, 2), (0, 2, 3), (0, 1, 2)])
-    assert violation == "duplicate triangle (0, 1, 2)"
+    assert violation == "triangles (0, 1, 2) and (0, 1, 2) overlap in A"
 
 
 def test_verify_rejects_overlap():
@@ -172,7 +172,7 @@ def test_verify_rejects_overlap():
 
 
 def test_verify_empty_set():
-    assert verify_joint(_pair(SQUARE), []) == "empty triangle set"
+    assert verify_joint(_pair(SQUARE), []) == "label 0 is a vertex of no triangle"
 
 
 # One side empty, the other not: the same labels (3,4,5) bound an empty

@@ -492,7 +492,7 @@ def test_hunt_bundles_each_finding_of_an_instance_in_its_own_file(monkeypatch, t
     from jointtri.greedy import JointTriangulation
 
     def unverified(*args, **kwargs):
-        return JointTriangulation(frozenset(), False, "synthetic violation", [(0, 1, 2)])
+        return JointTriangulation(frozenset(), "synthetic violation", [(0, 1, 2)])
 
     def perturbed(n, coord_range, seed):
         # pairs that pass the conditions, so the greedy runs

@@ -809,7 +809,7 @@ def test_verify_polygon_joint_quad():
     bad = verify_polygon_joint(pair, [(0, 1, 2), (0, 1, 3)])
     assert bad is not None
     assert verify_polygon_joint(pair, [(0, 1, 2), (0, 1, 2)]) == \
-        "duplicate triangle (0, 1, 2)"
+        "label 3 is a vertex of no triangle"
 
 
 NOTCH_A = [(4, 4), (2, 5), (0, 4), (0, 0), (4, 0)]  # convex

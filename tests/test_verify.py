@@ -6,15 +6,15 @@ from collections import Counter
 from itertools import combinations, islice
 
 from jointtri.campaign import gen_point_pair, gen_polygon_pair
-from jointtri.conditions import PointSetPair, necessary_conditions
+from jointtri.conditions import PointSetPair, check_hull_correspondence, necessary_conditions
 from jointtri.geom import DegenerateInput, LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, greedy_construct, verify_joint, verify_tiling
 from jointtri.oracle import iter_triangulations
 from jointtri.polygon import Polygon, PolygonPair, dp_joint_polygon, verify_polygon_joint
 from jointtri.triangles import paired_empty
 
-from helpers import (boundary_edges, brute_hull_edges, gen_perturbed_pair,
-                     grid_locked_coords, hull_locked_pair, mutate,
+from helpers import (boundary_edges, brute_hull_edges, enumerate_triangulations,
+                     gen_perturbed_pair, grid_locked_coords, hull_locked_pair, mutate,
                      overlap_by_decomposition, pairwise_verify_points,
                      pairwise_verify_polygons, point_in_closed_triangle, xorient)
 
@@ -295,3 +295,47 @@ def test_verifiers_reject_labels_out_of_range():
         assert verify(pair, [(0, 1, 2), (-1, 0, 2)]) == (
             "triangle (-1, 0, 2) has a label outside 0..3")
         assert verify(pair, [(0, 1, 2), (0, 2, 3)]) is None
+
+
+def test_verifiers_name_a_triple_with_a_repeated_label_degenerate():
+    """A triple that repeats a label is flat on every side: both verifiers
+    name it in check 2 instead of raising."""
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    s, poly = LabeledSet.from_coords(square), Polygon.from_coords(square)
+    assert verify_joint(PointSetPair(s, s), [(0, 0, 1)]) == (
+        "triangle (0, 0, 1) degenerate in A")
+    assert verify_polygon_joint(PolygonPair(poly, poly), [(0, 1, 1), (1, 2, 3)]) == (
+        "triangle (0, 1, 1) degenerate in A")
+
+
+def test_unequal_hulls_fail_the_half_edge_check_on_b():
+    """No check compares the two hulls: a triangulation of A fails the
+    half-edge check on B whenever B's hull has other edges.  In the
+    hand-built pair, B's hull (0, 1, 2) drops A's hull vertex 3, and A's
+    fan around point 4 tiles the quadrilateral 0, 1, 2, 3 in B with every
+    triangle turning as in A, so no half-edge repeats and the first edge
+    of the mismatch is B's hull edge (0, 2).  The sweep judges every
+    triangulation of A on independent pairs that fail condition 1."""
+    a = LabeledSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
+    b = LabeledSet.from_coords([(0, 0), (4, 0), (4, 4), (3, 2), (3, 1)])
+    fan = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
+    assert (a.hull, b.hull) == ((0, 1, 2, 3), (0, 1, 2))
+    assert verify_joint(PointSetPair(a, a), fan) is None
+    assert verify_joint(PointSetPair(a, b), fan) == (
+        "boundary edge (0, 2) not covered once from inside in B")
+    pairs = sets = 0
+    for n in range(5, 10):
+        for seed in range(8):
+            pair = gen_point_pair(n, 20, 4300 + 10 * n + seed)
+            try:
+                if check_hull_correspondence(pair).ok:
+                    continue
+            except DegenerateInput:
+                continue
+            pairs += 1
+            for tris in enumerate_triangulations(pair.a):
+                message = verify_joint(pair, tris)
+                assert message is not None and message.endswith(" in B"), (pair, tris)
+                sets += 1
+    # measured: 40 pairs, 3,030 triangulations of A
+    assert pairs >= 30 and sets >= 2000, (pairs, sets)
