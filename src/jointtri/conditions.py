@@ -10,7 +10,6 @@ opposite side of that edge in *both* realizations.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -83,8 +82,7 @@ def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
 
 
 def legal_set(pair: PointSetPair, candidates: TriangleSet,
-              hull_edges: frozenset[Edge],
-              order_seed: Optional[int] = None) -> LegalSetResult:
+              hull_edges: frozenset[Edge]) -> LegalSetResult:
     """Greatest subset of the candidates in which every triangle keeps at
     least one successor on each of its non-hull edges.
 
@@ -92,8 +90,10 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     processing an edge deletes the resident triangles that have no
     opposite-side partner left on it, and re-queues the affected edges.
     Deletion only ever removes triangles that cannot be supported, so
-    the fixpoint is unique and the processing order (shuffled via
-    ``order_seed``) cannot change the result.
+    the fixpoint is unique and no processing order can change the result.
+    The worklist runs one order: edges start queued by id, and each step
+    pops the front and moves the last entry there.  Hull edges are marked
+    queued from the start and never popped, so none is ever processed.
 
     Every legal triangle turns in B, relative to A, as the hulls do.  One
     that turns the other way uses no hull edge, and its successors turn as
@@ -147,20 +147,19 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     offsets = np.zeros(n * n + 1, dtype=np.int32)
     offsets[1:] = np.cumsum(totals)
     bounds = memoryview(offsets)
-    hull = {a * n + b for a, b in hull_edges}
-    pending = [e for e in np.flatnonzero(totals).tolist() if e not in hull]
     queued = bytearray(n * n)
+    for a, b in hull_edges:
+        queued[a * n + b] = 1
+    pending = [e for e in np.flatnonzero(totals).tolist() if not queued[e]]
     for e in pending:
         queued[e] = 1
     cnt = counts.tolist()
     keys_l = memoryview(keys)
-    rng = random.Random(order_seed) if order_seed is not None else None
     removed: list[tuple[Tri, Edge]] = []
     removed_at = memoryview(np.empty(len(order), dtype=np.int32))
 
     while pending:
-        pos = rng.randrange(len(pending)) if rng else 0
-        pending[pos], pending[-1] = pending[-1], pending[pos]
+        pending[0], pending[-1] = pending[-1], pending[0]
         e = pending.pop()
         queued[e] = 0
         c0, c1, c2, c3 = cnt[4 * e:4 * e + 4]
@@ -189,7 +188,7 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
             for key in keys_l[3 * p:3 * p + 3]:
                 cnt[key] -= 1
                 f = key >> 2
-                if not queued[f] and f not in hull and any(cnt[4 * f:4 * f + 4]):
+                if not queued[f] and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
                     queued[f] = 1
     arr = candidates.array()

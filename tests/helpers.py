@@ -200,9 +200,11 @@ def overlap_by_decomposition(t1, t2) -> bool:
 def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalSetResult:
     """The dict-and-set worklist that ``conditions.legal_set`` replaced,
     kept to pin its removal log (order included) and the legal set's
-    iteration order.  Triangles are bucketed on each edge by their
-    (side A, side B) apex signs; a triangle is supported on an edge iff
-    the opposite bucket is nonempty."""
+    iteration order, and run in shuffled orders (``order_seed``) to check
+    that the legal set does not depend on the processing order.
+    Triangles are bucketed on each edge by their (side A, side B) apex
+    signs; a triangle is supported on an edge iff the opposite bucket is
+    nonempty."""
     live = set(candidates)
     da, db = (reference_sign_tensor(s.points) for s in (pair.a, pair.b))
     sides = {}

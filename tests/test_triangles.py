@@ -345,9 +345,9 @@ def _check_array(ts):
 
 def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
     # enumerate_empty, paired_empty and legal_set each hand over the sorted
-    # rows they already hold; legal_set's must drop exactly the removed rows
-    # whatever order the worklist ran in, and are the candidates' own when
-    # it removed none.  The greedy's and the DP's results sort on first use.
+    # rows they already hold; legal_set's must drop exactly the removed rows,
+    # and are the candidates' own when it removed none.  The greedy's and
+    # the DP's results sort on first use.
     removals = whole = 0
     pairs = [hull_locked_pair(n, 1000, 3, seed)
              for n, seed in ((20, 0), (24, 3), (30, 2))]
@@ -360,13 +360,12 @@ def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
         cands = paired_empty(pair)
         _check_array(cands)
         hull = check_hull_correspondence(pair).hull_edges
-        for order_seed in (None, 0, 1, 2):
-            res = legal_set(pair, cands, hull, order_seed)
-            _check_array(res.legal)
-            removals += len(res.removed)
-            if not res.removed:
-                whole += 1
-                assert res.legal.array() is cands.array()
+        res = legal_set(pair, cands, hull)
+        _check_array(res.legal)
+        removals += len(res.removed)
+        if not res.removed:
+            whole += 1
+            assert res.legal.array() is cands.array()
         _check_array(cands)
         if len(res.legal):
             for policy, seed in ((LEX, None), (SEEDED_RANDOM, 0)):

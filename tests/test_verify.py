@@ -242,7 +242,7 @@ def test_verifier_messages_name_their_witnesses():
         elif message.startswith("interior edge ("):
             kind, ok = "one-sided edge", named[0] not in boundary and any(
                 set(named[0]) <= set(t) for t in tris)
-        else:  # check 1 or 4, which name no geometric witness
+        else:  # check 1 or a DegenerateInput message, which name no geometric witness
             continue
         assert ok, (message, pair, tris)
         kinds[kind] += 1
@@ -252,8 +252,8 @@ def test_verifier_messages_name_their_witnesses():
         assert kinds[kind] >= 10, (kind, kinds)
 
 
-# Hand-built triple sets that pass checks 1-4 and fail only the half-edge
-# check, each on a vertex cycle that winds counterclockwise as given:
+# Hand-built triple sets that pass checks 1-3 and fail only check 4, the
+# half-edge check, each on a vertex cycle that winds counterclockwise as given:
 # (coordinates, triangles, message).
 _HALF_EDGE_FAILURES = [
     # two halves of a square on the same side of edge (0, 1): the areas
