@@ -13,9 +13,8 @@ from .conditions import (Conditions, HullCorrespondence, LegalSetResult,
                          PointSetPair, check_hull_correspondence,
                          check_legal_nonempty, legal_set,
                          necessary_conditions)
-from .geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
-                   DegenerateInput, InputError, LabeledSet, Point, SizeGuard,
-                   convex_hull, hull_edge_set, orient)
+from .geom import (COORD_LIMIT, MAX_TENSOR_POINTS, DegenerateInput, InputError,
+                   LabeledSet, Point, SizeGuard, convex_hull, hull_edge_set)
 from .greedy import (LEX, SEEDED_RANDOM, JointTriangulation, greedy_construct,
                      verify_joint)
 from .oracle import iter_triangulations, oracle_joint_exists, polygon_oracle_exists
@@ -26,7 +25,7 @@ from .triangles import TriangleSet, enumerate_empty, paired_empty
 __version__ = "0.1.0"
 
 __all__ = [
-    "CCW", "COLLINEAR", "COORD_LIMIT", "CW", "Conditions", "DegenerateInput",
+    "COORD_LIMIT", "Conditions", "DegenerateInput",
     "GrazingDiagonal", "HullCorrespondence", "HuntReport", "InputError",
     "JointTriangulation", "LEX", "LabeledSet", "LegalSetResult",
     "MAX_TENSOR_POINTS", "Point",
@@ -36,6 +35,6 @@ __all__ = [
     "enumerate_empty", "gen_point_pair", "gen_polygon_pair", "greedy_construct",
     "hull_edge_set", "hunt", "iter_triangulations",
     "ivg", "legal_set", "necessary_conditions", "oracle_joint_exists",
-    "orient", "paired_empty", "polygon_oracle_exists",
+    "paired_empty", "polygon_oracle_exists",
     "verify_joint", "verify_polygon_joint", "visibility_graph",
 ]

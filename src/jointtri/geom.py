@@ -28,11 +28,6 @@ import numpy as np
 # when a point set or polygon is constructed, never inside a predicate.
 COORD_LIMIT = 2**24
 
-CCW = 1
-COLLINEAR = 0
-CW = -1
-
-
 class Point(NamedTuple):
     x: int
     y: int
@@ -83,18 +78,8 @@ _ANGLE_BLOCK_CELLS = 1 << 13
 
 
 def cross(o: Point, a: Point, b: Point) -> int:
-    """Doubled signed area of triangle (o, a, b); positive iff CCW."""
+    """Doubled signed area of triangle (o, a, b); positive iff counterclockwise."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Turn direction p -> q -> r: CCW (+1), CW (-1) or COLLINEAR (0)."""
-    d = cross(p, q, r)
-    if d > 0:
-        return CCW
-    if d < 0:
-        return CW
-    return COLLINEAR
 
 
 def check_coords(points: Iterable[Point]) -> None:
@@ -118,7 +103,7 @@ def check_distinct(points: Sequence[Point], message: str) -> None:
 
 
 def signed_area2(points: Sequence[Point]) -> int:
-    """Doubled signed area of a closed vertex cycle (positive iff CCW)."""
+    """Doubled signed area of a closed vertex cycle (positive iff counterclockwise)."""
     total = 0
     n = len(points)
     for i in range(n):

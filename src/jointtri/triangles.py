@@ -35,9 +35,9 @@ def edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-# The apex of (i, j, k) lies on side s = orient(i, j, k) of the directed
-# edges i->j and j->k, and on side -s of i->k: one flip per edge, in the
-# order (i, j), (j, k), (i, k).
+# The apex of (i, j, k) lies on side s, the sign of cross(i, j, k), of the
+# directed edges i->j and j->k, and on side -s of i->k: one flip per edge,
+# in the order (i, j), (j, k), (i, k).
 FLIPS = (1, 1, -1)
 
 

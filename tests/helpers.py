@@ -40,7 +40,7 @@ import numpy as np
 from jointtri import campaign
 from jointtri.campaign import gen_point_pair
 from jointtri.conditions import LegalSetResult, PointSetPair, necessary_conditions
-from jointtri.geom import CCW, LabeledSet, Point, convex_hull, orient
+from jointtri.geom import LabeledSet, Point, convex_hull
 from jointtri.greedy import LEX, SEEDED_RANDOM, greedy_construct
 from jointtri.oracle import iter_triangulations
 from jointtri.polygon import visibility_graph
@@ -386,10 +386,10 @@ def reference_untangle(pts):
                 if i == 0 and j == n - 1:
                     continue
                 c, d = order[j], order[(j + 1) % n]
-                d1 = orient(a, b, c)
-                d2 = orient(a, b, d)
-                d3 = orient(c, d, a)
-                d4 = orient(c, d, b)
+                d1 = xorient(a, b, c)
+                d2 = xorient(a, b, d)
+                d3 = xorient(c, d, a)
+                d4 = xorient(c, d, b)
                 if d1 * d2 < 0 and d3 * d4 < 0:
                     order[i + 1:j + 1] = reversed(order[i + 1:j + 1])
                     crossed = True
@@ -405,7 +405,7 @@ def reference_draw_points(rng: random.Random, n: int, coord_range: int):
     """The polygon generator's vertex draw with the scalar collinearity
     test it ran before it kept directions per point, the reference for
     ``campaign._draw_points``: up to n distinct uniform points, each kept
-    only if ``orient`` finds it on no line through two kept ones, within
+    only if ``xorient`` finds it on no line through two kept ones, within
     50 n + 1000 draws.  Returns the kept points and the number of draws
     refused as collinear."""
     pts: list[Point] = []
@@ -416,7 +416,7 @@ def reference_draw_points(rng: random.Random, n: int, coord_range: int):
         p = Point(rng.randint(0, coord_range), rng.randint(0, coord_range))
         if p in seen:
             continue
-        if any(orient(q, r, p) == 0
+        if any(xorient(q, r, p) == 0
                for qi, q in enumerate(pts) for r in pts[qi + 1:]):
             refused += 1
             continue
@@ -678,7 +678,7 @@ def hull_locked_pair(n, coord_range, jitter, seed):
 
     def strictly_inside(q):
         m = len(hull_pts)
-        return all(orient(hull_pts[i], hull_pts[(i + 1) % m], q) == CCW
+        return all(xorient(hull_pts[i], hull_pts[(i + 1) % m], q) > 0
                    for i in range(m))
 
     rng = random.Random(seed + 1)

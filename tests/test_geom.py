@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from jointtri import geom, triangles
 from jointtri.conditions import PointSetPair
-from jointtri.geom import (CCW, COLLINEAR, COORD_LIMIT, CW, MAX_TENSOR_POINTS,
-                           DegenerateInput, LabeledSet, Point, SizeGuard,
-                           convex_hull, hull_edge_set, orient,
-                           orient_sign_tensor)
+from jointtri.geom import (COORD_LIMIT, MAX_TENSOR_POINTS, DegenerateInput,
+                           LabeledSet, Point, SizeGuard, convex_hull, cross,
+                           hull_edge_set, orient_sign_tensor)
 
 from helpers import (brute_hull_edges, overlap_by_decomposition,
                      overlap_by_sampling, reference_sign_tensor,
@@ -23,17 +22,19 @@ points = st.builds(Point, coords, coords)
 
 
 def test_orient_basis():
-    assert orient(Point(0, 0), Point(1, 0), Point(0, 1)) == CCW
-    assert orient(Point(0, 0), Point(1, 1), Point(2, 2)) == COLLINEAR
-    assert orient(Point(0, 0), Point(0, 1), Point(1, 0)) == CW
+    """``cross`` is positive on a left turn, zero on a line and negative
+    on a right turn."""
+    assert cross(Point(0, 0), Point(1, 0), Point(0, 1)) > 0
+    assert cross(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
+    assert cross(Point(0, 0), Point(0, 1), Point(1, 0)) < 0
 
 
 @given(points, points, points)
 def test_orient_antisymmetric_under_swaps(p, q, r):
-    base = orient(p, q, r)
-    assert orient(q, p, r) == -base
-    assert orient(p, r, q) == -base
-    assert orient(r, q, p) == -base
+    base = cross(p, q, r)
+    assert cross(q, p, r) == -base
+    assert cross(p, r, q) == -base
+    assert cross(r, q, p) == -base
 
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -255,7 +256,7 @@ def test_sign_tensor_is_exact_at_the_int32_bound(monkeypatch):
         table = orient_sign_tensor(pts)
         assert table.dtype == np.uint64
         d = _signs_of(table)
-        assert d.tolist() == [[[orient(p, q, r) for r in pts] for q in pts]
+        assert d.tolist() == [[[xorient(p, q, r) for r in pts] for q in pts]
                               for p in pts], pts[1]
     # both diagonals pass through the origin; their neighbours do not
     d = _signs_of(orient_sign_tensor(base))
@@ -287,7 +288,7 @@ def test_size_guard_one_past_the_tensor_limit(monkeypatch):
 def _random_triangle(rng):
     while True:
         pts = tuple(Point(rng.randint(0, 50), rng.randint(0, 50)) for _ in range(3))
-        if orient(*pts) != 0:
+        if xorient(*pts) != 0:
             return pts
 
 
