@@ -10,10 +10,11 @@ opposite side of that edge in *both* realizations.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -53,17 +54,52 @@ class HullCorrespondence:
     witness: Optional[Edge] = None
 
 
-@dataclass
-class LegalSetResult:
-    """The legal set plus an audit log of the pruning cascade.
+class RemovalLog(Sequence):
+    """The pruning cascade's removals, (triangle, witness edge) in deletion
+    order: at the moment of deletion the triangle had no successor on the
+    witness edge among the triangles still alive.
 
-    ``removed`` records (triangle, witness edge) in deletion order: at
-    the moment of deletion the triangle had no successor on the witness
-    edge among the triangles still alive.
+    A read-only sequence whose length, the number of removals, is known
+    up front; its entries are built on the first read of one, by
+    ``build()``, and kept.
     """
 
+    def __init__(self, count: int, build: Callable[[], list[tuple[Tri, Edge]]]):
+        self._count = count
+        self._build: Optional[Callable[[], list[tuple[Tri, Edge]]]] = build
+        self._entries: list[tuple[Tri, Edge]] = []
+
+    def _read(self) -> list[tuple[Tri, Edge]]:
+        if self._build is not None:
+            self._entries = self._build() if self._count else []
+            self._build = None
+        return self._entries
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self) -> Iterator[tuple[Tri, Edge]]:
+        return iter(self._read())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, RemovalLog)):
+            return len(self) == len(other) and self._read() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RemovalLog({self._read()!r})"
+
+
+@dataclass
+class LegalSetResult:
+    """The legal set plus an audit log of the pruning cascade, ``removed``
+    (a ``RemovalLog`` from ``legal_set``)."""
+
     legal: TriangleSet
-    removed: list[tuple[Tri, Edge]] = field(default_factory=list)
+    removed: Sequence[tuple[Tri, Edge]] = field(default_factory=list)
 
 
 def check_hull_correspondence(pair: PointSetPair) -> HullCorrespondence:
@@ -86,14 +122,19 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     """Greatest subset of the candidates in which every triangle keeps at
     least one successor on each of its non-hull edges.
 
-    Worklist deletion: every non-hull edge of every candidate is queued;
-    processing an edge deletes the resident triangles that have no
-    opposite-side partner left on it, and re-queues the affected edges.
+    Worklist deletion (``_prune``): every non-hull edge of every candidate
+    is queued; processing an edge deletes the resident triangles that have
+    no opposite-side partner left on it, and re-queues the affected edges.
     Deletion only ever removes triangles that cannot be supported, so
     the fixpoint is unique and no processing order can change the result.
-    The worklist runs one order: edges start queued by id, and each step
-    pops the front and moves the last entry there.  Hull edges are marked
-    queued from the start and never popped, so none is ever processed.
+
+    One worklist runs in two orders.  The verdict runs it over the
+    candidates' sorted rows (``candidates.array()``), which give the legal
+    rows and the removal count without building a tuple set.  The removal
+    log is built only when first read, by the same worklist over
+    ``list(set(candidates))``, the order the log has always had.  The legal
+    set's tuple set, also built on first read, is ``set(candidates)`` less
+    the removed triangles, so it iterates as it always has.
 
     Every legal triangle turns in B, relative to A, as the hulls do.  One
     that turns the other way uses no hull edge, and its successors turn as
@@ -101,6 +142,41 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     Take their lowest, then leftmost vertex v in A and, of their edges at
     v, the one of smallest angle: its triangle lies on the side of larger
     angles, so the successor across it has an edge at v of smaller angle.
+    """
+    arr = candidates.array()
+    gone = _prune(pair, arr.astype(np.int32), hull_edges)[0]
+    rows = np.delete(arr, gone, axis=0) if len(gone) else arr
+
+    def build() -> set[Tri]:
+        live = set(candidates)
+        for t in map(tuple, arr[gone].tolist()):
+            live.discard(t)
+        return live
+
+    def log() -> list[tuple[Tri, Edge]]:
+        order = list(set(candidates))
+        tris = np.fromiter(chain.from_iterable(order), dtype=np.int32,
+                           count=3 * len(order)).reshape(-1, 3)
+        at, witness = _prune(pair, tris, hull_edges, order)
+        n = len(pair)
+        return [(order[p], divmod(e, n)) for p, e in zip(at.tolist(), witness.tolist())]
+
+    return LegalSetResult(TriangleSet._of_rows(rows, build), RemovalLog(len(gone), log))
+
+
+def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
+           order: Optional[list[Tri]] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The worklist of ``legal_set`` over candidate rows ``tris`` ([m, 3]
+    int32 canonical triples): the positions in ``tris`` of the removed
+    candidates and the ids of their witness edges, in deletion order.
+
+    The worklist pops its front and moves the last entry there; edges
+    start queued by id.  Hull edges are marked queued from the start and
+    never popped, so none is ever processed.  An edge dooms the residents
+    whose opposite count is zero, in order of their code's first
+    appearance on the edge, and per code in row order, or, when ``order``
+    gives the rows' tuples, in the order the per-edge sets of the old
+    dict-and-set worklist gave them (see below).
 
     Edge (i, j) has the id i * n + j, so ids sort as the label pairs do.
     Each edge counts its live residents per (side A, side B) apex sign
@@ -111,28 +187,24 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     The worklist reads memoryviews of int32 arrays, not lists, so it holds
     no Python int per entry: ``keys_l``, each incidence's count index,
     ``by_edge``, the incidences grouped by edge, ``bounds``, each edge's
-    slice of ``by_edge``, and ``removed_at``, the candidate position of
-    each entry of ``removed``.  The counts ``cnt`` stay a list, as they
-    change on every removal.
+    slice of ``by_edge``, and ``removed_at`` and ``witness_at``, the
+    result.  The counts ``cnt`` stay a list, as they change on every
+    removal.
     """
-    live = set(candidates)
-    order = list(live)
     n = len(pair)
-    # int32 is exact throughout: codes are below n^3, keys below 4 n^2 and
-    # incidence positions below 3 |P| <= n^3 / 2, all below 2^31 for
+    m = len(tris)
+    # int32 is exact throughout: keys are below 4 n^2 and incidence
+    # positions below 3 |P| <= n^3 / 2, all below 2^31 for
     # n <= MAX_TENSOR_POINTS, which reading the orientation tables below
     # enforces; their word indices stay below n^2 * ceil(n / 64).
-    i, j, k = np.fromiter(chain.from_iterable(order), dtype=np.int32,
-                          count=3 * len(order)).reshape(-1, 3).T
-    # Each candidate's code, which sorts as the triples do.
-    cell = (i * n + j) * n + k
+    i, j, k = tris.T
     # A candidate is nondegenerate on both sides, so its apex sign on edge q
     # is FLIPS[q] if (i, j, k) is counterclockwise there, else -FLIPS[q]:
     # one bit per candidate per side.
     flips = np.array(FLIPS) > 0
     side_a = strictly_left(pair.a.signs, i, j, k)[:, None] == flips
     side_b = strictly_left(pair.b.signs, i, j, k)[:, None] == flips
-    # Incidence 3 p + q is edge q of order[p], in the order (i, j), (j, k),
+    # Incidence 3 p + q is edge q of row p, in the order (i, j), (j, k),
     # (i, k); its key is 4 * edge id + code, the index of the count it
     # belongs to, formed as (2 * id + (A > 0)) * 2 + (B > 0) so that no step
     # leaves int32.
@@ -140,7 +212,7 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     keys = ((2 * ids + side_a) * 2 + side_b).ravel()
     counts = np.bincount(keys, minlength=4 * n * n)
     totals = counts.reshape(-1, 4).sum(axis=1)
-    # Edge e's incidences in candidate order: by_edge[bounds[e]:bounds[e + 1]].
+    # Edge e's incidences in row order: by_edge[bounds[e]:bounds[e + 1]].
     # The narrowest key type makes the stable argsort a radix sort for n < 256.
     by_edge = memoryview(np.argsort(ids.astype(np.min_scalar_type(n * n)),
                                     axis=None, kind="stable").astype(np.int32))
@@ -155,8 +227,11 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         queued[e] = 1
     cnt = counts.tolist()
     keys_l = memoryview(keys)
-    removed: list[tuple[Tri, Edge]] = []
-    removed_at = memoryview(np.empty(len(order), dtype=np.int32))
+    alive = bytearray(b"\x01") * m
+    removed_at = np.empty(m, dtype=np.int32)
+    witness_at = np.empty(m, dtype=np.int32)
+    at_l, witness_l = memoryview(removed_at), memoryview(witness_at)
+    count = 0
 
     while pending:
         pending[0], pending[-1] = pending[-1], pending[0]
@@ -165,12 +240,6 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
         c0, c1, c2, c3 = cnt[4 * e:4 * e + 4]
         if (c0 > 0) == (c3 > 0) and (c1 > 0) == (c2 > 0):
             continue
-        # Rebuild the doomed residents in the order the per-edge sets of
-        # the dict-and-set worklist gave them: codes by first appearance,
-        # and per code a set filled with the edge's triangles in candidate
-        # order.  A CPython set built by the same insertions in the same
-        # order iterates in the same order, and discards never reorder it,
-        # so dropping the triangles no longer live gives that set's order.
         groups: dict[int, list[int]] = {}
         for x in by_edge[bounds[e]:bounds[e + 1]]:
             key = keys_l[x]
@@ -178,27 +247,27 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
                 groups.setdefault(key, []).append(x // 3)
         doomed = []
         for ps in groups.values():
-            at = {order[p]: p for p in ps}
-            doomed.extend((t, at[t]) for t in set(order[p] for p in ps) if t in live)
-        witness = divmod(e, n)
-        for t, p in doomed:
-            live.discard(t)
-            removed_at[len(removed)] = p
-            removed.append((t, witness))
+            if order is not None:
+                # The dict-and-set worklist kept a set per code, filled with
+                # the edge's triangles in row order.  A CPython set built by
+                # the same insertions in the same order iterates in the same
+                # order, and discards never reorder it, so dropping the
+                # triangles no longer live gives that set's order.
+                at = {order[p]: p for p in ps}
+                ps = [at[t] for t in set(order[p] for p in ps)]
+            doomed.extend(p for p in ps if alive[p])
+        for p in doomed:
+            alive[p] = 0
+            at_l[count] = p
+            witness_l[count] = e
+            count += 1
             for key in keys_l[3 * p:3 * p + 3]:
                 cnt[key] -= 1
                 f = key >> 2
                 if not queued[f] and any(cnt[4 * f:4 * f + 4]):
                     pending.append(f)
                     queued[f] = 1
-    arr = candidates.array()
-    if removed:
-        # The candidates' sorted rows minus the removed ones, found by cell.
-        code = (arr[:, 0] * n + arr[:, 1]) * n + arr[:, 2]
-        keep = np.ones(len(arr), dtype=bool)
-        keep[np.searchsorted(code, cell.take(removed_at[:len(removed)]))] = False
-        arr = arr[keep]
-    return LegalSetResult(TriangleSet._of_canonical(live, arr), removed)
+    return removed_at[:count], witness_at[:count]
 
 
 def check_legal_nonempty(result: LegalSetResult) -> bool:

@@ -54,9 +54,13 @@ class SizeGuard(ValueError):
 # Largest point set whose orientation table is built.  The table itself is
 # only n**3 / 8 bytes per side (64 MB at n = 800); the limit stays for the
 # stages downstream of it: the tuple sets of A's empty triangles and of the
-# candidates, Theta(n**2) in expectation (together about 140 MB at n = 500
-# on hull-locked pairs) and up to C(n, 3) in convex position, and the int32
-# triangle codes of enumerate_empty and legal_set, exact while n**3 < 2**31.
+# candidates, Theta(n**2) in expectation and up to C(n, 3) in convex
+# position, and the int32 triangle codes of enumerate_empty and legal_set,
+# exact while n**3 < 2**31.  The tuple sets are built only when a set is
+# iterated or the removal log is read: at n = 500 on hull-locked pairs
+# (seeds 0 and 1, 350,000 candidates) the chain without them peaked at
+# about 126 MB (ru_maxrss), iterating the candidates added about 90 MB and
+# reading the removal log about 47 MB more.
 MAX_TENSOR_POINTS = 800
 # Bytes of the widest temporary of one block of the table build, its
 # [rows, n, n] sums in int32 or int64 (256 KB, or one row where that is

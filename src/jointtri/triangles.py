@@ -7,7 +7,7 @@ triple simultaneously names a triangle in each of two paired point sets.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,33 +43,60 @@ FLIPS = (1, 1, -1)
 
 class TriangleSet:
     """An immutable set of canonical label triples, built from any triples
-    (each canonicalized) or, by a producer, from a set of canonical ones
-    (``_of_canonical``).
+    (each canonicalized) or, by a producer, from canonical ones: a set
+    (``_of_canonical``) or sorted rows (``_of_rows``).
 
-    ``array()`` gives the same triples as a sorted label array, built on
-    first use unless the producer passed it in; nothing changes the set
-    afterwards, so the array cannot go stale.
+    ``array()`` gives the triples as a sorted label array, built on first
+    use from a set.  A set built from rows holds the rows as its data and
+    builds its tuple set only on the first ``__iter__``, ``__contains__``
+    or ``__eq__``, by the producer's own set operations, so it iterates as
+    an eager build would; ``len``, ``array()`` and ``sorted_triangles()``
+    read the rows.  Nothing changes the set afterwards, so neither form
+    can go stale.
+
+    The point chain's producers (``enumerate_empty``, ``paired_empty`` and
+    ``legal_set``) build from rows.  ``legal_set`` runs its one worklist
+    in sorted row order for the verdict, and in set iteration order only
+    when its removal log is read, so a chain whose sets are never
+    iterated builds no tuple set.
     """
 
     def __init__(self, triangles: Iterable[Tri] = ()):
-        self._tris: set[Tri] = {tri(*t) for t in triangles}
+        self._tris: Optional[set[Tri]] = {tri(*t) for t in triangles}
         self._arr: Optional[np.ndarray] = None
+        self._build: Optional[Callable[[], set[Tri]]] = None
 
     @classmethod
-    def _of_canonical(cls, tris: set[Tri],
-                      arr: Optional[np.ndarray] = None) -> "TriangleSet":
+    def _of_canonical(cls, tris: set[Tri]) -> "TriangleSet":
         """A set over ``tris``, canonical triples the caller hands over and
         no longer changes: it is kept uncopied, so the result iterates as
-        ``tris`` does.  ``arr``, when given, must hold the same triples as
-        rows in lexicographic order; it becomes ``array()``."""
+        ``tris`` does."""
         out = cls.__new__(cls)
-        out._tris = tris
-        out._arr = arr
-        if arr is not None:
-            arr.flags.writeable = False
+        out._tris, out._arr, out._build = tris, None, None
         return out
 
+    @classmethod
+    def _of_rows(cls, arr: np.ndarray,
+                 build: Optional[Callable[[], set[Tri]]] = None) -> "TriangleSet":
+        """A set over the rows of ``arr``, canonical triples in
+        lexicographic order, which becomes ``array()``.  Its tuple set is
+        ``build()`` on first read, by default the rows' tuples added in row
+        order; ``build`` must give exactly the rows' triples."""
+        out = cls.__new__(cls)
+        arr.flags.writeable = False
+        out._tris, out._arr = None, arr
+        out._build = build or (lambda: set(_tuples(arr)))
+        return out
+
+    def _set(self) -> set[Tri]:
+        if self._tris is None:
+            self._tris = self._build()
+            self._build = None
+        return self._tris
+
     def sorted_triangles(self) -> list[Tri]:
+        if self._arr is not None:
+            return list(_tuples(self._arr))
         return sorted(self._tris)
 
     def array(self) -> np.ndarray:
@@ -81,19 +108,19 @@ class TriangleSet:
         return self._arr
 
     def __contains__(self, t: object) -> bool:
-        return t in self._tris
+        return t in self._set()
 
     def __iter__(self) -> Iterator[Tri]:
-        return iter(self._tris)
+        return iter(self._set())
 
     def __len__(self) -> int:
-        return len(self._tris)
+        return len(self._tris) if self._arr is None else len(self._arr)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TriangleSet):
-            return self._tris == other._tris
+            return self._set() == other._set()
         if isinstance(other, (set, frozenset)):
-            return self._tris == other
+            return self._set() == other
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -188,7 +215,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
         r = np.arange(n)
         arr = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
         arr = arr[_empty_rows(d, arr)]
-        return TriangleSet._of_canonical(set(_tuples(arr)), arr)
+        return TriangleSet._of_rows(arr)
     order, ranks, last, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
     # i itself, last in its own list, is dropped and ranked -n, below every
     # other point; the list is doubled so every rotation is one window.
@@ -246,7 +273,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     arr = np.empty((len(code), 3), dtype=np.intp)
     rest, arr[:, 2] = np.divmod(code.astype(np.int32), n)
     arr[:, 0], arr[:, 1] = np.divmod(rest, n)
-    return TriangleSet._of_canonical(set(_tuples(arr)), arr)
+    return TriangleSet._of_rows(arr)
 
 
 def _left_counts(d: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -287,11 +314,16 @@ def paired_empty(pair: "PointSetPair") -> TriangleSet:
 
     Only these can ever appear in a joint triangulation, so this is the
     candidate pool for everything downstream.  A's empty triangles are
-    tested against B's orientation table, kept in A's iteration order; the
-    kept rows of A's sorted array become the result's ``array()``.
+    tested against B's orientation table; the kept rows of A's sorted
+    array are the result's rows, and its tuple set, built when first read,
+    adds the kept members of A's set in A's iteration order.
     """
     in_a = enumerate_empty(pair.a)
     arr = in_a.array()
     keep = _empty_rows(pair.b.signs, arr)
-    drop = set(_tuples(arr[~keep]))
-    return TriangleSet._of_canonical({t for t in in_a if t not in drop}, arr[keep])
+
+    def build() -> set[Tri]:
+        drop = set(_tuples(arr[~keep]))
+        return {t for t in in_a if t not in drop}
+
+    return TriangleSet._of_rows(arr[keep], build)

@@ -252,6 +252,86 @@ def test_legal_set_memory_on_a_long_cascade():
     assert reference_legal_set(pair, cands, hull, 1).legal == got.legal
 
 
+def _traced_peak(run):
+    """``run()`` and its tracemalloc peak in bytes above the memory traced
+    when it starts."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_point_chain_memory_builds_no_tuple_set():
+    # Hull-locked YES pairs of about 23,000 candidates.  Pairing and pruning
+    # read sorted rows only: with the tuple sets of A's empty triangles, the
+    # candidates and the legal set built eagerly they peaked at about 435
+    # tracemalloc bytes per candidate, and without them at about 177.  The
+    # removal log knows its length before it is built, and once read it is
+    # the reference worklist's, order included.
+    for seed in (0, 1, 3):
+        pair = hull_locked_pair(120, 1000, 3, seed)
+        hull = check_hull_correspondence(pair).hull_edges
+        pair.a.signs, pair.b.signs  # the orientation tables are not measured
+
+        def chain():
+            c = paired_empty(pair)
+            return c, legal_set(pair, c, hull)
+
+        (cands, res), peak = _traced_peak(chain)
+        assert len(cands) > 20000 and len(res.legal) > 0, seed
+        assert peak < 320 * len(cands), (seed, peak / len(cands))
+        assert len(res.removed) == len(cands) - len(res.legal) > 0
+        want = reference_legal_set(pair, cands, hull)
+        assert res.removed == want.removed
+        assert list(res.legal) == list(want.legal)
+
+
+def test_removal_log_build_memory_on_a_long_cascade():
+    # The pair of test_legal_set_memory_on_a_long_cascade, whose cascade
+    # removes every candidate.  The log is built on its first read, by the
+    # worklist run over the candidates in set order, which builds their
+    # tuple sets; that read peaked at about 350 tracemalloc bytes per
+    # candidate.
+    pair = hull_locked_pair(120, 1000, 3, 2)
+    hull = check_hull_correspondence(pair).hull_edges
+    cands = paired_empty(pair)
+    res = legal_set(pair, cands, hull)
+    assert len(res.removed) == len(cands) > 20000
+    log, peak = _traced_peak(lambda: list(res.removed))
+    assert len(log) == len(cands)
+    assert peak < 400 * len(cands), peak / len(cands)
+
+
+def test_chain_sets_read_the_same_in_any_order():
+    # The candidates, the legal set and the removal log each build their
+    # tuples on first read; whichever is read first, and whether the greedy
+    # (which reads arrays only) runs before or after, each reads the same.
+    for pair, cands, hull in _legal_set_inputs():
+        res = legal_set(pair, cands, hull)
+        want = [list(cands), list(res.legal), list(res.removed)]
+        for first in range(3):
+            for greedy_first in (True, False):
+                fresh = paired_empty(pair) if len(cands) else TriangleSet()
+                res = legal_set(pair, fresh, hull)
+                if greedy_first and len(res.legal):
+                    assert greedy_construct(pair, res.legal, LEX).verified
+                readers = [lambda: list(fresh), lambda: list(res.legal),
+                           lambda: list(res.removed)]
+                got = [None] * 3
+                for r in (first, *(x for x in range(3) if x != first)):
+                    got[r] = readers[r]()
+                if not greedy_first and len(res.legal):
+                    assert greedy_construct(pair, res.legal, LEX).verified
+                assert got == want, (len(pair), first, greedy_first)
+
+
 def test_legal_set_runs_one_order():
     """``legal_set`` takes the pair, its candidates and the hull edges and
     nothing else, and ``jointtri.conditions`` binds nothing from ``random``:
