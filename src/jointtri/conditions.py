@@ -122,19 +122,23 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     """Greatest subset of the candidates in which every triangle keeps at
     least one successor on each of its non-hull edges.
 
-    Worklist deletion (``_prune``): every non-hull edge of every candidate
-    is queued; processing an edge deletes the resident triangles that have
-    no opposite-side partner left on it, and re-queues the affected edges.
-    Deletion only ever removes triangles that cannot be supported, so
-    the fixpoint is unique and no processing order can change the result.
+    Worklist deletion (``_prune``): processing a queued non-hull edge
+    deletes the resident triangles that have no opposite-side partner left
+    on it, and queues edges that the deletions touch.  Deletion only ever
+    removes triangles that cannot be supported, so the fixpoint is unique
+    and no processing order can change the result.
 
-    One worklist runs in two orders.  The verdict runs it over the
+    One worklist runs twice, with two queues.  The verdict runs it over the
     candidates' sorted rows (``candidates.array()``), which give the legal
-    rows and the removal count without building a tuple set.  The removal
-    log is built only when first read, by the same worklist over
-    ``list(set(candidates))``, the order the log has always had.  The legal
-    set's tuple set, also built on first read, is ``set(candidates)`` less
-    the removed triangles, so it iterates as it always has.
+    rows and the removal count without building a tuple set; it queues an
+    edge only when a triangle on it has lost its last partner, and reaches
+    the same fixpoint (the argument is in ``_prune``).  The removal log is
+    built only when first read, by the same worklist over
+    ``list(set(candidates))`` with the queue it has always had: every
+    non-hull edge with a resident, and every touched edge that keeps one,
+    so its order stays as it was.  The legal set's tuple set, also built on
+    first read, is ``set(candidates)`` less the removed triangles, so it
+    iterates as it always has.
 
     Every legal triangle turns in B, relative to A, as the hulls do.  One
     that turns the other way uses no hull edge, and its successors turn as
@@ -145,7 +149,9 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
     """
     arr = candidates.array()
     gone = _prune(pair, arr.astype(np.int32), hull_edges)[0]
-    rows = np.delete(arr, gone, axis=0) if len(gone) else arr
+    keep = np.ones(len(arr), dtype=bool)
+    keep[gone] = False
+    rows = arr.compress(keep, axis=0) if len(gone) else arr
 
     def build() -> set[Tri]:
         live = set(candidates)
@@ -183,6 +189,27 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
     pair, coded 2 * (A > 0) + (B > 0), so the opposite of code c is 3 - c.
     A resident is doomed iff its code's opposite count is zero, so an edge
     dooms a resident iff some count is nonzero and its opposite's is zero.
+    A popped edge whose counts doom nothing is passed over in O(1).
+
+    The two runs queue differently.  The log run (``order`` given) keeps
+    the queue the log's pinned order comes from: it starts with every
+    non-hull edge that has a resident, and after each removal queues every
+    touched edge that still has one.  Its pops of edges that doom nothing
+    move entries of ``pending``, so they are part of that order.  The
+    verdict run (``order`` None) queues only edges that can doom: at the
+    start, the non-hull edges on which some code has a live count and its
+    opposite none, and, after a decrement of ``cnt[key]``, edge
+    ``key >> 2`` iff it is not queued, ``cnt[key]`` is now zero and
+    ``cnt[key ^ 3]`` is not.  It reaches the log run's fixpoint.  Counts only fall, so code c on an
+    edge becomes doomable (its count nonzero, its opposite's zero) only at
+    the start or at the decrement that zeroes its opposite count, and both
+    queue the edge unless it is queued already.  Popping an edge removes
+    every triangle then doomed on it.  So at exit no live triangle is
+    doomed on any non-hull edge: the live set is closed under the
+    successor condition.  Every removed triangle had, when removed, no
+    partner on its witness edge among the live triangles, which by
+    induction hold every closed subset of the candidates, so it is in
+    none.  The result is the greatest closed subset, the unique fixpoint.
 
     The worklist reads memoryviews of int32 arrays, not lists, so it holds
     no Python int per entry: ``keys_l``, each incidence's count index,
@@ -200,29 +227,40 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
     i, j, k = tris.T
     # A candidate is nondegenerate on both sides, so its apex sign on edge q
     # is FLIPS[q] if (i, j, k) is counterclockwise there, else -FLIPS[q]:
-    # one bit per candidate per side.
-    flips = np.array(FLIPS) > 0
-    side_a = strictly_left(pair.a.signs, i, j, k)[:, None] == flips
-    side_b = strictly_left(pair.b.signs, i, j, k)[:, None] == flips
+    # one bit per candidate per side.  So its code is 2 * (A ccw) + (B ccw)
+    # on the edges whose flip is 1, and the opposite on the other.
+    code = (strictly_left(pair.a.signs, i, j, k) * np.int32(2)
+            + strictly_left(pair.b.signs, i, j, k))
     # Incidence 3 p + q is edge q of row p, in the order (i, j), (j, k),
     # (i, k); its key is 4 * edge id + code, the index of the count it
-    # belongs to, formed as (2 * id + (A > 0)) * 2 + (B > 0) so that no step
-    # leaves int32.
-    ids = np.column_stack((i * n + j, j * n + k, i * n + k))
-    keys = ((2 * ids + side_a) * 2 + side_b).ravel()
+    # belongs to.  Filled a column at a time, as numpy broadcasts over a
+    # short last axis several times slower.
+    keys = np.empty((m, 3), dtype=np.int32)
+    for q, (u, v) in enumerate(((i, j), (j, k), (i, k))):
+        keys[:, q] = (u * n + v) * 4 + (code if FLIPS[q] > 0 else 3 - code)
+    keys = keys.reshape(-1)
     counts = np.bincount(keys, minlength=4 * n * n)
-    totals = counts.reshape(-1, 4).sum(axis=1)
+    per_code = counts.reshape(-1, 4)
+    # column by column, as for the keys
+    totals = per_code[:, 0] + per_code[:, 1] + per_code[:, 2] + per_code[:, 3]
     # Edge e's incidences in row order: by_edge[bounds[e]:bounds[e + 1]].
     # The narrowest key type makes the stable argsort a radix sort for n < 256.
-    by_edge = memoryview(np.argsort(ids.astype(np.min_scalar_type(n * n)),
-                                    axis=None, kind="stable").astype(np.int32))
+    by_edge = memoryview(np.argsort((keys >> 2).astype(np.min_scalar_type(n * n)),
+                                    kind="stable").astype(np.int32))
     offsets = np.zeros(n * n + 1, dtype=np.int32)
     offsets[1:] = np.cumsum(totals)
     bounds = memoryview(offsets)
     queued = bytearray(n * n)
     for a, b in hull_edges:
         queued[a * n + b] = 1
-    pending = [e for e in np.flatnonzero(totals).tolist() if not queued[e]]
+    if order is None:
+        # Edges with a live code whose opposite is empty: those that fail
+        # the balance test of the loop below.
+        live = per_code > 0
+        start = (live[:, 0] != live[:, 3]) | (live[:, 1] != live[:, 2])
+    else:
+        start = totals
+    pending = [e for e in np.flatnonzero(start).tolist() if not queued[e]]
     for e in pending:
         queued[e] = 1
     cnt = counts.tolist()
@@ -264,9 +302,17 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
             for key in keys_l[3 * p:3 * p + 3]:
                 cnt[key] -= 1
                 f = key >> 2
-                if not queued[f] and any(cnt[4 * f:4 * f + 4]):
-                    pending.append(f)
-                    queued[f] = 1
+                if queued[f]:
+                    continue
+                # The verdict queues f only when this decrement dooms a code
+                # on it; the log run whenever f keeps a resident.
+                if order is None:
+                    if cnt[key] or not cnt[key ^ 3]:
+                        continue
+                elif not any(cnt[4 * f:4 * f + 4]):
+                    continue
+                pending.append(f)
+                queued[f] = 1
     return removed_at[:count], witness_at[:count]
 
 

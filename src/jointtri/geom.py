@@ -59,8 +59,8 @@ class SizeGuard(ValueError):
 # exact while n**3 < 2**31.  The tuple sets are built only when a set is
 # iterated or the removal log is read: at n = 500 on hull-locked pairs
 # (seeds 0 and 1, 350,000 candidates) the chain without them peaked at
-# about 126 MB (ru_maxrss), iterating the candidates added about 90 MB and
-# reading the removal log about 47 MB more.
+# 125-126 MB (ru_maxrss), pairing adding 28 MB of it; iterating the
+# candidates added 89-92 MB and reading the removal log 31-37 MB more.
 MAX_TENSOR_POINTS = 800
 # Bytes of the widest temporary of one block of the table build, its
 # [rows, n, n] sums in int32 or int64 (256 KB, or one row where that is

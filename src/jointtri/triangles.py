@@ -216,6 +216,24 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
         arr = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
         arr = arr[_empty_rows(d, arr)]
         return TriangleSet._of_rows(arr)
+    # The sweep's per-row tables die with _sweep_codes, before the rows are
+    # filled.  Each triangle is found in exactly one row, so sorting the
+    # codes gives lexicographic order.
+    code = np.concatenate(_sweep_codes(s, d) or [np.empty(0, dtype=np.int32)])
+    code.sort()
+    arr = np.empty((len(code), 3), dtype=np.intp)
+    np.divmod(code, n, out=(code, arr[:, 2]))
+    np.divmod(code, n, out=(arr[:, 0], arr[:, 1]))
+    return TriangleSet._of_rows(arr)
+
+
+def _sweep_codes(s: LabeledSet, d: np.ndarray) -> list[np.ndarray]:
+    """The angular sweep of ``enumerate_empty`` over ``s``, whose packed
+    orientation table is ``d``: each empty triangle (a, b, c), a < b < c,
+    as the int32 code (a * n + b) * n + c, in blocks of unsorted codes.
+    The codes stay below n**3 < 2**31 within MAX_TENSOR_POINTS, and int32
+    divides several times faster."""
+    n = len(s)
     order, ranks, last, _ = angle_order(*np.array(s.points, dtype=np.int64).T)
     # i itself, last in its own list, is dropped and ranked -n, below every
     # other point; the list is doubled so every rotation is one window.
@@ -236,7 +254,8 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
     wide = np.argsort(-length, kind="stable")
     cell, base, group, left, length = (
         a[wide] for a in (cell, base, group, left, length))
-    ii, jj = np.divmod(cell, n)
+    # with int32 labels every code is computed in int32
+    ii, jj = np.divmod(cell.astype(np.int32), n)
     # The first point in j's direction from i has index R[i, j] in i's
     # sorted list, since exactly R[i, j] points precede that direction.
     start = ii * (2 * width) + base
@@ -266,14 +285,7 @@ def enumerate_empty(s: LabeledSet) -> TriangleSet:
         t, r = np.divmod(np.flatnonzero(hit), k.shape[1])
         a, m, c = ii[b][r], jj[b][r], k[t + 1, r]
         codes.append((a * n + np.minimum(m, c)) * n + np.maximum(m, c))
-    # Each triangle is found in exactly one row, so sorting the codes
-    # gives lexicographic order.  The codes stay below n**3 < 2**31 within
-    # MAX_TENSOR_POINTS, and int32 divides several times faster.
-    code = np.sort(np.concatenate(codes) if codes else np.empty(0, dtype=np.intp))
-    arr = np.empty((len(code), 3), dtype=np.intp)
-    rest, arr[:, 2] = np.divmod(code.astype(np.int32), n)
-    arr[:, 0], arr[:, 1] = np.divmod(rest, n)
-    return TriangleSet._of_rows(arr)
+    return codes
 
 
 def _left_counts(d: np.ndarray, cell: np.ndarray) -> np.ndarray:

@@ -224,6 +224,38 @@ def test_legal_set_matches_reference_log_and_order():
     assert removals > 1000
 
 
+def test_verdict_queue_reaches_the_reference_fixpoint():
+    # The verdict run queues an edge only when a removal can doom one of
+    # its triangles.  On pairs jittered by up to 60, whose cascades are
+    # partial (at n = 40, seeds 0 and 1 keep 844 of 1,664 and 779 of 1,514
+    # candidates) or remove everything, its legal rows must be the
+    # reference worklist's legal set, sorted, in the id order and in two
+    # shuffled orders; its removal count must be |P| - |S| before the log
+    # is built; and pruning its legal set again must remove nothing.
+    pairs = [hull_locked_pair(n, 1000, 60, seed)
+             for n in range(10, 61, 5) for seed in (0, 1)]
+    pairs += [gen_perturbed_pair(n, 1000, 60, seed)
+              for n in (10, 15, 20) for seed in range(4)]
+    partial = full = 0
+    for pair in pairs:
+        hc = check_hull_correspondence(pair)
+        if not hc.ok:
+            continue
+        cands = paired_empty(pair)
+        res = legal_set(pair, cands, hc.hull_edges)
+        got = res.legal.array().tolist()
+        assert len(res.removed) == len(cands) - len(got)
+        for order_seed in (None, 1, 2):
+            want = reference_legal_set(pair, cands, hc.hull_edges, order_seed).legal
+            assert got == [list(t) for t in want.sorted_triangles()], (len(pair), order_seed)
+        again = legal_set(pair, res.legal, hc.hull_edges)
+        assert len(again.removed) == 0
+        assert np.array_equal(again.legal.array(), res.legal.array())
+        partial += 0 < len(got) < len(cands)
+        full += len(cands) > 0 and not got
+    assert partial >= 15 and full >= 5, (partial, full)
+
+
 def test_legal_set_memory_on_a_long_cascade():
     # A hull-locked NO pair whose cascade removes all 23,354 candidates.
     # With int32 worklist tables legal_set's tracemalloc peak is about 320
