@@ -155,17 +155,6 @@ def _edge_cells(d: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where(ccw, fwd, heads * n + cols)
 
 
-def _survivors(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
-    """The [9, m] survivor table of label columns ``cols`` ([3, m]) under
-    the two realizations' packed orientation tables ``signs``: the labels,
-    A's directed edge cells (``_edge_cells``) and B's, these offset by n * n
-    so that they index B's half of a stacked [2, n, n] table."""
-    n = len(signs[0])
-    cols = np.ascontiguousarray(cols)  # a transposed label array reads slower
-    return np.concatenate((cols, _edge_cells(signs[0], cols),
-                           _edge_cells(signs[1], cols) + n * n))
-
-
 # Per realization, the bits of a triangle's three edges in a point's code:
 # A's in the low three bits, B's in the next three (bit e for the e-th of
 # the six edge rows, ``_EDGE_SHIFTS``).
@@ -174,103 +163,119 @@ _EDGE_SHIFTS = np.arange(6, dtype=np.uint8)[:, None, None]
 
 # Survivors a LEX pass resolves at once: the first _HEAD of the sorted
 # survivor table (``greedy_construct``).  Over the points-locked pairs of
-# seeds 0 and 1 (n 40-100, verify excluded, head sizes interleaved in one
-# process on a 2-core VM, Python 3.11, numpy 2.4), heads of 8, 24 and 32
-# took the greedy loop 1.15, 0.97 and 0.96 times as long as heads of 16,
-# which took about 0.57 of the time of one commit per round.
-_HEAD = 32
-# Bytes of one survivor block of the union mask: about 14 bytes of
-# temporaries per survivor and pick, and 72 bytes per survivor of index
-# copies (its labels and cells) once the table is cut into blocks.  Over
-# the 111,495 survivors of a hull-locked n = 300 pair, 12 picks peaked at
-# 3.1 MB (tracemalloc, 2.2 MB of it their planes) and 17.5 MB in one block.
-_MASK_BLOCK_BYTES = 1 << 20
-
-
-def _edge_rows(signs: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
-    """[6 L, words]: the packed rows (a, b) of L triangles' directed edge
-    cells (``cells``, [6, L] columns of ``_survivors``), inverted, so that
-    bit k is set iff point k is off the edge's open left side: A's three
-    edges of each triangle, then B's three."""
-    da, db = signs
-    n, _, w = da.shape
-    return ~np.concatenate((da.reshape(n * n, w).take(cells[:3], axis=0),
-                            db.reshape(n * n, w).take(cells[3:] - n * n, axis=0))
-                           ).reshape(-1, w)
+# seeds 0 and 1, rounds 0-3 (n 40-100, verify stubbed, interleaved in one
+# process on a 2-core VM, Python 3.11, numpy 2.4), heads of 32, 64, 96, 128
+# and 192 took the LEX loop 0.49, 0.42, 0.38, 0.37 and 0.36 times as long
+# as the union-mask greedy with its head of 32; on hull_locked_pair(300,
+# 1000, 3, 0), heads of 64 to 192 took 0.30, 0.28, 0.24 and 0.23 times.
+_HEAD = 128
+# Bytes of one [edges, n, words] array of ``_crossed``'s blocks of
+# committed edges; a block holds a few such arrays, so the build's
+# temporaries stay near a MB at any n.
+_CROSS_BLOCK_BYTES = 1 << 17
 
 
 def _codes(bits: np.ndarray) -> np.ndarray:
-    """[L, n] uint8 codes of L triangles from their unpacked ``_edge_rows``
-    ([6 L, n]): a point's code has bit e (A) or 3 + e (B) set iff it is off
+    """[L, n] uint8 codes of L triangles from the unpacked, inverted rows of
+    their directed edges ([6 L, n], A's three edges of each triangle, then
+    B's three): a point's code has bit e (A) or 3 + e (B) set iff it is off
     the open left side of the triangle's edge e in that realization."""
     return np.bitwise_or.reduce(bits.reshape(6, -1, bits.shape[1]) << _EDGE_SHIFTS,
                                 axis=0)
 
 
-def _head_overlaps(signs: Sequence[np.ndarray], state: np.ndarray,
-                   k: int) -> np.ndarray:
-    """[k, k] bool: do the interiors of survivors p and q, both among the
-    first k of the survivor table ``state``, meet in either realization?
+def _head_overlaps(signs: Sequence[np.ndarray], cols: np.ndarray) -> np.ndarray:
+    """[k, k] bool: do the interiors of triangles p and q of the label
+    columns ``cols`` ([3, k], nondegenerate in both realizations) meet in
+    either realization?  ``signs`` holds A's and B's packed orientation
+    tables.
 
     Two triangles are interior-disjoint iff an edge of either has the
-    other's three vertices off its open left side (``_overlap_mask``).  The
-    AND of p's codes at q's vertices holds the edges of p that separate q;
-    ORed with its transpose, the edges of either that separate the pair.
-    Every member's codes are at hand, so no bit planes are needed.
+    other's three vertices off its open left side, the edge directed to
+    have its triangle on its left (separating lines).  Each member's three
+    edge rows per realization, inverted, become one 6-bit code per point
+    (``_codes``).  The AND of p's codes at q's vertices holds the edges of
+    p that separate q; ORed with its transpose, the edges of either that
+    separate the pair.  The codes are gathered by point, a row of every
+    member's codes per vertex.
     """
-    n = len(signs[0])
-    code = _codes(row_bits(_edge_rows(signs, state[3:, :k]), n))
-    sep = np.bitwise_and.reduce(code.take(state[:3, :k], axis=1), axis=1)
+    n, _, w = signs[0].shape
+    rows = np.concatenate([d.reshape(n * n, w).take(_edge_cells(d, cols), axis=0)
+                           for d in signs])
+    # [n, k]: the codes of each point, one column per member
+    code = np.ascontiguousarray(_codes(row_bits(~rows.reshape(-1, w), n)).T)
+    sep = code.take(cols[0], axis=0)
+    sep &= code.take(cols[1], axis=0)
+    sep &= code.take(cols[2], axis=0)
     sep |= sep.T
     return ((sep & _SIDE_BITS) == 0).any(axis=0)
 
 
-def _overlap_mask(signs: Sequence[np.ndarray], state: np.ndarray,
-                  picks: Sequence[int]) -> np.ndarray:
-    """Per-survivor mask: does the survivor's interior meet that of some
-    pick in either realization?  ``signs`` holds A's and B's packed
-    orientation tables, ``state`` the survivor table (``_survivors``),
-    ``picks`` positions in it.
+def _walk(over: np.ndarray) -> list[int]:
+    """The members a LEX pass commits, in head order: each that meets no
+    earlier commit by the [k, k] overlap matrix ``over``, whose rows are
+    read as bit masks of the members they meet, so the walk steps from
+    one commit to the next."""
+    width = -(-len(over) // 8)
+    rows = np.packbits(over, axis=1, bitorder="little").tobytes()
+    picks: list[int] = []
+    free = (1 << len(over)) - 1  # members after the last commit meeting none
+    while free:
+        p = (free & -free).bit_length() - 1
+        picks.append(p)
+        free &= ~int.from_bytes(rows[p * width:(p + 1) * width], "little") & -(2 << p)
+    return picks
 
-    Two triangles are interior-disjoint iff some edge of either has the
-    other's three vertices on its closed far side, that is off its open
-    left side: sign != 1 on an edge with its triangle on the left.  A
-    pick's edges become one 6-bit code per point (``_codes``), so its edges
-    separate a survivor in a realization iff the AND of its codes at the
-    survivor's three vertices has a bit of that realization.  For the
-    survivor's own edges, each pick and realization gets one n x n plane,
-    the OR of the pick's vertices' rows (v, a), unpacked: a survivor's edge
-    cell ``a * n + b`` reads whether d[v, a, b] = d[a, b, v] = 1 for some
-    picked v, since orientation is cyclic, and that edge separates iff none
-    is.  All picks and both realizations share one unpack and, per block of
-    survivors (``_MASK_BLOCK_BYTES``), one code gather and one plane gather.
+
+def _edge_ids(cols: np.ndarray, n: int) -> np.ndarray:
+    """[3, m] canonical edge ids ``i * n + j``, ``j * n + k`` and
+    ``i * n + k`` of the sorted label columns ``cols`` ([3, m], i < j < k)."""
+    ids = np.empty((3, cols.shape[1]), dtype=np.intp)
+    np.multiply(cols[:2], n, out=ids[:2])
+    ids[2] = ids[0]
+    ids[:2] += cols[1:]
+    ids[2] += cols[2]
+    return ids
+
+
+def _crossed(signs: Sequence[np.ndarray], edges: np.ndarray) -> np.ndarray:
+    """[n, n] uint8 table, 1 at (p, q) iff the segment p-q properly crosses
+    one of the label-pair ``edges`` (ids ``r * n + s``) in either
+    realization: p and q strictly on opposite sides of the line r-s, and r
+    and s strictly on opposite sides of the line p-q.  ``signs`` holds A's
+    and B's packed orientation tables.
+
+    When p is strictly left of r -> s, that is p in row (r, s), a proper
+    crossing puts q in row (s, r), r strictly right of p -> q and s strictly
+    left: q in row (p, r) and in row (s, p), by cyclic orientation.  So the
+    row of such a p is row (s, r) & row (p, r) & row (s, p), and every other
+    row is 0.  These rows give each crossing pair once, with p on the left,
+    and the table ORed with its transpose gives it both ways.  Edges go in
+    blocks of ``_CROSS_BLOCK_BYTES`` of packed rows, the rows ORed over each
+    block before one unpack of the whole table.
     """
-    da, db = signs
-    n, _, w = da.shape
-    cols, cells = state[:3], state[3:]
-    verts = cols.take(picks, axis=1)
-    picked = len(picks)
-    # [picks, 2 n, words]: the rows of A's plane, then B's, per pick
-    planes = np.concatenate((np.bitwise_or.reduce(da.take(verts, axis=0), axis=0),
-                             np.bitwise_or.reduce(db.take(verts, axis=0), axis=0)),
-                            axis=1)
-    bits = row_bits(np.concatenate((_edge_rows(signs, cells.take(picks, axis=1)),
-                                    planes.reshape(-1, w))), n)
-    code = _codes(bits[:6 * picked])
-    planes = bits[6 * picked:].reshape(picked, -1)
-    gone = np.empty(cols.shape[1], dtype=bool)
-    step = max(1, _MASK_BLOCK_BYTES // (72 + 14 * picked))
-    for lo in range(0, len(gone), step):
-        b = slice(lo, lo + step)
-        # [2, picks, survivors]: no edge of the pick separates, per
-        # realization ...
-        meet = (np.bitwise_and.reduce(code.take(cols[:, b], axis=1), axis=1)
-                & _SIDE_BITS) == 0
-        # ... and no edge of the survivor does
-        reach = planes.take(cells[:, b], axis=1).reshape(picked, 2, 3, -1)
-        meet &= np.bitwise_and.reduce(reach, axis=2).transpose(1, 0, 2) == 1
-        gone[b] = meet.reshape(-1, meet.shape[2]).any(axis=0)
-    return gone
+    n, _, w = signs[0].shape
+    r, s = np.divmod(edges, n)
+    out = np.zeros((n, w), dtype=np.uint64)
+    step = max(1, _CROSS_BLOCK_BYTES // (8 * n * w))
+    for lo in range(0, len(edges), step):
+        eb, rb, sb = edges[lo:lo + step], r[lo:lo + step], s[lo:lo + step]
+        # [edges, n] cells, per p: (p, r), and (s, r), the latter replaced
+        # by (0, 0), an empty row, where p is not in row (r, s)
+        into_r = np.arange(0, n * n, n) + rb[:, None]
+        right = (sb * n + rb)[:, None]
+        for d in signs:
+            flat = d.reshape(n * n, w)
+            on_left = row_bits(flat.take(eb, axis=0), n).view(bool)
+            # [edges, n, words], gathered whole: a row broadcast along
+            # another axis would make numpy step through it word by word
+            rows = flat.take(np.where(on_left, right, 0), axis=0)
+            rows &= flat.take(into_r, axis=0)
+            rows &= d.take(sb, axis=0)
+            out |= np.bitwise_or.reduce(rows, axis=0)
+    table = row_bits(out, n)
+    table |= table.T
+    return table
 
 
 def greedy_construct(pair: PointSetPair, legal: TriangleSet,
@@ -281,28 +286,59 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     under LEX, or a seeded-uniform pick under SEEDED_RANDOM, which needs an
     integer ``seed``) and deletes it and every survivor whose interior
     meets it in either realization.  The survivors start as the legal
-    set's sorted rows (``legal.array()``); their labels and both
-    realizations' edge cells are compacted together after each pass, in
-    sorted order.
+    set's sorted rows (``legal.array()``).
+
+    Precondition: ``legal`` is a subset of the paired empty triangles, as
+    every legal set is.  The deletions rest on the lemma below, which needs
+    emptiness; on other triples the choices may differ from those of the
+    overlap rule above, and the verifier still judges the result.
+
+    Lemma.  Let s and t be distinct nondegenerate triangles, each empty in
+    a realization: no point of the set lies in its closed triangle but its
+    vertices.  Their interiors meet there iff an edge of one properly
+    crosses an edge of the other (the segments meet in one point inside
+    both).  If: near the crossing point, s is the closed half-disc on its
+    side of its edge's line and t the one on its side of its own, and two
+    distinct lines through a point leave the half-discs an open quadrant in
+    common.  Only if: a vertex of t in s would be a vertex of s, so t in s
+    would make t = s, and likewise s is not in t.  So the interior of s,
+    which meets that of t, also meets the outside of t, and being connected
+    it meets t's boundary, at y on an edge f = ab of t.  If a and b were
+    both vertices of s, f would be an edge of s and miss its interior; so
+    one, say a, is not, and lies outside s.  Going from y to a, f leaves s
+    at a point z strictly inside f.  No vertex of s is inside f, for it
+    would be a point of the set in t other than a, b and, t being
+    nondegenerate, t's third vertex.  So z is inside an edge e of s; f is
+    not on e's line, since it meets the interior of s; so e and f cross
+    properly at z.
 
     LEX runs its rounds in passes over a head, the first ``_HEAD``
     survivors.  A pass walks the head in order and commits a member iff it
-    meets no earlier commit of the pass (``_head_overlaps``), then deletes
-    the commits and every survivor meeting one of them with one union mask
-    (``_overlap_mask``).  The choices are those of one round at a time:
-    after some commits, the next round's pick is the smallest survivor
-    meeting none of them.  While that survivor lies in the head, the walk
-    takes it.  Once the head is spent, every member was committed or meets
-    a commit, so the next pick lies past the head, among exactly the
-    survivors the union mask leaves.  A pass whose head held every
-    survivor ends the loop without the mask, since then every survivor was
-    committed or meets a commit: this is the last pass of every LEX run,
-    and the only one when |legal| <= ``_HEAD``.  SEEDED_RANDOM draws from
-    the survivor count after each deletion, so each of its passes holds
-    one pick.  A pass deletes its commits, at least one, so the loop ends
-    after at most |legal| passes whatever the overlap readers report.  The
-    result is never trusted: ``verified`` reflects the independent
-    verifier, and a False verdict is returned, not raised.
+    meets no earlier commit of the pass (``_head_overlaps``, ``_walk``).
+    The choices are those of one round at a time: after some commits, the
+    next round's pick is the smallest survivor meeting none of them.  While
+    that survivor lies in the head, the walk takes it.  Once the head is
+    spent, every member was committed or meets a commit, so the next pick
+    lies past the head, among exactly the survivors the deletion leaves.
+    A pass whose head held every survivor ends the loop, since then every
+    survivor was committed or meets a commit: this is the last pass of
+    every LEX run, and the only one when |legal| <= ``_HEAD``, which then
+    builds no edge ids or table.  SEEDED_RANDOM draws from the survivor
+    count after each deletion, so each of its passes holds one pick.
+
+    Past a one-pass run the survivors are kept as their canonical edge ids
+    (``_edge_ids``), compacted in sorted order after each pass, and a pass
+    deletes its commits and every survivor with an edge in the crossed-edge
+    table of its new committed edges (``_crossed``), those of its commits
+    not committed before.  By the lemma, in both realizations, a survivor
+    meets a commit iff one of its edges crosses one of the commit's; every
+    survivor that crosses an edge committed in an earlier pass was deleted
+    then.  So a pass costs one table, O(edges * n * words), and three
+    gathers per survivor, whatever its pick count.  A pass deletes its
+    commits, at least one, so the loop ends after at most |legal| passes
+    whatever the overlap readers report.  The result is never trusted:
+    ``verified`` reflects the independent verifier, and a False verdict is
+    returned, not raised.
     """
     if len(legal) == 0:
         raise ValueError("greedy_construct requires a nonempty legal set")
@@ -311,25 +347,36 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     if policy == SEEDED_RANDOM and seed is None:
         raise ValueError("the seeded-random policy requires an integer seed")
     signs = (pair.a.signs, pair.b.signs)
-    # Labels, then A's and B's edge cells, per survivor: one compaction.
-    state = _survivors(signs, legal.array().T)
+    n = len(pair.a)
+    cols = legal.array().T
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
-    chosen: list[Tri] = []
-    while state.shape[1]:
-        if rng:
-            picks = [rng.randrange(state.shape[1])]
-        else:
-            head = min(_HEAD, state.shape[1])
-            picks = []
-            for p, row in enumerate(_head_overlaps(signs, state, head).tolist()):
-                if not any(map(row.__getitem__, picks)):
-                    picks.append(p)
-        chosen.extend(map(tuple, state[:3].take(picks, axis=1).T.tolist()))
-        if not rng and state.shape[1] <= _HEAD:
-            break  # the head held every survivor: nothing is left
-        gone = _overlap_mask(signs, state, picks)
-        gone[picks] = True
-        state = state.compress(~gone, axis=1)
+    if not rng and cols.shape[1] <= _HEAD:
+        picks = _walk(_head_overlaps(signs, cols))
+        chosen = list(map(tuple, cols.take(picks, axis=1).T.tolist()))
+    else:
+        chosen = []
+        state = _edge_ids(cols, n)
+        committed: set[int] = set()
+        while True:
+            m = state.shape[1]
+            if rng:
+                picks = [rng.randrange(m)]
+            else:
+                q, r = np.divmod(state[:2, :_HEAD], n)
+                picks = _walk(_head_overlaps(signs, np.concatenate((q[:1], r))))
+            ids = state.take(picks, axis=1).T.tolist()
+            chosen.extend((a // n, a % n, b % n) for a, b, _ in ids)
+            if m <= (1 if rng else _HEAD):
+                break  # every survivor was committed or meets a commit
+            new = {e for t in ids for e in t} - committed
+            committed |= new
+            if new:
+                gone = _crossed(signs, np.fromiter(new, np.intp, len(new))
+                                ).reshape(-1).take(state).any(axis=0)
+            else:
+                gone = np.zeros(m, dtype=bool)
+            gone[picks] = True
+            state = state.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
     # the rows of legal.array() are canonical triples
     return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation, chosen)

@@ -10,8 +10,8 @@ from jointtri.greedy import (LEX, SEEDED_RANDOM, greedy_construct,
                              verify_joint)
 from jointtri.triangles import TriangleSet
 
-from helpers import (brute_greedy, grid_locked_coords, hull_locked_pair, mutate,
-                     overlap_by_decomposition, pairwise_verify_points, xorient)
+from helpers import (_proper_cross, brute_greedy, grid_locked_coords, hull_locked_pair,
+                     mutate, overlap_by_decomposition, pairwise_verify_points, xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -229,54 +229,36 @@ def test_verify_rejects_mutations():
         rejected += 1
 
 
-# Hand-made sets whose every nondegenerate triple the mask is tested on:
-# two halves of a square (disjoint) and its crossing halves, a triangle
+# Hand-made sets whose every nondegenerate triple the head matrix is tested
+# on: two halves of a square (disjoint) and its crossing halves, a triangle
 # nested in another across a shared edge, its apex on the outer boundary
-# (no proper crossing and no strictly inner vertex, yet they overlap),
-# and a triangle strictly inside another.
+# (no proper crossing and no strictly inner vertex, yet they overlap), and
+# a triangle strictly inside another.
 MASK_SETS = (SQUARE, [(0, 0), (4, 0), (0, 4), (2, 2)],
              [(0, 0), (6, 0), (0, 6), (1, 1), (2, 1), (1, 2)])
 
 
-def test_vectorized_deletion_mask_matches_scalar_overlap(monkeypatch):
+def test_vectorized_deletion_mask_matches_scalar_overlap():
     import numpy as np
 
-    from jointtri import greedy
-    from jointtri.geom import orient_sign_tensor
-    from jointtri.greedy import _head_overlaps, _overlap_mask, _survivors
+    from jointtri.greedy import _head_overlaps
     from jointtri.triangles import enumerate_empty
 
-    def check(sides, cands, picks):
-        # the mask is the overlap in either realization, one pick at a time
-        # and for all picks at once, in one block of survivors or in blocks
-        # of one and of a few; the head matrix is the same overlap between
+    def check(sides, cands):
+        # the head matrix is the overlap in either realization between
         # every two candidates
-        cols = np.array(cands, dtype=np.intp).T
-        signs = tuple(orient_sign_tensor(s.points) for s in sides)
-        state = _survivors(signs, cols)
+        head = _head_overlaps(tuple(s.signs for s in sides),
+                              np.array(cands, dtype=np.intp).reshape(-1, 3).T)
         overlaps = [[[overlap_by_decomposition(tuple(s[v] for v in t),
                                                tuple(s[v] for v in u))
                       for s in sides] for u in cands] for t in cands]
-        differ = 0
-        for pick in picks:
-            mask = _overlap_mask(signs, state, [pick])
-            for row, u in enumerate(cands):
-                assert mask[row] == any(overlaps[pick][row]), (cands[pick], u)
-                differ += overlaps[pick][row][0] != overlaps[pick][row][1]
-        want = [any(any(overlaps[p][row]) for p in picks) for row in range(len(cands))]
-        for size in (greedy._MASK_BLOCK_BYTES, 1, 300):
-            monkeypatch.setattr(greedy, "_MASK_BLOCK_BYTES", size)
-            assert _overlap_mask(signs, state, list(picks)).tolist() == want
-        monkeypatch.undo()
-        head = _head_overlaps(signs, state, len(cands))
         assert head.tolist() == [[any(o) for o in row] for row in overlaps]
-        return differ
+        return sum(o[0] != o[1] for row in overlaps for o in row)
 
     for coords in MASK_SETS:
         s = LabeledSet.from_coords(coords)
-        cands = [t for t in combinations(range(len(s)), 3)
-                 if xorient(*(s[v] for v in t))]
-        check((s, s), cands, range(len(cands)))
+        check((s, s), [t for t in combinations(range(len(s)), 3)
+                       if xorient(*(s[v] for v in t))])
     # the two halves of the square, and the nesting across a shared edge
     assert not overlap_by_decomposition(((0, 0), (2, 0), (2, 2)),
                                         ((0, 0), (2, 2), (0, 2)))
@@ -287,15 +269,99 @@ def test_vectorized_deletion_mask_matches_scalar_overlap(monkeypatch):
     for _ in range(15):
         s = _random_set(rng, rng.randint(5, 9))
         cands = enumerate_empty(s).sorted_triangles()
-        if len(cands) >= 2:
-            pick = [rng.randrange(len(cands))]
-            check((s, s), cands, pick)
-            # a second realization: the triples nondegenerate in both
-            other = _random_set(rng, len(s))
-            both = [t for t in cands if xorient(*(other[v] for v in t))]
-            if len(both) >= 2:
-                differ += check((s, other), both, rng.sample(range(len(both)), 2))
+        check((s, s), cands)
+        # a second realization: the triples nondegenerate in both
+        other = _random_set(rng, len(s))
+        differ += check((s, other), [t for t in cands if xorient(*(other[v] for v in t))])
     assert differ > 0
+
+
+# Hand cases for the crossed-edge table: a point set, a commit and a
+# survivor, and whether they overlap.  (0, 1, 3) lies on the same side of
+# the commit's edge (0, 1); (0, 3, 4) shares only the commit's vertex 0;
+# (3, 4, 5) is disjoint from the commit, yet every edge line of the commit
+# cuts it, so only its own edge (3, 5) separates the two.
+CROSS_CASES = (
+    ([(0, 0), (4, 0), (1, 2), (3, 2)], (0, 1, 2), (0, 1, 3), True),
+    ([(0, 0), (2, 1), (1, 2), (-2, -1), (-1, -2)], (0, 1, 2), (0, 3, 4), False),
+    ([(6, 2), (6, 4), (2, 1), (0, 5), (4, 6), (8, 4)], (0, 1, 2), (3, 4, 5), False),
+)
+
+
+def test_crossed_edge_table_matches_scalar_overlap(monkeypatch):
+    """The greedy's deletion: a survivor goes iff one of its edges is in the
+    crossed-edge table of the commits' edges.  On triples empty in both
+    realizations, the lemma's domain and the greedy's input, that is
+    exactly meeting some commit in either realization, for one commit and
+    for several at once, with the table built in one block and in blocks of
+    one edge.  The table itself is the proper crossing, in either
+    realization, of every label pair with some committed edge."""
+    import numpy as np
+
+    from jointtri import greedy
+    from jointtri.greedy import _crossed, _edge_ids
+    from jointtri.triangles import paired_empty
+
+    def deleted(sides, cands, commits):
+        n = len(sides[0])
+        ids = _edge_ids(np.array(cands, dtype=np.intp).T, n)
+        edges = np.unique(ids[:, commits])
+        tables = []
+        for size in (greedy._CROSS_BLOCK_BYTES, 1):
+            monkeypatch.setattr(greedy, "_CROSS_BLOCK_BYTES", size)
+            tables.append(_crossed(tuple(s.signs for s in sides), edges))
+        monkeypatch.undo()
+        assert (tables[0] == tables[1]).all()
+        want = [[any(_proper_cross(s[p], s[q], s[e // n], s[e % n])
+                     for s in sides for e in edges.tolist())
+                 for q in range(n)] for p in range(n)]
+        assert tables[0].astype(bool).tolist() == want
+        return tables[0].reshape(-1).take(ids).any(axis=0)
+
+    def check(sides, cands, commit_sets):
+        # overlaps[t][u]: in A, in B
+        overlaps = [[[overlap_by_decomposition(tuple(s[v] for v in t),
+                                               tuple(s[v] for v in u))
+                      for s in sides] for u in cands] for t in cands]
+        for commits in commit_sets:
+            gone = deleted(sides, cands, list(commits))
+            for row, u in enumerate(cands):
+                if row not in commits:
+                    assert gone[row] == any(any(overlaps[c][row]) for c in commits), \
+                        ([cands[c] for c in commits], u)
+        return sum(o[0] != o[1] for row in overlaps for o in row)
+
+    for coords, commit, survivor, meet in CROSS_CASES:
+        s = LabeledSet.from_coords(coords)
+        cands = paired_empty(PointSetPair(s, s)).sorted_triangles()
+        assert overlap_by_decomposition(*(tuple(s[v] for v in t)
+                                          for t in (commit, survivor))) == meet
+        gone = deleted((s, s), cands, [cands.index(commit)])
+        assert gone[cands.index(survivor)] == meet
+        check((s, s), cands, [[c] for c in range(len(cands))] + [range(len(cands))])
+
+    rng = random.Random(47)
+    differ = collinear = 0
+    for trial in range(24):
+        if trial % 3 == 2:
+            # a collinear grid pair, B moving interior points of A
+            coords = None
+            while coords is None:
+                coords = grid_locked_coords(rng, rng.randint(7, 10), 5)
+            sides = tuple(LabeledSet.from_coords(c) for c in coords)
+            collinear += any(xorient(*t) == 0 for t in combinations(coords[0], 3))
+        else:
+            s = _random_set(rng, rng.randint(5, 9))
+            # the set with itself, or with a second realization
+            sides = (s, s) if trial % 3 == 0 else (s, _random_set(rng, len(s)))
+        cands = paired_empty(PointSetPair(*sides)).sorted_triangles()
+        if len(cands) < 2:
+            continue
+        picks = range(len(cands))
+        commit_sets = [[c] for c in picks] + [rng.sample(picks, k)
+                                              for k in (2, 3, min(6, len(cands)))]
+        differ += check(sides, cands, commit_sets)
+    assert differ > 0 and collinear > 0
 
 
 def test_every_verified_triple_is_paired_and_legal():
@@ -359,18 +425,17 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
     legal = necessary_conditions(pair).legal.legal
     calls = []
 
-    def blind_mask(signs, state, *_):
-        calls.append(state.shape[1])
+    def blind_table(signs, edges):
+        calls.append(sorted(edges.tolist()))
         assert len(calls) <= 2 * len(legal), "the greedy does not end"
-        return np.zeros(state.shape[1], dtype=bool)
+        return np.zeros((len(signs[0]),) * 2, dtype=np.uint8)
 
-    def blind_head(signs, state, k):
-        calls.append(-k)
-        return np.zeros((k, k), dtype=bool)
+    def blind_head(signs, cols):
+        calls.append(-cols.shape[1])
+        return np.zeros((cols.shape[1],) * 2, dtype=bool)
 
-    monkeypatch.setattr(greedy, "_overlap_mask", blind_mask)
+    monkeypatch.setattr(greedy, "_crossed", blind_table)
     monkeypatch.setattr(greedy, "_head_overlaps", blind_head)
-    m = len(legal)
     for policy, seed, head in ((LEX, None, greedy._HEAD), (LEX, None, 1),
                                (SEEDED_RANDOM, 5, greedy._HEAD)):
         monkeypatch.setattr(greedy, "_HEAD", head)
@@ -378,12 +443,68 @@ def test_greedy_ends_when_the_overlap_mask_reports_nothing(monkeypatch):
         jt = greedy_construct(pair, legal, policy, seed)
         assert not jt.verified and jt.violation is not None
         assert sorted(jt.choices) == legal.sorted_triangles()
-        # one mask per pass, both realizations at once: a LEX pass commits
-        # its whole head, a seeded-random pass one pick; a LEX pass whose
-        # head held every survivor ends the loop without a mask
+        # A pass reads one table of the edges its commits add (edge ids
+        # i * 4 + j), if any; a LEX pass commits its whole head, and one
+        # whose head held every survivor ends the loop, as does a
+        # seeded-random pass that takes the last survivor.
+        if policy == LEX and head > 1:
+            assert calls == [-4]
+            continue
         if policy == LEX:
-            sizes = list(range(m, 0, -head))
-            assert calls == [c for left in sizes
-                             for c in ((-head, left) if left > head else (-left,))]
-        else:
-            assert calls == list(range(m, 0, -1))
+            assert calls == [-1, [1, 2, 6], -1, [3, 7], -1, [11], -1]
+        # each edge committed before the last pass is read once
+        tables = [c for c in calls if isinstance(c, list)]
+        assert sorted(sum(tables, [])) == sorted({
+            i * 4 + j for t in jt.choices[:-1] for i, j in combinations(t, 2)})
+
+
+def test_greedy_choice_sequences_pinned_at_wide_rows():
+    # LEX and seeded-random (seeds 0 and 1) choice sequences on hull-locked
+    # pairs at n = 150 and 200, whose orientation rows are 3 and 4 words
+    # wide (the benchmark's pairs stay at n <= 100, two words), hashed in
+    # one sha256 of their reprs; recorded with the union-mask greedy that
+    # the crossed-edge table replaced.
+    h = hashlib.sha256()
+    for n, s in ((150, 1), (200, 0)):
+        pair = hull_locked_pair(n, 1000, 3, s)
+        nc = necessary_conditions(pair)
+        for policy, seed in ((LEX, None), (SEEDED_RANDOM, 0), (SEEDED_RANDOM, 1)):
+            jt = greedy_construct(pair, nc.legal.legal, policy, seed)
+            assert jt.verified, (n, s, policy, seed)
+            h.update(repr(jt.choices).encode())
+    assert h.hexdigest() == \
+        "b3af98f0918b2ed67a4cc93257f8fb65eb9fbaadd802773b8946df7fb350b5c7"
+
+
+def test_greedy_memory_is_linear_in_the_legal_set_at_n300():
+    # tracemalloc peaks on the 111,495 legal triangles of a hull-locked
+    # n = 300 pair.  The LEX run must stay under 145 bytes per legal
+    # triangle, the union-mask greedy's reading (15.4 MiB); survivors kept
+    # as edge ids read about 33.  The crossed-edge table over all 883 edges
+    # of the result at once must stay under 1 MiB (0.3 MiB in blocks, 24.5
+    # MiB in one).
+    import tracemalloc
+
+    import numpy as np
+
+    from jointtri.greedy import _crossed, _edge_ids
+
+    pair = hull_locked_pair(300, 1000, 3, 0)
+    legal = necessary_conditions(pair).legal.legal
+    assert len(legal) == 111495
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    jt, lex_peak = peak(lambda: greedy_construct(pair, legal))
+    assert jt.verified
+    assert lex_peak < 145 * len(legal), lex_peak / len(legal)
+    edges = np.unique(_edge_ids(jt.triangles.array().T, 300))
+    assert len(edges) == 883
+    table, table_peak = peak(lambda: _crossed((pair.a.signs, pair.b.signs), edges))
+    assert table.any() and table_peak < 1 << 20, table_peak
