@@ -130,9 +130,12 @@ def legal_set(pair: PointSetPair, candidates: TriangleSet,
 
     One worklist runs twice, with two queues.  The verdict runs it over the
     candidates' sorted rows (``candidates.array()``), which give the legal
-    rows and the removal count without building a tuple set; it queues an
-    edge only when a triangle on it has lost its last partner, and reaches
-    the same fixpoint (the argument is in ``_prune``).  The removal log is
+    rows and the removal count without building a tuple set.  It opens with
+    one array wave that removes every candidate with no partner among all
+    candidates on one of its non-hull edges; then it queues an edge only
+    when a triangle on it has lost its last partner, builds its per-edge
+    tables only when that queue is not empty, and reaches the same
+    fixpoint (the argument is in ``_prune``).  The removal log is
     built only when first read, by the same worklist over
     ``list(set(candidates))`` with the queue it has always had: every
     non-hull edge with a resident, and every touched edge that keeps one,
@@ -195,26 +198,41 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
     the queue the log's pinned order comes from: it starts with every
     non-hull edge that has a resident, and after each removal queues every
     touched edge that still has one.  Its pops of edges that doom nothing
-    move entries of ``pending``, so they are part of that order.  The
-    verdict run (``order`` None) queues only edges that can doom: at the
-    start, the non-hull edges on which some code has a live count and its
-    opposite none, and, after a decrement of ``cnt[key]``, edge
-    ``key >> 2`` iff it is not queued, ``cnt[key]`` is now zero and
-    ``cnt[key ^ 3]`` is not.  It reaches the log run's fixpoint.  Counts only fall, so code c on an
-    edge becomes doomable (its count nonzero, its opposite's zero) only at
-    the start or at the decrement that zeroes its opposite count, and both
-    queue the edge unless it is queued already.  Popping an edge removes
-    every triangle then doomed on it.  So at exit no live triangle is
-    doomed on any non-hull edge: the live set is closed under the
-    successor condition.  Every removed triangle had, when removed, no
-    partner on its witness edge among the live triangles, which by
+    move entries of ``pending``, so they are part of that order.
+
+    The verdict run (``order`` None) first removes, in one array wave
+    (``_wave``), every triangle doomed at the start: one with an incidence
+    on a non-hull edge whose opposite count is zero.  Each keeps as witness
+    the first such edge of its three, in the order (i, j), (j, k), (i, k),
+    and the wave's removals come first, in row order.  One in-place
+    decrement per removed incidence brings the counts to the survivors'.
+    Then it queues only edges that
+    can doom: the non-hull edges on which some code has a live count and
+    its opposite none, and, after a decrement of ``cnt[key]`` in the loop,
+    edge ``key >> 2`` iff it is not queued, ``cnt[key]`` is now zero and
+    ``cnt[key ^ 3]`` is not.  When that first queue is empty the wave's
+    removals are the result, and the loop's tables (``by_edge``,
+    ``offsets``, ``cnt``) are never built.
+
+    The verdict run reaches the log run's fixpoint.  After the wave, a code
+    c with a live count on a non-hull edge had, before it, a nonzero
+    opposite count, or its every triangle was doomed there and went: so c
+    is doomable (its count nonzero, its opposite's zero) only where the
+    wave zeroed its opposite count, and the first queue holds every such
+    edge.  Counts only fall, so later c becomes doomable only at the
+    decrement that zeroes its opposite count, which queues the edge unless
+    it is queued already.  Popping an edge removes every triangle then
+    doomed on it.  So at exit no live triangle is doomed on any non-hull
+    edge: the live set is closed under the successor condition.  Every
+    removed triangle had, when removed, no partner on its witness edge
+    among the live triangles (the wave's, among all candidates), which by
     induction hold every closed subset of the candidates, so it is in
     none.  The result is the greatest closed subset, the unique fixpoint.
 
     The worklist reads memoryviews of int32 arrays, not lists, so it holds
     no Python int per entry: ``keys_l``, each incidence's count index,
-    ``by_edge``, the incidences grouped by edge, ``bounds``, each edge's
-    slice of ``by_edge``, and ``removed_at`` and ``witness_at``, the
+    ``by_edge``, the live incidences grouped by edge, ``bounds``, each
+    edge's slice of ``by_edge``, and ``removed_at`` and ``witness_at``, the
     result.  The counts ``cnt`` stay a list, as they change on every
     removal.
     """
@@ -238,21 +256,16 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
     keys = np.empty((m, 3), dtype=np.int32)
     for q, (u, v) in enumerate(((i, j), (j, k), (i, k))):
         keys[:, q] = (u * n + v) * 4 + (code if FLIPS[q] > 0 else 3 - code)
-    keys = keys.reshape(-1)
-    counts = np.bincount(keys, minlength=4 * n * n)
+    counts = np.bincount(keys.reshape(-1), minlength=4 * n * n)
+    hull = [a * n + b for a, b in hull_edges]
+    removed_at = np.empty(m, dtype=np.int32)
+    witness_at = np.empty(m, dtype=np.int32)
+    dead = (_wave(keys, counts, hull, removed_at, witness_at) if order is None
+            else np.zeros(m, dtype=bool))
+    count = int(np.count_nonzero(dead))
     per_code = counts.reshape(-1, 4)
     # column by column, as for the keys
     totals = per_code[:, 0] + per_code[:, 1] + per_code[:, 2] + per_code[:, 3]
-    # Edge e's incidences in row order: by_edge[bounds[e]:bounds[e + 1]].
-    # The narrowest key type makes the stable argsort a radix sort for n < 256.
-    by_edge = memoryview(np.argsort((keys >> 2).astype(np.min_scalar_type(n * n)),
-                                    kind="stable").astype(np.int32))
-    offsets = np.zeros(n * n + 1, dtype=np.int32)
-    offsets[1:] = np.cumsum(totals)
-    bounds = memoryview(offsets)
-    queued = bytearray(n * n)
-    for a, b in hull_edges:
-        queued[a * n + b] = 1
     if order is None:
         # Edges with a live code whose opposite is empty: those that fail
         # the balance test of the loop below.
@@ -260,16 +273,31 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
         start = (live[:, 0] != live[:, 3]) | (live[:, 1] != live[:, 2])
     else:
         start = totals
+    queued = bytearray(n * n)
+    for e in hull:
+        queued[e] = 1
     pending = [e for e in np.flatnonzero(start).tolist() if not queued[e]]
+    if not pending:
+        return removed_at[:count], witness_at[:count]
     for e in pending:
         queued[e] = 1
+    # Edge e's live incidences in row order: by_edge[bounds[e]:bounds[e + 1]].
+    # The wave's rows take the key n * n, which sorts after every edge, and
+    # are cut off.  The narrowest key type that holds n * n makes the stable
+    # argsort a radix sort for n < 256.
+    edges = (keys >> 2).astype(np.min_scalar_type(n * n))
+    edges[dead] = n * n
+    # rebound, so the sort keys are freed before the positions are narrowed
+    edges = np.argsort(edges.reshape(-1), kind="stable")
+    offsets = np.zeros(n * n + 1, dtype=np.int32)
+    offsets[1:] = np.cumsum(totals)
+    by_edge = memoryview(edges[:offsets[-1]].astype(np.int32))
+    del edges
+    bounds = memoryview(offsets)
     cnt = counts.tolist()
-    keys_l = memoryview(keys)
-    alive = bytearray(b"\x01") * m
-    removed_at = np.empty(m, dtype=np.int32)
-    witness_at = np.empty(m, dtype=np.int32)
+    keys_l = memoryview(keys.reshape(-1))
+    alive = bytearray(~dead)
     at_l, witness_l = memoryview(removed_at), memoryview(witness_at)
-    count = 0
 
     while pending:
         pending[0], pending[-1] = pending[-1], pending[0]
@@ -314,6 +342,31 @@ def _prune(pair: PointSetPair, tris: np.ndarray, hull_edges: frozenset[Edge],
                 pending.append(f)
                 queued[f] = 1
     return removed_at[:count], witness_at[:count]
+
+
+def _wave(keys: np.ndarray, counts: np.ndarray, hull: list[int],
+          removed_at: np.ndarray, witness_at: np.ndarray) -> np.ndarray:
+    """The verdict run's first step, over ``_prune``'s [m, 3] keys and
+    their counts: removes at once every row with an incidence on a non-hull
+    edge (``hull`` lists the hull edges' ids) whose opposite count is zero.
+    Writes the removed rows' positions, in row order, and their witnesses,
+    each the first such edge of its row in the keys' column order, to the
+    front of ``removed_at`` and ``witness_at``, and decrements ``counts``
+    in place to the survivors'.  Returns the [m] mask of removed rows."""
+    zero = (counts == 0).reshape(-1, 4)
+    zero[hull] = False
+    doomed = zero.reshape(-1)[keys ^ 3]
+    dead = doomed[:, 0] | doomed[:, 1] | doomed[:, 2]
+    gone = np.flatnonzero(dead)
+    if len(gone):
+        doomed, keys = doomed[gone], keys[gone]
+        removed_at[:len(gone)] = gone
+        witness_at[:len(gone)] = np.where(
+            doomed[:, 0], keys[:, 0], np.where(doomed[:, 1], keys[:, 1], keys[:, 2])) >> 2
+        # one decrement per removed incidence, in place, so the peak holds
+        # one table of counts
+        np.subtract.at(counts, keys.reshape(-1), 1)
+    return dead
 
 
 def check_legal_nonempty(result: LegalSetResult) -> bool:

@@ -19,13 +19,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 # Cap so that any orientation determinant of coordinate differences
-# (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51), and the three-term sum the
-# orientation table adds (below 3 * 2**49 < 2**51), stay well inside signed
-# 64-bit range on the numpy fast paths, with headroom for summing a few
-# thousand doubled areas.  The orientation table's build drops to int32
-# where every coordinate is within _INT32_COORDS = 2**14 (its sum then
-# stays below 6 * 2**28 < 2**31).  Inputs outside the cap are rejected
-# when a point set or polygon is constructed, never inside a predicate.
+# (|value| <= 2 * (2*COORD_LIMIT)**2 = 2**51), and the difference the
+# orientation table compares (|C[i,k] - C[i,j]| <= 2 * 2**49 = 2**50), stay
+# well inside signed 64-bit range on the numpy fast paths, with headroom
+# for summing a few thousand doubled areas.  The orientation table's build
+# drops to int32 where every coordinate is within _INT32_COORDS = 2**14
+# (its difference then stays within 2**30 < 2**31).  Inputs outside the cap
+# are rejected when a point set or polygon is constructed, never inside a
+# predicate.
 COORD_LIMIT = 2**24
 
 class Point(NamedTuple):
@@ -62,15 +63,15 @@ class SizeGuard(ValueError):
 # 125-126 MB (ru_maxrss), pairing adding 28 MB of it; iterating the
 # candidates added 89-92 MB and reading the removal log 31-37 MB more.
 MAX_TENSOR_POINTS = 800
-# Bytes of the widest temporary of one block of the table build, its
-# [rows, n, n] sums in int32 or int64 (256 KB, or one row where that is
-# larger), so the build's temporaries stay small at any n; at n = 100
-# blocks of 1 MB ran about 20% slower.
+# Bytes of the widest buffer of one block of the table build, its
+# [rows, n, n] differences in int32 or int64 (256 KB, or one row where
+# that is larger), so the build's temporaries stay small at any n; at
+# n = 100 blocks of 1 MB ran about 20% slower.
 _TENSOR_BLOCK_BYTES = 1 << 18
 # Largest coordinate magnitude at which the table build runs in int32:
-# |C| <= 2 * (2**14)**2 = 2**29, and its three-term sums stay below
-# 6 * 2**28 < 2**31.  Beyond it the build runs in int64, exact up to
-# COORD_LIMIT.
+# |C| <= 2 * (2**14)**2 = 2**29, so the difference of two entries it
+# compares with a third stays within 2**30 < 2**31.  Beyond it the build
+# runs in int64, exact up to COORD_LIMIT.
 _INT32_COORDS = 2**14
 # Cells of one row block of the angle tables, whose int64 temporaries are
 # then 64 KB each.  On polygons of n 150-300 such blocks took about 25
@@ -206,17 +207,18 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
     zero.  n**3 / 8 bytes, a row per label pair.
 
     cross(p_i, p_j, p_k) = C[i,j] + C[j,k] + C[k,i] with the antisymmetric
-    n x n table C[a,b] = x_a * y_b - x_b * y_a, so each entry is two
-    additions.  Exact in int32 when every coordinate is within
-    ``_INT32_COORDS`` = 2**14: then |C| <= 2**29, and the sum and its
-    partial sums stay within 3 * 2**29 = 6 * 2**28 < 2**31.  Otherwise in
-    int64, exact for coordinates within COORD_LIMIT: |C| <= 2**49 and the
-    sum stays below 3 * 2**49 < 2**51.  Built in blocks of i, each block's
-    widest temporary about ``_TENSOR_BLOCK_BYTES`` (at least one row).  A
-    block's signs go into a bool buffer whose rows are padded with False to
-    whole words, so one flat ``packbits`` of it, little-endian, is the
-    block's rows of the table (a ``packbits`` along a row n bits long ran
-    several times slower).
+    n x n table C[a,b] = x_a * y_b - x_b * y_a, so it is positive iff
+    C[j,k] > C[i,k] - C[i,j]: each entry is one subtraction and one
+    comparison.  Exact in int32 when every coordinate is within
+    ``_INT32_COORDS`` = 2**14: then |C| <= 2**29, and the difference stays
+    within 2**30 < 2**31.  Otherwise in int64, exact for coordinates within
+    COORD_LIMIT: |C| <= 2**49 and the difference stays within 2**50.  Built
+    in blocks of i, into one preallocated buffer of differences of about
+    ``_TENSOR_BLOCK_BYTES`` (at least one row).  A block's signs go into a
+    bool buffer whose rows are padded with False to whole words, so one
+    flat ``packbits`` of it, little-endian, is the block's rows of the
+    table (a ``packbits`` along a row n bits long ran several times
+    slower).
     """
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
     narrow = max(map(abs, xs + ys), default=0) <= _INT32_COORDS
@@ -228,12 +230,12 @@ def orient_sign_tensor(pts: Sequence[Point]) -> np.ndarray:
     out_rows = out.view(np.uint8).reshape(n, -1)
     step = max(1, _TENSOR_BLOCK_BYTES // (n * n * c.itemsize))
     left = np.zeros((min(step, n), n, 64 * words), dtype=bool)
+    diff = np.empty((min(step, n), n, n), dtype=c.dtype)
     for i in range(0, n, step):
-        # C[k, i] = -C[i, k]
-        v = c[i:i + step, :, None] + c[None, :, :]
-        v -= c[i:i + step, None, :]
-        rows = len(v)
-        np.greater(v, 0, out=left[:rows, :, :n])
+        rows = min(step, n - i)
+        # C[i, k] - C[i, j] at [i, j, k]; C[k, i] = -C[i, k]
+        np.subtract(c[i:i + rows, None, :], c[i:i + rows, :, None], out=diff[:rows])
+        np.greater(c, diff[:rows], out=left[:rows, :, :n])
         out_rows[i:i + rows] = np.packbits(left[:rows], bitorder="little").reshape(rows, -1)
     out.flags.writeable = False
     return out

@@ -256,6 +256,83 @@ def test_verdict_queue_reaches_the_reference_fixpoint():
     assert partial >= 15 and full >= 5, (partial, full)
 
 
+def _wave_pairs():
+    """Hull-locked pairs, n 40-100, at jitter 3 (the benchmark's family)
+    and 60, with their candidates and hull edges."""
+    specs = [(n, 3, seed) for n in (40, 50) for seed in range(10)]
+    specs += [(n, 3, seed) for n in (70, 100) for seed in range(2)]
+    specs += [(n, 60, seed) for n in (40, 50, 60) for seed in range(3)]
+    specs += [(n, 60, 0) for n in (70, 100)]
+    out = []
+    for n, jitter, seed in specs:
+        pair = hull_locked_pair(n, 1000, jitter, seed)
+        hc = check_hull_correspondence(pair)
+        assert hc.ok
+        out.append((pair, paired_empty(pair), hc.hull_edges))
+    return out
+
+
+def _by_edge(tris):
+    """Each label pair's triangles among ``tris``."""
+    on = {}
+    for t in tris:
+        for e in tri_edges(t):
+            on.setdefault(e, []).append(t)
+    return on
+
+
+def test_verdict_covers_every_wave_outcome():
+    # The verdict run removes at once every candidate with no successor
+    # among all candidates on one of its non-hull edges, then runs the
+    # worklist on what is left.  Sorted by the reference alone, the pairs
+    # cover its three outcomes: (a) every removed triangle lacks a
+    # successor among all candidates, so nothing cascades; (b) some removed
+    # triangle had successors on each non-hull edge, so a cascade follows;
+    # (c) everything goes.  Each verdict must be the reference's.
+    classes = {"a": 0, "b": 0, "c": 0}
+    for pair, cands, hull in _wave_pairs():
+        want = reference_legal_set(pair, cands, hull)
+        got = legal_set(pair, cands, hull)
+        assert got.legal.array().tolist() == [list(t) for t in want.legal.sorted_triangles()]
+        assert len(got.removed) == len(cands) - len(got.legal) == len(want.removed)
+        on = _by_edge(cands)
+        a, b = pair.a.points, pair.b.points
+        cascade = any(all(e in hull or brute_successors(a, b, on[e], t, e)
+                          for e in tri_edges(t)) for t, _ in want.removed)
+        if not len(want.legal):
+            classes["c"] += 1
+        elif want.removed:
+            classes["b" if cascade else "a"] += 1
+    # measured: 7, 20 and 8 of the 35 pairs (one removes nothing)
+    assert min(classes.values()) >= 5, classes
+
+
+def test_verdict_run_return_contract():
+    # The verdict run's positions are distinct rows, |P| - |S| of them, in
+    # deletion order; each witness is a non-hull edge of its row on which,
+    # at its removal, the row had no successor among the rows still alive.
+    # With no candidates, the legal set and the log are empty.
+    inputs = _wave_pairs()[::3]
+    for pair, cands, hull in inputs:
+        arr = cands.array()
+        at, witness = conditions._prune(pair, arr.astype(np.int32), hull)
+        legal = legal_set(pair, cands, hull).legal
+        assert len(set(at.tolist())) == len(at) == len(cands) - len(legal)
+        live = set(cands)
+        on = _by_edge(live)
+        for p, e in zip(at.tolist(), witness.tolist()):
+            t, edge = tuple(arr[p].tolist()), divmod(e, len(pair))
+            assert edge in tri_edges(t) and edge not in hull
+            alive = [u for u in on[edge] if u in live]
+            assert brute_successors(pair.a.points, pair.b.points, alive, t, edge) == []
+            live.discard(t)
+        assert live == legal
+    pair, _, hull = inputs[0]
+    res = legal_set(pair, TriangleSet(), hull)
+    assert len(res.legal) == 0 and list(res.legal) == []
+    assert len(res.removed) == 0 and list(res.removed) == []
+
+
 def test_legal_set_memory_on_a_long_cascade():
     # A hull-locked NO pair whose cascade removes all 23,354 candidates.
     # With int32 worklist tables legal_set's tracemalloc peak is about 320
