@@ -391,7 +391,10 @@ class Conditions:
 
 def necessary_conditions(pair: PointSetPair) -> Conditions:
     """Run the chain: hull correspondence, paired empty triangles, legal
-    set.  Raises DegenerateInput if either side is fully collinear."""
+    set.  Neither condition implies the other: a pair can fail condition 1
+    yet keep a nonempty legal set over A's hull edges, and pass it yet
+    lose every candidate.  Raises DegenerateInput if either side is fully
+    collinear."""
     hull = check_hull_correspondence(pair)
     if not hull.ok:
         return Conditions(hull)

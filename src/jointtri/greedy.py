@@ -227,17 +227,6 @@ def _walk(over: np.ndarray) -> list[int]:
     return picks
 
 
-def _edge_ids(cols: np.ndarray, n: int) -> np.ndarray:
-    """[3, m] canonical edge ids ``i * n + j``, ``j * n + k`` and
-    ``i * n + k`` of the sorted label columns ``cols`` ([3, m], i < j < k)."""
-    ids = np.empty((3, cols.shape[1]), dtype=np.intp)
-    np.multiply(cols[:2], n, out=ids[:2])
-    ids[2] = ids[0]
-    ids[:2] += cols[1:]
-    ids[2] += cols[2]
-    return ids
-
-
 def _crossed(signs: Sequence[np.ndarray], edges: np.ndarray) -> np.ndarray:
     """[n, n] uint8 table, 1 at (p, q) iff the segment p-q properly crosses
     one of the label-pair ``edges`` (ids ``r * n + s``) in either
@@ -285,8 +274,10 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     Each round commits one surviving triangle (the canonically smallest
     under LEX, or a seeded-uniform pick under SEEDED_RANDOM, which needs an
     integer ``seed``) and deletes it and every survivor whose interior
-    meets it in either realization.  The survivors start as the legal
-    set's sorted rows (``legal.array()``).
+    meets it in either realization.  Both policies run one loop over the
+    survivors, kept from the first pass to the last as the legal set's
+    label columns (``legal.array().T``, [3, m], i < j < k), compacted in
+    sorted order after each pass.
 
     Precondition: ``legal`` is a subset of the paired empty triangles, as
     every legal set is.  The deletions rest on the lemma below, which needs
@@ -323,17 +314,16 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     A pass whose head held every survivor ends the loop, since then every
     survivor was committed or meets a commit: this is the last pass of
     every LEX run, and the only one when |legal| <= ``_HEAD``, which then
-    builds no edge ids or table.  SEEDED_RANDOM draws from the survivor
-    count after each deletion, so each of its passes holds one pick.
+    builds no table.  SEEDED_RANDOM draws from the survivor count after
+    each deletion, so each of its passes holds one pick.
 
-    Past a one-pass run the survivors are kept as their canonical edge ids
-    (``_edge_ids``), compacted in sorted order after each pass, and a pass
-    deletes its commits and every survivor with an edge in the crossed-edge
-    table of its new committed edges (``_crossed``), those of its commits
-    not committed before.  By the lemma, in both realizations, a survivor
-    meets a commit iff one of its edges crosses one of the commit's; every
-    survivor that crosses an edge committed in an earlier pass was deleted
-    then.  So a pass costs one table, O(edges * n * words), and three
+    Any pass that does not end the loop deletes its commits and every
+    survivor whose edge i * n + j, i * n + k or j * n + k is set in the
+    crossed-edge table of its new committed edges (``_crossed``), those of
+    its commits not committed before.  By the lemma, in both realizations,
+    a survivor meets a commit iff one of its edges crosses one of the
+    commit's; every survivor that crosses an edge committed in an earlier
+    pass was deleted then.  So a pass costs one table, O(edges * n * words), and three
     gathers per survivor, whatever its pick count.  A pass deletes its
     commits, at least one, so the loop ends after at most |legal| passes
     whatever the overlap readers report.  The result is never trusted:
@@ -350,33 +340,28 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
     n = len(pair.a)
     cols = legal.array().T
     rng = random.Random(seed) if policy == SEEDED_RANDOM else None
-    if not rng and cols.shape[1] <= _HEAD:
-        picks = _walk(_head_overlaps(signs, cols))
-        chosen = list(map(tuple, cols.take(picks, axis=1).T.tolist()))
-    else:
-        chosen = []
-        state = _edge_ids(cols, n)
-        committed: set[int] = set()
-        while True:
-            m = state.shape[1]
-            if rng:
-                picks = [rng.randrange(m)]
-            else:
-                q, r = np.divmod(state[:2, :_HEAD], n)
-                picks = _walk(_head_overlaps(signs, np.concatenate((q[:1], r))))
-            ids = state.take(picks, axis=1).T.tolist()
-            chosen.extend((a // n, a % n, b % n) for a, b, _ in ids)
-            if m <= (1 if rng else _HEAD):
-                break  # every survivor was committed or meets a commit
-            new = {e for t in ids for e in t} - committed
-            committed |= new
-            if new:
-                gone = _crossed(signs, np.fromiter(new, np.intp, len(new))
-                                ).reshape(-1).take(state).any(axis=0)
-            else:
-                gone = np.zeros(m, dtype=bool)
-            gone[picks] = True
-            state = state.compress(~gone, axis=1)
+    chosen: list[Tri] = []
+    committed: set[int] = set()
+    while True:
+        m = cols.shape[1]
+        picks = [rng.randrange(m)] if rng else _walk(_head_overlaps(signs, cols[:, :_HEAD]))
+        tris = list(map(tuple, cols.take(picks, axis=1).T.tolist()))
+        chosen.extend(tris)
+        if m <= (1 if rng else _HEAD):
+            break  # every survivor was committed or meets a commit
+        new = {e for i, j, k in tris for e in (i * n + j, i * n + k, j * n + k)} - committed
+        committed |= new
+        gone = np.zeros(m, dtype=bool)
+        if new:
+            edges = np.fromiter(new, np.intp, len(new))
+            flat = _crossed(signs, edges).reshape(-1).view(bool)
+            i, j, k = cols
+            row = i * n
+            gone |= flat.take(row + j)
+            gone |= flat.take(row + k)
+            gone |= flat.take(j * n + k)
+        gone[picks] = True
+        cols = cols.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
     # the rows of legal.array() are canonical triples
     return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation, chosen)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jointtri import conditions, geom
+from jointtri.campaign import gen_point_pair
 from jointtri.conditions import (PointSetPair, check_hull_correspondence,
                                  check_legal_nonempty, legal_set,
                                  necessary_conditions)
@@ -15,9 +16,10 @@ from jointtri.greedy import LEX, greedy_construct, verify_joint
 from jointtri.oracle import iter_triangulations, oracle_joint_exists
 from jointtri.triangles import TriangleSet, paired_empty
 
-from helpers import (COLLAPSING_TEXT, brute_successors, gen_perturbed_pair,
-                     grid_locked_coords, hull_locked_pair, invariance_failures,
-                     mirror, reference_legal_set, tri_edges, xorient)
+from helpers import (COLLAPSING_TEXT, brute_successors, convex_position_points,
+                     gen_perturbed_pair, grid_locked_coords, hull_locked_pair,
+                     invariance_failures, mirror, reference_legal_set, tri_edges,
+                     xorient)
 
 SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
@@ -118,6 +120,66 @@ def test_legal_set_nonempty_candidates_can_still_collapse():
     res = legal_set(pair, cands, hc.hull_edges)
     assert len(res.legal) == 0
     assert len(res.removed) == 21
+
+
+def test_condition2_does_not_imply_condition1():
+    """A pair whose hulls carry different label pairs, yet whose legal set
+    over A's hull edges is nonempty: condition 2 alone, run with A's hull,
+    would pass it, and no joint triangulation exists, so condition 1
+    cannot be dropped.  One of the 113 such pairs among the 7,988
+    condition-1 failures of ``gen_point_pair`` at n 6-9, range 50, seeds
+    0-1999."""
+    pair = gen_point_pair(6, 50, 15)
+    hc = check_hull_correspondence(pair)
+    assert not hc.ok
+    assert len(legal_set(pair, pair.candidates, hc.hull_edges).legal) > 0
+    assert not necessary_conditions(pair).ok
+    assert oracle_joint_exists(pair) is None
+
+
+def _one_interior_point_pair(rng, h, label):
+    """h points in strictly convex position, shared by both sides, and one
+    integer point strictly inside their hull, drawn independently on each
+    side and given ``label``."""
+    hull = [(4 * x, y) for x, y in convex_position_points(h, 4)]
+    cycle = list(zip(hull, hull[1:] + hull[:1]))  # counterclockwise
+
+    def side():
+        while True:
+            q = (rng.randint(0, hull[-1][0]), rng.randint(0, hull[-1][1]))
+            if all(xorient(u, v, q) > 0 for u, v in cycle):
+                return LabeledSet.from_coords(hull[:label] + [q] + hull[label:])
+
+    return PointSetPair(side(), side())
+
+
+def test_one_interior_point_pairs_pass_and_the_greedy_verifies():
+    """Both sides share h hull points in strictly convex position, with the
+    same labels, and one interior point p drawn independently on each side
+    (ROADMAP item 20 at k = 1).  Condition 1 holds, as both hulls are the
+    h points in one cyclic order.  The fan from p over the hull edges is a
+    joint triangulation.  In each realization p lies strictly inside the
+    hull, so each fan triangle (p, u, v) over a hull edge uv is
+    nondegenerate, and the fan tiles the hull around p.  No other point
+    lies in a fan triangle: every other point is a vertex of the strictly
+    convex hull, which is no convex combination of other points of the
+    hull, and the triangle lies in the hull.  So condition 2 holds as well
+    (necessity), and at n <= 9 the oracle finds a witness.  LEX must verify
+    too; a pair on which it fails would be the first greedy failure on
+    record."""
+    rng = random.Random(20)
+    for h in [*range(3, 9)] * 20 + [*range(9, 61)] * 4:
+        label = rng.randint(0, h)
+        pair = _one_interior_point_pair(rng, h, label)
+        nc = necessary_conditions(pair)
+        assert nc.hull.ok and nc.ok, pair
+        hull = [v for v in range(h + 1) if v != label]
+        fan = [(label, u, v) for u, v in zip(hull, hull[1:] + hull[:1])]
+        assert verify_joint(pair, fan) is None, pair
+        jt = greedy_construct(pair, nc.legal.legal, LEX)
+        assert jt.verified, (pair, jt.violation)
+        if h + 1 <= 9:
+            assert oracle_joint_exists(pair) is not None, pair
 
 
 def _random_pair(rng, n):

@@ -299,12 +299,13 @@ def test_crossed_edge_table_matches_scalar_overlap(monkeypatch):
     import numpy as np
 
     from jointtri import greedy
-    from jointtri.greedy import _crossed, _edge_ids
+    from jointtri.greedy import _crossed
     from jointtri.triangles import paired_empty
 
     def deleted(sides, cands, commits):
         n = len(sides[0])
-        ids = _edge_ids(np.array(cands, dtype=np.intp).T, n)
+        i, j, k = np.array(cands, dtype=np.intp).T
+        ids = np.stack((i * n + j, i * n + k, j * n + k))
         edges = np.unique(ids[:, commits])
         tables = []
         for size in (greedy._CROSS_BLOCK_BYTES, 1):
@@ -386,7 +387,9 @@ def test_greedy_choices_match_brute_reference_on_grid_pairs(monkeypatch):
     # The legal set where condition 2 holds, else the paired empty
     # triangles: there B's overlaps differ more from A's.  LEX passes
     # resolve heads of 1, 2 and 3 survivors, the default, and the whole
-    # table at once.
+    # table at once.  A head of all survivors but one leaves one past it
+    # for a table pass; a head of exactly all ends the loop after one
+    # full pass.
     from jointtri import greedy
 
     rng = random.Random(2024)
@@ -401,7 +404,8 @@ def test_greedy_choices_match_brute_reference_on_grid_pairs(monkeypatch):
         pool = nc.legal.legal if nc.ok else nc.candidates
         for policy, seed in ((LEX, None), (SEEDED_RANDOM, 3), (SEEDED_RANDOM, 11)):
             want = brute_greedy(*coords, pool, seed)
-            for head in (1, 2, 3, greedy._HEAD, len(pool) + 1):
+            for head in (1, 2, 3, greedy._HEAD, len(pool) - 1, len(pool),
+                         len(pool) + 1):
                 monkeypatch.setattr(greedy, "_HEAD", head)
                 jt = greedy_construct(pair, pool, policy, seed)
                 assert jt.choices == want, (coords, policy, seed, head)
@@ -480,14 +484,14 @@ def test_greedy_memory_is_linear_in_the_legal_set_at_n300():
     # tracemalloc peaks on the 111,495 legal triangles of a hull-locked
     # n = 300 pair.  The LEX run must stay under 145 bytes per legal
     # triangle, the union-mask greedy's reading (15.4 MiB); survivors kept
-    # as edge ids read about 33.  The crossed-edge table over all 883 edges
+    # as label columns read about 41.  The crossed-edge table over all 883 edges
     # of the result at once must stay under 1 MiB (0.3 MiB in blocks, 24.5
     # MiB in one).
     import tracemalloc
 
     import numpy as np
 
-    from jointtri.greedy import _crossed, _edge_ids
+    from jointtri.greedy import _crossed
 
     pair = hull_locked_pair(300, 1000, 3, 0)
     legal = necessary_conditions(pair).legal.legal
@@ -504,7 +508,8 @@ def test_greedy_memory_is_linear_in_the_legal_set_at_n300():
     jt, lex_peak = peak(lambda: greedy_construct(pair, legal))
     assert jt.verified
     assert lex_peak < 145 * len(legal), lex_peak / len(legal)
-    edges = np.unique(_edge_ids(jt.triangles.array().T, 300))
+    i, j, k = jt.triangles.array().T
+    edges = np.unique(np.concatenate((i * 300 + j, i * 300 + k, j * 300 + k)))
     assert len(edges) == 883
     table, table_peak = peak(lambda: _crossed((pair.a.signs, pair.b.signs), edges))
     assert table.any() and table_peak < 1 << 20, table_peak
