@@ -219,12 +219,15 @@ def hunt(mode: str, n_range: tuple[int, int], trials: int, seed: int,
     disagreement is a counterexample, bundled when ``bundle_dir`` is
     given; a disagreement's bundle name ends in ``-oracle``, so one
     instance may have two.  These are findings, not errors.  Raises
-    InputError, before the first instance, on an unknown mode, an empty
-    size range, or a size or range ``gen_point_pair`` refuses; then
-    SizeGuard in POLYGONS mode when nmax is above MAX_POLYGON_VERTICES.
+    InputError, before the first instance, on an unknown mode, a negative
+    trial count, an empty size range, or a size or range ``gen_point_pair``
+    refuses; then SizeGuard in POLYGONS mode when nmax is above
+    MAX_POLYGON_VERTICES.
     """
     if mode not in (POINTS, POLYGONS):
         raise InputError(f"unknown hunt mode: {mode!r}")
+    if trials < 0:
+        raise InputError(f"negative trial count: {trials}")
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise InputError(f"empty size range: nmin {n_lo} exceeds nmax {n_hi}")

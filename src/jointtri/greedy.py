@@ -363,5 +363,6 @@ def greedy_construct(pair: PointSetPair, legal: TriangleSet,
         gone[picks] = True
         cols = cols.compress(~gone, axis=1)
     violation = verify_joint(pair, chosen)
-    # the rows of legal.array() are canonical triples
-    return JointTriangulation(TriangleSet._of_canonical(set(chosen)), violation, chosen)
+    # the choices are columns of legal.array(), so canonical triples
+    rows = np.array(sorted(chosen), dtype=np.intp)
+    return JointTriangulation(TriangleSet._of_rows(rows), violation, chosen)

@@ -45,7 +45,7 @@ import numpy as np
 from .geom import (InputError, Point, SizeGuard, angle_order, check_coords,
                    check_distinct, signed_area2)
 from .greedy import JointTriangulation, verify_tiling
-from .triangles import Edge, Tri, TriangleSet, tri
+from .triangles import Edge, Tri, TriangleSet
 
 
 class GrazingDiagonal(InputError):
@@ -374,14 +374,12 @@ def _boundary_hits(coords: np.ndarray, side_rows: np.ndarray, sign: np.ndarray,
     return proper, inside
 
 
-def sides_and_first_meet(coords) -> tuple[np.ndarray, Optional[Edge]]:
+def sides_and_first_meet(coords: np.ndarray) -> tuple[np.ndarray, Optional[Edge]]:
     """``Polygon.sides`` of the cycle ``coords`` of distinct vertices (an
-    int64 [n, 2] array, or a sequence of integer points), and the first
-    pair of its edges (i, j), i < j, in row-major order, that meet but at a
-    shared endpoint, None if the cycle is simple: the segment test
-    ``_boundary_hits`` run on the edges, whose lines are the table's rows,
-    in row blocks."""
-    coords = np.asarray(coords, dtype=np.int64)
+    int64 [n, 2] array), and the first pair of its edges (i, j), i < j, in
+    row-major order, that meet but at a shared endpoint, None if the cycle
+    is simple: the segment test ``_boundary_hits`` run on the edges, whose
+    lines are the table's rows, in row blocks."""
     n = len(coords)
     edges = np.arange(n)
     nxt = np.arange(1 - n, 1)  # k + 1, mod n, as an index
@@ -546,10 +544,11 @@ def _fill_table(table: np.ndarray) -> list[int]:
 
 
 def _split_triangles(col: list[int]) -> list[Tri]:
-    """The triangles of the true goal cell (0, n - 1) of the interval table
-    ``col`` (``_fill_table``), in preorder: each true cell (i, q) splits
-    at the least k in (i, q) with both sub-cells true, found by scanning
-    column q's bits above i for the first k whose column holds bit i."""
+    """The triangles (i, k, q), i < k < q, of the true goal cell
+    (0, n - 1) of the interval table ``col`` (``_fill_table``), in
+    preorder: each true cell (i, q) splits at the least k in (i, q) with
+    both sub-cells true, found by scanning column q's bits above i for the
+    first k whose column holds bit i."""
     # An explicit stack, cell (i, k) before (k, q): a fan's chain of cells
     # is n - 2 deep.
     tris: list[Tri] = []
@@ -565,7 +564,7 @@ def _split_triangles(col: list[int]) -> list[Tri]:
             if col[k] >> i & 1:
                 break
             rest ^= low
-        tris.append(tri(i, k, q))
+        tris.append((i, k, q))
         stack += ((k, q), (i, k))
     return tris
 
@@ -604,7 +603,8 @@ def dp_joint_polygon(pair: PolygonPair) -> Optional[JointTriangulation]:
         return None
     tris = _split_triangles(col)
     violation = verify_polygon_joint(pair, tris)
-    return JointTriangulation(TriangleSet._of_canonical(set(tris)), violation, tris)
+    rows = np.array(sorted(tris), dtype=np.intp)
+    return JointTriangulation(TriangleSet._of_rows(rows), violation, tris)
 
 
 def verify_polygon_joint(pair: PolygonPair, triangles) -> Optional[str]:

@@ -42,38 +42,30 @@ FLIPS = (1, 1, -1)
 
 
 class TriangleSet:
-    """An immutable set of canonical label triples, built from any triples
-    (each canonicalized) or, by a producer, from canonical ones: a set
-    (``_of_canonical``) or sorted rows (``_of_rows``).
+    """An immutable set of canonical label triples, held from construction
+    as its sorted rows: a read-only [m, 3] intp array in lexicographic
+    order, which ``array()`` returns and ``len``, ``sorted_triangles()``
+    and ``==`` between sets read.  Its tuple set is only a view, built on
+    the first ``__iter__`` or ``__contains__``: a set built from any
+    triples (each canonicalized) keeps the set they were canonicalized
+    into, and a producer hands over its rows (``_of_rows``) with the
+    ``build`` that makes its tuple set by its own set operations, so every
+    set iterates as an eager build would.  Nothing changes either form.
 
-    ``array()`` gives the triples as a sorted label array, built on first
-    use from a set.  A set built from rows holds the rows as its data and
-    builds its tuple set only on the first ``__iter__``, ``__contains__``
-    or ``__eq__``, by the producer's own set operations, so it iterates as
-    an eager build would; ``len``, ``array()`` and ``sorted_triangles()``
-    read the rows.  Nothing changes the set afterwards, so neither form
-    can go stale.
-
-    The point chain's producers (``enumerate_empty``, ``paired_empty`` and
-    ``legal_set``) build from rows.  ``legal_set`` runs its one worklist
-    in sorted row order for the verdict, and in set iteration order only
-    when its removal log is read, so a chain whose sets are never
-    iterated builds no tuple set.
+    The enumeration, pairing and ``legal_set`` hand over the rows they
+    already hold, and ``greedy_construct`` and ``dp_joint_polygon`` their
+    sorted triangles.  ``legal_set`` runs its one worklist in sorted row
+    order for the verdict, and in set iteration order only when its
+    removal log is read, so a chain whose sets are never iterated builds
+    no tuple set.
     """
 
     def __init__(self, triangles: Iterable[Tri] = ()):
-        self._tris: Optional[set[Tri]] = {tri(*t) for t in triangles}
-        self._arr: Optional[np.ndarray] = None
+        tris = {tri(*t) for t in triangles}
+        self._arr = np.array(sorted(tris), dtype=np.intp).reshape(-1, 3)
+        self._arr.flags.writeable = False
+        self._tris: Optional[set[Tri]] = tris
         self._build: Optional[Callable[[], set[Tri]]] = None
-
-    @classmethod
-    def _of_canonical(cls, tris: set[Tri]) -> "TriangleSet":
-        """A set over ``tris``, canonical triples the caller hands over and
-        no longer changes: it is kept uncopied, so the result iterates as
-        ``tris`` does."""
-        out = cls.__new__(cls)
-        out._tris, out._arr, out._build = tris, None, None
-        return out
 
     @classmethod
     def _of_rows(cls, arr: np.ndarray,
@@ -95,16 +87,10 @@ class TriangleSet:
         return self._tris
 
     def sorted_triangles(self) -> list[Tri]:
-        if self._arr is not None:
-            return list(_tuples(self._arr))
-        return sorted(self._tris)
+        return list(_tuples(self._arr))
 
     def array(self) -> np.ndarray:
-        """The triples as a read-only [m, 3] intp array of rows in
-        lexicographic order, the rows of ``sorted_triangles()``."""
-        if self._arr is None:
-            self._arr = np.array(self.sorted_triangles(), dtype=np.intp).reshape(-1, 3)
-            self._arr.flags.writeable = False
+        """The set's rows, those of ``sorted_triangles()``."""
         return self._arr
 
     def __contains__(self, t: object) -> bool:
@@ -114,11 +100,11 @@ class TriangleSet:
         return iter(self._set())
 
     def __len__(self) -> int:
-        return len(self._tris) if self._arr is None else len(self._arr)
+        return len(self._arr)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TriangleSet):
-            return self._set() == other._set()
+            return np.array_equal(self._arr, other._arr)
         if isinstance(other, (set, frozenset)):
             return self._set() == other
         return NotImplemented

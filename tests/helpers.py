@@ -160,7 +160,7 @@ def scan_empty_triangles(s: LabeledSet) -> TriangleSet:
         outside = (d[i, j] == away) | (d[j, k] == away) | (d[k, i] == away)
         empty = (away[:, 0] != 0) & (np.count_nonzero(outside, axis=1) == n - 3)
         found.extend(zip([i] * int(empty.sum()), j[empty].tolist(), k[empty].tolist()))
-    return TriangleSet._of_canonical(set(found))
+    return TriangleSet._of_rows(np.array(found, dtype=np.intp).reshape(-1, 3))
 
 
 def _proper_cross(a, b, c, d) -> bool:
@@ -245,7 +245,10 @@ def reference_legal_set(pair, candidates, hull_edges, order_seed=None) -> LegalS
                 if f not in hull_edges and f not in pending_set and buckets[f]:
                     pending.append(f)
                     pending_set.add(f)
-    return LegalSetResult(TriangleSet._of_canonical(live), removed)
+    # live itself is the tuple set, so the result iterates as the worklist
+    # left it
+    rows = np.array(sorted(live), dtype=np.intp).reshape(-1, 3)
+    return LegalSetResult(TriangleSet._of_rows(rows, lambda: live), removed)
 
 
 def brute_greedy(a, b, legal, seed=None) -> list[tuple[int, int, int]]:

@@ -565,10 +565,11 @@ def test_hunt_counts_polygon_instances_it_cannot_generate():
 
 
 def test_hunt_bad_arguments_exit_1():
-    """An empty size range, n < 3 or a range too small for nmax distinct
-    points stop the hunt before its first instance with the message on
-    stderr and exit 1, as they do ``gen``."""
+    """An empty size range, n < 3, a range too small for nmax distinct
+    points or a negative trial count stop the hunt before its first
+    instance with the message on stderr and exit 1, as they do ``gen``."""
     cases = {
+        ("points", "5", "6", "-3", "1"): "negative trial count: -3",
         ("points", "9", "5", "3", "1"): "empty size range: nmin 9 exceeds nmax 5",
         ("polygons", "2", "5", "3", "1"): "n must be at least 3",
         ("points", "4", "10", "3", "1", "--range", "2"):

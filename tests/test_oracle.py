@@ -251,6 +251,22 @@ def test_frontier_search_yields_exactly_the_joint_triangulations():
     assert total >= 600 and differ >= 80
 
 
+def test_legal_set_is_the_union_of_the_joint_triangulations():
+    # ROADMAP item 17 on the four families: wherever both necessary
+    # conditions hold, every legal triangle lies in some joint
+    # triangulation, and every joint triangulation's triangles are legal.
+    # A failure is a loose legal triangle, a finding to bundle and report,
+    # not a reason to loosen this test.
+    passed = 0
+    for pair, a, b in _small_pairs(77, 800):
+        nc = necessary_conditions(pair)
+        if nc.ok:
+            passed += 1
+            joint = set().union(*iter_triangulations(pair))
+            assert joint == set(nc.legal.legal), (a, b)
+    assert passed >= 400
+
+
 def test_frontier_search_is_blind_to_mirroring_b():
     # Mirroring B reverses every triangle and B's hull, so a triangle turns
     # as the hulls do exactly when it did before: the search yields the

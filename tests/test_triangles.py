@@ -41,8 +41,8 @@ def test_triangle_set_edge_index_invariant():
     extra = TriangleSet([(9, 2, 5), (5, 9, 2)])
     assert extra.sorted_triangles() == [(2, 5, 9)]
     assert (2, 5, 9) in extra and len(extra) == 1
-    # a set of canonical triples is kept as given, so it iterates as given
-    kept = TriangleSet._of_canonical(tris)
+    # a producer's build is kept as its tuple set, so it iterates as given
+    kept = TriangleSet._of_rows(ts.array().copy(), lambda: tris)
     assert kept == ts and list(kept) == list(tris)
 
 
@@ -371,7 +371,7 @@ def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
     # enumerate_empty, paired_empty and legal_set each hand over the sorted
     # rows they already hold; legal_set's must drop exactly the removed rows,
     # and are the candidates' own when it removed none.  The greedy's and
-    # the DP's results sort on first use.
+    # the DP's results hand over their sorted choices.
     removals = whole = 0
     pairs = [hull_locked_pair(n, 1000, 3, seed)
              for n, seed in ((20, 0), (24, 3), (30, 2))]
@@ -396,6 +396,7 @@ def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
                 jt = greedy_construct(pair, res.legal, policy, seed)
                 assert jt.verified
                 _check_array(jt.triangles)
+                assert jt.triangles.sorted_triangles() == sorted(jt.choices)
     assert removals > 0 and whole > 0
     assert len(legal_set(pairs[-1], paired_empty(pairs[-1]), hull).legal) == 0
     for n in (5, 12):
@@ -403,13 +404,14 @@ def test_triangle_set_array_is_the_sorted_rows_from_every_producer():
         jt = dp_joint_polygon(PolygonPair(poly, poly))
         assert jt.verified and len(jt.triangles) == n - 2
         _check_array(jt.triangles)
+        assert jt.triangles.sorted_triangles() == sorted(jt.choices)
     _check_array(TriangleSet())
 
 
 def test_triangle_set_has_no_mutator():
     """A TriangleSet cannot change once built, so neither can its array:
-    it has no method that adds or drops a member, and the array a set
-    builds on first use is its sorted rows and is kept."""
+    it has no method that adds or drops a member, and its array is the
+    sorted rows it holds from construction, those a producer hands over."""
     for name in ("add", "discard", "remove", "update", "clear", "pop",
                  "copy", "_seed_array"):
         assert not hasattr(TriangleSet, name), name
@@ -417,4 +419,8 @@ def test_triangle_set_has_no_mutator():
     _check_array(fresh)
     assert fresh.array().tolist() == [[0, 1, 2], [0, 2, 4], [1, 2, 3]]
     assert fresh.array() is fresh.array()
-    _check_array(TriangleSet._of_canonical({(1, 3, 4), (0, 1, 2)}))
+    rows = np.array([[0, 1, 2], [1, 3, 4]], dtype=np.intp)
+    handed = TriangleSet._of_rows(rows)
+    _check_array(handed)
+    assert handed.array() is rows and handed == TriangleSet([(4, 3, 1), (0, 1, 2)])
+    assert handed._tris is None  # == between sets compares their rows
